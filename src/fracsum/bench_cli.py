@@ -288,10 +288,10 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
         c3_fix = parse_number(c3, ctx)
         c4_fix = parse_number(c4, ctx)
 
-        gam = table.gamma[0][n]
-        lam = table.lam[0][n]
+        gam = table.gamma[n]
+        lam = table.lam[n]
         lam_cmp = lam / absS if ref.relative else lam
-        value = table.A[0][n]
+        value = table.A[n]
         sample = table.samples[n]
 
         if limited:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
 
@@ -21,6 +22,7 @@ __all__ = [
     "QUAD",
     "PRESETS",
     "RangeOverflowError",
+    "NotANumberError",
     "make_context",
     "precision_of",
     "roundoff_unit",
@@ -33,6 +35,10 @@ __all__ = [
 
 class RangeOverflowError(OverflowError):
     """A value left the representable exponent range of the active precision."""
+
+
+class NotANumberError(ArithmeticError):
+    """A value became NaN, so every result computed from it is meaningless."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class Precision:
         if self.max_exp10 < 1:
             raise ValueError("max_exp10 must be positive")
 
-    @property
+    @cached_property
     def max_exp2(self) -> int:
         """Binary exponent bound matching ``max_exp10`` (small safety slack)."""
         return int(self.max_exp10 * math.log2(10)) + 4
@@ -136,10 +142,20 @@ def resolve_scalar(spec, ctx):
     return as_value(spec, ctx)
 
 
-def check_range(x, ctx, precision: Precision, where: str) -> None:
-    """Raise :class:`RangeOverflowError` if |x| exceeds the precision's range."""
-    if ctx.mag(x) > precision.max_exp2:
-        raise RangeOverflowError(
-            f"{where} exceeds the {precision.name} exponent range "
-            f"(|value| > 1e{precision.max_exp10})"
-        )
+def check_range(x, ctx, precision: Precision, where: str, *args) -> None:
+    """Raise if x is NaN or |x| exceeds the precision's exponent range.
+
+    ``where`` names x in the message.  With *args* it is a %-format that is
+    filled in only when raising, so per-entry callers pay no formatting.
+    Overflow raises :class:`RangeOverflowError`, NaN :class:`NotANumberError`.
+    """
+    # mag alone is not enough: it is NaN for a real NaN but finite for mpc(1, nan)
+    if ctx.mag(x) <= precision.max_exp2 and not ctx.isnan(x):
+        return
+    label = where % args if args else where
+    if ctx.isnan(x):
+        raise NotANumberError(f"{label} is NaN")
+    raise RangeOverflowError(
+        f"{label} exceeds the {precision.name} exponent range "
+        f"(|value| > 1e{precision.max_exp10})"
+    )

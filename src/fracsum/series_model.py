@@ -92,7 +92,7 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
         a = as_value(problem.term(n, ctx), ctx)
         total = total + a
         if prec is not None:
-            check_range(total, ctx, prec, f"partial sum A_{n}")
+            check_range(total, ctx, prec, "partial sum A_%d", n)
         terms.append(a)
         sums.append(total)
     return sums, terms
@@ -102,7 +102,8 @@ def partial_sums(problem: SeriesProblem, upto: int, ctx):
     """Partial sums A_1..A_N by left-to-right accumulation.
 
     Raises :class:`~fracsum.numerics.RangeOverflowError` naming the first
-    index whose sum leaves the active precision's exponent range.
+    index whose sum leaves the active precision's exponent range, and
+    :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
     """
     return sums_and_terms(problem, upto, ctx)[0]
 

@@ -62,14 +62,14 @@ def _selection_scores(table: ExtrapolationTable):
     scores = []
     prev = None
     for n in range(table.depth + 1):
-        a = table.A[0][n]
+        a = table.A[n]
         absa = abs(a)
-        stab = table.gamma[0][n] * u
+        stab = table.gamma[n] * u
         if absa > 0:
-            lam_rel = table.lam[0][n] * u / absa
+            lam_rel = table.lam[n] * u / absa
             if lam_rel > stab:
                 stab = lam_rel
-        elif table.lam[0][n] > 0:
+        elif table.lam[n] > 0:
             stab = ctx.inf
         if n == 0:
             conv = ctx.one  # no convergence evidence yet: claim no digits
@@ -90,11 +90,11 @@ def _select(table: ExtrapolationTable) -> AccelerationResult:
     for n, s in enumerate(scores):
         if s <= scores[best_n]:  # ties resolve to the deeper entry
             best_n = n
-    value = table.A[0][best_n]
-    est_abs = table.lam[0][best_n] * u
+    value = table.A[best_n]
+    est_abs = table.lam[best_n] * u
     absv = abs(value)
     est_rel = est_abs / absv if absv > 0 else ctx.inf
-    curve = [(n, table.gamma[0][n], table.lam[0][n]) for n in range(table.depth + 1)]
+    curve = [(n, table.gamma[n], table.lam[n]) for n in range(table.depth + 1)]
     return AccelerationResult(
         table=table,
         best=(0, best_n),
@@ -166,7 +166,7 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
     u = ctx.eps
     S = resolve_scalar(known_S, ctx)
     rows = []
-    for n, R_n, sample, value, gam, lam in table.diagonal(0):
+    for n, R_n, sample, value, gam, lam in table.diagonal():
         absv = abs(value)
         rows.append(
             DiagnosticsRow(

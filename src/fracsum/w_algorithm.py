@@ -1,12 +1,15 @@
 """The recursive W-algorithm and its dense linear-system oracle.
 
-``build_table`` computes the extrapolation triangle A(j,n) together with
-the stability indicators Gamma(j,n) and Lambda(j,n) from four auxiliary
-divided-difference arrays (M, N, H, K), using only the terms a_n and
-partial sums A_n of the series.  ``dense_oracle`` solves the defining
-(n+1)x(n+1) linear system directly by pivoted elimination and exposes
-the weights gamma_{n,i}; it exists to cross-check the recursion and to
-support the general-offset (alpha != 0) variant of the fit.
+``build_table`` runs the W-algorithm over the fit samples one at a time:
+sample l extends the antidiagonal j + n = l of the four auxiliary
+divided-difference arrays (M, N, H, K) and ends at the diagonal entry
+A(0,l) with its stability indicators Gamma(0,l) and Lambda(0,l).  Only
+the previous antidiagonal is kept, so the working state is O(depth) and
+the returned table holds the j = 0 diagonal alone.  ``dense_oracle``
+solves the defining (n+1)x(n+1) linear system directly by pivoted
+elimination and exposes the weights gamma_{n,i}; it exists to
+cross-check the recursion and to support the general-offset (alpha != 0)
+variant of the fit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .numerics import check_range, precision_of
 
 __all__ = [
     "ZeroTermError",
+    "DegenerateDenominatorError",
     "SingularSystemError",
     "ExtrapolationTable",
     "DenseSolve",
@@ -36,6 +40,17 @@ class ZeroTermError(ValueError):
         super().__init__(f"term a_{index} at a scheduled index is zero")
 
 
+class DegenerateDenominatorError(ZeroDivisionError):
+    """The denominator N(j,n) vanished: the weights r^sigma_hat * a_r are degenerate."""
+
+    def __init__(self, j, n):
+        self.j, self.n = j, n
+        super().__init__(
+            f"W-algorithm denominator N({j},{n}) is zero: the remainder weights "
+            f"r^sigma_hat * a_r are degenerate for this series; choose another sigma_hat"
+        )
+
+
 class SingularSystemError(ArithmeticError):
     """The dense extrapolation system is numerically singular."""
 
@@ -46,14 +61,14 @@ class SingularSystemError(ArithmeticError):
 
 @dataclass
 class ExtrapolationTable:
-    """Triangular extrapolation table with stability indicators.
+    """The j = 0 diagonal of the extrapolation table with stability indicators.
 
-    ``A[j][n]`` is the entry at column j, diagonal index n (j + n <= depth);
-    ``gamma`` and ``lam`` hold Gamma(j,n) >= 1 and Lambda(j,n) >= 0 at the
-    same indices.  ``samples[l]`` is the fit ordinate at R_l: the partial
-    sum A_{R_l} for sigma_hat >= 0, or A_{R_l - 1} for sigma_hat < 0.
-    The full triangle (including the internal M, N, H, K arrays) is
-    retained; at the depths used here (<= 64) the memory cost is trivial.
+    ``A[n]`` is the entry A(0,n) for 0 <= n <= depth; ``gamma[n]`` and
+    ``lam[n]`` hold Gamma(0,n) >= 1 and Lambda(0,n) >= 0.  ``samples[l]``
+    is the fit ordinate at R_l: the partial sum A_{R_l} for
+    sigma_hat >= 0, or A_{R_l - 1} for sigma_hat < 0.  Entries A(j,n)
+    with j > 0 are intermediate values of the recursion and are not kept;
+    A(j,n) equals A(0,n) of the table built on the schedule R_j, R_{j+1}, ...
     """
 
     m: int
@@ -66,19 +81,10 @@ class ExtrapolationTable:
     A: list
     gamma: list
     lam: list
-    M: list
-    N: list
-    H: list
-    K: list
 
-    def diagonal(self, j: int = 0):
-        """Rows (n, R_n, sample_n, A(j,n), Gamma(j,n), Lambda(j,n)) along column j."""
-        rows = []
-        for n in range(self.depth + 1 - j):
-            rows.append(
-                (n, self.R[j + n], self.samples[j + n], self.A[j][n], self.gamma[j][n], self.lam[j][n])
-            )
-        return rows
+    def diagonal(self):
+        """Rows (n, R_n, sample_n, A(0,n), Gamma(0,n), Lambda(0,n))."""
+        return list(zip(range(self.depth + 1), self.R, self.samples, self.A, self.gamma, self.lam))
 
 
 def _omega(r: int, a, sigma_hat: Fraction, ctx):
@@ -90,7 +96,7 @@ def _omega(r: int, a, sigma_hat: Fraction, ctx):
 
 
 def build_table(sums, terms, schedule, m, sigma_hat, depth, ctx) -> ExtrapolationTable:
-    """Run the W-algorithm recursion up to j + n <= depth.
+    """Run the W-algorithm recursion up to the diagonal entry A(0, depth).
 
     ``sums[k]`` must hold A_k for 0 <= k <= R_depth (A_0 = 0) and
     ``terms[k]`` must hold a_k for 1 <= k <= R_depth.  The recursion
@@ -105,65 +111,55 @@ def build_table(sums, terms, schedule, m, sigma_hat, depth, ctx) -> Extrapolatio
         raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
     prec = precision_of(ctx)
     use_prev = sigma_hat < 0
-
-    size = depth + 1
-    M = [[None] * (size - j) for j in range(size)]
-    N = [[None] * (size - j) for j in range(size)]
-    H = [[None] * (size - j) for j in range(size)]
-    K = [[None] * (size - j) for j in range(size)]
-    A = [[None] * (size - j) for j in range(size)]
-    G = [[None] * (size - j) for j in range(size)]
-    L = [[None] * (size - j) for j in range(size)]
-
     inv_m = ctx.convert(Fraction(-1, m))
-    t = [ctx.power(r, inv_m) for r in R]
 
-    samples = []
-    for j, r in enumerate(R):
+    t, samples, A, G, L = [], [], [], [], []
+    # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
+    # overwritten with X(l-k, k) while sample l extends it, for X in M, N, H, K
+    M, N, H, K = [], [], [], []
+    for l, r in enumerate(R):
         a = terms[r]
         if a == 0:
             raise ZeroTermError(r)
         omega = _omega(r, a, sigma_hat, ctx)
         sample = sums[r - 1] if use_prev else sums[r]
         samples.append(sample)
-        M[j][0] = sample / omega
-        N[j][0] = 1 / omega
-        sign = -1 if j % 2 else 1
-        H[j][0] = sign * abs(N[j][0])
-        K[j][0] = sign * abs(M[j][0])
-        A[j][0] = sample  # exact: the n = 0 entry is the fit ordinate itself
-        G[j][0] = ctx.one
-        L[j][0] = abs(sample)
-
-    for n in range(1, size):
-        for j in range(size - n):
-            den = t[j + n] - t[j]
-            M[j][n] = (M[j + 1][n - 1] - M[j][n - 1]) / den
-            N[j][n] = (N[j + 1][n - 1] - N[j][n - 1]) / den
-            H[j][n] = (H[j + 1][n - 1] - H[j][n - 1]) / den
-            K[j][n] = (K[j + 1][n - 1] - K[j][n - 1]) / den
+        t.append(ctx.power(r, inv_m))
+        mx = sample / omega
+        nx = 1 / omega
+        sign = -1 if l % 2 else 1
+        hx = sign * abs(nx)
+        kx = sign * abs(mx)
+        for n in range(1, l + 1):
+            k = n - 1
+            den = t[l] - t[l - n]
+            mo, no, ho, ko = M[k], N[k], H[k], K[k]
+            M[k], N[k], H[k], K[k] = mx, nx, hx, kx
+            mx = (mx - mo) / den
+            nx = (nx - no) / den
+            hx = (hx - ho) / den
+            kx = (kx - ko) / den
             if prec is not None:
-                check_range(M[j][n], ctx, prec, f"M({j},{n})")
-                check_range(N[j][n], ctx, prec, f"N({j},{n})")
-            A[j][n] = M[j][n] / N[j][n]
-            G[j][n] = abs(H[j][n] / N[j][n])
-            L[j][n] = abs(K[j][n] / N[j][n])
+                check_range(mx, ctx, prec, "M(%d,%d)", l - n, n)
+                check_range(nx, ctx, prec, "N(%d,%d)", l - n, n)
+        M.append(mx)
+        N.append(nx)
+        H.append(hx)
+        K.append(kx)
+        if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
+            A.append(sample)
+            G.append(ctx.one)
+            L.append(abs(sample))
+        elif nx == 0:
+            raise DegenerateDenominatorError(0, l)
+        else:
+            A.append(mx / nx)
+            G.append(abs(hx / nx))
+            L.append(abs(kx / nx))
 
     return ExtrapolationTable(
-        m=m,
-        sigma_hat=sigma_hat,
-        schedule=schedule,
-        depth=depth,
-        ctx=ctx,
-        R=R,
-        samples=samples,
-        A=A,
-        gamma=G,
-        lam=L,
-        M=M,
-        N=N,
-        H=H,
-        K=K,
+        m=m, sigma_hat=sigma_hat, schedule=schedule, depth=depth, ctx=ctx,
+        R=R, samples=samples, A=A, gamma=G, lam=L,
     )
 
 

@@ -83,3 +83,49 @@ def cos_sqrt_reference(ctx, N=10000):
     d3 = ctx.diff(f, x0, 3)
     d5 = ctx.diff(f, x0, 5)
     return head + integral + f(x0) / 2 - d1 / 12 + d3 / 720 - d5 / 30240
+
+
+def w_triangle(sums, terms, R, m, sigma_hat, ctx):
+    """The full W-algorithm triangle, computed column by column.
+
+    Returns ``(samples, A, gamma, lam)`` with ``A[j][n]`` for
+    j + n <= len(R) - 1: the recursion over the four complete auxiliary
+    triangles M, N, H, K, dividing out every entry.  It performs the
+    same operations on the same operands as the streamed recursion, so
+    column 0 must match ``build_table`` bit for bit.  No range checks.
+    """
+    sigma_hat = Fraction(sigma_hat)
+    size = len(R)
+    M, N, H, K, A, G, L = ([[None] * (size - j) for j in range(size)] for _ in range(7))
+    inv_m = ctx.convert(Fraction(-1, m))
+    t = [ctx.power(r, inv_m) for r in R]
+    samples = []
+    for j, r in enumerate(R):
+        a = terms[r]
+        if sigma_hat == 1:
+            omega = ctx.mpf(r) * a
+        elif sigma_hat == 0:
+            omega = ctx.mpf(1) * a
+        else:
+            omega = ctx.power(r, ctx.convert(sigma_hat)) * a
+        sample = sums[r - 1] if sigma_hat < 0 else sums[r]
+        samples.append(sample)
+        M[j][0] = sample / omega
+        N[j][0] = 1 / omega
+        sign = -1 if j % 2 else 1
+        H[j][0] = sign * abs(N[j][0])
+        K[j][0] = sign * abs(M[j][0])
+        A[j][0] = sample
+        G[j][0] = ctx.one
+        L[j][0] = abs(sample)
+    for n in range(1, size):
+        for j in range(size - n):
+            den = t[j + n] - t[j]
+            M[j][n] = (M[j + 1][n - 1] - M[j][n - 1]) / den
+            N[j][n] = (N[j + 1][n - 1] - N[j][n - 1]) / den
+            H[j][n] = (H[j + 1][n - 1] - H[j][n - 1]) / den
+            K[j][n] = (K[j + 1][n - 1] - K[j][n - 1]) / den
+            A[j][n] = M[j][n] / N[j][n]
+            G[j][n] = abs(H[j][n] / N[j][n])
+            L[j][n] = abs(K[j][n] / N[j][n])
+    return samples, A, G, L

@@ -20,8 +20,9 @@ from fracsum.series_model import (
     sums_and_terms,
 )
 from fracsum.transform import accelerate
-from fracsum.w_algorithm import build_table, dense_oracle, gamma_from_weights, lambda_from_weights
+from fracsum.w_algorithm import dense_oracle, gamma_from_weights, lambda_from_weights
 
+from columns import columns
 from oracles import fit_ratio_coefficients
 
 CTX = make_context(QUAD)
@@ -56,52 +57,52 @@ def test_criterion_1_schedule_exactness():
 
 def test_criterion_2_alternating_convergent():
     res = _accelerated("ex5_2", "aps:1,1", 28)
-    assert abs(res.table.A[0][20] + 1) <= 1e-20
+    assert abs(res.table.A[20] + 1) <= 1e-20
     for n in range(29):
-        assert abs(res.table.gamma[0][n] - 1) <= 1e-20
+        assert abs(res.table.gamma[n] - 1) <= 1e-20
     _ok(2, "ex5_2 error at n=20 <= 1e-20 and Gamma = 1 throughout")
 
 
 def test_criterion_3_monotone_with_gps():
     res = _accelerated("ex5_1", "gps:1.3", 20)
-    assert abs(res.table.A[0][16] + 1) <= 1e-10
-    assert abs(res.table.A[0][20] + 1) <= 1e-17
+    assert abs(res.table.A[16] + 1) <= 1e-10
+    assert abs(res.table.A[20] + 1) <= 1e-17
     _ok(3, "ex5_1 with GPS tau=1.3 reaches 1e-10 at n=16 and 1e-17 at n=20")
 
 
 def test_criterion_4_divergent_antilimit():
     res = _accelerated("ex5_4", "aps:1,1", 16)
-    assert abs(res.table.A[0][16] + 1) <= 1e-12
+    assert abs(res.table.A[16] + 1) <= 1e-12
     _ok(4, "ex5_4 antilimit error at n=16 <= 1e-12")
 
 
 def test_criterion_5_stability_spot_rows():
     res = _accelerated("ex5_1", "aps:1,1", 40)
-    gam = res.table.gamma[0][8]
-    lam = res.table.lam[0][8]
+    gam = res.table.gamma[8]
+    lam = res.table.lam[8]
     assert 1 / 5 <= gam / CTX.mpf("3.03e4") <= 5
     assert 1 / 5 <= lam / CTX.mpf("2.80e4") <= 5
     res7 = _accelerated("ex5_7", "aps:5,5", 32)
-    assert 1 / 5 <= res7.table.gamma[0][12] / CTX.mpf("1.03e3") <= 5
+    assert 1 / 5 <= res7.table.gamma[12] / CTX.mpf("1.03e3") <= 5
     _ok(5, "Gamma/Lambda spot values within a factor of 5")
 
 
 def test_criterion_6_instability_onset():
     res = _accelerated("ex5_1", "aps:1,1", 40)
-    err = [abs(res.table.A[0][n] + 1) for n in range(41)]
+    err = [abs(res.table.A[n] + 1) for n in range(41)]
     assert err[12] > err[20] > err[28]
     assert err[28] <= 1e-17
     assert err[40] > err[28]
-    assert res.table.gamma[0][40] > 1e22
+    assert res.table.gamma[40] > 1e22
     _ok(6, "ex5_1 APS error bottoms out near n=28 and then grows as Gamma passes 1e22")
 
 
 def test_criterion_7_product_with_known_limit():
     S = resolve_scalar(_series("ex7_1").known_S, CTX)
     res_gps = _accelerated("ex7_1", "gps:1.3", 32)
-    assert abs(res_gps.table.A[0][20] - S) / abs(S) <= 1e-23
+    assert abs(res_gps.table.A[20] - S) / abs(S) <= 1e-23
     res_aps = _accelerated("ex7_1", "aps:1,1", 32)
-    assert abs(res_aps.table.A[0][16] - S) / abs(S) <= 1e-12
+    assert abs(res_aps.table.A[16] - S) / abs(S) <= 1e-12
     _ok(7, "ex7_1 relative errors: GPS n=20 <= 1e-23, APS n=16 <= 1e-12")
 
 
@@ -116,17 +117,17 @@ def test_criterion_8_oracle_equivalence():
             sums, terms = sums_and_terms(problem, R[-1], CTX)
             sums = [CTX.zero] + sums
             terms = [None] + terms
-            table = build_table(sums, terms, schedule, problem.m, problem.sigma_hat, depth, CTX)
+            cols = columns(sums, terms, schedule, problem.m, problem.sigma_hat, depth, CTX)
             for j in range(3):
                 for n in range(9):
                     d = dense_oracle(
                         sums, terms, schedule, problem.m, problem.sigma_hat, 0, j, n, CTX
                     )
-                    assert abs(table.A[j][n] - d.value) <= 1e-20 * abs(d.value), (ident, sched, j, n)
+                    assert abs(cols[j].A[n] - d.value) <= 1e-20 * abs(d.value), (ident, sched, j, n)
                     gam_w = gamma_from_weights(d)
                     lam_w = lambda_from_weights(d)
-                    gam_r = table.gamma[j][n]
-                    lam_r = table.lam[j][n]
+                    gam_r = cols[j].gamma[n]
+                    lam_r = cols[j].lam[n]
                     assert abs(gam_w - gam_r) <= 1e-20 * gam_r, (ident, sched, j, n)
                     assert abs(lam_w - lam_r) <= 1e-20 * lam_r, (ident, sched, j, n)
                     # weight normalization, relative to the weight scale

@@ -149,3 +149,13 @@ def test_reproduce_json_format():
     doc = json.loads(report.to_json())
     assert doc["exit_code"] == 0
     assert doc["tables"][0]["problem"] == "ex5_2"
+
+
+def test_cli_degenerate_denominator_is_named(tmp_path, capsys):
+    # harmonic series with sigma_hat = 1: omega_r = r * (1/r) = 1, so N(0,1) = 0
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps({"name": "harmonic", "expression": "1/n", "m": 1}))
+    assert main(["run", "--problem-file", str(spec), "--schedule", "aps:1,1", "--depth", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracsum: error: W-algorithm denominator N(0,1) is zero")
+    assert "sigma_hat" in err

@@ -5,6 +5,7 @@ import pytest
 from fracsum.numerics import (
     DOUBLE,
     QUAD,
+    NotANumberError,
     Precision,
     RangeOverflowError,
     as_value,
@@ -83,3 +84,14 @@ def test_double_to_quad_round_trip_exact(qctx, dctx):
 def test_check_range_raises(dctx):
     with pytest.raises(RangeOverflowError, match="double"):
         check_range(dctx.mpf("1e320"), dctx, DOUBLE, "partial sum A_3")
+
+
+def test_check_range_rejects_nan_and_formats_label_on_raise(dctx):
+    check_range(dctx.mpc(1, 2), dctx, DOUBLE, "M(%d,%d)", 3, 4)
+    with pytest.raises(NotANumberError, match=r"^N\(3,4\) is NaN$"):
+        check_range(dctx.nan, dctx, DOUBLE, "N(%d,%d)", 3, 4)
+    # mpmath's mag of mpc(1, nan) is finite, so the range test alone misses it
+    with pytest.raises(NotANumberError, match="A_5"):
+        check_range(dctx.mpc(1, dctx.nan), dctx, DOUBLE, "partial sum A_%d", 5)
+    with pytest.raises(RangeOverflowError, match=r"^M\(3,4\) exceeds the double"):
+        check_range(dctx.mpf("-1e320"), dctx, DOUBLE, "M(%d,%d)", 3, 4)

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fracsum.sampling import make_aps, make_explicit, make_gps
-from fracsum.series_model import builtin_problem, sums_and_terms
+from fracsum.numerics import DOUBLE, QUAD, make_context
+from fracsum.reference_tables import REFERENCE_TABLES
+from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
+from fracsum.series_model import ProductProblem, builtin_problem, product_to_series
 from fracsum.w_algorithm import (
+    DegenerateDenominatorError,
     SingularSystemError,
     ZeroTermError,
     build_table,
@@ -14,34 +18,33 @@ from fracsum.w_algorithm import (
     lambda_from_weights,
 )
 
-
-def _arrays(problem, schedule, depth, ctx):
-    R = schedule.prefix(depth + 1)
-    sums, terms = sums_and_terms(problem, R[-1], ctx)
-    return [ctx.zero] + sums, [None] + terms
+from columns import columns, problem_arrays, problem_columns
+from oracles import w_triangle
 
 
 def _table(ident, schedule, depth, ctx):
     p = builtin_problem(ident)
-    sums, terms = _arrays(p, schedule, depth, ctx)
+    sums, terms = problem_arrays(p, schedule, depth, ctx)
     return build_table(sums, terms, schedule, p.m, p.sigma_hat, depth, ctx), sums, terms, p
 
 
 def test_depth_zero_column(qctx):
-    table, sums, _, _ = _table("ex5_1", make_aps(1, 1), 6, qctx)
+    table, sums, terms, p = _table("ex5_1", make_aps(1, 1), 6, qctx)
+    cols = columns(sums, terms, make_aps(1, 1), p.m, p.sigma_hat, 6, qctx)
     for j in range(7):
-        assert table.A[j][0] == sums[j + 1]  # A(j,0) = A_{R_j}, bit-exact
-        assert table.gamma[j][0] == 1
-        assert table.lam[j][0] == abs(sums[j + 1])
-    assert abs(table.lam[0][0] - qctx.mpf("0.632")) < 5e-4
+        assert cols[j].A[0] == sums[j + 1]  # A(j,0) = A_{R_j}, bit-exact
+        assert cols[j].gamma[0] == 1
+        assert cols[j].lam[0] == abs(sums[j + 1])
+    assert abs(table.lam[0] - qctx.mpf("0.632")) < 5e-4
 
 
 def test_alternating_series_gamma_exactly_one(qctx):
-    table, _, _, _ = _table("ex5_2", make_aps(1, 1), 8, qctx)
+    table, sums, terms, p = _table("ex5_2", make_aps(1, 1), 8, qctx)
+    cols = columns(sums, terms, make_aps(1, 1), p.m, p.sigma_hat, 8, qctx)
     for j in range(9):
         for n in range(9 - j):
-            assert table.gamma[j][n] == 1
-    err = abs(table.A[0][8] + 1)
+            assert cols[j].gamma[n] == 1
+    err = abs(table.A[8] + 1)
     assert abs(err / qctx.mpf("3.33e-8") - 1) < 0.02
 
 
@@ -52,10 +55,10 @@ def test_constant_tail_is_reproduced_exactly(qctx):
     sums = [qctx.mpf(-1)] * 10
     sums[0] = qctx.zero
     terms = [None] + [qctx.mpf(2 + (i % 3)) / 7 for i in range(9)]
-    table = build_table(sums, terms, schedule, 2, Fraction(1), depth, qctx)
+    cols = columns(sums, terms, schedule, 2, Fraction(1), depth, qctx)
     for j in range(depth + 1):
         for n in range(depth + 1 - j):
-            assert table.A[j][n] == -1
+            assert cols[j].A[n] == -1
 
 
 @pytest.mark.parametrize("sigma_hat", [Fraction(1), Fraction(-1, 2)])
@@ -79,10 +82,10 @@ def test_model_data_is_reproduced(qctx, sigma_hat):
             sums[r - 1] = ordinate
         else:
             sums[r] = ordinate
-    table = build_table(sums, terms, schedule, m, sigma_hat, depth, qctx)
+    cols = columns(sums, terms, schedule, m, sigma_hat, depth, qctx)
     for j in range(depth + 1):
         for n in range(3, depth + 1 - j):
-            assert abs(table.A[j][n] - S) <= 1e-27
+            assert abs(cols[j].A[n] - S) <= 1e-27
     d = dense_oracle(sums, terms, schedule, m, sigma_hat, 0, 0, 3, qctx)
     assert abs(d.value - S) <= 1e-27
 
@@ -131,11 +134,11 @@ def test_dense_trivial_entry(qctx):
 def test_dense_matches_recursion_ex5_1(qctx):
     table, sums, terms, p = _table("ex5_1", make_aps(1, 1), 8, qctx)
     d = dense_oracle(sums, terms, make_aps(1, 1), p.m, p.sigma_hat, 0, 0, 8, qctx)
-    assert abs(table.A[0][8] - d.value) <= 1e-20 * abs(d.value)
+    assert abs(table.A[8] - d.value) <= 1e-20 * abs(d.value)
     err = abs(d.value + 1)
     assert abs(err / qctx.mpf("4.65e-4") - 1) < 0.02
-    assert abs(gamma_from_weights(d) - table.gamma[0][8]) <= 1e-20 * table.gamma[0][8]
-    assert abs(lambda_from_weights(d) - table.lam[0][8]) <= 1e-20 * table.lam[0][8]
+    assert abs(gamma_from_weights(d) - table.gamma[8]) <= 1e-20 * table.gamma[8]
+    assert abs(lambda_from_weights(d) - table.lam[8]) <= 1e-20 * table.lam[8]
 
 
 def test_weight_normalization_randomized(qctx):
@@ -163,10 +166,10 @@ def test_weight_normalization_randomized(qctx):
 
 
 def test_gamma_lower_bound(qctx):
-    table, _, _, _ = _table("ex5_1", make_gps(1.3), 16, qctx)
+    cols = problem_columns(builtin_problem("ex5_1"), make_gps(1.3), 16, qctx)
     for j in range(17):
         for n in range(17 - j):
-            assert table.gamma[j][n] >= 1 - qctx.mpf("1e-30")
+            assert cols[j].gamma[n] >= 1 - qctx.mpf("1e-30")
 
 
 def test_singular_system_raises(qctx):
@@ -197,9 +200,83 @@ def test_complex_terms_table(qctx):
     from fracsum.series_model import SeriesProblem
 
     cp = SeriesProblem("complexified", cterm, m=2)
-    sums, terms = _arrays(cp, make_aps(1, 1), 6, qctx)
+    sums, terms = problem_arrays(cp, make_aps(1, 1), 6, qctx)
     table = build_table(sums, terms, make_aps(1, 1), 2, Fraction(1), 6, qctx)
-    assert table.A[0][6].imag != 0
+    assert table.A[6].imag != 0
     for n in range(7):
-        assert table.gamma[0][n] >= 1 - qctx.mpf("1e-30")
-        assert table.lam[0][n] >= 0
+        assert table.gamma[n] >= 1 - qctx.mpf("1e-30")
+        assert table.lam[n] >= 0
+
+
+def _assert_columns_of_triangle(tables, triangle, R):
+    """tables[j] equals column j of the ``w_triangle`` result, bit for bit."""
+    samples, A, G, L = triangle
+    for j, table in enumerate(tables):
+        assert table.R == R[j:], j
+        assert table.samples == samples[j:], j
+        assert table.A == A[j], j
+        assert table.gamma == G[j], j
+        assert table.lam == L[j], j
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+def test_streamed_diagonal_matches_triangle_on_reference_tables(precision):
+    ctx = make_context(precision)
+    for ref in REFERENCE_TABLES:
+        problem = builtin_problem(ref.problem)
+        if isinstance(problem, ProductProblem):
+            problem = product_to_series(problem)
+        schedule = parse_schedule(ref.schedule)
+        R = schedule.prefix(ref.depth + 1)
+        sums, terms = problem_arrays(problem, schedule, ref.depth, ctx)
+        table = build_table(sums, terms, schedule, problem.m, problem.sigma_hat, ref.depth, ctx)
+        triangle = w_triangle(sums, terms, R, problem.m, problem.sigma_hat, ctx)
+        _assert_columns_of_triangle([table], triangle, R)
+
+
+@st.composite
+def _explicit_problems(draw):
+    """Random explicit schedule, m, sigma_hat of either sign, real or complex terms."""
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=9))
+    R = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    m = draw(st.sampled_from([1, 2, 3]))
+    sigma_hat = Fraction(draw(st.integers(-2 * m, m)), m)
+    complex_terms = draw(st.booleans())
+    logs = st.floats(-3, 3, allow_nan=False)
+    phases = st.floats(-1, 1, allow_nan=False) if complex_terms else st.sampled_from([0.0, 1.0])
+    parts = draw(st.lists(st.tuples(logs, phases), min_size=R[-1], max_size=R[-1]))
+    return R, m, sigma_hat, complex_terms, parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_explicit_problems())
+def test_streamed_diagonal_matches_triangle_property(qctx, case):
+    R, m, sigma_hat, complex_terms, parts = case
+    sums = [qctx.zero]
+    terms = [None]
+    for x, phase in parts:
+        a = qctx.exp(qctx.mpf(x)) * qctx.expjpi(qctx.mpf(phase))
+        terms.append(a if complex_terms else a.real)
+        sums.append(sums[-1] + terms[-1])
+    depth = len(R) - 1
+    try:
+        triangle = w_triangle(sums, terms, R, m, sigma_hat, qctx)
+    except ZeroDivisionError:
+        assume(False)  # some N(j,n) = 0: covered by the degenerate-denominator test
+    tables = columns(sums, terms, make_explicit(R), m, sigma_hat, depth, qctx)
+    _assert_columns_of_triangle(tables, triangle, R)
+
+
+def test_degenerate_denominator_names_entry(qctx):
+    # a_n = 1/n with sigma_hat = 1 gives omega = 1 at every sample, so N(0,1) = 0
+    schedule = make_aps(1, 1)
+    terms = [None] + [qctx.one / k for k in range(1, 8)]
+    sums = [qctx.zero]
+    for a in terms[1:]:
+        sums.append(sums[-1] + a)
+    with pytest.raises(DegenerateDenominatorError, match=r"N\(0,1\).*sigma_hat") as info:
+        build_table(sums, terms, schedule, 1, Fraction(1), 4, qctx)
+    assert (info.value.j, info.value.n) == (0, 1)
+    assert isinstance(info.value, ArithmeticError)
+    # the same data with sigma_hat = 0 is well posed
+    build_table(sums, terms, schedule, 1, Fraction(0), 4, qctx)
