@@ -1,10 +1,14 @@
 """Precision presets and scalar arithmetic helpers.
 
-Real scalars are mpmath floats (``mpf``) and complex scalars are ``mpc``
-values, created through a context tied to a :class:`Precision`.  The
-precision is always an explicit parameter: nothing in this package reads
-or mutates the global ``mpmath.mp`` state, so computations at different
-precisions can run side by side (and concurrently).
+Scalars are created through a context tied to a :class:`Precision`.  A
+preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
+1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
+scalars are Python floats; every other preset gets an mpmath
+``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
+values under both.  The precision is always an explicit parameter:
+nothing in this package reads or mutates the global ``mpmath.mp`` state,
+so computations at different precisions can run side by side (and
+concurrently).
 """
 
 from __future__ import annotations
@@ -12,15 +16,44 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
+from mpmath.ctx_fp import FPContext
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    MPZ,
+    ComplexResult,
+    from_float,
+    from_int,
+    from_rational,
+    fzero,
+    mpf_atan,
+    mpf_ceil,
+    mpf_cos,
+    mpf_div,
+    mpf_e,
+    mpf_exp,
+    mpf_factorial,
+    mpf_floor,
+    mpf_gamma,
+    mpf_log,
+    mpf_loggamma,
+    mpf_pi,
+    mpf_pow,
+    mpf_sin,
+    mpf_sqrt,
+    mpf_tan,
+    round_nearest,
+    to_float,
+)
 
 __all__ = [
     "Precision",
     "DOUBLE",
     "QUAD",
     "PRESETS",
+    "Binary64Context",
     "RangeOverflowError",
     "NotANumberError",
     "make_context",
@@ -70,23 +103,218 @@ DOUBLE = Precision("double", 53, 308)
 QUAD = Precision("quad", 113, 4932)
 PRESETS = {"double": DOUBLE, "quad": QUAD}
 
-_context_cache: dict[Precision, MPContext] = {}
+_context_cache: dict[Precision, object] = {}
 _context_lock = threading.Lock()
 
 
-def make_context(precision: Precision) -> MPContext:
-    """Return the mpmath context for *precision*.
+def _mpmath_context(precision: Precision) -> MPContext:
+    """A fresh mpmath context rounding to ``precision.mantissa_bits`` bits."""
+    ctx = MPContext()
+    ctx.prec = precision.mantissa_bits
+    ctx.pretty = False
+    ctx._fracsum_precision = precision
+    return ctx
 
-    Contexts are cached per precision and must be treated as read-only;
-    all rounding happens at ``precision.mantissa_bits`` significant bits.
+
+def _raw(x: float):
+    """The raw mpf of a float, as ``libmp.from_float`` gives it.
+
+    ``as_integer_ratio`` is already in lowest terms, so only an integral
+    float needs its trailing zero bits stripped; from_float normalises
+    every mantissa, which makes it the slower path.
+    """
+    if x - x != 0.0:  # inf or nan
+        return from_float(x)
+    man, den = x.as_integer_ratio()
+    if not man:
+        return fzero
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    if den == 1:
+        exp = (man & -man).bit_length() - 1
+        man >>= exp
+    else:
+        exp = 1 - den.bit_length()
+    return sign, MPZ(man), exp, man.bit_length()
+
+
+@lru_cache(maxsize=256)
+def _rational(p: int, q: int) -> float:
+    """p/q at 53 bits, rounded as ``MPContext.convert`` rounds a Fraction."""
+    return to_float(from_rational(p, q, 53))
+
+
+def _real_raw(x):
+    """The raw mpf of a float or int; None for any other argument."""
+    t = type(x)
+    if t is float:
+        return _raw(x)
+    if t is int:
+        return from_int(x)
+    return None
+
+
+def _real_kernel(mpf_f, name):
+    """Context method: *mpf_f* at 53 bits, nearest, on a float or int argument.
+
+    Any other argument, or a real argument whose result is complex, is
+    handed to the same-named method of the private 53-bit MPContext.
+    """
+
+    def method(ctx, x):
+        v = _real_raw(x)
+        if v is None:
+            return ctx._demote(getattr(ctx._mp, name)(x))
+        try:
+            return to_float(mpf_f(v, 53, round_nearest))
+        except ComplexResult:
+            return getattr(ctx._mp, name)(x)
+
+    method.__name__ = name
+    return method
+
+
+class Binary64Context(FPContext):
+    """IEEE binary64 arithmetic that gives the same bits as mpmath at 53 bits.
+
+    Real scalars are Python floats.  ``+ - * /``, ``abs``, comparisons and
+    ``sqrt`` run natively: IEEE round-to-nearest-even is mpmath's 53-bit
+    rounding ``"n"``.  Conversions and transcendentals go through mpmath's
+    ``libmp`` kernels at 53 bits (conversion of a Fraction rounds as
+    ``MPContext.convert`` does), and their results come back through the
+    exact ``to_float``.  Complex scalars are ``mpc`` values of a private
+    53-bit ``MPContext``, which also renders ``nstr``.  Unlike that
+    context, values end at 2^1024 (overflow gives ``inf``) and lose bits
+    below 2^-1022.
+
+    The functions not defined here (``cosh``, ``digamma``, ``lu_solve``,
+    ...) are FPContext's plain float versions, and ``**`` on floats is the
+    platform's ``pow``; neither is guaranteed to match mpmath's bits.
+    """
+
+    pi = to_float(mpf_pi(53, round_nearest))
+    e = to_float(mpf_e(53, round_nearest))
+
+    def __init__(self, precision: Precision):
+        super().__init__()
+        # FPContext binds libm's loggamma per instance, shadowing the class method
+        del self.loggamma
+        self._mp = _mpmath_context(precision)
+        self._fracsum_precision = precision
+        self.j = self._mp.j
+
+    @classmethod
+    def _wrap_specfun(cls, name, f, wrap):
+        # SpecialFunctions.__init__ installs mpmath's generic functions (log,
+        # log10, ...) on the class; keep the ones defined here
+        if name not in vars(cls):
+            super()._wrap_specfun(name, f, wrap)
+
+    def _demote(self, x):
+        """A real mpmath value as the float nearest to it; anything else as is."""
+        if hasattr(x, "_mpf_"):
+            return to_float(x._mpf_, rnd=round_nearest)
+        return x
+
+    def convert(self, x, strings=True):
+        t = type(x)
+        if t is float:
+            return x
+        if t is int:
+            return float(x)
+        if t is Fraction:
+            return _rational(x.numerator, x.denominator)
+        return self._demote(self._mp.convert(x, strings))
+
+    def mpf(self, x=0.0):
+        t = type(x)
+        if t is float:
+            return x
+        if t is int:
+            return float(x)
+        return self._demote(self._mp.mpf(x))
+
+    def mpc(self, real=0, imag=0):
+        return self._mp.mpc(real, imag)
+
+    def isnan(self, x):
+        if type(x) is float:
+            return x != x
+        return self._mp.isnan(x)
+
+    def mag(self, x):
+        if type(x) is float:
+            if x - x == 0.0:  # finite
+                return math.frexp(x)[1] if x else self.ninf
+            return self.inf if x == x else self.nan
+        return self._mp.mag(x)
+
+    def nstr(self, x, n=6, **kwargs):
+        return self._mp.nstr(self._mp.convert(x), n, **kwargs)
+
+    def sqrt(self, x):
+        t = type(x)
+        if (t is float and x > 0.0) or (t is int and 0 < x <= 1 << 53):
+            return math.sqrt(x)
+        return self._sqrt(x)
+
+    def power(self, x, y):
+        if y == 0.5 and (type(x) is float or type(x) is int) and x > 0:
+            return self.sqrt(x)  # what mpf_pow computes for this exponent
+        vx, vy = _real_raw(x), _real_raw(y)
+        if vx is not None and vy is not None:
+            try:
+                return to_float(mpf_pow(vx, vy, 53, round_nearest))
+            except ComplexResult:
+                pass
+        return self._demote(self._mp.power(x, y))
+
+    def log(self, x, b=None):
+        if b is None:
+            return self.ln(x)
+        # MPContext.log: both logarithms with 20 guard bits, then one division
+        vx, vb = _real_raw(x), _real_raw(b)
+        if vx is not None and vb is not None:
+            try:
+                return to_float(mpf_div(mpf_log(vx, 73, round_nearest),
+                                        mpf_log(vb, 73, round_nearest), 53, round_nearest))
+            except ComplexResult:
+                pass
+        return self._demote(self._mp.log(x, b))
+
+    def log10(self, x):
+        return self.log(x, 10)
+
+    _sqrt = _real_kernel(mpf_sqrt, "sqrt")
+    exp = _real_kernel(mpf_exp, "exp")
+    ln = _real_kernel(mpf_log, "ln")
+    loggamma = _real_kernel(mpf_loggamma, "loggamma")
+    gamma = _real_kernel(mpf_gamma, "gamma")
+    fac = factorial = _real_kernel(mpf_factorial, "factorial")
+    sin = _real_kernel(mpf_sin, "sin")
+    cos = _real_kernel(mpf_cos, "cos")
+    tan = _real_kernel(mpf_tan, "tan")
+    atan = _real_kernel(mpf_atan, "atan")
+    floor = _real_kernel(mpf_floor, "floor")
+    ceil = _real_kernel(mpf_ceil, "ceil")
+
+
+def make_context(precision: Precision):
+    """Return the arithmetic context for *precision*.
+
+    A preset that fits IEEE binary64 gets a :class:`Binary64Context`,
+    every other one an mpmath ``MPContext``.  Contexts are cached per
+    precision and must be treated as read-only; all rounding happens at
+    ``precision.mantissa_bits`` significant bits.
     """
     with _context_lock:
         ctx = _context_cache.get(precision)
         if ctx is None:
-            ctx = MPContext()
-            ctx.prec = precision.mantissa_bits
-            ctx.pretty = False
-            ctx._fracsum_precision = precision
+            if precision.mantissa_bits == 53 and precision.max_exp10 <= 308:
+                ctx = Binary64Context(precision)
+            else:
+                ctx = _mpmath_context(precision)
             _context_cache[precision] = ctx
         return ctx
 
@@ -149,6 +377,9 @@ def check_range(x, ctx, precision: Precision, where: str, *args) -> None:
     filled in only when raising, so per-entry callers pay no formatting.
     Overflow raises :class:`RangeOverflowError`, NaN :class:`NotANumberError`.
     """
+    # a finite float is in range whenever the range reaches binary64's 2^1024
+    if type(x) is float and x - x == 0.0 and precision.max_exp2 >= 1024:
+        return
     # mag alone is not enough: it is NaN for a real NaN but finite for mpc(1, nan)
     if ctx.mag(x) <= precision.max_exp2 and not ctx.isnan(x):
         return

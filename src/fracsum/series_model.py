@@ -13,6 +13,7 @@ and exponentiated once.
 
 from __future__ import annotations
 
+import ast
 import json
 import threading
 from dataclasses import dataclass, field
@@ -55,7 +56,8 @@ class ZeroPartialProductError(ValueError):
 class SeriesProblem:
     """An infinite series sum(a_n) with terms expanding in powers of n^(1/m).
 
-    ``term(n, ctx)`` returns a_n (real mpf or complex mpc) for n >= 1.
+    ``term(n, ctx)`` returns a_n (a real scalar of *ctx*: float or mpf;
+    or a complex mpc) for n >= 1.
     ``sigma_hat`` is the exponent used in the remainder weight
     omega_r = r^sigma_hat * a_r; 1 is the safe universal choice.
     ``known_S`` is the limit (or antilimit) when available: a number or
@@ -241,30 +243,32 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 
     a_1 = A_1 = 1 + v_1 and a_n = v_n * A_{n-1} for n >= 2, so that
     sum(a_k, k<=n) reproduces prod(1+v_k, k<=n) up to accumulation
-    rounding.  Partial products are memoized per context; extension is
-    sequential under a lock, so concurrent readers see complete values.
+    rounding.  Each context keeps only its last term's (n, A_{n-1}, v_n),
+    so in-order evaluation calls v once per term; any other order
+    restarts from A_0 = 1 with the same operations and gets the same
+    bits.  State updates run under a lock.
     """
-    caches: dict = {}
+    states: dict = {}
     lock = threading.Lock()
 
-    def partial_product(n, ctx):
-        with lock:
-            cache = caches.setdefault(ctx, [])
-            while len(cache) < n:
-                k = len(cache) + 1
-                factor = 1 + as_value(problem.v(k, ctx), ctx)
-                value = (cache[-1] if cache else ctx.one) * factor
-                if value == 0:
-                    raise ZeroPartialProductError(
-                        f"partial product A_{k} of {problem.name!r} is zero"
-                    )
-                cache.append(value)
-            return cache[n - 1]
+    def grow(prev, v, k):
+        value = prev * (1 + v)
+        if value == 0:
+            raise ZeroPartialProductError(f"partial product A_{k} of {problem.name!r} is zero")
+        return value
 
     def term(n, ctx):
+        with lock:
+            state = states.get(ctx)
+            k, prev, v = state if state and state[0] == n - 1 else (0, ctx.one, None)
+            for k in range(k + 1, n + 1):
+                if v is not None:
+                    prev = grow(prev, v, k - 1)
+                v = as_value(problem.v(k, ctx), ctx)
+            states[ctx] = (n, prev, v)
         if n == 1:
-            return partial_product(1, ctx)
-        return as_value(problem.v(n, ctx), ctx) * partial_product(n - 1, ctx)
+            return grow(prev, v, 1)
+        return v * prev
 
     return SeriesProblem(
         name=problem.name,
@@ -451,13 +455,30 @@ _EXPR_FUNCS = (
 ).split()
 
 
+class _PowerCalls(ast.NodeTransformer):
+    """Rewrite ``a ** b`` as ``power(a, b)``.
+
+    On the floats of the binary64 context ``**`` is the platform's pow: it
+    need not round as ``ctx.power`` does, and it raises a bare
+    OverflowError where ``ctx.power`` returns inf for the range checks.
+    """
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        call = ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+        return ast.copy_location(call, node)
+
+
 def _expression_term(expr: str) -> TermFn:
     # Trusted-input convenience; no builtins are exposed to the expression.
-    code = compile(expr, "<term expression>", "eval")
+    tree = _PowerCalls().visit(ast.parse(expr, "<term expression>", "eval"))
+    code = compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
 
     def term(n, ctx):
         env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
-        # n is bound as an mpf so plain arithmetic stays at working precision
+        # n is bound as a real of ctx so plain arithmetic stays at working precision
         env.update(n=ctx.mpf(n), pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1), abs=abs, mpf=ctx.mpf)
         return as_value(eval(code, {"__builtins__": {}}, env), ctx)
 

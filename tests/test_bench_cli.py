@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fracsum
 from fracsum.bench_cli import RunConfig, main, reproduce_all, run
 from fracsum.numerics import DOUBLE, QUAD, make_context
 from fracsum.reference_tables import REFERENCE_TABLES, parse_number
@@ -109,6 +114,17 @@ def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "ex5_1" in out and "ex7_2" in out
+
+
+def test_python_dash_m_fracsum_lists_builtins(capsys):
+    env = dict(os.environ)
+    src = str(Path(fracsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fracsum", "list"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["list"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_cli_classify(capsys):

@@ -1,0 +1,290 @@
+"""The binary64 context for DOUBLE against mpmath software floats at 53 bits.
+
+``make_context(DOUBLE)`` computes with Python floats.  Every result it
+gives must carry the same bits as an mpmath ``MPContext`` at 53 bits
+(what ``DOUBLE`` ran on before), except where binary64's exponent range
+ends, which the range tests at the bottom pin down.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_float
+
+from fracsum import bench_cli, numerics
+from fracsum.numerics import (
+    DOUBLE,
+    QUAD,
+    Binary64Context,
+    NotANumberError,
+    Precision,
+    RangeOverflowError,
+    check_range,
+    make_context,
+)
+from fracsum.reference_tables import REFERENCE_TABLES
+from fracsum.sampling import make_gps, parse_schedule
+from fracsum.series_model import (
+    ProductProblem,
+    SeriesProblem,
+    builtin_problem,
+    load_problem,
+    product_to_series,
+    sums_and_terms,
+    trig_series_pair,
+)
+from fracsum.transform import accelerate, estimate_errors, sum_trig
+from fracsum.w_algorithm import ZeroTermError
+
+
+def _mp53():
+    """The context DOUBLE used to get: mpmath software floats at 53 bits."""
+    ctx = MPContext()
+    ctx.prec = 53
+    ctx.pretty = False
+    ctx._fracsum_precision = DOUBLE
+    return ctx
+
+
+FP = make_context(DOUBLE)
+MP = _mp53()
+
+
+def _bits(x):
+    """Raw mpmath tuple of a float, mpf or mpc, so equal bits compare equal."""
+    if isinstance(x, float):
+        return from_float(x)
+    if hasattr(x, "_mpf_"):
+        return x._mpf_
+    return x._mpc_
+
+
+def _same(ours, ref):
+    assert _bits(ours) == _bits(ref), (ours, ref)
+
+
+def _same_lists(ours, ref):
+    assert [_bits(x) for x in ours] == [_bits(x) for x in ref]
+
+
+def _same_result(ours, ref):
+    assert ours.table.R == ref.table.R
+    for name in ("samples", "A", "gamma", "lam"):
+        _same_lists(getattr(ours.table, name), getattr(ref.table, name))
+    assert ours.best == ref.best
+    for name in ("value", "est_abs_error", "est_rel_error"):
+        _same(getattr(ours, name), getattr(ref, name))
+
+
+def test_double_gets_the_binary64_context_and_quad_does_not():
+    assert isinstance(FP, Binary64Context)
+    assert not isinstance(make_context(QUAD), Binary64Context)
+    assert type(FP.convert(Fraction(1, 3))) is float
+    assert (FP.eps, FP.dps, FP.prec) == (float(MP.eps), MP.dps, MP.prec)
+    _same(FP.pi, +MP.pi)
+
+
+def test_reference_tables_are_bit_identical_to_mpmath_53():
+    for ref in REFERENCE_TABLES:
+        problem = builtin_problem(ref.problem)
+        if isinstance(problem, ProductProblem):
+            problem = product_to_series(problem)
+        schedule = parse_schedule(ref.schedule)
+        ours = accelerate(problem, schedule, ref.depth, FP)
+        assert all(type(x) is float for x in ours.table.A + ours.table.gamma), ref
+        _same_result(ours, accelerate(problem, schedule, ref.depth, MP))
+
+
+def test_rendering_matches_mpmath_53():
+    problem = builtin_problem("ex5_3")
+    schedule = parse_schedule("gps:1.3")
+    ours = estimate_errors(accelerate(problem, schedule, 24, FP).table, -1)
+    ref = estimate_errors(accelerate(problem, schedule, 24, MP).table, -1)
+    for a, b in zip(ours, ref):
+        for x, y in ((a.value, b.value), (a.gamma, b.gamma), (a.est_rel, b.est_rel),
+                     (a.true_error, b.true_error)):
+            assert bench_cli._sci(x, FP) == bench_cli._sci(y, MP)
+            assert bench_cli._full(x, FP) == bench_cli._full(y, MP)
+
+
+@pytest.mark.parametrize("h", [lambda n, ctx: 1 / ctx.mpf(n * n),
+                               lambda n, ctx: ctx.mpc(1, n) / ctx.power(n, 3)],
+                         ids=["real-h", "complex-h"])
+def test_sum_trig_is_bit_identical_to_mpmath_53(h):
+    pair = trig_series_pair(h, (0, 0, -1), (0, 1), 0, 2)
+    ours = sum_trig(pair, make_gps(1.3), 20, FP)
+    ref = sum_trig(pair, make_gps(1.3), 20, MP)
+    for x, y in zip(ours, ref):
+        _same(x, y)
+
+
+@pytest.mark.parametrize("expression, complex_value", [
+    ("exp(i*sqrt(n) - sqrt(n)/4) * log(n + 1) / power(n, 1.5) + cos(n) / (n*n)", True),
+    # ** is ctx.power, not the platform's pow; 7**400 overflows binary64
+    ("(-1)**n * n**-1.5 + 1/n**400 + pi**2/n**3.7", False),
+], ids=["complex", "powers"])
+def test_expression_is_bit_identical_to_mpmath_53(expression, complex_value):
+    problem, _ = load_problem({"expression": expression, "m": 2})
+    schedule = parse_schedule("aps:1,1")
+    ours = accelerate(problem, schedule, 30, FP)
+    assert hasattr(ours.value, "_mpc_") == complex_value
+    _same_result(ours, accelerate(problem, schedule, 30, MP))
+
+
+# ---------------------------------------------------------------------------
+# Kernels: each equals float() of the mpmath-53 result
+# ---------------------------------------------------------------------------
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_ints = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _same_kernel(name, *args):
+    """FP.name(*args) is float(MP.name(*args)), or both raise the same error."""
+    ours = _outcome(getattr(FP, name), *args)
+    ref = _outcome(getattr(MP, name), *args)
+    if isinstance(ref, type):
+        assert ours is ref
+    elif hasattr(ref, "_mpc_"):
+        assert hasattr(ours, "_mpc_") and ours == ref
+    else:
+        assert type(ours) is float and ours == float(ref), (ours, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.integers(-(2**60), 2**60).map(float),
+                 st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))))
+def test_raw_float_is_libmps_from_float(x):
+    assert numerics._raw(x) == from_float(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ints, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+def test_convert_kernels_match(k, p, q):
+    _same_kernel("convert", k)
+    _same_kernel("convert", Fraction(p, q))
+    _same_kernel("mpf", k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**20), 10**20), st.integers(-330, 330))
+def test_convert_strings_match(mantissa, exponent):
+    text = f"{mantissa}e{exponent}"
+    _same_kernel("convert", text)
+    _same_kernel("mpf", text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-800, max_value=800), st.integers(-800, 800))
+def test_exp_matches(x, k):
+    _same_kernel("exp", x)
+    _same_kernel("exp", k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_positive, st.integers(1, 10**9), st.floats(-50, 50)),
+       st.one_of(st.floats(-12, 12), st.integers(-40, 40), st.sampled_from([0.5, -0.5, 1.5])))
+def test_power_matches(x, y):
+    _same_kernel("power", x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(min_value=0.01, max_value=1e8), st.integers(1, 10**6)))
+def test_loggamma_matches(x):
+    _same_kernel("loggamma", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(min_value=0, max_value=1e300), st.integers(0, 2**70),
+                 st.floats(-10, -1e-10)))
+def test_sqrt_matches(x):
+    _same_kernel("sqrt", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_positive, st.integers(1, 2**70), st.floats(-10, -1e-10)),
+       st.sampled_from([None, 10, 2, 0.5]))
+def test_log_matches(x, base):
+    if base is None:
+        _same_kernel("log", x)
+    else:
+        _same_kernel("log", x, base)
+
+
+def test_loggamma_is_mpmaths_not_libms():
+    # FPContext binds libm's loggamma per instance; DOUBLE must not use it
+    ours = [FP.loggamma(n) for n in range(2, 200)]
+    assert ours == [float(MP.loggamma(n)) for n in range(2, 200)]
+    assert ours != [math.lgamma(n) for n in range(2, 200)]
+
+
+def test_fpcontext_defects_are_mended():
+    inf = float("inf")
+    assert FP.mag(inf) == inf and FP.mag(-inf) == inf
+    assert math.isnan(FP.mag(float("nan")))
+    assert FP.mag(0.0) == -inf and FP.mag(10.0) == MP.mag(10)
+    assert FP.nstr(0.1, 15, strip_zeros=False) == MP.nstr(MP.mpf(0.1), 15, strip_zeros=False)
+    _same(FP.log10(7.0), MP.log10(7))
+
+
+# ---------------------------------------------------------------------------
+# Where binary64's range ends before DOUBLE's 1e308 bound (2^1027) does
+# ---------------------------------------------------------------------------
+
+
+def test_ieee_inf_and_nan_raise_named_errors():
+    with pytest.raises(RangeOverflowError, match=r"^M\(3,4\) exceeds the double"):
+        check_range(float("-inf"), FP, DOUBLE, "M(%d,%d)", 3, 4)
+    with pytest.raises(NotANumberError, match=r"^N\(3,4\) is NaN$"):
+        check_range(float("nan"), FP, DOUBLE, "N(%d,%d)", 3, 4)
+    check_range(1.7e308, FP, DOUBLE, "A_%d", 1)
+    # exp(800) - exp(800) is inf - inf in binary64 but 0 at 53 mpmath bits
+    problem = SeriesProblem("cancel", lambda n, ctx: ctx.exp(800 * n) - ctx.exp(800 * n), m=1)
+    with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
+        sums_and_terms(problem, 3, FP)
+    assert sums_and_terms(problem, 3, MP)[0] == [0, 0, 0]
+
+
+def test_a_narrower_binary64_range_is_still_checked():
+    narrow = Precision("narrow", 53, 100)
+    ctx = make_context(narrow)
+    assert isinstance(ctx, Binary64Context)
+    check_range(1e100, ctx, narrow, "A_%d", 1)
+    with pytest.raises(RangeOverflowError, match=r"^A_1 exceeds the narrow exponent range"):
+        check_range(-1e102, ctx, narrow, "A_%d", 1)
+
+
+@pytest.mark.parametrize("config, label", [
+    # mpmath at 53 bits first exceeds 2^1027 at N(1,141)
+    (bench_cli.RunConfig(problem="ex7_1", depth=160, precision="double"), r"M\(3,139\)"),
+    # ... at partial sum A_308
+    (bench_cli.RunConfig(problem="ex5_11", depth=320, precision="double"), "partial sum A_307"),
+    # ... at partial sum A_712
+    (bench_cli.RunConfig(problem_file='{"expression": "exp(n)", "m": 1}', depth=720,
+                         precision="double"), "partial sum A_710"),
+    # ... at partial sum A_257; float ** would raise a bare OverflowError
+    (bench_cli.RunConfig(problem_file='{"expression": "n**(n/2)", "m": 1}', depth=300,
+                         precision="double"), "partial sum A_256"),
+], ids=["ex7_1", "ex5_11", "exp(n)", "n**(n/2)"])
+def test_overflow_boundary(config, label):
+    with pytest.raises(RangeOverflowError, match=f"^{label} exceeds the double exponent range"):
+        bench_cli.run(config)
+
+
+def test_underflowed_term_is_a_zero_term():
+    # a_4045 = e^(sqrt n - n/5) is about 1e-327: zero in binary64; mpmath at
+    # 53 bits keeps it and overflows at M(30,1) instead
+    config = bench_cli.RunConfig(problem="ex5_9", schedule="gps:1.3", depth=40,
+                                 precision="double")
+    with pytest.raises(ZeroTermError, match="a_4045"):
+        bench_cli.run(config)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,63 @@ def test_product_zero_partial_product(qctx):
     bad = ProductProblem("dies", lambda n, ctx: ctx.mpf(-1) if n == 3 else ctx.zero, m=1, t=2)
     with pytest.raises(ZeroPartialProductError, match="A_3"):
         partial_sums(product_to_series(bad), 5, qctx)
+
+
+def _product_terms(problem, upto, ctx):
+    """a_1..a_upto from the recurrence A_n = A_{n-1} (1 + v_n), A_0 = 1."""
+    prod, terms = ctx.one, []
+    for n in range(1, upto + 1):
+        v = problem.v(n, ctx)
+        terms.append(prod * (1 + v) if n == 1 else v * prod)
+        prod = prod * (1 + v)
+    return terms
+
+
+def test_product_in_order_terms_call_v_once_each(qctx, dctx):
+    calls = []
+
+    def v(n, ctx):
+        calls.append((n, ctx))
+        return ctx.mpf(-1) / (4 * n * n)
+
+    series = product_to_series(ProductProblem("counted", v, m=1, t=2))
+    for n in range(1, 51):  # two contexts interleaved, each in order
+        series.term(n, qctx)
+        series.term(n, dctx)
+    assert calls == [(n, ctx) for n in range(1, 51) for ctx in (qctx, dctx)]
+
+
+def test_product_out_of_order_terms_are_bit_exact(qctx, dctx):
+    for ctx in (qctx, dctx):
+        problem = builtin_problem("ex7_2")
+        ref = _product_terms(problem, 40, ctx)
+        series = product_to_series(problem)
+        assert [series.term(n, ctx) for n in range(1, 41)] == ref
+        for n in (17, 3, 40, 40, 1, 2, 39, 25, 26):
+            assert series.term(n, ctx) == ref[n - 1], n
+
+
+def test_product_terms_under_concurrent_readers(dctx):
+    problem = builtin_problem("ex7_2")
+    ref = _product_terms(problem, 60, dctx)
+    series = product_to_series(problem)
+    results = {}
+
+    def reader(i):
+        results[i] = [series.term(n, dctx) for n in range(1, 61)]
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: ref for i in range(6)}
 
 
 def test_product_validation():
