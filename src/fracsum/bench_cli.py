@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -468,40 +469,54 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            config = RunConfig(
-                problem=args.problem,
-                problem_file=args.problem_file,
-                schedule=args.schedule,
-                depth=args.depth,
-                precision=args.precision,
-                fmt=args.fmt,
-                stride=args.stride,
-            )
-            sys.stdout.write(run(config).render(args.fmt))
-            return 0
-        if args.command == "classify":
-            coeffs = [_parse_coefficient(c) for c in args.c.split(",")]
-            mu = Fraction(args.mu)
-            sys.stdout.write(_classify_text(args.m, mu, coeffs, args.zero_tol))
-            return 0
-        if args.command == "reproduce":
-            report = reproduce_all(PRESETS[args.precision], only=args.only)
-            sys.stdout.write(report.to_json() if args.fmt == "json" else report.text())
-            return report.exit_code
-        if args.command == "list":
-            for ident in builtin_ids():
-                problem = builtin_problem(ident)
-                describe = getattr(problem, "meta", {}).get("describe", "") or getattr(
-                    problem, "name", ""
-                )
-                if isinstance(problem, ProductProblem):
-                    describe = f"product, m={problem.m}, t={problem.t}"
-                sys.stdout.write(f"{ident:<8} {describe}\n")
-            return 0
+        code = _command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): end quietly with the status
+        # of a SIGPIPE death, and let the exit-time flush write to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"fracsum: error: {exc}\n")
         return 1
+
+
+def _command(args) -> int:
+    """Run the parsed subcommand; its exit status."""
+    if args.command == "run":
+        config = RunConfig(
+            problem=args.problem,
+            problem_file=args.problem_file,
+            schedule=args.schedule,
+            depth=args.depth,
+            precision=args.precision,
+            fmt=args.fmt,
+            stride=args.stride,
+        )
+        sys.stdout.write(run(config).render(args.fmt))
+        return 0
+    if args.command == "classify":
+        coeffs = [_parse_coefficient(c) for c in args.c.split(",")]
+        mu = Fraction(args.mu)
+        sys.stdout.write(_classify_text(args.m, mu, coeffs, args.zero_tol))
+        return 0
+    if args.command == "reproduce":
+        report = reproduce_all(PRESETS[args.precision], only=args.only)
+        sys.stdout.write(report.to_json() if args.fmt == "json" else report.text())
+        return report.exit_code
+    if args.command == "list":
+        for ident in builtin_ids():
+            problem = builtin_problem(ident)
+            describe = getattr(problem, "meta", {}).get("describe", "") or getattr(
+                problem, "name", ""
+            )
+            if isinstance(problem, ProductProblem):
+                describe = f"product, m={problem.m}, t={problem.t}"
+            sys.stdout.write(f"{ident:<8} {describe}\n")
+        return 0
     return 0
 
 

@@ -6,9 +6,14 @@ adapter for infinite products, trigonometric series pairs, and the
 registry of builtin problems (``ex5_1`` ... ``ex5_14``, ``ex7_1``,
 ``ex7_2``) consumed by the CLI and the reference-table harness.
 
-Term generators are pure functions of ``(n, ctx)``; repeated evaluation
-is bit-exact.  Factorial-type factors are evaluated in the log domain
-and exponentiated once.
+Term generators are pure functions of ``(n, ctx)`` to their callers:
+repeated evaluation, in any order and from any thread, is bit-exact.
+Inside, each problem instance keeps the constants a term needs (theta
+values, exponents, coefficients) once per context, and the telescoping
+and product adapters keep their last term's state per context, so that
+in-order evaluation does the per-``n`` work once; any other order starts
+afresh with the same operations.  Factorial-type factors are evaluated
+in the log domain and exponentiated once.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import json
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .numerics import (
@@ -124,12 +131,15 @@ class TelescopingFamily:
 
     Q(n) = theta_0*n + sum_{i>=1} theta_i*n^(1-i/m); ``theta`` lists
     theta_0..theta_{m-1}.  The sum (or antilimit) is always -delta_0 = -1.
+    :func:`telescoping_terms` gives the series.
     """
 
     kind: int
     s: int
     m: int
     theta: tuple
+    # per context: (theta_i, (m-i)/m) for each nonzero theta_i
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (1, 2):
@@ -154,23 +164,20 @@ class TelescopingFamily:
         """ln(delta_n); exactly 0 at n = 0."""
         if n == 0:
             return ctx.zero
+        powers = self._powers.get(ctx)
+        if powers is None:
+            powers = self._powers[ctx] = tuple(
+                (as_value(th, ctx), ctx.convert(Fraction(self.m - i, self.m)))
+                for i, th in enumerate(self.theta)
+                if th != 0
+            )
         val = ln_factorial_frac(n, self.s, self.m, ctx)
-        for i, th in enumerate(self.theta):
-            if th == 0:
-                continue
-            val = val + as_value(th, ctx) * ctx.power(n, ctx.convert(Fraction(self.m - i, self.m)))
+        for th, p in powers:
+            val = val + th * ctx.power(n, p)
         return val
 
     def delta(self, n: int, ctx):
         return ctx.exp(self.log_delta(n, ctx))
-
-    def term(self, n: int, ctx):
-        d0 = self.delta(n - 1, ctx)
-        d1 = self.delta(n, ctx)
-        if self.kind == 1:
-            return d1 - d0
-        sign = 1 if n % 2 == 0 else -1
-        return sign * (d1 + d0)
 
     def closed_partial_sum(self, n: int, ctx):
         """A_n from the telescoped closed form -delta_0 +- delta_n."""
@@ -201,10 +208,26 @@ class TelescopingFamily:
 
 
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
-    """Series problem for a telescoping family; the limit/antilimit is -1."""
+    """Series problem for a telescoping family; the limit/antilimit is -1.
+
+    Each context keeps its last term's (n, delta_n), so in-order terms
+    evaluate one new delta each; any other order computes both deltas.
+    """
+    deltas: dict = {}
+
+    def term(n, ctx):
+        last = deltas.get(ctx)
+        d0 = last[1] if last is not None and last[0] == n - 1 else family.delta(n - 1, ctx)
+        d1 = family.delta(n, ctx)
+        deltas[ctx] = (n, d1)
+        if family.kind == 1:
+            return d1 - d0
+        sign = 1 if n % 2 == 0 else -1
+        return sign * (d1 + d0)
+
     return SeriesProblem(
         name=f"telescoping(kind={family.kind}, s={family.s}, m={family.m})",
-        term=family.term,
+        term=term,
         m=family.m,
         sigma_hat=Fraction(1),
         known_S=-1,
@@ -286,16 +309,11 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 # ---------------------------------------------------------------------------
 
 
-def _frac_poly(coeffs, n, ctx, m):
-    """sum(coeffs[i] * n^(i/m)); coefficient i pairs with exponent i/m."""
+def _frac_poly(pairs, n, ctx):
+    """sum(c * n^p) over the (c, p) pairs of a polynomial in n^(1/m); p is None for n^0."""
     val = ctx.zero
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            val = val + as_value(c, ctx)
-        else:
-            val = val + as_value(c, ctx) * ctx.power(n, ctx.convert(Fraction(i, m)))
+    for c, p in pairs:
+        val = val + (c if p is None else c * ctx.power(n, p))
     return val
 
 
@@ -317,10 +335,20 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
         ctx = make_context(QUAD)
         h_is_real = all(as_value(h(k, ctx), ctx).imag == 0 for k in (1, 2, 3))
 
+    @lru_cache(maxsize=8)
+    def polys(ctx):
+        """The (coefficient, exponent) pairs of u1 and u2 in *ctx*."""
+        return tuple(
+            tuple((as_value(c, ctx), ctx.convert(Fraction(i, m)) if i else None)
+                  for i, c in enumerate(u) if c != 0)
+            for u in (u1, u2)
+        )
+
     def make_term(sign):
         def term(n, ctx):
-            growth = ln_factorial_frac(n, s, m, ctx) + _frac_poly(u1, n, ctx, m)
-            phase = _frac_poly(u2, n, ctx, m)
+            pairs = polys(ctx)
+            growth = ln_factorial_frac(n, s, m, ctx) + _frac_poly(pairs[0], n, ctx)
+            phase = _frac_poly(pairs[1], n, ctx)
             return ctx.exp(ctx.mpc(growth, sign * phase)) * as_value(h(n, ctx), ctx)
 
         return term
@@ -355,12 +383,20 @@ def _ex5_6(n, ctx):
 _FIFTH = Fraction(1, 5)
 
 
+@lru_cache(maxsize=8)
+def _constants(ctx):
+    """The constants of the builtin terms, built once per context."""
+    return SimpleNamespace(
+        fifth=ctx.convert(_FIFTH), sqrt3=ctx.sqrt(3), minus_one=ctx.mpf(-1), minus_3_2=ctx.mpf(-3) / 2
+    )
+
+
 def _ex5_9(n, ctx):
-    return ctx.exp(ctx.sqrt(n) - ctx.convert(_FIFTH) * n)
+    return ctx.exp(ctx.sqrt(n) - _constants(ctx).fifth * n)
 
 
 def _ex5_10(n, ctx):
-    return _sign(n) * ctx.exp(ctx.convert(_FIFTH) * n - ctx.sqrt(n))
+    return _sign(n) * ctx.exp(_constants(ctx).fifth * n - ctx.sqrt(n))
 
 
 def _ex5_13(n, ctx):
@@ -368,15 +404,15 @@ def _ex5_13(n, ctx):
 
 
 def _ex5_14(n, ctx):
-    return ctx.power(n, ctx.sqrt(3)) / (1 + ctx.sqrt(n))
+    return ctx.power(n, _constants(ctx).sqrt3) / (1 + ctx.sqrt(n))
 
 
 def _ex7_1_v(n, ctx):
-    return ctx.mpf(-1) / (4 * n * n)
+    return _constants(ctx).minus_one / (4 * n * n)
 
 
 def _ex7_2_v(n, ctx):
-    return ctx.power(n, ctx.mpf(-3) / 2)
+    return ctx.power(n, _constants(ctx).minus_3_2)
 
 
 def _direct(name, term, m, known_S=None, describe=""):
@@ -476,11 +512,17 @@ def _expression_term(expr: str) -> TermFn:
     tree = _PowerCalls().visit(ast.parse(expr, "<term expression>", "eval"))
     code = compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
 
-    def term(n, ctx):
+    @lru_cache(maxsize=8)
+    def names(ctx):
+        """Every name an expression can use in *ctx*, except n."""
         env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
+        env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
+                   abs=abs, mpf=ctx.mpf)
+        return env
+
+    def term(n, ctx):
         # n is bound as a real of ctx so plain arithmetic stays at working precision
-        env.update(n=ctx.mpf(n), pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1), abs=abs, mpf=ctx.mpf)
-        return as_value(eval(code, {"__builtins__": {}}, env), ctx)
+        return as_value(eval(code, names(ctx), {"n": ctx.mpf(n)}), ctx)
 
     return term
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import check_range, precision_of
+from .numerics import Binary64Context, check_range, precision_of
 
 __all__ = [
     "ZeroTermError",
@@ -35,9 +35,13 @@ __all__ = [
 class ZeroTermError(ValueError):
     """A term at a scheduled index vanished; its remainder weight is undefined."""
 
-    def __init__(self, index):
+    def __init__(self, index, ctx=None):
         self.index = index
-        super().__init__(f"term a_{index} at a scheduled index is zero")
+        message = f"term a_{index} at a scheduled index is zero"
+        if isinstance(ctx, Binary64Context):
+            message += (" (in binary64 it may have underflowed below 2^-1074; "
+                        "--precision quad has the wider range)")
+        super().__init__(message)
 
 
 class DegenerateDenominatorError(ZeroDivisionError):
@@ -120,7 +124,7 @@ def build_table(sums, terms, schedule, m, sigma_hat, depth, ctx) -> Extrapolatio
     for l, r in enumerate(R):
         a = terms[r]
         if a == 0:
-            raise ZeroTermError(r)
+            raise ZeroTermError(r, ctx)
         omega = _omega(r, a, sigma_hat, ctx)
         sample = sums[r - 1] if use_prev else sums[r]
         samples.append(sample)
@@ -204,7 +208,7 @@ def dense_oracle(sums, terms, schedule, m, sigma_hat, alpha, j, n, ctx) -> Dense
     for row, r in enumerate(R):
         a = terms[r]
         if a == 0:
-            raise ZeroTermError(r)
+            raise ZeroTermError(r, ctx)
         phi = _omega(r, a, sigma_hat, ctx)
         x = ctx.power(r + alpha, inv_m)
         mat[row, 0] = ctx.one

@@ -129,3 +129,27 @@ def w_triangle(sums, terms, R, m, sigma_hat, ctx):
             G[j][n] = abs(H[j][n] / N[j][n])
             L[j][n] = abs(K[j][n] / N[j][n])
     return samples, A, G, L
+
+
+def telescoping_term(kind, s, m, theta, n, ctx):
+    """a_n of the telescoping family (kind, s, m, theta), both deltas from scratch.
+
+    delta_k = exp((s/m) ln k! + sum(theta_i k^((m-i)/m))), through the same
+    operations as ``TelescopingFamily.delta``, so the result must match the
+    library's terms bit for bit in whatever order they are evaluated.
+    """
+
+    def delta(k):
+        val = ctx.zero
+        if k > 0:
+            if s != 0 and k > 1:
+                val = ctx.loggamma(k + 1) * s / m
+            for i, th in enumerate(theta):
+                if th != 0:
+                    val = val + ctx.convert(th) * ctx.power(k, ctx.convert(Fraction(m - i, m)))
+        return ctx.exp(val)
+
+    d0, d1 = delta(n - 1), delta(n)
+    if kind == 1:
+        return d1 - d0
+    return (1 if n % 2 == 0 else -1) * (d1 + d0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracsum
 from fracsum.bench_cli import RunConfig, main, reproduce_all, run
 from fracsum.numerics import DOUBLE, QUAD, make_context
@@ -125,6 +127,23 @@ def test_python_dash_m_fracsum_lists_builtins(capsys):
     assert proc.returncode == 0, proc.stderr
     assert main(["list"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["-u"], []], ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_ends_quietly_with_sigpipe_status(flags):
+    env = dict(os.environ)
+    src = str(Path(fracsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "fracsum", "list"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # no reader is left, so the first write fails with EPIPE
+    try:
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == b""
 
 
 def test_cli_classify(capsys):

@@ -286,5 +286,10 @@ def test_underflowed_term_is_a_zero_term():
     # 53 bits keeps it and overflows at M(30,1) instead
     config = bench_cli.RunConfig(problem="ex5_9", schedule="gps:1.3", depth=40,
                                  precision="double")
-    with pytest.raises(ZeroTermError, match="a_4045"):
+    with pytest.raises(ZeroTermError, match="a_4045") as info:
         bench_cli.run(config)
+    assert info.value.index == 4045
+    assert str(info.value) == (
+        "term a_4045 at a scheduled index is zero (in binary64 it may have underflowed "
+        "below 2^-1074; --precision quad has the wider range)"
+    )

@@ -4,8 +4,9 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fracsum.numerics import RangeOverflowError, resolve_scalar
+from fracsum.numerics import RangeOverflowError, as_value, resolve_scalar
 from fracsum.series_model import (
     ProductProblem,
     SeriesProblem,
@@ -19,6 +20,8 @@ from fracsum.series_model import (
     telescoping_terms,
     trig_series_pair,
 )
+
+from oracles import telescoping_term
 
 
 def test_partial_sums_first_term_ex5_1(qctx):
@@ -194,6 +197,125 @@ def test_product_terms_under_concurrent_readers(dctx):
     assert results == {i: ref for i in range(6)}
 
 
+MEMO_FAMILIES = [
+    (kind, s, m, (Fraction(-1, 5),) + tuple(Fraction((-1) ** i, i + 1) for i in range(1, m)))
+    for kind in (1, 2)
+    for s in (-2, 0, 1)
+    for m in (2, 3, 4)
+]
+
+
+def _family_id(spec):
+    kind, s, m, _ = spec
+    return f"k{kind}s{s}m{m}"
+
+
+@pytest.mark.parametrize("spec", MEMO_FAMILIES, ids=_family_id)
+def test_telescoping_in_order_terms_match_oracle(qctx, dctx, spec):
+    series = telescoping_terms(TelescopingFamily(*spec))
+    for n in range(1, 61):  # two contexts interleaved, each in order
+        for ctx in (qctx, dctx):
+            assert series.term(n, ctx) == telescoping_term(*spec, n, ctx), (n, ctx)
+
+
+@pytest.mark.parametrize("spec", MEMO_FAMILIES, ids=_family_id)
+def test_telescoping_out_of_order_terms_are_bit_exact(qctx, dctx, spec):
+    for ctx in (qctx, dctx):
+        series = telescoping_terms(TelescopingFamily(*spec))
+        for n in (17, 3, 40, 40, 1, 2, 39, 25, 26):
+            assert series.term(n, ctx) == telescoping_term(*spec, n, ctx), n
+
+
+def test_telescoping_terms_under_concurrent_readers(dctx):
+    spec = (1, 1, 3, (Fraction(-1, 5), Fraction(-1, 2), Fraction(1, 3)))
+    ref = [telescoping_term(*spec, n, dctx) for n in range(1, 61)]
+    series = telescoping_terms(TelescopingFamily(*spec))
+    results = {}
+
+    def reader(i):
+        results[i] = [series.term(n, dctx) for n in range(1, 61)]
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: ref for i in range(6)}
+
+
+def test_telescoping_in_order_terms_evaluate_each_delta_once(qctx, dctx, monkeypatch):
+    calls = []
+    delta = TelescopingFamily.delta
+
+    def counted(self, n, ctx):
+        calls.append((n, ctx))
+        return delta(self, n, ctx)
+
+    monkeypatch.setattr(TelescopingFamily, "delta", counted)
+    series = telescoping_terms(TelescopingFamily(2, 1, 2, (0, -1)))
+    for n in range(1, 51):
+        series.term(n, qctx)
+        series.term(n, dctx)
+    assert calls == [(0, qctx), (1, qctx), (0, dctx), (1, dctx)] + [
+        (n, ctx) for n in range(2, 51) for ctx in (qctx, dctx)
+    ]
+
+
+_LEAVES = ["n", "(n + 1)", "2", "mpf(1)/3", "pi", "e", "i"]
+_UNARY = ["sqrt", "exp", "log", "sin", "cos", "tan", "atan", "gamma", "loggamma", "factorial",
+          "floor", "ceil", "fabs", "abs", "re", "im", "conj"]
+
+
+def _expressions():
+    """Sums, products and quotients of up to three f(x), x and power(x, y).
+
+    Functions are never nested, so every argument is n + 1 or less, and
+    every evaluation stays fast at both presets.
+    """
+    leaf = st.sampled_from(_LEAVES)
+    atom = (
+        leaf
+        | st.tuples(st.sampled_from(_UNARY), leaf).map("{0[0]}({0[1]})".format)
+        | st.tuples(leaf, leaf).map("power({0[0]}, {0[1]})".format)
+    )
+    ops = st.lists(st.sampled_from("+-*/"), max_size=2)
+    return st.tuples(atom, ops, st.lists(atom, min_size=2, max_size=2)).map(
+        lambda t: " ".join([t[0]] + [f"{op} {x}" for op, x in zip(t[1], t[2])])
+    )
+
+
+def _fresh_eval(expr, n, ctx):
+    """The expression at n with every name bound afresh, as a term once did."""
+    env = {name: getattr(ctx, name) for name in _UNARY + ["power"] if name != "abs"}
+    env.update(n=ctx.mpf(n), pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1), abs=abs, mpf=ctx.mpf)
+    return as_value(eval(expr, {"__builtins__": {}}, env), ctx)
+
+
+def _outcome(fn):
+    try:
+        value = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return type(value), repr(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=_expressions(), ns=st.lists(st.integers(1, 300), min_size=1, max_size=4))
+def test_expression_terms_equal_fresh_eval(qctx, dctx, expr, ns):
+    problem, _ = load_problem({"expression": expr, "m": 1})
+    for n in ns:
+        for ctx in (qctx, dctx):
+            assert _outcome(lambda: problem.term(n, ctx)) == _outcome(
+                lambda: _fresh_eval(expr, n, ctx)
+            ), (expr, n, ctx)
+
+
 def test_product_validation():
     with pytest.raises(ValueError):
         ProductProblem("bad", lambda n, ctx: ctx.zero, m=2, t=2)
@@ -213,6 +335,19 @@ def test_trig_pair_zero_phase(qctx):
     for n in (1, 2, 5):
         assert plus.term(n, qctx) == minus.term(n, qctx)
     assert plus.meta["h_is_real"] is True
+
+
+def test_trig_pair_terms_keep_constants_per_context(qctx, dctx):
+    def pair():
+        return trig_series_pair(lambda n, ctx: ctx.one, (0, Fraction(-1, 3), Fraction(1, 7)),
+                                (Fraction(1, 3), 1, Fraction(-2, 7)), -1, 2)
+
+    shared = pair()
+    for n in (1, 2, 9, 40):
+        for ctx in (qctx, dctx):  # interleaved on one pair, each against a fresh pair
+            fresh = pair()
+            for branch in (0, 1):
+                assert shared[branch].term(n, ctx) == fresh[branch].term(n, ctx), (n, ctx)
 
 
 def test_trig_pair_complex_h_probe():
@@ -271,6 +406,12 @@ def test_load_problem_expression_matches_builtin(qctx):
     for n in (1, 2, 10):
         a, b = problem.term(n, qctx), builtin.term(n, qctx)
         assert abs(a - b) <= 4 * qctx.eps * abs(b)
+
+
+def test_expression_sees_no_python_builtins(qctx):
+    problem, _ = load_problem({"expression": "len(str(n))", "m": 1})
+    with pytest.raises(NameError):
+        problem.term(1, qctx)
 
 
 def test_load_problem_requires_m():

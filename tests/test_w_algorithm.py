@@ -122,6 +122,17 @@ def test_zero_term_error_names_index(qctx):
         dense_oracle(sums, terms, schedule, 2, Fraction(1), 0, 0, 4, qctx)
 
 
+def test_zero_term_error_names_no_underflow_at_quad(qctx):
+    schedule = make_aps(1, 1)
+    sums = [qctx.one] * 8
+    terms = [None] + [qctx.one] * 7
+    terms[3] = qctx.zero
+    with pytest.raises(ZeroTermError) as info:
+        build_table(sums, terms, schedule, 2, Fraction(1), 4, qctx)
+    assert info.value.index == 3
+    assert str(info.value) == "term a_3 at a scheduled index is zero"
+
+
 def test_dense_trivial_entry(qctx):
     table, sums, terms, p = _table("ex5_1", make_aps(1, 1), 4, qctx)
     d = dense_oracle(sums, terms, make_aps(1, 1), p.m, p.sigma_hat, 0, 2, 0, qctx)
