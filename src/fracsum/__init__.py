@@ -18,9 +18,8 @@ from .numerics import (
     RangeOverflowError,
     ln_factorial_frac,
     make_context,
-    roundoff_unit,
 )
-from .sampling import Schedule, make_aps, make_explicit, make_gps, parse_schedule, schedule_prefix
+from .sampling import Schedule, make_aps, make_explicit, make_gps, parse_schedule
 from .series_model import (
     ProductProblem,
     SeriesProblem,
@@ -28,7 +27,6 @@ from .series_model import (
     builtin_ids,
     builtin_problem,
     load_problem,
-    partial_sums,
     product_to_series,
     telescoping_terms,
     trig_series_pair,
@@ -36,28 +34,16 @@ from .series_model import (
 from .transform import (
     AccelerationResult,
     accelerate,
-    accelerate_product,
     estimate_errors,
     sum_trig,
 )
-from .w_algorithm import (
-    DegenerateDenominatorError,
-    DenseSolve,
-    ExtrapolationTable,
-    SingularSystemError,
-    ZeroTermError,
-    build_table,
-    dense_oracle,
-    gamma_from_weights,
-    lambda_from_weights,
-)
+from .w_algorithm import DegenerateDenominatorError, ExtrapolationTable, ZeroTermError, build_table
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccelerationResult",
     "DegenerateDenominatorError",
-    "DenseSolve",
     "DOUBLE",
     "ExtrapolationTable",
     "NotANumberError",
@@ -69,22 +55,17 @@ __all__ = [
     "RatioExpansion",
     "Schedule",
     "SeriesProblem",
-    "SingularSystemError",
     "StructuralParameters",
     "TelescopingFamily",
     "Verdict",
     "ZeroTermError",
     "accelerate",
-    "accelerate_product",
     "build_table",
     "builtin_ids",
     "builtin_problem",
     "convergence_verdict",
-    "dense_oracle",
     "epsilons_from_ratio",
     "estimate_errors",
-    "gamma_from_weights",
-    "lambda_from_weights",
     "ln_factorial_frac",
     "load_problem",
     "make_aps",
@@ -92,10 +73,7 @@ __all__ = [
     "make_explicit",
     "make_gps",
     "parse_schedule",
-    "partial_sums",
     "product_to_series",
-    "roundoff_unit",
-    "schedule_prefix",
     "structure_from_ratio",
     "sum_trig",
     "telescoping_terms",

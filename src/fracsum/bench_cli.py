@@ -185,16 +185,8 @@ def run(config: RunConfig) -> RunReport:
     ctx = make_context(precision)
     problem, schedule = _resolve_problem(config)
     depth = config.depth
-
-    if depth == 0:
-        # degenerate single-row table: A(0,0) is the first fit ordinate
-        result = accelerate(problem, schedule, 1, ctx)
-        rows_src = estimate_errors(result.table, problem.known_S)[:1]
-        best_n = 0
-    else:
-        result = accelerate(problem, schedule, depth, ctx)
-        rows_src = estimate_errors(result.table, problem.known_S)
-        best_n = result.best[1]
+    result = accelerate(problem, schedule, depth, ctx)
+    rows_src = estimate_errors(result.table, problem.known_S)
 
     has_S = problem.known_S is not None
     stride = max(1, config.stride)
@@ -208,7 +200,7 @@ def run(config: RunConfig) -> RunReport:
             col3, col4 = _sci(row.sample, ctx), _full(row.value, ctx)
         rows.append(TableRow(row.n, row.R, col3, col4, _sci(row.gamma, ctx), _sci(row.lam, ctx)))
 
-    best = rows_src[best_n]
+    best = rows_src[result.best[1]]
     summary = {
         "best entry": f"A(0,{best.n}) using R_{best.n} = {best.R} terms",
         "value": _full(best.value, ctx),

@@ -5,7 +5,8 @@ preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
 scalars are Python floats; every other preset gets an mpmath
 ``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
-values under both.  The precision is always an explicit parameter:
+values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
+``ctx.eps``.  The precision is always an explicit parameter:
 nothing in this package reads or mutates the global ``mpmath.mp`` state,
 so computations at different precisions can run side by side (and
 concurrently).
@@ -58,7 +59,6 @@ __all__ = [
     "NotANumberError",
     "make_context",
     "precision_of",
-    "roundoff_unit",
     "ln_factorial_frac",
     "as_value",
     "resolve_scalar",
@@ -322,21 +322,6 @@ def make_context(precision: Precision):
 def precision_of(ctx) -> Precision | None:
     """The :class:`Precision` a context was created for, if any."""
     return getattr(ctx, "_fracsum_precision", None)
-
-
-def roundoff_unit(precision):
-    """Roundoff unit u = 2^(1 - mantissa_bits).
-
-    Accepts a :class:`Precision` or a bare mantissa bit count (handy for
-    probing the formula below the 53-bit floor that Precision enforces).
-    """
-    if isinstance(precision, Precision):
-        return make_context(precision).eps
-    bits = int(precision)
-    if bits < 1:
-        raise ValueError("mantissa bit count must be positive")
-    ctx = make_context(QUAD)
-    return ctx.power(2, 1 - bits)
 
 
 def ln_factorial_frac(n: int, s: int, m: int, ctx):

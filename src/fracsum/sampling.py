@@ -22,7 +22,6 @@ __all__ = [
     "make_aps",
     "make_gps",
     "make_explicit",
-    "schedule_prefix",
     "parse_schedule",
 ]
 
@@ -129,11 +128,6 @@ def make_explicit(values) -> Schedule:
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
     return Schedule("explicit", values=values)
-
-
-def schedule_prefix(schedule: Schedule, count: int) -> list:
-    """First *count* values of *schedule* (module-level convenience form)."""
-    return schedule.prefix(count)
 
 
 def parse_schedule(text: str) -> Schedule:

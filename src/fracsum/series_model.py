@@ -42,7 +42,6 @@ __all__ = [
     "TelescopingFamily",
     "ProductProblem",
     "ZeroPartialProductError",
-    "partial_sums",
     "sums_and_terms",
     "telescoping_terms",
     "product_to_series",
@@ -76,7 +75,6 @@ class SeriesProblem:
     m: int
     sigma_hat: Fraction = Fraction(1)
     known_S: object = None
-    kind: str = "series"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -90,7 +88,12 @@ class SeriesProblem:
 
 
 def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
-    """Terms a_1..a_N and partial sums A_1..A_N in one left-to-right pass."""
+    """Partial sums A_1..A_N and terms a_1..a_N in one left-to-right pass.
+
+    Raises :class:`~fracsum.numerics.RangeOverflowError` naming the first
+    index whose sum leaves the active precision's exponent range, and
+    :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
+    """
     if upto < 1:
         raise ValueError("upto must be >= 1")
     prec = precision_of(ctx)
@@ -105,16 +108,6 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
         terms.append(a)
         sums.append(total)
     return sums, terms
-
-
-def partial_sums(problem: SeriesProblem, upto: int, ctx):
-    """Partial sums A_1..A_N by left-to-right accumulation.
-
-    Raises :class:`~fracsum.numerics.RangeOverflowError` naming the first
-    index whose sum leaves the active precision's exponent range, and
-    :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
-    """
-    return sums_and_terms(problem, upto, ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,8 @@ class TelescopingFamily:
             d = -d
         return d - 1
 
-    # Structural predictions for the a_n asymptotics (used as metadata and
-    # as the closed forms the classifier round-trip is checked against).
+    # Structural predictions for the a_n asymptotics (the closed forms the
+    # classifier round-trip is checked against).
 
     def predicted_sigma(self) -> Fraction:
         theta0_zero = self.theta[0] == 0
@@ -231,11 +224,7 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
         m=family.m,
         sigma_hat=Fraction(1),
         known_S=-1,
-        meta={
-            "family": family,
-            "sigma": family.predicted_sigma(),
-            "gamma": family.predicted_gamma(),
-        },
+        meta={"family": family},
     )
 
 
@@ -299,8 +288,6 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
         m=problem.m,
         sigma_hat=Fraction(1),
         known_S=problem.known_S,
-        kind="product-derived",
-        meta={"product": problem},
     )
 
 
@@ -354,12 +341,8 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
         return term
 
     meta = {"h_is_real": bool(h_is_real)}
-    plus = SeriesProblem(
-        name="trig-pair(+)", term=make_term(1), m=m, known_S=None, meta=dict(meta, branch="+")
-    )
-    minus = SeriesProblem(
-        name="trig-pair(-)", term=make_term(-1), m=m, known_S=None, meta=dict(meta, branch="-")
-    )
+    plus = SeriesProblem(name="trig-pair(+)", term=make_term(1), m=m, meta=dict(meta))
+    minus = SeriesProblem(name="trig-pair(-)", term=make_term(-1), m=m, meta=dict(meta))
     return plus, minus
 
 
@@ -489,6 +472,7 @@ def builtin_problem(ident: str):
 _EXPR_FUNCS = (
     "sqrt exp log sin cos tan atan power gamma loggamma factorial floor ceil fabs re im conj"
 ).split()
+_EXPR_NAMES = frozenset(_EXPR_FUNCS + ["n", "pi", "e", "i", "abs", "mpf"])
 
 
 class _PowerCalls(ast.NodeTransformer):
@@ -509,7 +493,19 @@ class _PowerCalls(ast.NodeTransformer):
 
 def _expression_term(expr: str) -> TermFn:
     # Trusted-input convenience; no builtins are exposed to the expression.
-    tree = _PowerCalls().visit(ast.parse(expr, "<term expression>", "eval"))
+    # Mistakes that would only surface at evaluation, as a TypeError or
+    # NameError, or not at all (2^3 is xor), are rejected here.
+    try:
+        tree = ast.parse(expr, "<term expression>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"expression {expr!r} is not valid syntax: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
+            raise ValueError(f"expression {expr!r} uses '^', which is not a power: write a ** b")
+        if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES:
+            raise ValueError(f"expression {expr!r} uses unknown name {node.id!r}; "
+                             f"known names: {', '.join(sorted(_EXPR_NAMES))}")
+    tree = _PowerCalls().visit(tree)
     code = compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
 
     @lru_cache(maxsize=8)
@@ -543,8 +539,13 @@ def load_problem(source):
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("a problem definition must be a JSON object")
 
-    schedule = parse_schedule(spec["schedule"]) if spec.get("schedule") else None
+    schedule = spec.get("schedule")
+    if schedule is not None and not isinstance(schedule, str):
+        raise ValueError(f"schedule must be a string such as 'gps:1.3', got {schedule!r}")
+    schedule = parse_schedule(schedule) if schedule else None
 
     if "builtin" in spec:
         problem = builtin_problem(spec["builtin"])
@@ -552,8 +553,8 @@ def load_problem(source):
             problem.name = spec["name"]
         return problem, schedule
 
-    if "expression" not in spec:
-        raise ValueError("problem definition needs either 'builtin' or 'expression'")
+    if not isinstance(spec.get("expression"), str):
+        raise ValueError("problem definition needs either 'builtin' or an 'expression' string")
     if "m" not in spec:
         raise ValueError("expression problems must declare m")
 

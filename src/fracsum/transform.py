@@ -1,9 +1,11 @@
 """User-facing acceleration driver.
 
 Orchestrates schedule generation, partial-sum accumulation and the
-W-algorithm, and selects a recommended answer from the j = 0 diagonal
-using the stability indicators.  Works for series and, through the
-product adapter, for infinite products.
+W-algorithm, and selects a recommended answer from the j = 0 diagonal.
+The selection reads the per-entry rows of ``estimate_errors`` (Gamma*u,
+Lambda*u and Lambda*u/|A|, with the roundoff unit u = ``ctx.eps``), so
+the stability estimates are computed in one place.  Infinite products
+are accelerated as the series of ``series_model.product_to_series``.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ from typing import Optional
 
 from .numerics import resolve_scalar
 from .sampling import Schedule
-from .series_model import ProductProblem, SeriesProblem, product_to_series, sums_and_terms
+from .series_model import SeriesProblem, sums_and_terms
 from .w_algorithm import ExtrapolationTable, build_table
 
 __all__ = [
     "AccelerationResult",
     "DiagnosticsRow",
     "accelerate",
-    "accelerate_product",
     "sum_trig",
     "estimate_errors",
 ]
@@ -32,9 +33,8 @@ class AccelerationResult:
 
     ``value`` is the entry at ``best = (j, n)``; ``est_abs_error`` and
     ``est_rel_error`` are the stability-based estimates Lambda*u and
-    Lambda*u/|value| there.  ``stability_curve`` lists
-    (n, Gamma(0,n), Lambda(0,n)) and ``scores`` the per-n selection
-    metric actually minimized (see ``_selection_scores``).
+    Lambda*u/|value| there.  ``scores`` lists the per-n selection metric
+    actually minimized (see ``_select``).
     """
 
     table: ExtrapolationTable
@@ -42,85 +42,62 @@ class AccelerationResult:
     value: object
     est_abs_error: object
     est_rel_error: object
-    stability_curve: list
     scores: list
 
 
-def _selection_scores(table: ExtrapolationTable):
-    """Per-n combined error metric used to pick the best diagonal entry.
+def _select(table: ExtrapolationTable) -> AccelerationResult:
+    """Pick the diagonal entry with the smallest combined error metric.
 
-    The stability part is max(Gamma*u, Lambda*u/|A|), the attainable
-    relative accuracy at entry n.  On its own it is useless early in the
-    diagonal (it is smallest at n = 0, where nothing has converged yet),
-    so it is combined with the realized convergence signal
-    |A_n - A_{n-1}|/|A_n|; the score bottoms out at the instability
-    onset, after which added terms stop helping.  This selection rule is
-    a heuristic of this implementation, not part of the algorithm.
+    The stability part of the score is max(Gamma*u, Lambda*u/|A|), the
+    attainable relative accuracy at entry n.  On its own it is useless
+    early in the diagonal (it is smallest at n = 0, where nothing has
+    converged yet), so it is combined with the realized convergence
+    signal |A_n - A_{n-1}|/|A_n|; the score bottoms out at the
+    instability onset, after which added terms stop helping.  This
+    selection rule is a heuristic of this implementation, not part of
+    the algorithm.
     """
-    ctx = table.ctx
-    u = ctx.eps
+    rows = estimate_errors(table)
     scores = []
     prev = None
-    for n in range(table.depth + 1):
-        a = table.A[n]
-        absa = abs(a)
-        stab = table.gamma[n] * u
-        if absa > 0:
-            lam_rel = table.lam[n] * u / absa
-            if lam_rel > stab:
-                stab = lam_rel
-        elif table.lam[n] > 0:
-            stab = ctx.inf
-        if n == 0:
-            conv = ctx.one  # no convergence evidence yet: claim no digits
+    for row in rows:
+        absa = abs(row.value)
+        # A = 0 with Lambda = 0 (A(0,0) = A_0 = 0 when sigma_hat < 0 and
+        # R_0 = 1) has no relative-error scale; Gamma*u alone remains
+        stab = row.est_gamma if absa == 0 and row.lam == 0 else max(row.est_gamma, row.est_rel)
+        if row.n == 0:
+            conv = table.ctx.one  # no convergence evidence yet: claim no digits
         elif absa > 0:
-            conv = abs(a - prev) / absa
+            conv = abs(row.value - prev) / absa
         else:
-            conv = ctx.inf
+            conv = table.ctx.inf
         scores.append(max(stab, conv))
-        prev = a
-    return scores
-
-
-def _select(table: ExtrapolationTable) -> AccelerationResult:
-    ctx = table.ctx
-    u = ctx.eps
-    scores = _selection_scores(table)
+        prev = row.value
     best_n = 0
     for n, s in enumerate(scores):
         if s <= scores[best_n]:  # ties resolve to the deeper entry
             best_n = n
-    value = table.A[best_n]
-    est_abs = table.lam[best_n] * u
-    absv = abs(value)
-    est_rel = est_abs / absv if absv > 0 else ctx.inf
-    curve = [(n, table.gamma[n], table.lam[n]) for n in range(table.depth + 1)]
+    best = rows[best_n]
     return AccelerationResult(
         table=table,
         best=(0, best_n),
-        value=value,
-        est_abs_error=est_abs,
-        est_rel_error=est_rel,
-        stability_curve=curve,
+        value=best.value,
+        est_abs_error=best.est_abs,
+        est_rel_error=best.est_rel,
         scores=scores,
     )
 
 
 def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> AccelerationResult:
-    """Accelerate a series up to diagonal entry A(0, depth)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    """Accelerate a series up to diagonal entry A(0, depth), depth >= 0."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     R = schedule.prefix(depth + 1)
     sums, terms = sums_and_terms(problem, R[-1], ctx)
     table = build_table(
         [ctx.zero] + sums, [None] + terms, schedule, problem.m, problem.sigma_hat, depth, ctx
     )
     return _select(table)
-
-
-def accelerate_product(problem: ProductProblem, schedule: Schedule, depth: int, ctx) -> AccelerationResult:
-    """Accelerate an infinite product via its partial-product series."""
-    return accelerate(product_to_series(problem), schedule, depth, ctx)
 
 
 def sum_trig(pair, schedule: Schedule, depth: int, ctx):

@@ -1,15 +1,13 @@
-"""The recursive W-algorithm and its dense linear-system oracle.
+"""The recursive W-algorithm.
 
 ``build_table`` runs the W-algorithm over the fit samples one at a time:
 sample l extends the antidiagonal j + n = l of the four auxiliary
 divided-difference arrays (M, N, H, K) and ends at the diagonal entry
 A(0,l) with its stability indicators Gamma(0,l) and Lambda(0,l).  Only
 the previous antidiagonal is kept, so the working state is O(depth) and
-the returned table holds the j = 0 diagonal alone.  ``dense_oracle``
-solves the defining (n+1)x(n+1) linear system directly by pivoted
-elimination and exposes the weights gamma_{n,i}; it exists to
-cross-check the recursion and to support the general-offset (alpha != 0)
-variant of the fit.
+the returned table holds the j = 0 diagonal alone.  The recursion is
+cross-checked in the tests against a direct solve of the defining linear
+system (``tests/oracles.py``), which shares no code with it.
 """
 
 from __future__ import annotations
@@ -22,13 +20,8 @@ from .numerics import Binary64Context, check_range, precision_of
 __all__ = [
     "ZeroTermError",
     "DegenerateDenominatorError",
-    "SingularSystemError",
     "ExtrapolationTable",
-    "DenseSolve",
     "build_table",
-    "dense_oracle",
-    "gamma_from_weights",
-    "lambda_from_weights",
 ]
 
 
@@ -55,14 +48,6 @@ class DegenerateDenominatorError(ZeroDivisionError):
         )
 
 
-class SingularSystemError(ArithmeticError):
-    """The dense extrapolation system is numerically singular."""
-
-    def __init__(self, message, condition_estimate):
-        self.condition_estimate = condition_estimate
-        super().__init__(f"{message} (condition estimate {condition_estimate})")
-
-
 @dataclass
 class ExtrapolationTable:
     """The j = 0 diagonal of the extrapolation table with stability indicators.
@@ -75,9 +60,6 @@ class ExtrapolationTable:
     A(j,n) equals A(0,n) of the table built on the schedule R_j, R_{j+1}, ...
     """
 
-    m: int
-    sigma_hat: Fraction
-    schedule: object
     depth: int
     ctx: object
     R: list
@@ -161,100 +143,4 @@ def build_table(sums, terms, schedule, m, sigma_hat, depth, ctx) -> Extrapolatio
             G.append(abs(hx / nx))
             L.append(abs(kx / nx))
 
-    return ExtrapolationTable(
-        m=m, sigma_hat=sigma_hat, schedule=schedule, depth=depth, ctx=ctx,
-        R=R, samples=samples, A=A, gamma=G, lam=L,
-    )
-
-
-@dataclass
-class DenseSolve:
-    """Direct solution of the (n+1)x(n+1) extrapolation system.
-
-    ``value`` approximates the limit; ``betas`` are the auxiliary
-    unknowns; ``weights[i]`` is the coefficient gamma_{n,i} of the fit
-    ordinate ``samples[i]`` in ``value`` (they sum to 1).
-    """
-
-    j: int
-    n: int
-    alpha: object
-    sigma_hat: Fraction
-    value: object
-    betas: list
-    weights: list
-    samples: list
-
-
-def dense_oracle(sums, terms, schedule, m, sigma_hat, alpha, j, n, ctx) -> DenseSolve:
-    """Solve the defining linear system for the (j, n) entry directly.
-
-    Supports a general offset alpha > -R_0 in the fit basis
-    (R_l + alpha)^(-i/m); the recursion corresponds to alpha = 0.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("j and n must be nonnegative")
-    sigma_hat = Fraction(sigma_hat)
-    R = schedule.prefix(j + n + 1)[j:]
-    alpha = ctx.convert(alpha)
-    if not alpha > -R[0]:
-        raise ValueError("alpha must exceed -R_0")
-    use_prev = sigma_hat < 0
-    inv_m = ctx.convert(Fraction(-1, m))
-
-    size = n + 1
-    mat = ctx.matrix(size, size)
-    rhs = ctx.matrix(size, 1)
-    for row, r in enumerate(R):
-        a = terms[r]
-        if a == 0:
-            raise ZeroTermError(r, ctx)
-        phi = _omega(r, a, sigma_hat, ctx)
-        x = ctx.power(r + alpha, inv_m)
-        mat[row, 0] = ctx.one
-        basis = phi
-        for col in range(1, size):
-            mat[row, col] = basis
-            basis = basis * x
-        rhs[row] = sums[r - 1] if use_prev else sums[r]
-
-    try:
-        sol = ctx.lu_solve(mat, rhs)
-        unit = ctx.matrix(size, 1)
-        unit[0] = ctx.one
-        wvec = ctx.lu_solve(mat.T, unit)
-    except (ZeroDivisionError, TypeError):
-        # mpmath's pivot search leaves the pivot index unset (TypeError)
-        # when a column is exactly zero below the diagonal
-        raise SingularSystemError(
-            f"extrapolation system for (j={j}, n={n}) has a zero pivot; "
-            f"1-norm {ctx.mnorm(mat, 1)}",
-            condition_estimate=ctx.inf,
-        ) from None
-
-    return DenseSolve(
-        j=j,
-        n=n,
-        alpha=alpha,
-        sigma_hat=sigma_hat,
-        value=sol[0],
-        betas=[sol[i] for i in range(1, size)],
-        weights=[wvec[i] for i in range(size)],
-        samples=[rhs[i] for i in range(size)],
-    )
-
-
-def gamma_from_weights(solve: DenseSolve):
-    """Gamma = sum(|gamma_{n,i}|) >= 1: amplification of ordinate errors."""
-    total = 0
-    for w in solve.weights:
-        total = abs(w) + total
-    return total
-
-
-def lambda_from_weights(solve: DenseSolve):
-    """Lambda = sum(|gamma_{n,i}| * |ordinate_i|): scale seen by relative errors."""
-    total = 0
-    for w, s in zip(solve.weights, solve.samples):
-        total = abs(w) * abs(s) + total
-    return total
+    return ExtrapolationTable(depth=depth, ctx=ctx, R=R, samples=samples, A=A, gamma=G, lam=L)

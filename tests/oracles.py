@@ -7,7 +7,10 @@ library results are checked against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+from fracsum.w_algorithm import ZeroTermError
 
 
 def fit_ratio_coefficients(term, mu, m, ctx, n_lo=1000, n_hi=10000, extra=6):
@@ -85,6 +88,15 @@ def cos_sqrt_reference(ctx, N=10000):
     return head + integral + f(x0) / 2 - d1 / 12 + d3 / 720 - d5 / 30240
 
 
+def _omega(r, a, sigma_hat, ctx):
+    """The remainder weight omega_r = r^sigma_hat * a_r."""
+    if sigma_hat == 1:
+        return ctx.mpf(r) * a
+    if sigma_hat == 0:
+        return ctx.mpf(1) * a
+    return ctx.power(r, ctx.convert(sigma_hat)) * a
+
+
 def w_triangle(sums, terms, R, m, sigma_hat, ctx):
     """The full W-algorithm triangle, computed column by column.
 
@@ -101,13 +113,7 @@ def w_triangle(sums, terms, R, m, sigma_hat, ctx):
     t = [ctx.power(r, inv_m) for r in R]
     samples = []
     for j, r in enumerate(R):
-        a = terms[r]
-        if sigma_hat == 1:
-            omega = ctx.mpf(r) * a
-        elif sigma_hat == 0:
-            omega = ctx.mpf(1) * a
-        else:
-            omega = ctx.power(r, ctx.convert(sigma_hat)) * a
+        omega = _omega(r, terms[r], sigma_hat, ctx)
         sample = sums[r - 1] if sigma_hat < 0 else sums[r]
         samples.append(sample)
         M[j][0] = sample / omega
@@ -153,3 +159,94 @@ def telescoping_term(kind, s, m, theta, n, ctx):
     if kind == 1:
         return d1 - d0
     return (1 if n % 2 == 0 else -1) * (d1 + d0)
+
+
+class SingularSystemError(ArithmeticError):
+    """The dense extrapolation system is numerically singular."""
+
+    def __init__(self, message, condition_estimate):
+        self.condition_estimate = condition_estimate
+        super().__init__(f"{message} (condition estimate {condition_estimate})")
+
+
+@dataclass
+class DenseSolve:
+    """Direct solution of the (n+1)x(n+1) extrapolation system.
+
+    ``value`` approximates the limit; ``weights[i]`` is the coefficient
+    gamma_{n,i} of the fit ordinate ``samples[i]`` in ``value`` (they
+    sum to 1).
+    """
+
+    value: object
+    weights: list
+    samples: list
+
+
+def dense_oracle(sums, terms, schedule, m, sigma_hat, alpha, j, n, ctx) -> DenseSolve:
+    """Solve the defining linear system for the (j, n) entry directly.
+
+    Supports a general offset alpha > -R_0 in the fit basis
+    (R_l + alpha)^(-i/m); the recursion corresponds to alpha = 0.
+    """
+    if n < 0 or j < 0:
+        raise ValueError("j and n must be nonnegative")
+    sigma_hat = Fraction(sigma_hat)
+    R = schedule.prefix(j + n + 1)[j:]
+    alpha = ctx.convert(alpha)
+    if not alpha > -R[0]:
+        raise ValueError("alpha must exceed -R_0")
+    use_prev = sigma_hat < 0
+    inv_m = ctx.convert(Fraction(-1, m))
+
+    size = n + 1
+    mat = ctx.matrix(size, size)
+    rhs = ctx.matrix(size, 1)
+    for row, r in enumerate(R):
+        a = terms[r]
+        if a == 0:
+            raise ZeroTermError(r, ctx)
+        phi = _omega(r, a, sigma_hat, ctx)
+        x = ctx.power(r + alpha, inv_m)
+        mat[row, 0] = ctx.one
+        basis = phi
+        for col in range(1, size):
+            mat[row, col] = basis
+            basis = basis * x
+        rhs[row] = sums[r - 1] if use_prev else sums[r]
+
+    try:
+        sol = ctx.lu_solve(mat, rhs)
+        unit = ctx.matrix(size, 1)
+        unit[0] = ctx.one
+        wvec = ctx.lu_solve(mat.T, unit)
+    except (ZeroDivisionError, TypeError):
+        # mpmath's pivot search leaves the pivot index unset (TypeError)
+        # when a column is exactly zero below the diagonal
+        raise SingularSystemError(
+            f"extrapolation system for (j={j}, n={n}) has a zero pivot; "
+            f"1-norm {ctx.mnorm(mat, 1)}",
+            condition_estimate=ctx.inf,
+        ) from None
+
+    return DenseSolve(
+        value=sol[0],
+        weights=[wvec[i] for i in range(size)],
+        samples=[rhs[i] for i in range(size)],
+    )
+
+
+def gamma_from_weights(solve: DenseSolve):
+    """Gamma = sum(|gamma_{n,i}|) >= 1: amplification of ordinate errors."""
+    total = 0
+    for w in solve.weights:
+        total = abs(w) + total
+    return total
+
+
+def lambda_from_weights(solve: DenseSolve):
+    """Lambda = sum(|gamma_{n,i}| * |ordinate_i|): scale seen by relative errors."""
+    total = 0
+    for w, s in zip(solve.weights, solve.samples):
+        total = abs(w) * abs(s) + total
+    return total

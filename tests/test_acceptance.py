@@ -15,15 +15,13 @@ from fracsum.series_model import (
     ProductProblem,
     builtin_ids,
     builtin_problem,
-    partial_sums,
     product_to_series,
     sums_and_terms,
 )
 from fracsum.transform import accelerate
-from fracsum.w_algorithm import dense_oracle, gamma_from_weights, lambda_from_weights
 
 from columns import columns
-from oracles import fit_ratio_coefficients
+from oracles import dense_oracle, fit_ratio_coefficients, gamma_from_weights, lambda_from_weights
 
 CTX = make_context(QUAD)
 _CACHE = {}
@@ -157,7 +155,7 @@ def test_criterion_9_telescoping_identity():
     ]
     for family in families:
         problem = telescoping_terms(family)
-        sums = partial_sums(problem, 200, CTX)
+        sums = sums_and_terms(problem, 200, CTX)[0]
         peak = CTX.zero
         for n, total in enumerate(sums, start=1):
             peak = max(peak, abs(total))

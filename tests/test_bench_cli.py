@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,9 @@ def test_run_depth_zero_single_row():
     assert row.n == 0 and row.R == 1
     assert row.col3 == row.col4  # A(0,0) is A_{R_0} itself
     assert "A(0,0)" in report.summary["best entry"]
+    # a_2 = 0 is never used at depth 0, so the run must not stop on it
+    report = run(RunConfig(problem_file=json.dumps({"expression": "(n-2)/n**3", "m": 1}), depth=0))
+    assert report.summary["best entry"] == "A(0,0) using R_0 = 1 terms"
 
 
 def test_run_reproduces_reference_rows():
@@ -97,7 +102,7 @@ def test_run_complex_expression_problem(tmp_path):
     assert report.summary["value"]
 
 
-def test_cli_run_and_errors(capsys):
+def test_cli_run_and_errors(tmp_path, capsys):
     assert main(["run", "ex5_2", "--schedule", "aps:1,1", "--depth", "8"]) == 0
     out = capsys.readouterr().out
     assert "best entry" in out
@@ -110,6 +115,21 @@ def test_cli_run_and_errors(capsys):
 
     assert main(["run"]) == 1
     assert "no problem" in capsys.readouterr().err
+
+    path = tmp_path / "p.json"
+    for spec, message in [
+        ({"expression": "(-1)^n/n", "m": 1}, "uses '^', which is not a power: write a ** b"),
+        ({"expression": "1/n**2", "m": 1, "known_S": "pi^2/6"}, "'pi^2/6' uses '^'"),
+        ({"expression": "foo(n)", "m": 1}, "unknown name 'foo'"),
+        ({"expression": "1/(n*", "m": 1}, "'1/(n*' is not valid syntax"),
+        ({"expression": 5, "m": 1}, "an 'expression' string"),
+        ({"builtin": "ex5_1", "schedule": 5}, "schedule must be a string"),
+        ([{"builtin": "ex5_1"}], "must be a JSON object"),
+    ]:
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--problem-file", str(path)]) == 1, spec
+        err = capsys.readouterr().err
+        assert err.startswith("fracsum: error: ") and message in err, (spec, err)
 
 
 def test_cli_list(capsys):
@@ -194,3 +214,11 @@ def test_cli_degenerate_denominator_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fracsum: error: W-algorithm denominator N(0,1) is zero")
     assert "sigma_hat" in err
+
+
+def test_every_public_name_resolves():
+    modules = [fracsum] + [importlib.import_module(f"fracsum.{info.name}")
+                           for info in pkgutil.iter_modules(fracsum.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

@@ -12,19 +12,12 @@ from fracsum.numerics import (
     check_range,
     ln_factorial_frac,
     make_context,
-    roundoff_unit,
 )
 
 
 def test_roundoff_unit_quad_preset():
-    u = roundoff_unit(QUAD)
+    u = make_context(QUAD).eps
     assert abs(u - 1.93e-34) <= 0.005e-34  # 1.93e-34 to three digits
-
-
-def test_roundoff_unit_formula():
-    assert roundoff_unit(53) == make_context(QUAD).power(2, -52)
-    assert abs(float(roundoff_unit(53)) - 2.22e-16) <= 0.005e-16
-    assert abs(float(roundoff_unit(24)) - 1.19e-7) <= 0.005e-7
 
 
 def test_precision_validation():

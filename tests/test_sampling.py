@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule, schedule_prefix
+from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
 
 
 def test_aps_identity_schedule():
@@ -55,9 +55,9 @@ def test_gps_rejects_and_warns():
 
 
 def test_schedule_prefix_forms():
-    assert schedule_prefix(make_aps(1, 1), 3) == [1, 2, 3]
-    assert schedule_prefix(make_gps(1.3), 9) == [1, 2, 3, 4, 5, 6, 7, 9, 11]
-    assert schedule_prefix(make_explicit([1, 4, 9]), 3) == [1, 4, 9]
+    assert make_aps(1, 1).prefix(3) == [1, 2, 3]
+    assert make_gps(1.3).prefix(9) == [1, 2, 3, 4, 5, 6, 7, 9, 11]
+    assert make_explicit([1, 4, 9]).prefix(3) == [1, 4, 9]
 
 
 def test_explicit_validation():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracsum import series_model
 from fracsum.numerics import RangeOverflowError, as_value, resolve_scalar
 from fracsum.series_model import (
     ProductProblem,
@@ -15,8 +16,8 @@ from fracsum.series_model import (
     builtin_ids,
     builtin_problem,
     load_problem,
-    partial_sums,
     product_to_series,
+    sums_and_terms,
     telescoping_terms,
     trig_series_pair,
 )
@@ -26,30 +27,30 @@ from oracles import telescoping_term
 
 def test_partial_sums_first_term_ex5_1(qctx):
     p = builtin_problem("ex5_1")
-    sums = partial_sums(p, 3, qctx)
+    sums = sums_and_terms(p, 3, qctx)[0]
     assert sums[0] == qctx.exp(-1) - 1  # a_1 = e^-1 - e^0
     assert abs(abs(sums[0] + 1) - qctx.mpf("0.368")) < 5e-4
 
 
 def test_partial_sums_zero_series(qctx):
     p = SeriesProblem("zeros", lambda n, ctx: ctx.zero, m=1)
-    assert all(s == 0 for s in partial_sums(p, 10, qctx))
+    assert all(s == 0 for s in sums_and_terms(p, 10, qctx)[0])
 
 
 def test_partial_sums_ex5_5_row(qctx):
-    sums = partial_sums(builtin_problem("ex5_5"), 5, qctx)
+    sums = sums_and_terms(builtin_problem("ex5_5"), 5, qctx)[0]
     assert abs(sums[4] - qctx.mpf("29.2")) <= 0.007 * qctx.mpf("29.2")
 
 
 def test_partial_sums_overflow_names_index(dctx):
     p = SeriesProblem("grower", lambda n, ctx: ctx.exp(n), m=1)
     with pytest.raises(RangeOverflowError, match=r"A_7\d\d"):
-        partial_sums(p, 740, dctx)
+        sums_and_terms(p, 740, dctx)
 
 
 def test_partial_sums_rejects_bad_upto(qctx):
     with pytest.raises(ValueError):
-        partial_sums(builtin_problem("ex5_1"), 0, qctx)
+        sums_and_terms(builtin_problem("ex5_1"), 0, qctx)
 
 
 def test_telescoping_example_terms(qctx):
@@ -97,7 +98,7 @@ FAMILIES = [
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"k{f.kind}s{f.s}m{f.m}")
 def test_telescoping_identity_short(qctx, family):
     p = telescoping_terms(family)
-    sums = partial_sums(p, 60, qctx)
+    sums = sums_and_terms(p, 60, qctx)[0]
     peak = qctx.zero
     for n, total in enumerate(sums, start=1):
         peak = max(peak, abs(total))
@@ -119,7 +120,7 @@ def test_product_empty(qctx):
 
 
 def test_product_ex7_2_row(qctx):
-    sums = partial_sums(product_to_series(builtin_problem("ex7_2")), 5, qctx)
+    sums = sums_and_terms(product_to_series(builtin_problem("ex7_2")), 5, qctx)[0]
     assert abs(sums[4] - qctx.mpf("3.96")) <= 0.007 * qctx.mpf("3.96")
 
 
@@ -127,7 +128,7 @@ def test_product_round_trip(qctx):
     for ident in ("ex7_1", "ex7_2"):
         problem = builtin_problem(ident)
         series = product_to_series(problem)
-        sums = partial_sums(series, 120, qctx)
+        sums = sums_and_terms(series, 120, qctx)[0]
         prod = qctx.one
         for n in range(1, 121):
             prod *= 1 + problem.v(n, qctx)
@@ -137,7 +138,7 @@ def test_product_round_trip(qctx):
 def test_product_zero_partial_product(qctx):
     bad = ProductProblem("dies", lambda n, ctx: ctx.mpf(-1) if n == 3 else ctx.zero, m=1, t=2)
     with pytest.raises(ZeroPartialProductError, match="A_3"):
-        partial_sums(product_to_series(bad), 5, qctx)
+        sums_and_terms(product_to_series(bad), 5, qctx)
 
 
 def _product_terms(problem, upto, ctx):
@@ -323,10 +324,10 @@ def test_product_validation():
 
 def test_generator_determinism(qctx):
     for ident in ("ex5_11", "ex7_2", "ex5_14"):
-        a = partial_sums(builtin_problem(ident) if not ident.startswith("ex7")
-                         else product_to_series(builtin_problem(ident)), 40, qctx)
-        b = partial_sums(builtin_problem(ident) if not ident.startswith("ex7")
-                         else product_to_series(builtin_problem(ident)), 40, qctx)
+        a = sums_and_terms(builtin_problem(ident) if not ident.startswith("ex7")
+                           else product_to_series(builtin_problem(ident)), 40, qctx)[0]
+        b = sums_and_terms(builtin_problem(ident) if not ident.startswith("ex7")
+                           else product_to_series(builtin_problem(ident)), 40, qctx)[0]
         assert a == b  # bit-exact
 
 
@@ -408,7 +409,11 @@ def test_load_problem_expression_matches_builtin(qctx):
         assert abs(a - b) <= 4 * qctx.eps * abs(b)
 
 
-def test_expression_sees_no_python_builtins(qctx):
+def test_expression_sees_no_python_builtins(qctx, monkeypatch):
+    with pytest.raises(ValueError, match="unknown name 'len'"):
+        load_problem({"expression": "len(str(n))", "m": 1})
+    # behind the load-time name check, evaluation still sees no builtins
+    monkeypatch.setattr(series_model, "_EXPR_NAMES", series_model._EXPR_NAMES | {"len", "str"})
     problem, _ = load_problem({"expression": "len(str(n))", "m": 1})
     with pytest.raises(NameError):
         problem.term(1, qctx)

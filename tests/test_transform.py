@@ -5,11 +5,12 @@ from fracsum.series_model import (
     ProductProblem,
     SeriesProblem,
     builtin_problem,
+    load_problem,
+    product_to_series,
     trig_series_pair,
 )
 from fracsum.transform import (
     accelerate,
-    accelerate_product,
     estimate_errors,
     sum_trig,
 )
@@ -40,17 +41,35 @@ def test_single_term_series_rejected(qctx):
 
 def test_depth_validation(qctx):
     with pytest.raises(ValueError):
-        accelerate(builtin_problem("ex5_1"), make_aps(1, 1), 0, qctx)
+        accelerate(builtin_problem("ex5_1"), make_aps(1, 1), -1, qctx)
+    calls = []
+    counted = SeriesProblem("counted", lambda n, ctx: calls.append(n) or ctx.one / n, m=1)
+    res = accelerate(counted, make_aps(3, 2), 0, qctx)  # R_0 = 2
+    assert (res.best, res.value, calls) == ((0, 0), qctx.mpf(3) / 2, [1, 2])
+
+
+def test_negative_sigma_hat_with_zero_first_ordinate(qctx):
+    # sigma_hat < 0 and R_0 = 1 make A(0,0) = A_0 = 0 with Lambda(0,0) = 0: the
+    # stability part of that entry's score is Gamma*u, so its score is 1, not inf
+    problem, _ = load_problem({"expression": "power(-1,n)/n", "m": 1, "sigma_hat": -1})
+    res = accelerate(problem, make_aps(1, 1), 0, qctx)
+    assert (res.best, res.value, res.est_abs_error, res.scores) == ((0, 0), 0, 0, [1])
+    assert res.est_rel_error == qctx.inf
+    res = accelerate(problem, make_aps(1, 1), 20, qctx)
+    assert (res.best, res.scores[:2]) == ((0, 20), [1, 1])
+    assert (res.value, res.est_abs_error, res.est_rel_error) == tuple(map(qctx.mpf, (
+        "-0.693147180559079048041782649636964154", "1.33495291090631643944382471321461805e-34",
+        "1.92592994438723585305597794258492732e-34")))
 
 
 def test_product_with_known_limit(qctx):
-    res = accelerate_product(builtin_problem("ex7_1"), make_gps(1.3), 20, qctx)
+    res = accelerate(product_to_series(builtin_problem("ex7_1")), make_gps(1.3), 20, qctx)
     S = 2 / qctx.pi
     assert abs(res.table.A[20] - S) / abs(S) <= 1e-23
 
 
 def test_product_ex7_2_reference_value(qctx):
-    res = accelerate_product(builtin_problem("ex7_2"), make_gps(1.3), 32, qctx)
+    res = accelerate(product_to_series(builtin_problem("ex7_2")), make_gps(1.3), 32, qctx)
     ref = qctx.mpf("9.20090121315934117115672682505231045")
     # the reference and the last two diagonal entries agree to the
     # Lambda*u noise scale (~2e-26 here)
@@ -61,7 +80,7 @@ def test_product_ex7_2_reference_value(qctx):
 def test_degenerate_product_rejected(qctx):
     dead = ProductProblem("flat", lambda n, ctx: ctx.zero, m=1, t=2)
     with pytest.raises(ZeroTermError):
-        accelerate_product(dead, make_aps(1, 1), 4, qctx)
+        accelerate(product_to_series(dead), make_aps(1, 1), 4, qctx)
 
 
 def test_sum_trig_zero_phase_gives_zero_sine(qctx):

@@ -4,22 +4,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracsum.numerics import DOUBLE, QUAD, make_context
+from fracsum.numerics import DOUBLE, QUAD, Precision, make_context
 from fracsum.reference_tables import REFERENCE_TABLES
 from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
 from fracsum.series_model import ProductProblem, builtin_problem, product_to_series
-from fracsum.w_algorithm import (
-    DegenerateDenominatorError,
+from fracsum.w_algorithm import DegenerateDenominatorError, ZeroTermError, build_table
+
+from columns import columns, problem_arrays, problem_columns
+from oracles import (
     SingularSystemError,
-    ZeroTermError,
-    build_table,
     dense_oracle,
     gamma_from_weights,
     lambda_from_weights,
+    w_triangle,
 )
-
-from columns import columns, problem_arrays, problem_columns
-from oracles import w_triangle
 
 
 def _table(ident, schedule, depth, ctx):
@@ -246,12 +244,12 @@ def test_streamed_diagonal_matches_triangle_on_reference_tables(precision):
 
 
 @st.composite
-def _explicit_problems(draw):
-    """Random explicit schedule, m, sigma_hat of either sign, real or complex terms."""
+def _explicit_problems(draw, numerators=lambda m: st.integers(-2 * m, m)):
+    """Random explicit schedule, m, sigma_hat = k/m with k from ``numerators(m)``, real or complex terms."""
     gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=9))
     R = [sum(gaps[: i + 1]) for i in range(len(gaps))]
     m = draw(st.sampled_from([1, 2, 3]))
-    sigma_hat = Fraction(draw(st.integers(-2 * m, m)), m)
+    sigma_hat = Fraction(draw(numerators(m)), m)
     complex_terms = draw(st.booleans())
     logs = st.floats(-3, 3, allow_nan=False)
     phases = st.floats(-1, 1, allow_nan=False) if complex_terms else st.sampled_from([0.0, 1.0])
@@ -259,16 +257,22 @@ def _explicit_problems(draw):
     return R, m, sigma_hat, complex_terms, parts
 
 
+def _arrays_from_parts(parts, complex_terms, ctx):
+    """``sums`` and ``terms`` from 0 with a_k = e^x * e^(i pi phase) for each (x, phase)."""
+    sums = [ctx.zero]
+    terms = [None]
+    for x, phase in parts:
+        a = ctx.exp(ctx.mpf(x)) * ctx.expjpi(ctx.mpf(phase))
+        terms.append(a if complex_terms else a.real)
+        sums.append(sums[-1] + terms[-1])
+    return sums, terms
+
+
 @settings(max_examples=60, deadline=None)
 @given(_explicit_problems())
 def test_streamed_diagonal_matches_triangle_property(qctx, case):
     R, m, sigma_hat, complex_terms, parts = case
-    sums = [qctx.zero]
-    terms = [None]
-    for x, phase in parts:
-        a = qctx.exp(qctx.mpf(x)) * qctx.expjpi(qctx.mpf(phase))
-        terms.append(a if complex_terms else a.real)
-        sums.append(sums[-1] + terms[-1])
+    sums, terms = _arrays_from_parts(parts, complex_terms, qctx)
     depth = len(R) - 1
     try:
         triangle = w_triangle(sums, terms, R, m, sigma_hat, qctx)
@@ -291,3 +295,34 @@ def test_degenerate_denominator_names_entry(qctx):
     assert isinstance(info.value, ArithmeticError)
     # the same data with sigma_hat = 0 is well posed
     build_table(sums, terms, schedule, 1, Fraction(0), 4, qctx)
+
+
+# The dense oracle runs at three times the quad mantissa on the exact quad
+# inputs, so its own error is negligible; the recursion then stays within
+# a few Gamma*u of it (at most 14 Gamma*u in 1,300 random cases of this shape).
+_ORACLE = make_context(Precision("oracle", 3 * QUAD.mantissa_bits, QUAD.max_exp10))
+_DENSE_SLACK = 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(_explicit_problems(lambda m: st.sampled_from([m, 0, -1])))  # sigma_hat 1, 0 or -1/m
+def test_diagonal_matches_dense_oracle_property(qctx, case):
+    R, m, sigma_hat, complex_terms, parts = case
+    sums, terms = _arrays_from_parts(parts, complex_terms, qctx)
+    schedule = make_explicit(R)
+    depth = len(R) - 1
+    exact_sums = [_ORACLE.convert(x) for x in sums]
+    exact_terms = [None] + [_ORACLE.convert(a) for a in terms[1:]]
+    try:
+        table = build_table(sums, terms, schedule, m, sigma_hat, depth, qctx)
+        solves = [dense_oracle(exact_sums, exact_terms, schedule, m, sigma_hat, 0, 0, n, _ORACLE)
+                  for n in range(depth + 1)]
+    except (DegenerateDenominatorError, SingularSystemError):
+        assume(False)
+    for n, d in enumerate(solves):
+        gam, lam = table.gamma[n], table.lam[n]
+        assert gam >= 1, n
+        tol = _DENSE_SLACK * gam * qctx.eps
+        assert abs(table.A[n] - d.value) <= tol * lam, n
+        assert abs(gam - gamma_from_weights(d)) <= tol * gam, n
+        assert abs(lam - lambda_from_weights(d)) <= tol * lam, n
