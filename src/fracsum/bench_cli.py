@@ -27,14 +27,8 @@ from .classify import RatioExpansion, convergence_verdict, structure_from_ratio
 from .numerics import PRESETS, QUAD, Precision, make_context, resolve_scalar
 from .reference_tables import REFERENCE_TABLES, ReferenceTable, parse_number
 from .sampling import parse_schedule
-from .series_model import (
-    ProductProblem,
-    builtin_ids,
-    builtin_problem,
-    load_problem,
-    product_to_series,
-)
-from .transform import accelerate, estimate_errors
+from .series_model import builtin_ids, builtin_problem, load_problem
+from .transform import accelerate
 
 __all__ = ["RunConfig", "TableRow", "RunReport", "run", "reproduce_all", "ReproduceReport", "main"]
 
@@ -170,12 +164,8 @@ def _resolve_problem(config: RunConfig):
         raise ValueError("no problem given: pass a builtin id or --problem-file")
     if config.schedule:
         schedule = parse_schedule(config.schedule)
-    elif file_schedule is not None:
-        schedule = file_schedule
     else:
-        schedule = parse_schedule("aps:1,1")
-    if isinstance(problem, ProductProblem):
-        problem = product_to_series(problem)
+        schedule = file_schedule or parse_schedule("aps:1,1")
     return problem, schedule
 
 
@@ -186,12 +176,11 @@ def run(config: RunConfig) -> RunReport:
     problem, schedule = _resolve_problem(config)
     depth = config.depth
     result = accelerate(problem, schedule, depth, ctx)
-    rows_src = estimate_errors(result.table, problem.known_S)
 
     has_S = problem.known_S is not None
     stride = max(1, config.stride)
     rows = []
-    for row in rows_src:
+    for row in result.rows:
         if row.n % stride and row.n != depth:
             continue
         if has_S:
@@ -200,7 +189,7 @@ def run(config: RunConfig) -> RunReport:
             col3, col4 = _sci(row.sample, ctx), _full(row.value, ctx)
         rows.append(TableRow(row.n, row.R, col3, col4, _sci(row.gamma, ctx), _sci(row.lam, ctx)))
 
-    best = rows_src[result.best[1]]
+    best = result.rows[result.best[1]]
     summary = {
         "best entry": f"A(0,{best.n}) using R_{best.n} = {best.R} terms",
         "value": _full(best.value, ctx),
@@ -262,30 +251,23 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
     ctx = make_context(precision)
     u = ctx.eps
     problem = builtin_problem(ref.problem)
-    if isinstance(problem, ProductProblem):
-        problem = product_to_series(problem)
-    schedule = parse_schedule(ref.schedule)
-    result = accelerate(problem, schedule, ref.depth, ctx)
-    table = result.table
+    result = accelerate(problem, parse_schedule(ref.schedule), ref.depth, ctx)
     S = resolve_scalar(problem.known_S, ctx)
     absS = abs(S) if S is not None else None
 
     outcome = TableOutcome(ref)
     limited = precision.mantissa_bits < QUAD.mantissa_bits
     for n, R, c3, c4, g, l in ref.rows:
-        if table.R[n] != R:
-            outcome.rows.append(RowOutcome(n, "fail", f"R_{n} = {table.R[n]}, expected {R}"))
+        row = result.rows[n]
+        if row.R != R:
+            outcome.rows.append(RowOutcome(n, "fail", f"R_{n} = {row.R}, expected {R}"))
             continue
         g_fix = parse_number(g, ctx)
         l_fix = parse_number(l, ctx)
         c3_fix = parse_number(c3, ctx)
         c4_fix = parse_number(c4, ctx)
 
-        gam = table.gamma[n]
-        lam = table.lam[n]
-        lam_cmp = lam / absS if ref.relative else lam
-        value = table.A[n]
-        sample = table.samples[n]
+        lam_cmp = row.lam / absS if ref.relative else row.lam
 
         if limited:
             scale = absS if ref.has_S else abs(c4_fix)
@@ -300,13 +282,12 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
 
         problems = []
         floor = _NOISE * l_fix * u
-        if not _ratio_ok(gam, g_fix, ctx):
-            problems.append(f"Gamma {_sci(gam, ctx)} vs {g}")
+        if not _ratio_ok(row.gamma, g_fix, ctx):
+            problems.append(f"Gamma {_sci(row.gamma, ctx)} vs {g}")
         if not _ratio_ok(lam_cmp, l_fix, ctx):
             problems.append(f"Lambda {_sci(lam_cmp, ctx)} vs {l}")
         if ref.has_S:
-            e3 = abs(sample - S)
-            e4 = abs(value - S)
+            e3, e4 = row.sample_error, row.true_error
             if ref.relative:
                 e3, e4 = e3 / absS, e4 / absS
             floor3 = _NOISE * u * (1 if ref.relative else absS)
@@ -315,10 +296,10 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
             if not e4 <= max(_RATIO * c4_fix, floor):
                 problems.append(f"error {_sci(e4, ctx)} vs {c4}")
         else:
-            if not abs(sample - c3_fix) <= _DISPLAY_REL * abs(c3_fix):
-                problems.append(f"A_R {_sci(sample, ctx)} vs {c3}")
-            if not abs(value - c4_fix) <= max(floor, 1e-25 * abs(c4_fix)):
-                problems.append(f"value {ctx.nstr(value, 20)} vs {c4}")
+            if not abs(row.sample - c3_fix) <= _DISPLAY_REL * abs(c3_fix):
+                problems.append(f"A_R {_sci(row.sample, ctx)} vs {c3}")
+            if not abs(row.value - c4_fix) <= max(floor, 1e-25 * abs(c4_fix)):
+                problems.append(f"value {ctx.nstr(row.value, 20)} vs {c4}")
         if problems:
             outcome.rows.append(RowOutcome(n, "fail", "; ".join(problems)))
         else:
@@ -472,7 +453,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (ValueError, KeyError, ArithmeticError, OSError) as exc:
-        sys.stderr.write(f"fracsum: error: {exc}\n")
+        # str() of a KeyError is the repr of its key; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"fracsum: error: {message}\n")
         return 1
 
 
@@ -501,13 +484,7 @@ def _command(args) -> int:
         return report.exit_code
     if args.command == "list":
         for ident in builtin_ids():
-            problem = builtin_problem(ident)
-            describe = getattr(problem, "meta", {}).get("describe", "") or getattr(
-                problem, "name", ""
-            )
-            if isinstance(problem, ProductProblem):
-                describe = f"product, m={problem.m}, t={problem.t}"
-            sys.stdout.write(f"{ident:<8} {describe}\n")
+            sys.stdout.write(f"{ident:<8} {builtin_problem(ident).meta['describe']}\n")
         return 0
     return 0
 

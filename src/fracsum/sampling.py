@@ -3,6 +3,8 @@
 Three kinds are supported: arithmetic progression sampling (APS) with
 R_l = floor(kappa*l + eta), geometric progression sampling (GPS) with
 R_0 = 1 and R_l = max(floor(tau*R_{l-1}), l+1), and explicit user lists.
+A schedule holds only its parameters; ``prefix`` computes the values on
+each call, and ``accelerate`` takes the prefix once and passes it on.
 
 Floor operations run on exact rationals.  Float parameters are taken at
 their decimal repr (1.7 means 17/10, not the nearest binary double), so
@@ -12,7 +14,6 @@ floors at integer boundaries never depend on binary rounding.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -42,7 +43,7 @@ def _exact(x, name: str) -> Fraction:
 
 
 class Schedule:
-    """Immutable-after-construction integer schedule with memoized values."""
+    """Immutable integer schedule; ``prefix`` computes its values on each call."""
 
     def __init__(self, kind, *, kappa=None, eta=None, tau=None, values=None):
         self.kind = kind
@@ -50,8 +51,6 @@ class Schedule:
         self.eta = eta
         self.tau = tau
         self._values = list(values) if values is not None else None
-        self._cache = [1] if kind == "gps" else []
-        self._lock = threading.Lock()
 
     def prefix(self, count: int) -> list:
         """First *count* values; deterministic and idempotent."""
@@ -60,11 +59,10 @@ class Schedule:
         if self.kind == "aps":
             return [math.floor(self.kappa * l + self.eta) for l in range(count)]
         if self.kind == "gps":
-            with self._lock:
-                while len(self._cache) < count:
-                    l = len(self._cache)
-                    self._cache.append(max(math.floor(self.tau * self._cache[-1]), l + 1))
-                return self._cache[:count]
+            R = [1]
+            for l in range(1, count):
+                R.append(max(math.floor(self.tau * R[-1]), l + 1))
+            return R
         if count > len(self._values):
             raise ValueError(
                 f"explicit schedule has only {len(self._values)} values, {count} requested"

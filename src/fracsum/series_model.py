@@ -3,8 +3,9 @@
 Defines term generators and partial-sum accumulation, the telescoping
 difference families used as benchmark problems, the product-to-series
 adapter for infinite products, trigonometric series pairs, and the
-registry of builtin problems (``ex5_1`` ... ``ex5_14``, ``ex7_1``,
-``ex7_2``) consumed by the CLI and the reference-table harness.
+registry of builtin problems (``ex5_1`` ... ``ex5_14``, and the products
+``ex7_1``, ``ex7_2`` as the series of their partial products) consumed
+by the CLI and the reference-table harness.
 
 Term generators are pure functions of ``(n, ctx)`` to their callers:
 repeated evaluation, in any order and from any thread, is bit-exact.
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import ast
 import json
+import numbers
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable
 
 from .numerics import (
     QUAD,
@@ -145,14 +147,6 @@ class TelescopingFamily:
         if self.kind == 1 and self.s == 0 and all(t == 0 for t in self.theta):
             raise ValueError("degenerate family: delta_n constant, a_n identically zero")
 
-    @property
-    def r(self) -> Optional[int]:
-        """First nonzero index among theta_1..theta_{m-1}, if any."""
-        for i in range(1, self.m):
-            if self.theta[i] != 0:
-                return i
-        return None
-
     def log_delta(self, n: int, ctx):
         """ln(delta_n); exactly 0 at n = 0."""
         if n == 0:
@@ -171,33 +165,6 @@ class TelescopingFamily:
 
     def delta(self, n: int, ctx):
         return ctx.exp(self.log_delta(n, ctx))
-
-    def closed_partial_sum(self, n: int, ctx):
-        """A_n from the telescoped closed form -delta_0 +- delta_n."""
-        d = self.delta(n, ctx)
-        if self.kind == 2 and n % 2:
-            d = -d
-        return d - 1
-
-    # Structural predictions for the a_n asymptotics (the closed forms the
-    # classifier round-trip is checked against).
-
-    def predicted_sigma(self) -> Fraction:
-        theta0_zero = self.theta[0] == 0
-        if self.s > 0:
-            return Fraction(-self.s, self.m)
-        if self.s < 0:
-            return Fraction(0)
-        if self.kind == 2:
-            return Fraction(0)
-        return Fraction(self.r, self.m) if theta0_zero else Fraction(0)
-
-    def predicted_gamma(self) -> Fraction:
-        if self.s < 0:
-            return Fraction(-self.s, self.m)
-        if self.kind == 2 or self.s > 0:
-            return Fraction(0)
-        return Fraction(-self.r, self.m) if self.theta[0] == 0 else Fraction(0)
 
 
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
@@ -417,9 +384,11 @@ def _family(name, kind, s, m, theta, describe=""):
     return build
 
 
-def _product(name, v, m, t, known_S=None, describe=""):
+def _product(name, v, m, t, known_S=None):
     def build():
-        return ProductProblem(name=name, v=v, m=m, t=t, known_S=known_S)
+        p = product_to_series(ProductProblem(name=name, v=v, m=m, t=t, known_S=known_S))
+        p.meta["describe"] = f"product, m={m}, t={t}"
+        return p
 
     return build
 
@@ -439,23 +408,18 @@ _BUILTINS = {
     "ex5_12": _family("ex5_12", 2, 1, 2, (0, -1), "a_n = (-1)^n (sqrt(n!) e^(-sqrt n) + sqrt((n-1)!) e^(-sqrt(n-1))); antilimit S = -1"),
     "ex5_13": _direct("ex5_13", _ex5_13, 2, None, "a_n = (-1)^n sqrt(n!) e^(-sqrt n); antilimit unknown"),
     "ex5_14": _direct("ex5_14", _ex5_14, 2, None, "a_n = n^sqrt(3)/(1+sqrt n); antilimit unknown"),
-    "ex7_1": _product("ex7_1", _ex7_1_v, 1, 2, lambda ctx: 2 / ctx.pi, "prod(1 - 1/(4n^2)); S = 2/pi"),
-    "ex7_2": _product("ex7_2", _ex7_2_v, 2, 3, None, "prod(1 + n^(-3/2)); limit unknown"),
+    "ex7_1": _product("ex7_1", _ex7_1_v, 1, 2, lambda ctx: 2 / ctx.pi),
+    "ex7_2": _product("ex7_2", _ex7_2_v, 2, 3),
 }
 
 
 def builtin_ids() -> list:
-    """Identifiers of the builtin benchmark problems."""
-
-    def key(ident):
-        group, number = ident[2:].split("_")
-        return int(group), int(number)
-
-    return sorted(_BUILTINS, key=key)
+    """Identifiers of the builtin benchmark problems, in example order."""
+    return list(_BUILTINS)
 
 
-def builtin_problem(ident: str):
-    """Fresh instance of a builtin problem (SeriesProblem or ProductProblem)."""
+def builtin_problem(ident: str) -> SeriesProblem:
+    """Fresh instance of a builtin problem; products come as their partial-product series."""
     try:
         factory = _BUILTINS[ident]
     except KeyError:
@@ -518,7 +482,10 @@ def _expression_term(expr: str) -> TermFn:
 
     def term(n, ctx):
         # n is bound as a real of ctx so plain arithmetic stays at working precision
-        return as_value(eval(code, names(ctx), {"n": ctx.mpf(n)}), ctx)
+        try:
+            return as_value(eval(code, names(ctx), {"n": ctx.mpf(n)}), ctx)
+        except TypeError as exc:  # e.g. a wrong number of arguments: sqrt(n, 2)
+            raise ValueError(f"expression {expr!r} fails at n = {n}: {exc}") from None
 
     return term
 
@@ -548,6 +515,8 @@ def load_problem(source):
     schedule = parse_schedule(schedule) if schedule else None
 
     if "builtin" in spec:
+        if not isinstance(spec["builtin"], str):
+            raise ValueError(f"builtin must be a problem id string, got {spec['builtin']!r}")
         problem = builtin_problem(spec["builtin"])
         if spec.get("name"):
             problem.name = spec["name"]
@@ -559,6 +528,8 @@ def load_problem(source):
         raise ValueError("expression problems must declare m")
 
     known_S = spec.get("known_S")
+    if known_S is not None and not isinstance(known_S, (numbers.Number, str)):
+        raise ValueError(f"known_S must be a number or an expression string, got {known_S!r}")
     if isinstance(known_S, str):
         s_term = _expression_term(known_S)
         known_S = lambda ctx: s_term(0, ctx)  # noqa: E731 - tiny closure

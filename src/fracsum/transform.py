@@ -1,11 +1,11 @@
 """User-facing acceleration driver.
 
-Orchestrates schedule generation, partial-sum accumulation and the
-W-algorithm, and selects a recommended answer from the j = 0 diagonal.
-The selection reads the per-entry rows of ``estimate_errors`` (Gamma*u,
-Lambda*u and Lambda*u/|A|, with the roundoff unit u = ``ctx.eps``), so
-the stability estimates are computed in one place.  Infinite products
-are accelerated as the series of ``series_model.product_to_series``.
+``accelerate`` takes the schedule prefix R once, accumulates the partial
+sums, runs the W-algorithm and selects an answer from the j = 0 diagonal
+by the rows of ``estimate_errors`` (Gamma*u, Lambda*u and Lambda*u/|A|,
+with u = ``ctx.eps``), built once per run and returned as
+``AccelerationResult.rows``.  Builtin products arrive as the series of
+``series_model.product_to_series``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class AccelerationResult:
 
     ``value`` is the entry at ``best = (j, n)``; ``est_abs_error`` and
     ``est_rel_error`` are the stability-based estimates Lambda*u and
-    Lambda*u/|value| there.  ``scores`` lists the per-n selection metric
-    actually minimized (see ``_select``).
+    Lambda*u/|value| there.  ``rows`` are the ``estimate_errors`` rows and
+    ``scores`` the per-n selection metric minimized over them (``_select``).
     """
 
     table: ExtrapolationTable
@@ -43,9 +43,10 @@ class AccelerationResult:
     est_abs_error: object
     est_rel_error: object
     scores: list
+    rows: list
 
 
-def _select(table: ExtrapolationTable) -> AccelerationResult:
+def _select(table: ExtrapolationTable, known_S=None) -> AccelerationResult:
     """Pick the diagonal entry with the smallest combined error metric.
 
     The stability part of the score is max(Gamma*u, Lambda*u/|A|), the
@@ -55,9 +56,9 @@ def _select(table: ExtrapolationTable) -> AccelerationResult:
     signal |A_n - A_{n-1}|/|A_n|; the score bottoms out at the
     instability onset, after which added terms stop helping.  This
     selection rule is a heuristic of this implementation, not part of
-    the algorithm.
+    the algorithm.  The rows' true errors (from ``known_S``) are not read.
     """
-    rows = estimate_errors(table)
+    rows = estimate_errors(table, known_S)
     scores = []
     prev = None
     for row in rows:
@@ -85,6 +86,7 @@ def _select(table: ExtrapolationTable) -> AccelerationResult:
         est_abs_error=best.est_abs,
         est_rel_error=best.est_rel,
         scores=scores,
+        rows=rows,
     )
 
 
@@ -94,10 +96,8 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
         raise ValueError("depth must be nonnegative")
     R = schedule.prefix(depth + 1)
     sums, terms = sums_and_terms(problem, R[-1], ctx)
-    table = build_table(
-        [ctx.zero] + sums, [None] + terms, schedule, problem.m, problem.sigma_hat, depth, ctx
-    )
-    return _select(table)
+    table = build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
+    return _select(table, problem.known_S)
 
 
 def sum_trig(pair, schedule: Schedule, depth: int, ctx):
@@ -143,7 +143,8 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
     u = ctx.eps
     S = resolve_scalar(known_S, ctx)
     rows = []
-    for n, R_n, sample, value, gam, lam in table.diagonal():
+    columns = zip(table.R, table.samples, table.A, table.gamma, table.lam)
+    for n, (R_n, sample, value, gam, lam) in enumerate(columns):
         absv = abs(value)
         rows.append(
             DiagnosticsRow(

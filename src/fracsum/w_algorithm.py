@@ -68,10 +68,6 @@ class ExtrapolationTable:
     gamma: list
     lam: list
 
-    def diagonal(self):
-        """Rows (n, R_n, sample_n, A(0,n), Gamma(0,n), Lambda(0,n))."""
-        return list(zip(range(self.depth + 1), self.R, self.samples, self.A, self.gamma, self.lam))
-
 
 def _omega(r: int, a, sigma_hat: Fraction, ctx):
     if sigma_hat == 1:
@@ -81,18 +77,18 @@ def _omega(r: int, a, sigma_hat: Fraction, ctx):
     return ctx.power(r, ctx.convert(sigma_hat)) * a
 
 
-def build_table(sums, terms, schedule, m, sigma_hat, depth, ctx) -> ExtrapolationTable:
-    """Run the W-algorithm recursion up to the diagonal entry A(0, depth).
+def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
+    """Run the W-algorithm recursion over the samples at R = [R_0, ..., R_depth].
 
+    ``R`` is a schedule prefix: nonempty, positive, strictly increasing.
     ``sums[k]`` must hold A_k for 0 <= k <= R_depth (A_0 = 0) and
     ``terms[k]`` must hold a_k for 1 <= k <= R_depth.  The recursion
     implements the alpha = 0 fit only; sigma_hat < 0 switches the fit
     ordinates from A_{R_l} to A_{R_l - 1}.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if not R or R[0] < 1 or any(b <= a for a, b in zip(R, R[1:])):
+        raise ValueError("R must be nonempty, positive and strictly increasing")
     sigma_hat = Fraction(sigma_hat)
-    R = schedule.prefix(depth + 1)
     if R[-1] >= len(sums) or R[-1] >= len(terms):
         raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
     prec = precision_of(ctx)
@@ -143,4 +139,4 @@ def build_table(sums, terms, schedule, m, sigma_hat, depth, ctx) -> Extrapolatio
             G.append(abs(hx / nx))
             L.append(abs(kx / nx))
 
-    return ExtrapolationTable(depth=depth, ctx=ctx, R=R, samples=samples, A=A, gamma=G, lam=L)
+    return ExtrapolationTable(depth=len(R) - 1, ctx=ctx, R=R, samples=samples, A=A, gamma=G, lam=L)

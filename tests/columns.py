@@ -8,7 +8,6 @@ diagonal is therefore column j, bit for bit; test_w_algorithm checks
 this against the triangle oracle in ``oracles.py``.
 """
 
-from fracsum.sampling import make_explicit
 from fracsum.series_model import sums_and_terms
 from fracsum.w_algorithm import build_table
 
@@ -27,7 +26,7 @@ def columns(sums, terms, schedule, m, sigma_hat, depth, ctx):
     """
     R = schedule.prefix(depth + 1)
     return [
-        build_table(sums, terms, make_explicit(R[j:]), m, sigma_hat, depth - j, ctx)
+        build_table(sums, terms, R[j:], m, sigma_hat, ctx)
         for j in range(depth + 1)
     ]
 

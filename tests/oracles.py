@@ -161,6 +161,41 @@ def telescoping_term(kind, s, m, theta, n, ctx):
     return (1 if n % 2 == 0 else -1) * (d1 + d0)
 
 
+# Closed forms of a ``TelescopingFamily``: its telescoped partial sums and
+# the a_n asymptotics the classifier round-trip is checked against.  The
+# partial sum reads the family's own delta_n: it checks the telescoping of
+# the terms and their accumulation, not delta_n itself.
+
+
+def closed_partial_sum(family, n, ctx):
+    """A_n from the telescoped closed form -delta_0 +- delta_n."""
+    d = family.delta(n, ctx)
+    if family.kind == 2 and n % 2:
+        d = -d
+    return d - 1
+
+
+def first_theta_index(family):
+    """First nonzero index r among theta_1..theta_{m-1}, if any."""
+    return next((i for i in range(1, family.m) if family.theta[i] != 0), None)
+
+
+def predicted_sigma(family) -> Fraction:
+    if family.s > 0:
+        return Fraction(-family.s, family.m)
+    if family.s < 0 or family.kind == 2 or family.theta[0] != 0:
+        return Fraction(0)
+    return Fraction(first_theta_index(family), family.m)
+
+
+def predicted_gamma(family) -> Fraction:
+    if family.s < 0:
+        return Fraction(-family.s, family.m)
+    if family.kind == 2 or family.s > 0 or family.theta[0] != 0:
+        return Fraction(0)
+    return Fraction(-first_theta_index(family), family.m)
+
+
 class SingularSystemError(ArithmeticError):
     """The dense extrapolation system is numerically singular."""
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fracsum
+from fracsum import bench_cli, transform
 from fracsum.bench_cli import RunConfig, main, reproduce_all, run
 from fracsum.numerics import DOUBLE, QUAD, make_context
 from fracsum.reference_tables import REFERENCE_TABLES, parse_number
@@ -51,6 +52,20 @@ def test_run_reproduces_reference_rows():
     last2 = report2.rows[-1]
     assert last2.R == 5258
     assert parse_number(last2.col4, ctx) <= 1e-31
+
+
+def test_run_builds_the_diagnostics_rows_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_errors(*args, **kwargs)
+
+    estimate_errors = transform.estimate_errors
+    monkeypatch.setattr(transform, "estimate_errors", counted)
+    monkeypatch.setattr(bench_cli, "estimate_errors", counted, raising=False)
+    run(RunConfig(problem="ex5_2", schedule="aps:1,1", depth=28))
+    assert len(calls) == 1
 
 
 def test_run_output_byte_stable():
@@ -108,7 +123,11 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert "best entry" in out
 
     assert main(["run", "ex9_9"]) == 1
-    assert "unknown builtin" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "fracsum: error: unknown builtin problem 'ex9_9'; available: "
+        "ex5_1, ex5_2, ex5_3, ex5_4, ex5_5, ex5_6, ex5_7, ex5_8, ex5_9, ex5_10, "
+        "ex5_11, ex5_12, ex5_13, ex5_14, ex7_1, ex7_2\n"
+    )
 
     assert main(["run", "ex5_2", "--schedule", "xps:1"]) == 1
     assert "schedule" in capsys.readouterr().err
@@ -125,6 +144,10 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": 5, "m": 1}, "an 'expression' string"),
         ({"builtin": "ex5_1", "schedule": 5}, "schedule must be a string"),
         ([{"builtin": "ex5_1"}], "must be a JSON object"),
+        ({"expression": "1/n**2", "m": 1, "known_S": [1]},
+         "known_S must be a number or an expression string, got [1]"),
+        ({"expression": "sqrt(n, 2)", "m": 1}, "expression 'sqrt(n, 2)' fails at n = 1: "),
+        ({"builtin": ["x"]}, "builtin must be a problem id string, got ['x']"),
     ]:
         path.write_text(json.dumps(spec))
         assert main(["run", "--problem-file", str(path)]) == 1, spec

@@ -28,11 +28,9 @@ from fracsum.numerics import (
 from fracsum.reference_tables import REFERENCE_TABLES
 from fracsum.sampling import make_gps, parse_schedule
 from fracsum.series_model import (
-    ProductProblem,
     SeriesProblem,
     builtin_problem,
     load_problem,
-    product_to_series,
     sums_and_terms,
     trig_series_pair,
 )
@@ -90,8 +88,6 @@ def test_double_gets_the_binary64_context_and_quad_does_not():
 def test_reference_tables_are_bit_identical_to_mpmath_53():
     for ref in REFERENCE_TABLES:
         problem = builtin_problem(ref.problem)
-        if isinstance(problem, ProductProblem):
-            problem = product_to_series(problem)
         schedule = parse_schedule(ref.schedule)
         ours = accelerate(problem, schedule, ref.depth, FP)
         assert all(type(x) is float for x in ours.table.A + ours.table.gamma), ref

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,39 @@ def test_gps_two_phase_closed_form(tau):
             assert R[l] == l + 1
         else:
             assert R[l] == math.floor(t * R[l - 1])
+
+
+def _gps_closed_form(tau, count):
+    """R_l = l + 1 below L = ceil(2/(tau - 1)), floor(tau * R_{l-1}) from there on."""
+    t = Fraction(tau)
+    L = math.ceil(Fraction(2) / (t - 1))
+    R = []
+    for l in range(count):
+        R.append(l + 1 if l < L else math.floor(t * R[-1]))
+    return R
+
+
+def test_gps_prefix_from_six_threads_is_the_closed_form():
+    schedule = make_gps("1.3")
+    counts = [33, 1, 60, 7, 33, 45]
+    results = {}
+
+    def reader(i):
+        results[i] = [schedule.prefix(c) for c in counts[i:] + counts[:i]]
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(6):
+        assert results[i] == [_gps_closed_form("1.3", c) for c in counts[i:] + counts[:i]], i
 
 
 def test_parse_schedule():

@@ -22,7 +22,11 @@ from fracsum.series_model import (
     trig_series_pair,
 )
 
-from oracles import telescoping_term
+from oracles import closed_partial_sum, telescoping_term
+
+# the factors v_n of the builtin products, which arrive as their series
+EX7_1 = ProductProblem("ex7_1", lambda n, ctx: ctx.mpf(-1) / (4 * n * n), m=1, t=2)
+EX7_2 = ProductProblem("ex7_2", lambda n, ctx: ctx.power(n, ctx.mpf(-3) / 2), m=2, t=3)
 
 
 def test_partial_sums_first_term_ex5_1(qctx):
@@ -102,12 +106,12 @@ def test_telescoping_identity_short(qctx, family):
     peak = qctx.zero
     for n, total in enumerate(sums, start=1):
         peak = max(peak, abs(total))
-        closed = family.closed_partial_sum(n, qctx)
+        closed = closed_partial_sum(family, n, qctx)
         assert abs(total - closed) <= 8 * n * qctx.eps * peak, n
 
 
 def test_product_first_partial_product(qctx):
-    p = product_to_series(builtin_problem("ex7_1"))
+    p = builtin_problem("ex7_1")
     assert p.term(1, qctx) == qctx.mpf(3) / 4  # A_1 = 1 - 1/4
     S = resolve_scalar(p.known_S, qctx)
     assert abs(S - 2 / qctx.pi) == 0
@@ -120,15 +124,26 @@ def test_product_empty(qctx):
 
 
 def test_product_ex7_2_row(qctx):
-    sums = sums_and_terms(product_to_series(builtin_problem("ex7_2")), 5, qctx)[0]
+    sums = sums_and_terms(builtin_problem("ex7_2"), 5, qctx)[0]
     assert abs(sums[4] - qctx.mpf("3.96")) <= 0.007 * qctx.mpf("3.96")
 
 
+def test_builtin_products_are_the_series_of_their_factors(qctx, dctx):
+    for ident, factors in (("ex7_1", EX7_1), ("ex7_2", EX7_2)):
+        builtin = builtin_problem(ident)
+        assert isinstance(builtin, SeriesProblem)
+        assert (builtin.m, builtin.meta["describe"]) == (factors.m, f"product, m={factors.m}, t={factors.t}")
+        for ctx in (qctx, dctx):
+            series = product_to_series(factors)
+            assert [builtin.term(n, ctx) for n in range(1, 41)] == [
+                series.term(n, ctx) for n in range(1, 41)], (ident, ctx)
+    problem, _ = load_problem({"builtin": "ex7_1", "name": "wallis"})
+    assert isinstance(problem, SeriesProblem) and problem.name == "wallis"
+
+
 def test_product_round_trip(qctx):
-    for ident in ("ex7_1", "ex7_2"):
-        problem = builtin_problem(ident)
-        series = product_to_series(problem)
-        sums = sums_and_terms(series, 120, qctx)[0]
+    for ident, problem in (("ex7_1", EX7_1), ("ex7_2", EX7_2)):
+        sums = sums_and_terms(builtin_problem(ident), 120, qctx)[0]
         prod = qctx.one
         for n in range(1, 121):
             prod *= 1 + problem.v(n, qctx)
@@ -167,18 +182,16 @@ def test_product_in_order_terms_call_v_once_each(qctx, dctx):
 
 def test_product_out_of_order_terms_are_bit_exact(qctx, dctx):
     for ctx in (qctx, dctx):
-        problem = builtin_problem("ex7_2")
-        ref = _product_terms(problem, 40, ctx)
-        series = product_to_series(problem)
+        ref = _product_terms(EX7_2, 40, ctx)
+        series = builtin_problem("ex7_2")
         assert [series.term(n, ctx) for n in range(1, 41)] == ref
         for n in (17, 3, 40, 40, 1, 2, 39, 25, 26):
             assert series.term(n, ctx) == ref[n - 1], n
 
 
 def test_product_terms_under_concurrent_readers(dctx):
-    problem = builtin_problem("ex7_2")
-    ref = _product_terms(problem, 60, dctx)
-    series = product_to_series(problem)
+    ref = _product_terms(EX7_2, 60, dctx)
+    series = builtin_problem("ex7_2")
     results = {}
 
     def reader(i):
@@ -324,10 +337,8 @@ def test_product_validation():
 
 def test_generator_determinism(qctx):
     for ident in ("ex5_11", "ex7_2", "ex5_14"):
-        a = sums_and_terms(builtin_problem(ident) if not ident.startswith("ex7")
-                           else product_to_series(builtin_problem(ident)), 40, qctx)[0]
-        b = sums_and_terms(builtin_problem(ident) if not ident.startswith("ex7")
-                           else product_to_series(builtin_problem(ident)), 40, qctx)[0]
+        a = sums_and_terms(builtin_problem(ident), 40, qctx)[0]
+        b = sums_and_terms(builtin_problem(ident), 40, qctx)[0]
         assert a == b  # bit-exact
 
 

@@ -62,14 +62,28 @@ def test_negative_sigma_hat_with_zero_first_ordinate(qctx):
         "1.92592994438723585305597794258492732e-34")))
 
 
+@pytest.mark.parametrize("ident", ["ex5_2", "ex5_6", "ex7_1"])
+def test_result_rows_are_the_diagnostics_rows(qctx, ident):
+    problem = builtin_problem(ident)
+    res = accelerate(problem, make_gps(1.3), 16, qctx)
+    assert [vars(r) for r in res.rows] == [
+        vars(r) for r in estimate_errors(res.table, problem.known_S)]
+    assert (res.rows[-1].true_error is None) == (problem.known_S is None)
+    # the selection never reads the true errors
+    problem.known_S = None
+    blind = accelerate(problem, make_gps(1.3), 16, qctx)
+    assert (blind.best, blind.value, blind.scores) == (res.best, res.value, res.scores)
+    assert [vars(r) for r in blind.rows] == [vars(r) for r in estimate_errors(blind.table)]
+
+
 def test_product_with_known_limit(qctx):
-    res = accelerate(product_to_series(builtin_problem("ex7_1")), make_gps(1.3), 20, qctx)
+    res = accelerate(builtin_problem("ex7_1"), make_gps(1.3), 20, qctx)
     S = 2 / qctx.pi
     assert abs(res.table.A[20] - S) / abs(S) <= 1e-23
 
 
 def test_product_ex7_2_reference_value(qctx):
-    res = accelerate(product_to_series(builtin_problem("ex7_2")), make_gps(1.3), 32, qctx)
+    res = accelerate(builtin_problem("ex7_2"), make_gps(1.3), 32, qctx)
     ref = qctx.mpf("9.20090121315934117115672682505231045")
     # the reference and the last two diagonal entries agree to the
     # Lambda*u noise scale (~2e-26 here)

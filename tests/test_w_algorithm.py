@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fracsum.numerics import DOUBLE, QUAD, Precision, make_context
 from fracsum.reference_tables import REFERENCE_TABLES
 from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
-from fracsum.series_model import ProductProblem, builtin_problem, product_to_series
+from fracsum.series_model import builtin_problem
 from fracsum.w_algorithm import DegenerateDenominatorError, ZeroTermError, build_table
 
 from columns import columns, problem_arrays, problem_columns
@@ -23,7 +23,8 @@ from oracles import (
 def _table(ident, schedule, depth, ctx):
     p = builtin_problem(ident)
     sums, terms = problem_arrays(p, schedule, depth, ctx)
-    return build_table(sums, terms, schedule, p.m, p.sigma_hat, depth, ctx), sums, terms, p
+    R = schedule.prefix(depth + 1)
+    return build_table(sums, terms, R, p.m, p.sigma_hat, ctx), sums, terms, p
 
 
 def test_depth_zero_column(qctx):
@@ -115,7 +116,7 @@ def test_zero_term_error_names_index(qctx):
     terms = [None] + [qctx.one] * 7
     terms[3] = qctx.zero
     with pytest.raises(ZeroTermError, match="a_3"):
-        build_table(sums, terms, schedule, 2, Fraction(1), 4, qctx)
+        build_table(sums, terms, schedule.prefix(5), 2, Fraction(1), qctx)
     with pytest.raises(ZeroTermError, match="a_3"):
         dense_oracle(sums, terms, schedule, 2, Fraction(1), 0, 0, 4, qctx)
 
@@ -126,7 +127,7 @@ def test_zero_term_error_names_no_underflow_at_quad(qctx):
     terms = [None] + [qctx.one] * 7
     terms[3] = qctx.zero
     with pytest.raises(ZeroTermError) as info:
-        build_table(sums, terms, schedule, 2, Fraction(1), 4, qctx)
+        build_table(sums, terms, schedule.prefix(5), 2, Fraction(1), qctx)
     assert info.value.index == 3
     assert str(info.value) == "term a_3 at a scheduled index is zero"
 
@@ -196,7 +197,15 @@ def test_build_table_requires_enough_terms(qctx):
     sums = [qctx.zero, qctx.one]
     terms = [None, qctx.one]
     with pytest.raises(ValueError):
-        build_table(sums, terms, schedule, 2, Fraction(1), 3, qctx)
+        build_table(sums, terms, schedule.prefix(4), 2, Fraction(1), qctx)
+
+
+@pytest.mark.parametrize("R", [[], [0, 1], [2, 2]], ids=["empty", "zero", "repeated"])
+def test_build_table_rejects_a_bad_schedule_prefix(qctx, R):
+    sums = [qctx.zero] + [qctx.one] * 4
+    terms = [None] + [qctx.one] * 4
+    with pytest.raises(ValueError, match="R must be nonempty, positive and strictly increasing"):
+        build_table(sums, terms, R, 1, Fraction(1), qctx)
 
 
 def test_complex_terms_table(qctx):
@@ -210,7 +219,7 @@ def test_complex_terms_table(qctx):
 
     cp = SeriesProblem("complexified", cterm, m=2)
     sums, terms = problem_arrays(cp, make_aps(1, 1), 6, qctx)
-    table = build_table(sums, terms, make_aps(1, 1), 2, Fraction(1), 6, qctx)
+    table = build_table(sums, terms, make_aps(1, 1).prefix(7), 2, Fraction(1), qctx)
     assert table.A[6].imag != 0
     for n in range(7):
         assert table.gamma[n] >= 1 - qctx.mpf("1e-30")
@@ -233,12 +242,10 @@ def test_streamed_diagonal_matches_triangle_on_reference_tables(precision):
     ctx = make_context(precision)
     for ref in REFERENCE_TABLES:
         problem = builtin_problem(ref.problem)
-        if isinstance(problem, ProductProblem):
-            problem = product_to_series(problem)
         schedule = parse_schedule(ref.schedule)
         R = schedule.prefix(ref.depth + 1)
         sums, terms = problem_arrays(problem, schedule, ref.depth, ctx)
-        table = build_table(sums, terms, schedule, problem.m, problem.sigma_hat, ref.depth, ctx)
+        table = build_table(sums, terms, R, problem.m, problem.sigma_hat, ctx)
         triangle = w_triangle(sums, terms, R, problem.m, problem.sigma_hat, ctx)
         _assert_columns_of_triangle([table], triangle, R)
 
@@ -290,11 +297,11 @@ def test_degenerate_denominator_names_entry(qctx):
     for a in terms[1:]:
         sums.append(sums[-1] + a)
     with pytest.raises(DegenerateDenominatorError, match=r"N\(0,1\).*sigma_hat") as info:
-        build_table(sums, terms, schedule, 1, Fraction(1), 4, qctx)
+        build_table(sums, terms, schedule.prefix(5), 1, Fraction(1), qctx)
     assert (info.value.j, info.value.n) == (0, 1)
     assert isinstance(info.value, ArithmeticError)
     # the same data with sigma_hat = 0 is well posed
-    build_table(sums, terms, schedule, 1, Fraction(0), 4, qctx)
+    build_table(sums, terms, schedule.prefix(5), 1, Fraction(0), qctx)
 
 
 # The dense oracle runs at three times the quad mantissa on the exact quad
@@ -314,7 +321,7 @@ def test_diagonal_matches_dense_oracle_property(qctx, case):
     exact_sums = [_ORACLE.convert(x) for x in sums]
     exact_terms = [None] + [_ORACLE.convert(a) for a in terms[1:]]
     try:
-        table = build_table(sums, terms, schedule, m, sigma_hat, depth, qctx)
+        table = build_table(sums, terms, R, m, sigma_hat, qctx)
         solves = [dense_oracle(exact_sums, exact_terms, schedule, m, sigma_hat, 0, 0, n, _ORACLE)
                   for n in range(depth + 1)]
     except (DegenerateDenominatorError, SingularSystemError):
