@@ -260,8 +260,6 @@ class Binary64Context(FPContext):
         return self._sqrt(x)
 
     def power(self, x, y):
-        if y == 0.5 and (type(x) is float or type(x) is int) and x > 0:
-            return self.sqrt(x)  # what mpf_pow computes for this exponent
         vx, vy = _real_raw(x), _real_raw(y)
         if vx is not None and vy is not None:
             try:
@@ -319,9 +317,19 @@ def make_context(precision: Precision):
         return ctx
 
 
-def precision_of(ctx) -> Precision | None:
-    """The :class:`Precision` a context was created for, if any."""
-    return getattr(ctx, "_fracsum_precision", None)
+def precision_of(ctx) -> Precision:
+    """The :class:`Precision` a context was created for by :func:`make_context`.
+
+    Any other context (``mpmath.mp``, a bare ``MPContext``) raises
+    ``TypeError``: without its precision no range or NaN check could run.
+    """
+    try:
+        return ctx._fracsum_precision
+    except AttributeError:
+        raise TypeError(
+            f"{type(ctx).__name__} context has no fracsum precision; "
+            f"make one with fracsum.make_context"
+        ) from None
 
 
 def ln_factorial_frac(n: int, s: int, m: int, ctx):

@@ -9,12 +9,13 @@ by the CLI and the reference-table harness.
 
 Term generators are pure functions of ``(n, ctx)`` to their callers:
 repeated evaluation, in any order and from any thread, is bit-exact.
-Inside, each problem instance keeps the constants a term needs (theta
-values, exponents, coefficients) once per context, and the telescoping
-and product adapters keep their last term's state per context, so that
-in-order evaluation does the per-``n`` work once; any other order starts
-afresh with the same operations.  Factorial-type factors are evaluated
-in the log domain and exponentiated once.
+The paper's factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log
+domain and exponentiated once: telescoping deltas, both exponents of a
+trigonometric pair and the exponential builtins each hold a
+:class:`_LogFactor` with one per-context cache of its constants.  The
+telescoping and product adapters keep their last term's state per
+context, so that in-order evaluation does the per-``n`` work once; any
+other order starts afresh with the same operations.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     for n in range(1, upto + 1):
         a = as_value(problem.term(n, ctx), ctx)
         total = total + a
-        if prec is not None:
-            check_range(total, ctx, prec, "partial sum A_%d", n)
+        check_range(total, ctx, prec, "partial sum A_%d", n)
         terms.append(a)
         sums.append(total)
     return sums, terms
@@ -115,6 +115,37 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
 # ---------------------------------------------------------------------------
 # Telescoping difference families
 # ---------------------------------------------------------------------------
+
+
+_HALF = Fraction(1, 2)
+_SQRT = object()  # marks the exponent 1/2
+
+
+class _LogFactor:
+    """ln((n!)^(s/m)) + sum(c * n^p) over exact (c, p) pairs: the log of the paper's factor.
+
+    The sum starts from the log-factorial (from zero when s = 0) and adds
+    each c * n^p in pair order.  n^1 is n and n^(1/2) is ``ctx.sqrt(n)``,
+    the bits ``ctx.power`` gives, and a coefficient of 1 is not multiplied.
+    """
+
+    def __init__(self, s: int, m: int, pairs):
+        self.s, self.m = s, m
+        self.pairs = tuple((c, Fraction(p)) for c, p in pairs if c != 0)
+        self._converted = {}  # per context: the converted pairs, None for a 1, _SQRT for 1/2
+
+    def __call__(self, n: int, ctx):
+        pairs = self._converted.get(ctx)
+        if pairs is None:
+            pairs = self._converted[ctx] = tuple(
+                (None if c == 1 else as_value(c, ctx),
+                 None if p == 1 else _SQRT if p == _HALF else ctx.convert(p))
+                for c, p in self.pairs)
+        val = ln_factorial_frac(n, self.s, self.m, ctx) if self.s else ctx.zero
+        for c, p in pairs:
+            x = n if p is None else ctx.sqrt(n) if p is _SQRT else ctx.power(n, p)
+            val = val + (x if c is None else c * x)
+        return val
 
 
 @dataclass(frozen=True)
@@ -133,8 +164,7 @@ class TelescopingFamily:
     s: int
     m: int
     theta: tuple
-    # per context: (theta_i, (m-i)/m) for each nonzero theta_i
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factor: _LogFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (1, 2):
@@ -146,25 +176,11 @@ class TelescopingFamily:
         object.__setattr__(self, "theta", tuple(self.theta))
         if self.kind == 1 and self.s == 0 and all(t == 0 for t in self.theta):
             raise ValueError("degenerate family: delta_n constant, a_n identically zero")
-
-    def log_delta(self, n: int, ctx):
-        """ln(delta_n); exactly 0 at n = 0."""
-        if n == 0:
-            return ctx.zero
-        powers = self._powers.get(ctx)
-        if powers is None:
-            powers = self._powers[ctx] = tuple(
-                (as_value(th, ctx), ctx.convert(Fraction(self.m - i, self.m)))
-                for i, th in enumerate(self.theta)
-                if th != 0
-            )
-        val = ln_factorial_frac(n, self.s, self.m, ctx)
-        for th, p in powers:
-            val = val + th * ctx.power(n, p)
-        return val
+        pairs = ((th, Fraction(self.m - i, self.m)) for i, th in enumerate(self.theta))
+        object.__setattr__(self, "_factor", _LogFactor(self.s, self.m, pairs))
 
     def delta(self, n: int, ctx):
-        return ctx.exp(self.log_delta(n, ctx))
+        return ctx.exp(self._factor(n, ctx)) if n else ctx.one
 
 
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
@@ -263,14 +279,6 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 # ---------------------------------------------------------------------------
 
 
-def _frac_poly(pairs, n, ctx):
-    """sum(c * n^p) over the (c, p) pairs of a polynomial in n^(1/m); p is None for n^0."""
-    val = ctx.zero
-    for c, p in pairs:
-        val = val + (c if p is None else c * ctx.power(n, p))
-    return val
-
-
 def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
     """Complex conjugate-pair problems a_n^± = (n!)^(s/m) e^(u1 ± i*u2) h(n).
 
@@ -289,21 +297,13 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
         ctx = make_context(QUAD)
         h_is_real = all(as_value(h(k, ctx), ctx).imag == 0 for k in (1, 2, 3))
 
-    @lru_cache(maxsize=8)
-    def polys(ctx):
-        """The (coefficient, exponent) pairs of u1 and u2 in *ctx*."""
-        return tuple(
-            tuple((as_value(c, ctx), ctx.convert(Fraction(i, m)) if i else None)
-                  for i, c in enumerate(u) if c != 0)
-            for u in (u1, u2)
-        )
+    growth = _LogFactor(s, m, ((c, Fraction(i, m)) for i, c in enumerate(u1)))
+    phase = _LogFactor(0, m, ((c, Fraction(i, m)) for i, c in enumerate(u2)))
 
     def make_term(sign):
         def term(n, ctx):
-            pairs = polys(ctx)
-            growth = ln_factorial_frac(n, s, m, ctx) + _frac_poly(pairs[0], n, ctx)
-            phase = _frac_poly(pairs[1], n, ctx)
-            return ctx.exp(ctx.mpc(growth, sign * phase)) * as_value(h(n, ctx), ctx)
+            z = ctx.mpc(growth(n, ctx), sign * phase(n, ctx))
+            return ctx.exp(z) * as_value(h(n, ctx), ctx)
 
         return term
 
@@ -318,39 +318,13 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
 # ---------------------------------------------------------------------------
 
 
-def _sign(n):
-    return 1 if n % 2 == 0 else -1
-
-
-def _ex5_5(n, ctx):
-    return ctx.exp(ctx.sqrt(n))
-
-
-def _ex5_6(n, ctx):
-    return _sign(n) * ctx.exp(ctx.sqrt(n))
-
-
 _FIFTH = Fraction(1, 5)
 
 
 @lru_cache(maxsize=8)
 def _constants(ctx):
     """The constants of the builtin terms, built once per context."""
-    return SimpleNamespace(
-        fifth=ctx.convert(_FIFTH), sqrt3=ctx.sqrt(3), minus_one=ctx.mpf(-1), minus_3_2=ctx.mpf(-3) / 2
-    )
-
-
-def _ex5_9(n, ctx):
-    return ctx.exp(ctx.sqrt(n) - _constants(ctx).fifth * n)
-
-
-def _ex5_10(n, ctx):
-    return _sign(n) * ctx.exp(_constants(ctx).fifth * n - ctx.sqrt(n))
-
-
-def _ex5_13(n, ctx):
-    return _sign(n) * ctx.exp(ln_factorial_frac(n, 1, 2, ctx) - ctx.sqrt(n))
+    return SimpleNamespace(sqrt3=ctx.sqrt(3), minus_one=ctx.mpf(-1), minus_3_2=ctx.mpf(-3) / 2)
 
 
 def _ex5_14(n, ctx):
@@ -365,51 +339,49 @@ def _ex7_2_v(n, ctx):
     return ctx.power(n, _constants(ctx).minus_3_2)
 
 
-def _direct(name, term, m, known_S=None, describe=""):
-    def build():
-        return SeriesProblem(
-            name=name, term=term, m=m, known_S=known_S, meta={"describe": describe}
-        )
+# Builders of the builtins, called with the problem id; m = 2 except for ex7_1.
+
+
+def _family(kind, s, theta):
+    return lambda name: telescoping_terms(TelescopingFamily(kind, s, 2, theta))
+
+
+def _exponential(s, pairs, alternating=False):
+    """a_n = (+-1)^n (n!)^(s/2) exp(sum(c * n^p)) over the (c, p) pairs."""
+
+    def build(name):
+        factor = _LogFactor(s, 2, pairs)
+
+        def term(n, ctx):
+            a = ctx.exp(factor(n, ctx))
+            return -a if alternating and n % 2 else a
+
+        return SeriesProblem(name, term, m=2)
 
     return build
 
 
-def _family(name, kind, s, m, theta, describe=""):
-    def build():
-        p = telescoping_terms(TelescopingFamily(kind, s, m, theta))
-        p.name = name
-        p.meta["describe"] = describe
-        return p
-
-    return build
+def _product(v, m, t, known_S=None):
+    return lambda name: product_to_series(ProductProblem(name, v, m, t, known_S))
 
 
-def _product(name, v, m, t, known_S=None):
-    def build():
-        p = product_to_series(ProductProblem(name=name, v=v, m=m, t=t, known_S=known_S))
-        p.meta["describe"] = f"product, m={m}, t={t}"
-        return p
-
-    return build
-
-
-_BUILTINS = {
-    "ex5_1": _family("ex5_1", 1, 0, 2, (0, -1), "a_n = e^(-sqrt n) - e^(-sqrt(n-1)); S = -1"),
-    "ex5_2": _family("ex5_2", 2, 0, 2, (0, -1), "a_n = (-1)^n (e^(-sqrt n) + e^(-sqrt(n-1))); S = -1"),
-    "ex5_3": _family("ex5_3", 1, 0, 2, (0, 1), "a_n = e^(sqrt n) - e^(sqrt(n-1)); antilimit S = -1"),
-    "ex5_4": _family("ex5_4", 2, 0, 2, (0, 1), "a_n = (-1)^n (e^(sqrt n) + e^(sqrt(n-1))); antilimit S = -1"),
-    "ex5_5": _direct("ex5_5", _ex5_5, 2, None, "a_n = e^(sqrt n); antilimit unknown"),
-    "ex5_6": _direct("ex5_6", _ex5_6, 2, None, "a_n = (-1)^n e^(sqrt n); antilimit unknown"),
-    "ex5_7": _family("ex5_7", 1, 0, 2, (-_FIFTH, 1), "a_n = e^(-n/5+sqrt n) - e^(-(n-1)/5+sqrt(n-1)); S = -1"),
-    "ex5_8": _family("ex5_8", 2, 0, 2, (-_FIFTH, 1), "a_n = (-1)^n (e^(-n/5+sqrt n) + e^(-(n-1)/5+sqrt(n-1))); S = -1"),
-    "ex5_9": _direct("ex5_9", _ex5_9, 2, None, "a_n = e^(-n/5+sqrt n); limit unknown"),
-    "ex5_10": _direct("ex5_10", _ex5_10, 2, None, "a_n = (-1)^n e^(n/5-sqrt n); antilimit unknown"),
-    "ex5_11": _family("ex5_11", 1, 1, 2, (0, -1), "a_n = sqrt(n!) e^(-sqrt n) - sqrt((n-1)!) e^(-sqrt(n-1)); antilimit S = -1"),
-    "ex5_12": _family("ex5_12", 2, 1, 2, (0, -1), "a_n = (-1)^n (sqrt(n!) e^(-sqrt n) + sqrt((n-1)!) e^(-sqrt(n-1))); antilimit S = -1"),
-    "ex5_13": _direct("ex5_13", _ex5_13, 2, None, "a_n = (-1)^n sqrt(n!) e^(-sqrt n); antilimit unknown"),
-    "ex5_14": _direct("ex5_14", _ex5_14, 2, None, "a_n = n^sqrt(3)/(1+sqrt n); antilimit unknown"),
-    "ex7_1": _product("ex7_1", _ex7_1_v, 1, 2, lambda ctx: 2 / ctx.pi),
-    "ex7_2": _product("ex7_2", _ex7_2_v, 2, 3),
+_BUILTINS = {  # id: (builder, description)
+    "ex5_1": (_family(1, 0, (0, -1)), "a_n = e^(-sqrt n) - e^(-sqrt(n-1)); S = -1"),
+    "ex5_2": (_family(2, 0, (0, -1)), "a_n = (-1)^n (e^(-sqrt n) + e^(-sqrt(n-1))); S = -1"),
+    "ex5_3": (_family(1, 0, (0, 1)), "a_n = e^(sqrt n) - e^(sqrt(n-1)); antilimit S = -1"),
+    "ex5_4": (_family(2, 0, (0, 1)), "a_n = (-1)^n (e^(sqrt n) + e^(sqrt(n-1))); antilimit S = -1"),
+    "ex5_5": (_exponential(0, [(1, _HALF)]), "a_n = e^(sqrt n); antilimit unknown"),
+    "ex5_6": (_exponential(0, [(1, _HALF)], True), "a_n = (-1)^n e^(sqrt n); antilimit unknown"),
+    "ex5_7": (_family(1, 0, (-_FIFTH, 1)), "a_n = e^(-n/5+sqrt n) - e^(-(n-1)/5+sqrt(n-1)); S = -1"),
+    "ex5_8": (_family(2, 0, (-_FIFTH, 1)), "a_n = (-1)^n (e^(-n/5+sqrt n) + e^(-(n-1)/5+sqrt(n-1))); S = -1"),
+    "ex5_9": (_exponential(0, [(1, _HALF), (-_FIFTH, 1)]), "a_n = e^(-n/5+sqrt n); limit unknown"),
+    "ex5_10": (_exponential(0, [(_FIFTH, 1), (-1, _HALF)], True), "a_n = (-1)^n e^(n/5-sqrt n); antilimit unknown"),
+    "ex5_11": (_family(1, 1, (0, -1)), "a_n = sqrt(n!) e^(-sqrt n) - sqrt((n-1)!) e^(-sqrt(n-1)); antilimit S = -1"),
+    "ex5_12": (_family(2, 1, (0, -1)), "a_n = (-1)^n (sqrt(n!) e^(-sqrt n) + sqrt((n-1)!) e^(-sqrt(n-1))); antilimit S = -1"),
+    "ex5_13": (_exponential(1, [(-1, _HALF)], True), "a_n = (-1)^n sqrt(n!) e^(-sqrt n); antilimit unknown"),
+    "ex5_14": (lambda name: SeriesProblem(name, _ex5_14, m=2), "a_n = n^sqrt(3)/(1+sqrt n); antilimit unknown"),
+    "ex7_1": (_product(_ex7_1_v, 1, 2, lambda ctx: 2 / ctx.pi), "product, m=1, t=2"),
+    "ex7_2": (_product(_ex7_2_v, 2, 3), "product, m=2, t=3"),
 }
 
 
@@ -421,12 +393,15 @@ def builtin_ids() -> list:
 def builtin_problem(ident: str) -> SeriesProblem:
     """Fresh instance of a builtin problem; products come as their partial-product series."""
     try:
-        factory = _BUILTINS[ident]
+        build, describe = _BUILTINS[ident]
     except KeyError:
         raise KeyError(
             f"unknown builtin problem {ident!r}; available: {', '.join(builtin_ids())}"
         ) from None
-    return factory()
+    problem = build(ident)
+    problem.name = ident
+    problem.meta["describe"] = describe
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +501,14 @@ def load_problem(source):
         raise ValueError("problem definition needs either 'builtin' or an 'expression' string")
     if "m" not in spec:
         raise ValueError("expression problems must declare m")
+    m, sigma_hat = spec["m"], spec.get("sigma_hat", 1)
+    if isinstance(m, bool) or not isinstance(m, int):  # JSON true is a Python int
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if isinstance(sigma_hat, bool):
+        raise ValueError(f"sigma_hat must be a number or a fraction string, got {sigma_hat!r}")
 
     known_S = spec.get("known_S")
-    if known_S is not None and not isinstance(known_S, (numbers.Number, str)):
+    if isinstance(known_S, bool) or not isinstance(known_S, (numbers.Number, str, type(None))):
         raise ValueError(f"known_S must be a number or an expression string, got {known_S!r}")
     if isinstance(known_S, str):
         s_term = _expression_term(known_S)
@@ -537,8 +517,8 @@ def load_problem(source):
     problem = SeriesProblem(
         name=spec.get("name", "user-problem"),
         term=_expression_term(spec["expression"]),
-        m=int(spec["m"]),
-        sigma_hat=Fraction(str(spec.get("sigma_hat", 1))),
+        m=m,
+        sigma_hat=Fraction(str(sigma_hat)),
         known_S=known_S,
         meta={"describe": spec["expression"]},
     )

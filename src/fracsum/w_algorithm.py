@@ -69,14 +69,6 @@ class ExtrapolationTable:
     lam: list
 
 
-def _omega(r: int, a, sigma_hat: Fraction, ctx):
-    if sigma_hat == 1:
-        return ctx.mpf(r) * a
-    if sigma_hat == 0:
-        return ctx.mpf(1) * a
-    return ctx.power(r, ctx.convert(sigma_hat)) * a
-
-
 def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     """Run the W-algorithm recursion over the samples at R = [R_0, ..., R_depth].
 
@@ -93,6 +85,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
     prec = precision_of(ctx)
     use_prev = sigma_hat < 0
+    sigma = ctx.convert(sigma_hat)
     inv_m = ctx.convert(Fraction(-1, m))
 
     t, samples, A, G, L = [], [], [], [], []
@@ -103,7 +96,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         a = terms[r]
         if a == 0:
             raise ZeroTermError(r, ctx)
-        omega = _omega(r, a, sigma_hat, ctx)
+        omega = ctx.power(r, sigma) * a
         sample = sums[r - 1] if use_prev else sums[r]
         samples.append(sample)
         t.append(ctx.power(r, inv_m))
@@ -121,9 +114,8 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             nx = (nx - no) / den
             hx = (hx - ho) / den
             kx = (kx - ko) / den
-            if prec is not None:
-                check_range(mx, ctx, prec, "M(%d,%d)", l - n, n)
-                check_range(nx, ctx, prec, "N(%d,%d)", l - n, n)
+            check_range(mx, ctx, prec, "M(%d,%d)", l - n, n)
+            check_range(nx, ctx, prec, "N(%d,%d)", l - n, n)
         M.append(mx)
         N.append(nx)
         H.append(hx)

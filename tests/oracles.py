@@ -161,6 +161,46 @@ def telescoping_term(kind, s, m, theta, n, ctx):
     return (1 if n % 2 == 0 else -1) * (d1 + d0)
 
 
+def _sign(n):
+    return 1 if n % 2 == 0 else -1
+
+
+def _half_ln_factorial(n, ctx):
+    return ctx.loggamma(n + 1) * 1 / 2 if n > 1 else ctx.zero
+
+
+# The builtins whose terms are a single exponential, each written out by
+# hand: a_n = (+-1)^n (n!)^(s/2) e^(Q(n)) with the operations in the order
+# the registry must perform them, so its terms match bit for bit.
+EXPONENTIAL_BUILTINS = {
+    "ex5_5": lambda n, ctx: ctx.exp(ctx.sqrt(n)),
+    "ex5_6": lambda n, ctx: _sign(n) * ctx.exp(ctx.sqrt(n)),
+    "ex5_9": lambda n, ctx: ctx.exp(ctx.sqrt(n) - ctx.convert(Fraction(1, 5)) * n),
+    "ex5_10": lambda n, ctx: _sign(n) * ctx.exp(ctx.convert(Fraction(1, 5)) * n - ctx.sqrt(n)),
+    "ex5_13": lambda n, ctx: _sign(n) * ctx.exp(_half_ln_factorial(n, ctx) - ctx.sqrt(n)),
+}
+
+
+def trig_pair_term(h, u1, u2, m, sign, n, ctx):
+    """a_n of ``trig_series_pair(h, u1, u2, 0, m)``, branch *sign* (+1 or -1).
+
+    Each polynomial in n^(1/m) is summed from zero term by term, the
+    constant term as its coefficient and the others as c * n^(i/m); at
+    s = 0 the growth is zero plus that sum.
+    """
+
+    def poly(u):
+        val = ctx.zero
+        for i, c in enumerate(u):
+            if c != 0:
+                c = ctx.convert(c)
+                val = val + (c if i == 0 else c * ctx.power(n, ctx.convert(Fraction(i, m))))
+        return val
+
+    growth = ctx.zero + poly(u1)
+    return ctx.exp(ctx.mpc(growth, sign * poly(u2))) * ctx.convert(h(n, ctx))
+
+
 # Closed forms of a ``TelescopingFamily``: its telescoped partial sums and
 # the a_n asymptotics the classifier round-trip is checked against.  The
 # partial sum reads the family's own delta_n: it checks the telescoping of

@@ -148,6 +148,12 @@ def test_cli_run_and_errors(tmp_path, capsys):
          "known_S must be a number or an expression string, got [1]"),
         ({"expression": "sqrt(n, 2)", "m": 1}, "expression 'sqrt(n, 2)' fails at n = 1: "),
         ({"builtin": ["x"]}, "builtin must be a problem id string, got ['x']"),
+        ({"expression": "1/n**2", "m": 1, "known_S": True},
+         "known_S must be a number or an expression string, got True"),
+        ({"expression": "1/n**2", "m": True}, "m must be an integer, got True"),
+        ({"expression": "1/n**2", "m": 2.7}, "m must be an integer, got 2.7"),
+        ({"expression": "1/n**2", "m": 1, "sigma_hat": True},
+         "sigma_hat must be a number or a fraction string, got True"),
     ]:
         path.write_text(json.dumps(spec))
         assert main(["run", "--problem-file", str(path)]) == 1, spec

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import pytest
+from mpmath.ctx_mp import MPContext
 
+from fracsum import accelerate, build_table, make_aps
 from fracsum.numerics import (
     DOUBLE,
     QUAD,
@@ -13,6 +16,7 @@ from fracsum.numerics import (
     ln_factorial_frac,
     make_context,
 )
+from fracsum.series_model import SeriesProblem, sums_and_terms
 
 
 def test_roundoff_unit_quad_preset():
@@ -88,3 +92,30 @@ def test_check_range_rejects_nan_and_formats_label_on_raise(dctx):
         check_range(dctx.mpc(1, dctx.nan), dctx, DOUBLE, "partial sum A_%d", 5)
     with pytest.raises(RangeOverflowError, match=r"^M\(3,4\) exceeds the double"):
         check_range(dctx.mpf("-1e320"), dctx, DOUBLE, "M(%d,%d)", 3, 4)
+
+
+def _nan_at_5(n, ctx):
+    return ctx.nan if n == 5 else ctx.one / (n * n)
+
+
+def _bare_quad():
+    ctx = MPContext()
+    ctx.prec = QUAD.mantissa_bits
+    return ctx
+
+
+@pytest.mark.parametrize("ctx", [_bare_quad(), mpmath.mp], ids=["MPContext", "mpmath.mp"])
+def test_contexts_not_made_by_make_context_are_refused(ctx):
+    state = (mpmath.mp.prec, mpmath.mp.pretty)
+    problem = SeriesProblem("nan at 5", _nan_at_5, m=1)
+    qctx = make_context(QUAD)
+    sums, terms = [qctx.zero, qctx.one], [qctx.zero, qctx.one]
+    for call in (lambda: accelerate(problem, make_aps(1, 1), 8, ctx),
+                 lambda: sums_and_terms(problem, 8, ctx),
+                 lambda: build_table(sums, terms, [1], 1, 1, ctx)):
+        with pytest.raises(TypeError, match="make_context"):
+            call()
+    assert (mpmath.mp.prec, mpmath.mp.pretty) == state
+    # the same term under a context of make_context names the NaN
+    with pytest.raises(NotANumberError, match="partial sum A_5 is NaN"):
+        accelerate(problem, make_aps(1, 1), 8, qctx)

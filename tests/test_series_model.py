@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -22,7 +23,7 @@ from fracsum.series_model import (
     trig_series_pair,
 )
 
-from oracles import closed_partial_sum, telescoping_term
+from oracles import EXPONENTIAL_BUILTINS, closed_partial_sum, telescoping_term, trig_pair_term
 
 # the factors v_n of the builtin products, which arrive as their series
 EX7_1 = ProductProblem("ex7_1", lambda n, ctx: ctx.mpf(-1) / (4 * n * n), m=1, t=2)
@@ -360,6 +361,30 @@ def test_trig_pair_terms_keep_constants_per_context(qctx, dctx):
             fresh = pair()
             for branch in (0, 1):
                 assert shared[branch].term(n, ctx) == fresh[branch].term(n, ctx), (n, ctx)
+
+
+@pytest.mark.parametrize("ident", sorted(EXPONENTIAL_BUILTINS))
+def test_exponential_builtin_terms_match_hand_written_formulas(qctx, dctx, ident):
+    formula = EXPONENTIAL_BUILTINS[ident]
+    shuffled = list(range(1, 301))
+    random.Random(7).shuffle(shuffled)
+    for ctx in (qctx, dctx):
+        for order in (range(1, 301), shuffled):
+            problem = builtin_problem(ident)
+            for n in order:
+                assert problem.term(n, ctx) == formula(n, ctx), (n, ctx)
+
+
+def test_trig_pair_without_factorial_matches_term_by_term_sum(qctx, dctx):
+    def h(n, ctx):
+        return 1 / ctx.mpf(n) ** 2
+
+    u1, u2 = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 7)), (Fraction(1, 3), 1, Fraction(-2, 7))
+    pair = trig_series_pair(h, u1, u2, 0, 2)
+    for ctx in (qctx, dctx):
+        for n in (1, 2, 3, 9, 40, 300, 7):
+            for sign, problem in zip((1, -1), pair):
+                assert problem.term(n, ctx) == trig_pair_term(h, u1, u2, 2, sign, n, ctx), (n, ctx)
 
 
 def test_trig_pair_complex_h_probe():
