@@ -39,14 +39,21 @@ __all__ = ["RunConfig", "TableRow", "RunReport", "run", "reproduce_all", "Reprod
 
 
 def _sci(x, ctx, digits: int = 3) -> str:
-    """Scientific notation with *digits* significant digits; exponent-safe."""
+    """Scientific notation with *digits* significant digits; exponent-safe.
+
+    A non-finite value renders as ``inf``, ``-inf`` or ``nan``.
+    """
     if hasattr(x, "imag") and x.imag != 0:
         im = _sci(abs(x.imag), ctx, digits)
-        return f"{_sci(x.real, ctx, digits)}{'+' if x.imag >= 0 else '-'}{im}i"
+        return f"{_sci(x.real, ctx, digits)}{'-' if x.imag < 0 else '+'}{im}i"
     x = x.real if hasattr(x, "real") else x
     if x == 0:
         return "0.00e+00"
+    if ctx.isnan(x):
+        return "nan"
     neg = x < 0
+    if ctx.isinf(x):
+        return "-inf" if neg else "inf"
     ax = abs(x)
     e = int(ctx.floor(ctx.log10(ax)))
     mant = ax / ctx.power(10, e)
@@ -63,7 +70,7 @@ def _sci(x, ctx, digits: int = 3) -> str:
 def _full(x, ctx) -> str:
     """Full working-precision rendering of a value column."""
     if hasattr(x, "imag") and x.imag != 0:
-        return f"{_full(x.real, ctx)} {'+' if x.imag >= 0 else '-'} {_full(abs(x.imag), ctx)}i"
+        return f"{_full(x.real, ctx)} {'-' if x.imag < 0 else '+'} {_full(abs(x.imag), ctx)}i"
     return ctx.nstr(x.real if hasattr(x, "real") else x, ctx.dps, strip_zeros=False)
 
 

@@ -10,6 +10,14 @@ values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
 nothing in this package reads or mutates the global ``mpmath.mp`` state,
 so computations at different precisions can run side by side (and
 concurrently).
+
+The two hot loops, the W-recursion of ``build_table`` and the partial-sum
+accumulation of ``sums_and_terms``, take their scalar operations from
+:func:`loop_arithmetic`.  Under an ``MPContext``, real values run there as
+raw ``libmp`` tuples (``_mpf_``) through ``mpf_add``/``mpf_sub``/``mpf_div``
+at the context's precision and rounding, which are the bits of the
+``mpf`` operators without the object wrapper; binary64 floats and complex
+values keep their native operators.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 from mpmath.ctx_fp import FPContext
 from mpmath.ctx_mp import MPContext
@@ -29,6 +38,7 @@ from mpmath.libmp import (
     from_int,
     from_rational,
     fzero,
+    mpf_add,
     mpf_atan,
     mpf_ceil,
     mpf_cos,
@@ -44,6 +54,7 @@ from mpmath.libmp import (
     mpf_pow,
     mpf_sin,
     mpf_sqrt,
+    mpf_sub,
     mpf_tan,
     round_nearest,
     to_float,
@@ -63,6 +74,8 @@ __all__ = [
     "as_value",
     "resolve_scalar",
     "check_range",
+    "LoopArithmetic",
+    "loop_arithmetic",
 ]
 
 
@@ -298,6 +311,101 @@ class Binary64Context(FPContext):
     ceil = _real_kernel(mpf_ceil, "ceil")
 
 
+class LoopArithmetic(NamedTuple):
+    """The scalar operations of one hot loop over the values of a context.
+
+    ``lift(x)`` is the loop's form of the context scalar x, or None when x
+    is not a value this arithmetic holds; ``lower`` turns a loop value back
+    into a context scalar.  ``add``, ``sub`` and ``div`` take
+    ``(x, y, prec, rnd)``, called with the ``prec`` and ``rnd`` given here,
+    and return the bits of the context's own ``+``, ``-`` and ``/``.
+    ``in_range(x)`` is true only for a value that :func:`check_range`
+    passes; for any other value the loop calls ``check_range`` on the
+    lowered value, which raises the named error.
+    """
+
+    lift: Callable
+    lower: Callable
+    add: Callable
+    sub: Callable
+    div: Callable
+    in_range: Callable
+    prec: int
+    rnd: str
+
+
+def _same(x):
+    return x
+
+
+def _never(x):
+    return False
+
+
+def _add(x, y, prec, rnd):
+    return x + y
+
+
+def _sub(x, y, prec, rnd):
+    return x - y
+
+
+def _div(x, y, prec, rnd):
+    return x / y
+
+
+# any value on the context's own operators, every value range-checked by check_range
+_NATIVE = LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest)
+
+
+def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
+    """Raw ``libmp`` tuples at the precision and rounding of the mpf operators."""
+    mpf, max_exp2 = ctx.mpf, precision.max_exp2
+
+    def lift(x):
+        return x._mpf_ if type(x) is mpf else None
+
+    def in_range(x):
+        # a nonzero mantissa is finite with ctx.mag(x) = exp + bc; fzero has mag -inf
+        return x[1] and x[2] + x[3] <= max_exp2 or x == fzero
+
+    prec, rnd = ctx._prec_rounding
+    return LoopArithmetic(lift, ctx.make_mpf, mpf_add, mpf_sub, mpf_div, in_range, prec, rnd)
+
+
+def _float_arithmetic(precision: Precision) -> LoopArithmetic:
+    """Binary64 floats on their native operators."""
+
+    def lift(x):
+        return x if type(x) is float else None
+
+    # every finite float is in a range that reaches binary64's 2^1024
+    in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
+    return LoopArithmetic(lift, _same, _add, _sub, _div, in_range, 53, round_nearest)
+
+
+def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
+    """The operations of a hot loop over *values* of *ctx*.
+
+    When every one of *values* is a real scalar of the context (an ``mpf``
+    of an ``MPContext``, a float of a :class:`Binary64Context`), this is
+    the context's real arithmetic: raw ``libmp`` tuples under an
+    ``MPContext``, floats under binary64.  Otherwise (a complex value, an
+    int, another context's ``mpf``) it is the native arithmetic, which
+    lifts every value as is and range-checks each through
+    :func:`check_range`.  A loop whose ``lift`` returns None switches to
+    ``loop_arithmetic(ctx, [that value])``.
+    """
+    precision = precision_of(ctx)
+    if isinstance(ctx, MPContext):
+        if all(type(v) is ctx.mpf for v in values):
+            return _raw_arithmetic(ctx, precision)
+    elif isinstance(ctx, Binary64Context):
+        if all(type(v) is float for v in values):
+            return _float_arithmetic(precision)
+    return _NATIVE
+
+
 def make_context(precision: Precision):
     """Return the arithmetic context for *precision*.
 
@@ -370,9 +478,6 @@ def check_range(x, ctx, precision: Precision, where: str, *args) -> None:
     filled in only when raising, so per-entry callers pay no formatting.
     Overflow raises :class:`RangeOverflowError`, NaN :class:`NotANumberError`.
     """
-    # a finite float is in range whenever the range reaches binary64's 2^1024
-    if type(x) is float and x - x == 0.0 and precision.max_exp2 >= 1024:
-        return
     # mag alone is not enough: it is NaN for a real NaN but finite for mpc(1, nan)
     if ctx.mag(x) <= precision.max_exp2 and not ctx.isnan(x):
         return

@@ -21,6 +21,7 @@ other order starts afresh with the same operations.
 from __future__ import annotations
 
 import ast
+import cmath
 import json
 import numbers
 import threading
@@ -35,6 +36,7 @@ from .numerics import (
     as_value,
     check_range,
     ln_factorial_frac,
+    loop_arithmetic,
     make_context,
     precision_of,
 )
@@ -93,6 +95,9 @@ class SeriesProblem:
 def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     """Partial sums A_1..A_N and terms a_1..a_N in one left-to-right pass.
 
+    The sum runs on ``numerics.loop_arithmetic``: raw ``libmp`` tuples for
+    real quad terms, until a complex term, from which on it uses the
+    context's own operators; every A_n is returned as a context scalar.
     Raises :class:`~fracsum.numerics.RangeOverflowError` naming the first
     index whose sum leaves the active precision's exponent range, and
     :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
@@ -102,13 +107,20 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     prec = precision_of(ctx)
     terms = []
     sums = []
-    total = ctx.zero
+    lift, lower, add, _, _, in_range, p, rnd = loop_arithmetic(ctx)
+    total = lift(ctx.zero)
     for n in range(1, upto + 1):
         a = as_value(problem.term(n, ctx), ctx)
-        total = total + a
-        check_range(total, ctx, prec, "partial sum A_%d", n)
+        x = lift(a)
+        if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
+            total = lower(total)
+            lift, lower, add, _, _, in_range, p, rnd = loop_arithmetic(ctx, [a])
+            x = lift(a)
+        total = add(total, x, p, rnd)
+        if not in_range(total):
+            check_range(lower(total), ctx, prec, "partial sum A_%d", n)
         terms.append(a)
-        sums.append(total)
+        sums.append(lower(total))
     return sums, terms
 
 
@@ -465,11 +477,17 @@ def _expression_term(expr: str) -> TermFn:
     return term
 
 
+_BUILTIN_KEYS = ("builtin", "name", "schedule")
+_EXPRESSION_KEYS = ("expression", "name", "m", "sigma_hat", "known_S", "schedule")
+
+
 def load_problem(source):
     """Load a problem definition from a dict, a JSON string, or a file path.
 
     Fields: ``name``, ``builtin`` or ``expression``, ``m``, ``sigma_hat``,
-    ``known_S`` (number or expression), ``schedule`` (CLI syntax).
+    ``known_S`` (a finite number or an expression), ``schedule`` (CLI
+    syntax).  A builtin takes only ``name`` and ``schedule`` beside it; any
+    other key, or an unknown one, raises ``ValueError`` naming it.
     Returns ``(problem, schedule_or_None)``.
     """
     if isinstance(source, dict):
@@ -483,6 +501,13 @@ def load_problem(source):
                 spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError("a problem definition must be a JSON object")
+    for key in spec:
+        if key not in _EXPRESSION_KEYS and key != "builtin":
+            raise ValueError(f"unknown key {key!r} in a problem definition; "
+                             f"known keys: builtin, {', '.join(_EXPRESSION_KEYS)}")
+        if "builtin" in spec and key not in _BUILTIN_KEYS:
+            raise ValueError(f"key {key!r} does not apply to a builtin problem, "
+                             f"which takes only {', '.join(_BUILTIN_KEYS)}")
 
     schedule = spec.get("schedule")
     if schedule is not None and not isinstance(schedule, str):
@@ -510,6 +535,8 @@ def load_problem(source):
     known_S = spec.get("known_S")
     if isinstance(known_S, bool) or not isinstance(known_S, (numbers.Number, str, type(None))):
         raise ValueError(f"known_S must be a number or an expression string, got {known_S!r}")
+    if isinstance(known_S, (float, complex)) and not cmath.isfinite(known_S):
+        raise ValueError(f"known_S must be finite, got {known_S!r}")
     if isinstance(known_S, str):
         s_term = _expression_term(known_S)
         known_S = lambda ctx: s_term(0, ctx)  # noqa: E731 - tiny closure

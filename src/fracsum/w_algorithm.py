@@ -5,7 +5,10 @@ sample l extends the antidiagonal j + n = l of the four auxiliary
 divided-difference arrays (M, N, H, K) and ends at the diagonal entry
 A(0,l) with its stability indicators Gamma(0,l) and Lambda(0,l).  Only
 the previous antidiagonal is kept, so the working state is O(depth) and
-the returned table holds the j = 0 diagonal alone.  The recursion is
+the returned table holds the j = 0 diagonal alone.  The recursion's
+operations come from ``numerics.loop_arithmetic``: on real quad values
+they run on raw ``libmp`` tuples, and only the diagonal entries are made
+``mpf`` again, with the bits the ``mpf`` operators give.  The recursion is
 cross-checked in the tests against a direct solve of the defining linear
 system (``tests/oracles.py``), which shares no code with it.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import Binary64Context, check_range, precision_of
+from .numerics import Binary64Context, check_range, loop_arithmetic, precision_of
 
 __all__ = [
     "ZeroTermError",
@@ -87,39 +90,47 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     use_prev = sigma_hat < 0
     sigma = ctx.convert(sigma_hat)
     inv_m = ctx.convert(Fraction(-1, m))
+    samples = [sums[r - 1] if use_prev else sums[r] for r in R]
+    # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
+    lift, lower, _, sub, div, in_range, p, rnd = loop_arithmetic(
+        ctx, samples + [terms[r] for r in R])
 
-    t, samples, A, G, L = [], [], [], [], []
+    t, A, G, L = [], [], [], []
     # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
     # overwritten with X(l-k, k) while sample l extends it, for X in M, N, H, K
     M, N, H, K = [], [], [], []
-    for l, r in enumerate(R):
+    for l, (r, sample) in enumerate(zip(R, samples)):
         a = terms[r]
         if a == 0:
             raise ZeroTermError(r, ctx)
         omega = ctx.power(r, sigma) * a
-        sample = sums[r - 1] if use_prev else sums[r]
-        samples.append(sample)
-        t.append(ctx.power(r, inv_m))
+        tl = lift(ctx.power(r, inv_m))
+        t.append(tl)
         mx = sample / omega
         nx = 1 / omega
         sign = -1 if l % 2 else 1
-        hx = sign * abs(nx)
-        kx = sign * abs(mx)
+        hx = lift(sign * abs(nx))
+        kx = lift(sign * abs(mx))
+        mx = lift(mx)
+        nx = lift(nx)
         for n in range(1, l + 1):
             k = n - 1
-            den = t[l] - t[l - n]
+            den = sub(tl, t[l - n], p, rnd)
             mo, no, ho, ko = M[k], N[k], H[k], K[k]
             M[k], N[k], H[k], K[k] = mx, nx, hx, kx
-            mx = (mx - mo) / den
-            nx = (nx - no) / den
-            hx = (hx - ho) / den
-            kx = (kx - ko) / den
-            check_range(mx, ctx, prec, "M(%d,%d)", l - n, n)
-            check_range(nx, ctx, prec, "N(%d,%d)", l - n, n)
+            mx = div(sub(mx, mo, p, rnd), den, p, rnd)
+            nx = div(sub(nx, no, p, rnd), den, p, rnd)
+            hx = div(sub(hx, ho, p, rnd), den, p, rnd)
+            kx = div(sub(kx, ko, p, rnd), den, p, rnd)
+            if not in_range(mx):
+                check_range(lower(mx), ctx, prec, "M(%d,%d)", l - n, n)
+            if not in_range(nx):
+                check_range(lower(nx), ctx, prec, "N(%d,%d)", l - n, n)
         M.append(mx)
         N.append(nx)
         H.append(hx)
         K.append(kx)
+        mx, nx, hx, kx = lower(mx), lower(nx), lower(hx), lower(kx)
         if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
             A.append(sample)
             G.append(ctx.one)

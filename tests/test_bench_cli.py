@@ -154,11 +154,38 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": "1/n**2", "m": 2.7}, "m must be an integer, got 2.7"),
         ({"expression": "1/n**2", "m": 1, "sigma_hat": True},
          "sigma_hat must be a number or a fraction string, got True"),
+        ({"expression": "1/n**2", "m": 1, "sigma-hat": 1}, "unknown key 'sigma-hat'"),
+        ({"builtin": "ex5_1", "descr": "x"}, "unknown key 'descr'"),
+        ({"builtin": "ex5_1", "m": 3}, "key 'm' does not apply to a builtin problem"),
+        ({"builtin": "ex5_1", "sigma_hat": 1}, "key 'sigma_hat' does not apply to a builtin"),
+        ({"builtin": "ex5_1", "expression": "1/n"}, "key 'expression' does not apply to a builtin"),
+        ({"builtin": "ex5_1", "known_S": -1}, "key 'known_S' does not apply to a builtin"),
+        ({"expression": "1/n**2", "m": 1, "known_S": 1e400}, "known_S must be finite, got inf"),
+        ({"expression": "1/n**2", "m": 1, "known_S": float("nan")},
+         "known_S must be finite, got nan"),
     ]:
         path.write_text(json.dumps(spec))
         assert main(["run", "--problem-file", str(path)]) == 1, spec
         err = capsys.readouterr().err
         assert err.startswith("fracsum: error: ") and message in err, (spec, err)
+
+
+@pytest.mark.parametrize("precision", ["quad", "double"])
+def test_cli_renders_an_infinite_estimate(capsys, precision):
+    # A(0,0) = A_0 = 0 at R_0 = 1 with sigma_hat < 0: its relative estimate is inf
+    spec = '{"expression": "power(-1,n)/n", "m": 1, "sigma_hat": -1}'
+    assert main(["run", "--problem-file", spec, "--depth", "0", "--precision", precision]) == 0
+    assert "est rel error: inf\n" in capsys.readouterr().out
+
+
+def test_sci_renders_non_finite_values(qctx, dctx):
+    for ctx in (qctx, dctx):
+        rendered = [bench_cli._sci(x, ctx) for x in (ctx.inf, -ctx.inf, ctx.nan)]
+        assert rendered == ["inf", "-inf", "nan"]
+        assert bench_cli._sci(ctx.mpc(1, ctx.inf), ctx) == "1.00e+00+infi"
+        assert bench_cli._sci(ctx.mpc(1, -ctx.inf), ctx) == "1.00e+00-infi"
+        assert bench_cli._sci(ctx.mpc(1, ctx.nan), ctx) == "1.00e+00+nani"
+        assert bench_cli._full(ctx.mpc(1, ctx.nan), ctx).endswith(" + nani")
 
 
 def test_cli_list(capsys):

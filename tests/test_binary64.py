@@ -35,7 +35,7 @@ from fracsum.series_model import (
     trig_series_pair,
 )
 from fracsum.transform import accelerate, estimate_errors, sum_trig
-from fracsum.w_algorithm import ZeroTermError
+from fracsum.w_algorithm import ZeroTermError, build_table
 
 
 def _mp53():
@@ -258,6 +258,11 @@ def test_a_narrower_binary64_range_is_still_checked():
     check_range(1e100, ctx, narrow, "A_%d", 1)
     with pytest.raises(RangeOverflowError, match=r"^A_1 exceeds the narrow exponent range"):
         check_range(-1e102, ctx, narrow, "A_%d", 1)
+    # and so in both loops, where finite floats are not all in range
+    with pytest.raises(RangeOverflowError, match=r"^partial sum A_1 exceeds the narrow"):
+        sums_and_terms(SeriesProblem("big", lambda n, c: 1e102, m=1), 2, ctx)
+    with pytest.raises(RangeOverflowError, match=r"^M\(0,1\) exceeds the narrow"):
+        build_table([0.0, 1e102, 0.0], [None, 1.0, 2.0], [1, 2], 1, 0, ctx)
 
 
 @pytest.mark.parametrize("config, label", [

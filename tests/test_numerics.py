@@ -14,6 +14,7 @@ from fracsum.numerics import (
     as_value,
     check_range,
     ln_factorial_frac,
+    loop_arithmetic,
     make_context,
 )
 from fracsum.series_model import SeriesProblem, sums_and_terms
@@ -119,3 +120,71 @@ def test_contexts_not_made_by_make_context_are_refused(ctx):
     # the same term under a context of make_context names the NaN
     with pytest.raises(NotANumberError, match="partial sum A_5 is NaN"):
         accelerate(problem, make_aps(1, 1), 8, qctx)
+
+
+# The range checks of the two hot loops at an mpmath preset, where real
+# values run as raw libmp tuples: max_exp2 = int(40 log2 10) + 4 = 136.
+NARROW_QUAD = Precision("narrow-quad", 113, 40)
+_UNITS = {"real": lambda ctx: ctx.one, "complex": lambda ctx: ctx.mpc(0, 1)}
+
+
+def test_narrow_quad_is_an_mpmath_preset_with_a_136_bit_range():
+    assert isinstance(make_context(NARROW_QUAD), MPContext)
+    assert NARROW_QUAD.max_exp2 == 136
+
+
+def test_raw_range_test_matches_check_range():
+    ctx = make_context(NARROW_QUAD)
+    arith = loop_arithmetic(ctx, [ctx.one])
+    assert arith.lift(ctx.one) == ctx.one._mpf_ and arith.lift(ctx.mpc(1, 1)) is None
+    edge = ctx.ldexp(ctx.one, 135) * 3 / 2  # exp + bc = 136
+    for x, passes in [(edge, True), (-edge, True), (2 * edge, False), (ctx.zero, True),
+                      (ctx.inf, False), (-ctx.inf, False), (ctx.nan, False)]:
+        assert bool(arith.in_range(arith.lift(x))) is passes, x
+        assert arith.lower(arith.lift(x)) == x or ctx.isnan(x)
+    with pytest.raises(NotANumberError, match=r"^N\(0,1\) is NaN$"):
+        check_range(arith.lower(arith.lift(ctx.nan)), ctx, NARROW_QUAD, "N(%d,%d)", 0, 1)
+    # complex values and values of other types run on the context's own operators
+    assert loop_arithmetic(ctx, [ctx.mpc(1, 1)]).lift(ctx.mpc(1, 1)) == ctx.mpc(1, 1)
+    assert loop_arithmetic(ctx, [1]).in_range(ctx.one) is False
+
+
+@pytest.mark.parametrize("unit", sorted(_UNITS))
+def test_partial_sum_range_edge_at_an_mpmath_preset(unit):
+    ctx = make_context(NARROW_QUAD)
+    u = _UNITS[unit](ctx)
+    # A_1 = 2^134 is real; A_2 = A_1 + 2^134 u has mag 136, and A_3 one bit more
+    terms = [ctx.ldexp(1, 134), ctx.ldexp(1, 134) * u, ctx.ldexp(1, 135) * u]
+    problem = SeriesProblem("edge", lambda n, c: terms[n - 1], m=1)
+    sums = sums_and_terms(problem, 2, ctx)[0]
+    assert ctx.mag(sums[1]) == NARROW_QUAD.max_exp2
+    with pytest.raises(RangeOverflowError, match=r"^partial sum A_3 exceeds the narrow-quad"):
+        sums_and_terms(problem, 3, ctx)
+    nan = SeriesProblem("nan", lambda n, c: ctx.one if n == 1 else ctx.nan * u, m=1)
+    with pytest.raises(NotANumberError, match=r"^partial sum A_2 is NaN$"):
+        sums_and_terms(nan, 3, ctx)
+
+
+def _table_at(ctx, u, s1, a1, a2):
+    # R = [1, 2], m = 1, sigma_hat = 0: t = [1, 1/2], so
+    # M(0,1) = 2 (s1/a1 - s2/a2) and N(0,1) = 2 (1/a1 - 1/a2), with s2 = 0
+    sums = [ctx.zero, s1 * u, ctx.zero * u]
+    terms = [None, a1 * u, a2 * u]
+    return build_table(sums, terms, [1, 2], 1, 0, ctx)
+
+
+@pytest.mark.parametrize("unit", sorted(_UNITS))
+def test_recursion_range_edges_at_an_mpmath_preset(unit):
+    ctx = make_context(NARROW_QUAD)
+    u = _UNITS[unit](ctx)
+    one, two = ctx.one, ctx.mpf(2)
+    # M(0,1) = 2^135, mag 136; one bit more overflows
+    _table_at(ctx, u, ctx.ldexp(1, 134), one, two)
+    with pytest.raises(RangeOverflowError, match=r"^M\(0,1\) exceeds the narrow-quad"):
+        _table_at(ctx, u, ctx.ldexp(1, 135), one, two)
+    # M(0,1) = 0 and N(0,1) = +-(2^135 + 2), mag 136; one bit more overflows
+    _table_at(ctx, u, ctx.zero, ctx.ldexp(1, -134), -one)
+    with pytest.raises(RangeOverflowError, match=r"^N\(0,1\) exceeds the narrow-quad"):
+        _table_at(ctx, u, ctx.zero, ctx.ldexp(1, -135), -one)
+    with pytest.raises(NotANumberError, match=r"^M\(0,1\) is NaN$"):
+        _table_at(ctx, u, ctx.nan, one, two)

@@ -458,3 +458,27 @@ def test_expression_sees_no_python_builtins(qctx, monkeypatch):
 def test_load_problem_requires_m():
     with pytest.raises(ValueError):
         load_problem({"expression": "1/n"})
+
+
+_PARTS = st.tuples(st.floats(-1, 1, allow_nan=False), st.integers(-120, 120),
+                   st.one_of(st.none(), st.floats(-1, 1, allow_nan=False)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_PARTS, min_size=1, max_size=40))
+def test_partial_sums_equal_a_plain_fold_property(qctx, parts):
+    # terms of wide-ranging magnitude, real or complex in any order (a
+    # complex imaginary part of None keeps the term real); the sums must
+    # equal a left-to-right fold on mpf/mpc objects, bit for bit and type for type
+    terms = [qctx.ldexp(x, e) if y is None else qctx.mpc(qctx.ldexp(x, e), qctx.ldexp(y, e))
+             for x, e, y in parts]
+    total, fold = qctx.zero, []
+    for a in terms:
+        total = total + a
+        fold.append(total)
+    sums, got = sums_and_terms(SeriesProblem("fold", lambda n, c: terms[n - 1], m=1),
+                               len(terms), qctx)
+    assert got == terms
+    assert [type(s) for s in sums] == [type(s) for s in fold]
+    assert [getattr(s, "_mpf_", None) or s._mpc_ for s in sums] == \
+        [getattr(s, "_mpf_", None) or s._mpc_ for s in fold]
