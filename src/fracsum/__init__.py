@@ -16,7 +16,6 @@ from .numerics import (
     Precision,
     NotANumberError,
     RangeOverflowError,
-    ln_factorial_frac,
     make_context,
 )
 from .sampling import Schedule, make_aps, make_explicit, make_gps, parse_schedule
@@ -66,7 +65,6 @@ __all__ = [
     "convergence_verdict",
     "epsilons_from_ratio",
     "estimate_errors",
-    "ln_factorial_frac",
     "load_problem",
     "make_aps",
     "make_context",

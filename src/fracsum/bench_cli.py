@@ -7,6 +7,10 @@ Subcommands:
 * ``reproduce``  recompute every frozen reference table and compare
 * ``list``       show the builtin problem ids
 
+Error and indicator columns print 3 significant digits of the exact
+binary value, rounded half to even; value columns print the full
+working precision through the context's ``nstr``.
+
 Exit codes for ``reproduce``: 0 all rows pass, 1 any row fails,
 2 no failures but some rows were skipped as precision-limited.
 """
@@ -17,11 +21,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
+
+from mpmath.libmp import finf, fnan, fninf, from_float, fzero, to_rational
 
 from .classify import RatioExpansion, convergence_verdict, structure_from_ratio
 from .numerics import PRESETS, QUAD, Precision, make_context, resolve_scalar
@@ -38,33 +45,36 @@ __all__ = ["RunConfig", "TableRow", "RunReport", "run", "reproduce_all", "Reprod
 # ---------------------------------------------------------------------------
 
 
-def _sci(x, ctx, digits: int = 3) -> str:
-    """Scientific notation with *digits* significant digits; exponent-safe.
+# the raw mpf values with a zero mantissa, which have no decimal digits
+_SPECIAL = {fzero: "0.00e+00", finf: "inf", fninf: "-inf", fnan: "nan"}
 
-    A non-finite value renders as ``inf``, ``-inf`` or ``nan``.
+
+def _sci(x, digits: int = 3) -> str:
+    """Scientific notation with *digits* significant digits.
+
+    The digits are those of the exact binary value (mpmath's
+    ``to_rational`` of its raw mpf) rounded half to even, so a float and
+    the equal mpf print alike at any exponent.  A non-finite value renders
+    as ``inf``, ``-inf`` or ``nan``.
     """
     if hasattr(x, "imag") and x.imag != 0:
-        im = _sci(abs(x.imag), ctx, digits)
-        return f"{_sci(x.real, ctx, digits)}{'-' if x.imag < 0 else '+'}{im}i"
+        im = _sci(abs(x.imag), digits)
+        return f"{_sci(x.real, digits)}{'-' if x.imag < 0 else '+'}{im}i"
     x = x.real if hasattr(x, "real") else x
-    if x == 0:
-        return "0.00e+00"
-    if ctx.isnan(x):
-        return "nan"
-    neg = x < 0
-    if ctx.isinf(x):
-        return "-inf" if neg else "inf"
-    ax = abs(x)
-    e = int(ctx.floor(ctx.log10(ax)))
-    mant = ax / ctx.power(10, e)
-    if mant >= 10:
-        mant, e = mant / 10, e + 1
-    elif mant < 1:
-        mant, e = mant * 10, e - 1
-    q = round(float(mant), digits - 1)
-    if q >= 10.0:
-        q, e = q / 10.0, e + 1
-    return f"{'-' if neg else ''}{q:.{digits - 1}f}e{e:+03d}"
+    v = x._mpf_ if hasattr(x, "_mpf_") else from_float(x)
+    if v in _SPECIAL:
+        return _SPECIAL[v]
+    sign, _, exp, bc = v
+    # 2^(exp+bc-1) <= |x| < 2^(exp+bc), so floor(log10|x|) is e or e + 1
+    e = math.floor((exp + bc - 1) * math.log10(2))
+    scaled = abs(Fraction(*to_rational(v))) * Fraction(10) ** (digits - 1 - e)
+    if scaled >= 10**digits:
+        scaled, e = scaled / 10, e + 1
+    q = round(scaled)  # half to even
+    if q == 10**digits:
+        q, e = q // 10, e + 1
+    text = str(q)
+    return f"{'-' if sign else ''}{text[0]}.{text[1:]}e{e:+03d}"
 
 
 def _full(x, ctx) -> str:
@@ -169,7 +179,7 @@ def _resolve_problem(config: RunConfig):
         problem = builtin_problem(config.problem)
     else:
         raise ValueError("no problem given: pass a builtin id or --problem-file")
-    if config.schedule:
+    if config.schedule is not None:
         schedule = parse_schedule(config.schedule)
     else:
         schedule = file_schedule or parse_schedule("aps:1,1")
@@ -191,20 +201,20 @@ def run(config: RunConfig) -> RunReport:
         if row.n % stride and row.n != depth:
             continue
         if has_S:
-            col3, col4 = _sci(row.sample_error, ctx), _sci(row.true_error, ctx)
+            col3, col4 = _sci(row.sample_error), _sci(row.true_error)
         else:
-            col3, col4 = _sci(row.sample, ctx), _full(row.value, ctx)
-        rows.append(TableRow(row.n, row.R, col3, col4, _sci(row.gamma, ctx), _sci(row.lam, ctx)))
+            col3, col4 = _sci(row.sample), _full(row.value, ctx)
+        rows.append(TableRow(row.n, row.R, col3, col4, _sci(row.gamma), _sci(row.lam)))
 
     best = result.rows[result.best[1]]
     summary = {
         "best entry": f"A(0,{best.n}) using R_{best.n} = {best.R} terms",
         "value": _full(best.value, ctx),
-        "est abs error": _sci(best.est_abs, ctx),
-        "est rel error": _sci(best.est_rel, ctx),
+        "est abs error": _sci(best.est_abs),
+        "est rel error": _sci(best.est_rel),
     }
     if has_S:
-        summary["true error"] = _sci(best.true_error, ctx)
+        summary["true error"] = _sci(best.true_error)
     return RunReport(
         problem=problem.name,
         schedule=schedule.spec_string(),
@@ -283,28 +293,28 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
             est = max(g_fix * u, l_fix * u / scale if scale > 0 else ctx.inf)
             if est >= _CUTOFF:
                 outcome.rows.append(
-                    RowOutcome(n, "precision-limited", f"estimated error {_sci(est, ctx)}")
+                    RowOutcome(n, "precision-limited", f"estimated error {_sci(est)}")
                 )
                 continue
 
         problems = []
         floor = _NOISE * l_fix * u
         if not _ratio_ok(row.gamma, g_fix, ctx):
-            problems.append(f"Gamma {_sci(row.gamma, ctx)} vs {g}")
+            problems.append(f"Gamma {_sci(row.gamma)} vs {g}")
         if not _ratio_ok(lam_cmp, l_fix, ctx):
-            problems.append(f"Lambda {_sci(lam_cmp, ctx)} vs {l}")
+            problems.append(f"Lambda {_sci(lam_cmp)} vs {l}")
         if ref.has_S:
             e3, e4 = row.sample_error, row.true_error
             if ref.relative:
                 e3, e4 = e3 / absS, e4 / absS
             floor3 = _NOISE * u * (1 if ref.relative else absS)
             if not _ratio_ok(e3, c3_fix, ctx, floor=floor3):
-                problems.append(f"partial-sum error {_sci(e3, ctx)} vs {c3}")
+                problems.append(f"partial-sum error {_sci(e3)} vs {c3}")
             if not e4 <= max(_RATIO * c4_fix, floor):
-                problems.append(f"error {_sci(e4, ctx)} vs {c4}")
+                problems.append(f"error {_sci(e4)} vs {c4}")
         else:
             if not abs(row.sample - c3_fix) <= _DISPLAY_REL * abs(c3_fix):
-                problems.append(f"A_R {_sci(row.sample, ctx)} vs {c3}")
+                problems.append(f"A_R {_sci(row.sample)} vs {c3}")
             if not abs(row.value - c4_fix) <= max(floor, 1e-25 * abs(c4_fix)):
                 problems.append(f"value {ctx.nstr(row.value, 20)} vs {c4}")
         if problems:

@@ -1,4 +1,4 @@
-"""Precision presets and scalar arithmetic helpers.
+"""Precision presets, their arithmetic contexts and range checks.
 
 Scalars are created through a context tied to a :class:`Precision`.  A
 preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
@@ -6,10 +6,11 @@ preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 scalars are Python floats; every other preset gets an mpmath
 ``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
 values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
-``ctx.eps``.  The precision is always an explicit parameter:
-nothing in this package reads or mutates the global ``mpmath.mp`` state,
-so computations at different precisions can run side by side (and
-concurrently).
+``ctx.eps``.  Any other number (int, float, str, Fraction, complex)
+enters a context through the context's own ``convert``.  The precision
+is always an explicit parameter: nothing in this package reads or
+mutates the global ``mpmath.mp`` state, so computations at different
+precisions can run side by side (and concurrently).
 
 The two hot loops, the W-recursion of ``build_table`` and the partial-sum
 accumulation of ``sums_and_terms``, take their scalar operations from
@@ -25,8 +26,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from mpmath.ctx_fp import FPContext
@@ -36,7 +36,6 @@ from mpmath.libmp import (
     ComplexResult,
     from_float,
     from_int,
-    from_rational,
     fzero,
     mpf_add,
     mpf_atan,
@@ -70,8 +69,6 @@ __all__ = [
     "NotANumberError",
     "make_context",
     "precision_of",
-    "ln_factorial_frac",
-    "as_value",
     "resolve_scalar",
     "check_range",
     "LoopArithmetic",
@@ -152,12 +149,6 @@ def _raw(x: float):
     return sign, MPZ(man), exp, man.bit_length()
 
 
-@lru_cache(maxsize=256)
-def _rational(p: int, q: int) -> float:
-    """p/q at 53 bits, rounded as ``MPContext.convert`` rounds a Fraction."""
-    return to_float(from_rational(p, q, 53))
-
-
 def _real_raw(x):
     """The raw mpf of a float or int; None for any other argument."""
     t = type(x)
@@ -194,8 +185,7 @@ class Binary64Context(FPContext):
     Real scalars are Python floats.  ``+ - * /``, ``abs``, comparisons and
     ``sqrt`` run natively: IEEE round-to-nearest-even is mpmath's 53-bit
     rounding ``"n"``.  Conversions and transcendentals go through mpmath's
-    ``libmp`` kernels at 53 bits (conversion of a Fraction rounds as
-    ``MPContext.convert`` does), and their results come back through the
+    ``libmp`` kernels at 53 bits, and their results come back through the
     exact ``to_float``.  Complex scalars are ``mpc`` values of a private
     53-bit ``MPContext``, which also renders ``nstr``.  Unlike that
     context, values end at 2^1024 (overflow gives ``inf``) and lose bits
@@ -236,8 +226,6 @@ class Binary64Context(FPContext):
             return x
         if t is int:
             return float(x)
-        if t is Fraction:
-            return _rational(x.numerator, x.denominator)
         return self._demote(self._mp.convert(x, strings))
 
     def mpf(self, x=0.0):
@@ -440,35 +428,13 @@ def precision_of(ctx) -> Precision:
         ) from None
 
 
-def ln_factorial_frac(n: int, s: int, m: int, ctx):
-    """(s/m) * ln(n!) via the log-gamma function; 0 when n <= 1 or s == 0.
-
-    Term generators use this to keep factorial-type factors in the log
-    domain until a single final exponentiation.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if s == 0 or n <= 1:
-        return ctx.zero
-    return ctx.loggamma(n + 1) * s / m
-
-
-def as_value(x, ctx):
-    """Convert *x* (int, float, str, Fraction, complex, mpf, mpc) to ctx."""
-    if isinstance(x, complex):
-        return ctx.mpc(x.real, x.imag)
-    return ctx.convert(x)
-
-
 def resolve_scalar(spec, ctx):
     """Materialize a scalar spec: a callable of ctx, a number, or None."""
     if spec is None:
         return None
     if callable(spec):
         return spec(ctx)
-    return as_value(spec, ctx)
+    return ctx.convert(spec)
 
 
 def check_range(x, ctx, precision: Precision, where: str, *args) -> None:

@@ -12,10 +12,13 @@ repeated evaluation, in any order and from any thread, is bit-exact.
 The paper's factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log
 domain and exponentiated once: telescoping deltas, both exponents of a
 trigonometric pair and the exponential builtins each hold a
-:class:`_LogFactor` with one per-context cache of its constants.  The
-telescoping and product adapters keep their last term's state per
-context, so that in-order evaluation does the per-``n`` work once; any
-other order starts afresh with the same operations.
+:class:`_LogFactor` with one per-context cache of its constants, and the
+log of (n!)^(s/m) is the context's own ``loggamma(n + 1)`` times s/m.
+Every value a term, a product factor or an expression returns enters
+the context through ``ctx.convert``.  The telescoping and product
+adapters keep their last term's state per context, so that in-order
+evaluation does the per-``n`` work once; any other order starts afresh
+with the same operations.
 """
 
 from __future__ import annotations
@@ -31,15 +34,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable
 
-from .numerics import (
-    QUAD,
-    as_value,
-    check_range,
-    ln_factorial_frac,
-    loop_arithmetic,
-    make_context,
-    precision_of,
-)
+from .numerics import QUAD, check_range, loop_arithmetic, make_context, precision_of
 from .sampling import parse_schedule
 
 __all__ = [
@@ -110,7 +105,7 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     lift, lower, add, _, _, in_range, p, rnd = loop_arithmetic(ctx)
     total = lift(ctx.zero)
     for n in range(1, upto + 1):
-        a = as_value(problem.term(n, ctx), ctx)
+        a = ctx.convert(problem.term(n, ctx))
         x = lift(a)
         if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
             total = lower(total)
@@ -136,9 +131,10 @@ _SQRT = object()  # marks the exponent 1/2
 class _LogFactor:
     """ln((n!)^(s/m)) + sum(c * n^p) over exact (c, p) pairs: the log of the paper's factor.
 
-    The sum starts from the log-factorial (from zero when s = 0) and adds
-    each c * n^p in pair order.  n^1 is n and n^(1/2) is ``ctx.sqrt(n)``,
-    the bits ``ctx.power`` gives, and a coefficient of 1 is not multiplied.
+    The sum starts from the log-factorial ``ctx.loggamma(n + 1) * s / m``
+    (from zero when s = 0 or n <= 1) and adds each c * n^p in pair order.
+    n^1 is n and n^(1/2) is ``ctx.sqrt(n)``, the bits ``ctx.power`` gives,
+    and a coefficient of 1 is not multiplied.
     """
 
     def __init__(self, s: int, m: int, pairs):
@@ -150,10 +146,10 @@ class _LogFactor:
         pairs = self._converted.get(ctx)
         if pairs is None:
             pairs = self._converted[ctx] = tuple(
-                (None if c == 1 else as_value(c, ctx),
+                (None if c == 1 else ctx.convert(c),
                  None if p == 1 else _SQRT if p == _HALF else ctx.convert(p))
                 for c, p in self.pairs)
-        val = ln_factorial_frac(n, self.s, self.m, ctx) if self.s else ctx.zero
+        val = ctx.loggamma(n + 1) * self.s / self.m if self.s and n > 1 else ctx.zero
         for c, p in pairs:
             x = n if p is None else ctx.sqrt(n) if p is _SQRT else ctx.power(n, p)
             val = val + (x if c is None else c * x)
@@ -271,7 +267,7 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
             for k in range(k + 1, n + 1):
                 if v is not None:
                     prev = grow(prev, v, k - 1)
-                v = as_value(problem.v(k, ctx), ctx)
+                v = ctx.convert(problem.v(k, ctx))
             states[ctx] = (n, prev, v)
         if n == 1:
             return grow(prev, v, 1)
@@ -307,7 +303,7 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
         raise ValueError("u1/u2 must have degree <= m in n^(1/m)")
     if h_is_real is None:
         ctx = make_context(QUAD)
-        h_is_real = all(as_value(h(k, ctx), ctx).imag == 0 for k in (1, 2, 3))
+        h_is_real = all(ctx.convert(h(k, ctx)).imag == 0 for k in (1, 2, 3))
 
     growth = _LogFactor(s, m, ((c, Fraction(i, m)) for i, c in enumerate(u1)))
     phase = _LogFactor(0, m, ((c, Fraction(i, m)) for i, c in enumerate(u2)))
@@ -315,7 +311,7 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
     def make_term(sign):
         def term(n, ctx):
             z = ctx.mpc(growth(n, ctx), sign * phase(n, ctx))
-            return ctx.exp(z) * as_value(h(n, ctx), ctx)
+            return ctx.exp(z) * ctx.convert(h(n, ctx))
 
         return term
 
@@ -445,7 +441,8 @@ class _PowerCalls(ast.NodeTransformer):
 def _expression_term(expr: str) -> TermFn:
     # Trusted-input convenience; no builtins are exposed to the expression.
     # Mistakes that would only surface at evaluation, as a TypeError or
-    # NameError, or not at all (2^3 is xor), are rejected here.
+    # NameError, or not at all (2^3 is xor), are rejected here, and so is
+    # attribute syntax: a chain of attributes reaches any Python object.
     try:
         tree = ast.parse(expr, "<term expression>", "eval")
     except SyntaxError as exc:
@@ -453,6 +450,9 @@ def _expression_term(expr: str) -> TermFn:
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
             raise ValueError(f"expression {expr!r} uses '^', which is not a power: write a ** b")
+        if isinstance(node, ast.Attribute):
+            raise ValueError(f"expression {expr!r} uses the attribute '.{node.attr}'; "
+                             f"attributes are not allowed, use re(n), im(n) or conj(n)")
         if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES:
             raise ValueError(f"expression {expr!r} uses unknown name {node.id!r}; "
                              f"known names: {', '.join(sorted(_EXPR_NAMES))}")
@@ -470,7 +470,7 @@ def _expression_term(expr: str) -> TermFn:
     def term(n, ctx):
         # n is bound as a real of ctx so plain arithmetic stays at working precision
         try:
-            return as_value(eval(code, names(ctx), {"n": ctx.mpf(n)}), ctx)
+            return ctx.convert(eval(code, names(ctx), {"n": ctx.mpf(n)}))
         except TypeError as exc:  # e.g. a wrong number of arguments: sqrt(n, 2)
             raise ValueError(f"expression {expr!r} fails at n = {n}: {exc}") from None
 
@@ -512,7 +512,7 @@ def load_problem(source):
     schedule = spec.get("schedule")
     if schedule is not None and not isinstance(schedule, str):
         raise ValueError(f"schedule must be a string such as 'gps:1.3', got {schedule!r}")
-    schedule = parse_schedule(schedule) if schedule else None
+    schedule = parse_schedule(schedule) if schedule is not None else None
 
     if "builtin" in spec:
         if not isinstance(spec["builtin"], str):

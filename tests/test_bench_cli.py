@@ -1,4 +1,5 @@
 import csv
+import decimal
 import importlib
 import io
 import json
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 import fracsum
 from fracsum import bench_cli, transform
@@ -131,6 +134,8 @@ def test_cli_run_and_errors(tmp_path, capsys):
 
     assert main(["run", "ex5_2", "--schedule", "xps:1"]) == 1
     assert "schedule" in capsys.readouterr().err
+    assert main(["run", "ex5_2", "--schedule", ""]) == 1
+    assert "bad schedule spec ''" in capsys.readouterr().err
 
     assert main(["run"]) == 1
     assert "no problem" in capsys.readouterr().err
@@ -163,6 +168,11 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": "1/n**2", "m": 1, "known_S": 1e400}, "known_S must be finite, got inf"),
         ({"expression": "1/n**2", "m": 1, "known_S": float("nan")},
          "known_S must be finite, got nan"),
+        ({"expression": "n.real**-2", "m": 1}, "expression 'n.real**-2' uses the attribute '.real'"),
+        ({"expression": "n.__class__.__name__", "m": 1},
+         "expression 'n.__class__.__name__' uses the attribute '.__name__'"),
+        ({"builtin": "ex5_1", "schedule": ""}, "bad schedule spec ''"),
+        ({"expression": "1/n**2", "m": 1, "schedule": ""}, "bad schedule spec ''"),
     ]:
         path.write_text(json.dumps(spec))
         assert main(["run", "--problem-file", str(path)]) == 1, spec
@@ -180,12 +190,50 @@ def test_cli_renders_an_infinite_estimate(capsys, precision):
 
 def test_sci_renders_non_finite_values(qctx, dctx):
     for ctx in (qctx, dctx):
-        rendered = [bench_cli._sci(x, ctx) for x in (ctx.inf, -ctx.inf, ctx.nan)]
+        rendered = [bench_cli._sci(x) for x in (ctx.inf, -ctx.inf, ctx.nan)]
         assert rendered == ["inf", "-inf", "nan"]
-        assert bench_cli._sci(ctx.mpc(1, ctx.inf), ctx) == "1.00e+00+infi"
-        assert bench_cli._sci(ctx.mpc(1, -ctx.inf), ctx) == "1.00e+00-infi"
-        assert bench_cli._sci(ctx.mpc(1, ctx.nan), ctx) == "1.00e+00+nani"
+        assert bench_cli._sci(ctx.mpc(1, ctx.inf)) == "1.00e+00+infi"
+        assert bench_cli._sci(ctx.mpc(1, -ctx.inf)) == "1.00e+00-infi"
+        assert bench_cli._sci(ctx.mpc(1, ctx.nan)) == "1.00e+00+nani"
         assert bench_cli._full(ctx.mpc(1, ctx.nan), ctx).endswith(" + nani")
+
+
+def test_sci_rounds_the_exact_value_half_to_even(qctx, dctx):
+    cases = [
+        (1.125, "1.12e+00"),  # exact ties go to the even digit
+        (0.5625, "5.62e-01"),
+        (1015, "1.02e+03"),
+        (9.996, "1.00e+01"),  # the carry moves the exponent
+        (-2.5 - 3j, "-2.50e+00-3.00e+00i"),
+    ]
+    for ctx in (qctx, dctx):
+        for x, text in cases:
+            assert bench_cli._sci(ctx.convert(x)) == text, (ctx, x)
+    assert bench_cli._sci(qctx.mpf("1.2345e4900")) == "1.23e+4900"
+    mp53 = dctx._mp
+    for x in (1015.0, 9.996, -0.5625, 5e-324, 1.7976931348623157e308, 0.1, 123456.789):
+        assert bench_cli._sci(x) == bench_cli._sci(mp53.mpf(x)), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+def test_sci_of_a_float_is_pythons_correctly_rounded_format(x):
+    assert bench_cli._sci(x) == format(x, ".2e")
+
+
+_HALF_EVEN_3 = decimal.Context(prec=3, rounding=decimal.ROUND_HALF_EVEN,
+                               Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**113 - 1), st.integers(-16400, 16300), st.booleans())
+def test_sci_of_a_quad_value_is_the_correctly_rounded_quotient(man, exp, negative):
+    # decimal rounds the exact quotient man * 2^exp to 3 digits, half to even
+    x = make_context(QUAD).make_mpf(from_man_exp(-man if negative else man, exp, 113))
+    _, man, exp, _ = x._mpf_
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    mant, e = format(_HALF_EVEN_3.divide(decimal.Decimal(num), decimal.Decimal(den)), ".2e").split("e")
+    assert bench_cli._sci(x) == f"{'-' if negative else ''}{mant}e{int(e):+03d}"
 
 
 def test_cli_list(capsys):

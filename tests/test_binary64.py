@@ -102,7 +102,7 @@ def test_rendering_matches_mpmath_53():
     for a, b in zip(ours, ref):
         for x, y in ((a.value, b.value), (a.gamma, b.gamma), (a.est_rel, b.est_rel),
                      (a.true_error, b.true_error)):
-            assert bench_cli._sci(x, FP) == bench_cli._sci(y, MP)
+            assert bench_cli._sci(x) == bench_cli._sci(y)
             assert bench_cli._full(x, FP) == bench_cli._full(y, MP)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsum import series_model
-from fracsum.numerics import RangeOverflowError, as_value, resolve_scalar
+from fracsum.numerics import RangeOverflowError, resolve_scalar
 from fracsum.series_model import (
     ProductProblem,
     SeriesProblem,
@@ -309,7 +309,7 @@ def _fresh_eval(expr, n, ctx):
     """The expression at n with every name bound afresh, as a term once did."""
     env = {name: getattr(ctx, name) for name in _UNARY + ["power"] if name != "abs"}
     env.update(n=ctx.mpf(n), pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1), abs=abs, mpf=ctx.mpf)
-    return as_value(eval(expr, {"__builtins__": {}}, env), ctx)
+    return ctx.convert(eval(expr, {"__builtins__": {}}, env))
 
 
 def _outcome(fn):
