@@ -188,6 +188,9 @@ def _resolve_problem(config: RunConfig):
 
 def run(config: RunConfig) -> RunReport:
     """Accelerate one problem and produce the rendered diagnostic table."""
+    stride = config.stride
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
     precision = PRESETS[config.precision]
     ctx = make_context(precision)
     problem, schedule = _resolve_problem(config)
@@ -195,7 +198,6 @@ def run(config: RunConfig) -> RunReport:
     result = accelerate(problem, schedule, depth, ctx)
 
     has_S = problem.known_S is not None
-    stride = max(1, config.stride)
     rows = []
     for row in result.rows:
         if row.n % stride and row.n != depth:
@@ -255,7 +257,7 @@ class TableOutcome:
         return sum(1 for r in self.rows if r.status == status)
 
 
-def _ratio_ok(ours, fix, ctx, floor=0):
+def _ratio_ok(ours, fix, floor=0):
     if abs(ours - fix) <= floor:
         return True
     if ours <= 0 or fix <= 0:
@@ -299,16 +301,16 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
 
         problems = []
         floor = _NOISE * l_fix * u
-        if not _ratio_ok(row.gamma, g_fix, ctx):
+        if not _ratio_ok(row.gamma, g_fix):
             problems.append(f"Gamma {_sci(row.gamma)} vs {g}")
-        if not _ratio_ok(lam_cmp, l_fix, ctx):
+        if not _ratio_ok(lam_cmp, l_fix):
             problems.append(f"Lambda {_sci(lam_cmp)} vs {l}")
         if ref.has_S:
             e3, e4 = row.sample_error, row.true_error
             if ref.relative:
                 e3, e4 = e3 / absS, e4 / absS
             floor3 = _NOISE * u * (1 if ref.relative else absS)
-            if not _ratio_ok(e3, c3_fix, ctx, floor=floor3):
+            if not _ratio_ok(e3, c3_fix, floor=floor3):
                 problems.append(f"partial-sum error {_sci(e3)} vs {c3}")
             if not e4 <= max(_RATIO * c4_fix, floor):
                 problems.append(f"error {_sci(e4)} vs {c4}")

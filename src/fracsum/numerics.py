@@ -3,7 +3,10 @@
 Scalars are created through a context tied to a :class:`Precision`.  A
 preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
-scalars are Python floats; every other preset gets an mpmath
+scalars are Python floats and whose every function is mpmath's at 53
+bits: ``convert``, ``mpf``, ``sqrt``, ``power``, ``exp`` and ``loggamma``
+as float fast paths on the same ``libmp`` kernels, all others through a
+private 53-bit ``MPContext``.  Every other preset gets an mpmath
 ``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
 values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
 ``ctx.eps``.  Any other number (int, float, str, Fraction, complex)
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from mpmath.ctx_fp import FPContext
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     MPZ,
@@ -38,23 +40,13 @@ from mpmath.libmp import (
     from_int,
     fzero,
     mpf_add,
-    mpf_atan,
-    mpf_ceil,
-    mpf_cos,
     mpf_div,
     mpf_e,
     mpf_exp,
-    mpf_factorial,
-    mpf_floor,
-    mpf_gamma,
-    mpf_log,
     mpf_loggamma,
     mpf_pi,
     mpf_pow,
-    mpf_sin,
-    mpf_sqrt,
     mpf_sub,
-    mpf_tan,
     round_nearest,
     to_float,
 )
@@ -179,40 +171,50 @@ def _real_kernel(mpf_f, name):
     return method
 
 
-class Binary64Context(FPContext):
+class Binary64Context:
     """IEEE binary64 arithmetic that gives the same bits as mpmath at 53 bits.
 
     Real scalars are Python floats.  ``+ - * /``, ``abs``, comparisons and
     ``sqrt`` run natively: IEEE round-to-nearest-even is mpmath's 53-bit
-    rounding ``"n"``.  Conversions and transcendentals go through mpmath's
-    ``libmp`` kernels at 53 bits, and their results come back through the
-    exact ``to_float``.  Complex scalars are ``mpc`` values of a private
-    53-bit ``MPContext``, which also renders ``nstr``.  Unlike that
-    context, values end at 2^1024 (overflow gives ``inf``) and lose bits
-    below 2^-1022.
-
-    The functions not defined here (``cosh``, ``digamma``, ``lu_solve``,
-    ...) are FPContext's plain float versions, and ``**`` on floats is the
-    platform's ``pow``; neither is guaranteed to match mpmath's bits.
+    rounding ``"n"``.  The fast paths that terms and loops call per term,
+    ``convert``, ``mpf``, ``sqrt``, ``power``, ``exp`` and ``loggamma``,
+    take a float or int straight to mpmath's ``libmp`` kernels at 53 bits
+    and back through the exact ``to_float``.  Every other function and constant
+    (``log``, ``cosh``, ``digamma``, ``mag``, ``isnan``, ``dps``, ...) is the
+    one of a private 53-bit ``MPContext``, with a real result turned into
+    its float.  Complex scalars are that context's ``mpc`` values, and it
+    renders ``nstr``.  Unlike that context, values end at 2^1024 (overflow
+    gives ``inf``) and lose bits below 2^-1022.
     """
 
+    zero = 0.0
+    one = 1.0
+    inf = math.inf
+    ninf = -math.inf
+    nan = math.nan
+    eps = 2.0 ** -52
     pi = to_float(mpf_pi(53, round_nearest))
     e = to_float(mpf_e(53, round_nearest))
 
     def __init__(self, precision: Precision):
-        super().__init__()
-        # FPContext binds libm's loggamma per instance, shadowing the class method
-        del self.loggamma
         self._mp = _mpmath_context(precision)
         self._fracsum_precision = precision
-        self.j = self._mp.j
 
-    @classmethod
-    def _wrap_specfun(cls, name, f, wrap):
-        # SpecialFunctions.__init__ installs mpmath's generic functions (log,
-        # log10, ...) on the class; keep the ones defined here
-        if name not in vars(cls):
-            super()._wrap_specfun(name, f, wrap)
+    def __getattr__(self, name):
+        # only names not found on the instance or the class get here
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = getattr(self._mp, name)
+        if hasattr(value, "_mpf_") or not callable(value):
+            return self._demote(value)
+
+        def method(*args, **kwargs):
+            return self._demote(value(*args, **kwargs))
+
+        method.__name__ = name
+        # kept on the instance: the next lookup of the name does not come here
+        setattr(self, name, method)
+        return method
 
     def _demote(self, x):
         """A real mpmath value as the float nearest to it; anything else as is."""
@@ -239,18 +241,6 @@ class Binary64Context(FPContext):
     def mpc(self, real=0, imag=0):
         return self._mp.mpc(real, imag)
 
-    def isnan(self, x):
-        if type(x) is float:
-            return x != x
-        return self._mp.isnan(x)
-
-    def mag(self, x):
-        if type(x) is float:
-            if x - x == 0.0:  # finite
-                return math.frexp(x)[1] if x else self.ninf
-            return self.inf if x == x else self.nan
-        return self._mp.mag(x)
-
     def nstr(self, x, n=6, **kwargs):
         return self._mp.nstr(self._mp.convert(x), n, **kwargs)
 
@@ -258,7 +248,7 @@ class Binary64Context(FPContext):
         t = type(x)
         if (t is float and x > 0.0) or (t is int and 0 < x <= 1 << 53):
             return math.sqrt(x)
-        return self._sqrt(x)
+        return self._demote(self._mp.sqrt(x))
 
     def power(self, x, y):
         vx, vy = _real_raw(x), _real_raw(y)
@@ -269,34 +259,8 @@ class Binary64Context(FPContext):
                 pass
         return self._demote(self._mp.power(x, y))
 
-    def log(self, x, b=None):
-        if b is None:
-            return self.ln(x)
-        # MPContext.log: both logarithms with 20 guard bits, then one division
-        vx, vb = _real_raw(x), _real_raw(b)
-        if vx is not None and vb is not None:
-            try:
-                return to_float(mpf_div(mpf_log(vx, 73, round_nearest),
-                                        mpf_log(vb, 73, round_nearest), 53, round_nearest))
-            except ComplexResult:
-                pass
-        return self._demote(self._mp.log(x, b))
-
-    def log10(self, x):
-        return self.log(x, 10)
-
-    _sqrt = _real_kernel(mpf_sqrt, "sqrt")
     exp = _real_kernel(mpf_exp, "exp")
-    ln = _real_kernel(mpf_log, "ln")
     loggamma = _real_kernel(mpf_loggamma, "loggamma")
-    gamma = _real_kernel(mpf_gamma, "gamma")
-    fac = factorial = _real_kernel(mpf_factorial, "factorial")
-    sin = _real_kernel(mpf_sin, "sin")
-    cos = _real_kernel(mpf_cos, "cos")
-    tan = _real_kernel(mpf_tan, "tan")
-    atan = _real_kernel(mpf_atan, "atan")
-    floor = _real_kernel(mpf_floor, "floor")
-    ceil = _real_kernel(mpf_ceil, "ceil")
 
 
 class LoopArithmetic(NamedTuple):

@@ -34,7 +34,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable
 
-from .numerics import QUAD, check_range, loop_arithmetic, make_context, precision_of
+from .numerics import check_range, loop_arithmetic, precision_of
 from .sampling import parse_schedule
 
 __all__ = [
@@ -287,23 +287,21 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 # ---------------------------------------------------------------------------
 
 
-def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=None):
+def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=False):
     """Complex conjugate-pair problems a_n^± = (n!)^(s/m) e^(u1 ± i*u2) h(n).
 
     ``u1`` and ``u2`` are coefficient sequences of real polynomials of
     degree at most m in n^(1/m) (entry i multiplies n^(i/m)).  Cosine and
-    sine sums follow as S_c = (S+ + S-)/2 and S_s = (S+ - S-)/(2i); for
-    real h a single acceleration of S+ suffices (see transform.sum_trig).
+    sine sums follow as S_c = (S+ + S-)/2 and S_s = (S+ - S-)/(2i).
 
-    ``h_is_real`` may be forced; by default h is probed at n = 1, 2, 3.
+    Pass ``h_is_real=True`` only when h(n) is real for every n: then a
+    single acceleration of S+ suffices (see transform.sum_trig).  No finite
+    sample of h can show that, so it is never guessed.
     """
     u1 = tuple(u1)
     u2 = tuple(u2)
     if len(u1) > m + 1 or len(u2) > m + 1:
         raise ValueError("u1/u2 must have degree <= m in n^(1/m)")
-    if h_is_real is None:
-        ctx = make_context(QUAD)
-        h_is_real = all(ctx.convert(h(k, ctx)).imag == 0 for k in (1, 2, 3))
 
     growth = _LogFactor(s, m, ((c, Fraction(i, m)) for i, c in enumerate(u1)))
     phase = _LogFactor(0, m, ((c, Fraction(i, m)) for i, c in enumerate(u2)))

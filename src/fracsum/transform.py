@@ -103,9 +103,10 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
 def sum_trig(pair, schedule: Schedule, depth: int, ctx):
     """Cosine and sine sums (S_c, S_s) from a ``trig_series_pair``.
 
-    For real h one acceleration of the '+' problem suffices and
-    (S_c, S_s) = (Re, Im) of its value; otherwise both problems are
-    accelerated and combined as (S+ + S-)/2 and (S+ - S-)/(2i).
+    Both problems are accelerated and combined as (S+ + S-)/2 and
+    (S+ - S-)/(2i).  Only for a pair made with ``h_is_real=True`` is one
+    acceleration of the '+' problem used, and (S_c, S_s) = (Re, Im) of its
+    value.
     """
     plus, minus = pair
     if plus.meta.get("h_is_real"):

@@ -136,6 +136,10 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert "schedule" in capsys.readouterr().err
     assert main(["run", "ex5_2", "--schedule", ""]) == 1
     assert "bad schedule spec ''" in capsys.readouterr().err
+    for stride in ("0", "-2"):
+        assert main(["run", "ex5_1", "--depth", "4", "--stride", stride]) == 1
+        assert capsys.readouterr() == (
+            "", f"fracsum: error: stride must be a positive integer, got {stride}\n")
 
     assert main(["run"]) == 1
     assert "no problem" in capsys.readouterr().err

@@ -29,6 +29,7 @@ from fracsum.reference_tables import REFERENCE_TABLES
 from fracsum.sampling import make_gps, parse_schedule
 from fracsum.series_model import (
     SeriesProblem,
+    builtin_ids,
     builtin_problem,
     load_problem,
     sums_and_terms,
@@ -231,6 +232,44 @@ def test_fpcontext_defects_are_mended():
     assert FP.mag(0.0) == -inf and FP.mag(10.0) == MP.mag(10)
     assert FP.nstr(0.1, 15, strip_zeros=False) == MP.nstr(MP.mpf(0.1), 15, strip_zeros=False)
     _same(FP.log10(7.0), MP.log10(7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["cosh", "sinh", "digamma", "cbrt", "sec", "erf"]),
+       st.one_of(st.floats(-800, 800), st.integers(-60, 60)))
+def test_every_other_function_is_mpmaths_at_53_bits(name, x):
+    _same_kernel(name, x)
+
+
+def test_overflow_is_inf_not_an_exception():
+    assert FP.cosh(1000.0) == FP.sinh(1000.0) == math.inf
+    assert FP.cosh(-1000.0) == math.inf and FP.sinh(-1000.0) == -math.inf
+
+
+def test_no_term_or_entry_resolves_through_the_fallback(monkeypatch):
+    resolved = []
+    fallback = Binary64Context.__getattr__
+
+    def counting(ctx, name):
+        resolved.append(name)
+        return fallback(ctx, name)
+
+    monkeypatch.setattr(Binary64Context, "__getattr__", counting)
+    ctx = Binary64Context(DOUBLE)  # nothing resolved on it yet
+    assert ctx.cosh(0.5) == ctx.cosh(0.5) and resolved == ["cosh"]  # then kept
+    resolved.clear()
+    R = make_gps(1.3).prefix(21)
+
+    def run(problem):
+        sums, terms = sums_and_terms(problem, R[-1], ctx)
+        build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
+
+    for ident in builtin_ids():
+        run(builtin_problem(ident))
+    assert resolved == []
+    # complex values are range-checked one by one: each name resolves once
+    run(trig_series_pair(lambda n, c: c.mpc(1, n) / c.power(n, 3), (0, 0, -1), (0, 1), 0, 2)[0])
+    assert resolved == ["mag", "isnan"]
 
 
 # ---------------------------------------------------------------------------

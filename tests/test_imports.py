@@ -1,9 +1,13 @@
-"""No stale imports: every name a module imports is used in it or exported.
+"""No stale imports, and no dead private names in the library.
 
 A small stand-in for pyflakes' unused-import check, over the library and
 the tests.  A name counts as used when it appears as a name anywhere in
 the module (an attribute access ``a.b`` uses ``a``), or when the module
 lists it in ``__all__``.
+
+A private name (a leading ``_``, not a dunder) bound at module level or
+in a class body in ``src/`` must be read somewhere in ``src/``: as a
+name or as an attribute ``x._name``.  Binding it does not count.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def _imported(tree):
@@ -52,3 +57,55 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """(name, line) of every private name bound at module level or in a class body."""
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in tree.body + [item for cls in classes for item in cls.body]:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if _private(name):
+                yield name, node.lineno
+
+
+def _read_names(tree):
+    """Every name and attribute the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def dead_private_names(sources: dict) -> list:
+    """(module, name, line) of each private definition that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {name for tree in trees.values() for name in _read_names(tree)}
+    return [(module, name, line) for module, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in read]
+
+
+def test_the_check_sees_a_dead_private_name():
+    a = ("_X = 1\n_Y: int = 2\ndef _dead():\n    pass\ndef _used():\n    pass\n"
+         "class A:\n    def _m(self):\n        return _used()\n"
+         "    def _n(self):\n        self._m()\n    def __init__(self):\n        self._z = 0\n"
+         "    _k = _used\n")
+    b = "from a import _Y\nprint(_Y)\n"
+    assert dead_private_names({"a": a, "b": b}) == [
+        ("a", "_X", 1), ("a", "_dead", 3), ("a", "_n", 10), ("a", "_k", 14)]
+
+
+def test_no_dead_private_names():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC}
+    assert dead_private_names(sources) == []

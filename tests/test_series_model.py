@@ -344,7 +344,8 @@ def test_generator_determinism(qctx):
 
 
 def test_trig_pair_zero_phase(qctx):
-    plus, minus = trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0,), 0, 2)
+    plus, minus = trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0,), 0, 2,
+                                   h_is_real=True)
     for n in (1, 2, 5):
         assert plus.term(n, qctx) == minus.term(n, qctx)
     assert plus.meta["h_is_real"] is True
@@ -388,8 +389,10 @@ def test_trig_pair_without_factorial_matches_term_by_term_sum(qctx, dctx):
 
 
 def test_trig_pair_complex_h_probe():
-    plus, _ = trig_series_pair(lambda n, ctx: ctx.mpc(1, 1) / n**2, (0,), (0, 1), 0, 2)
-    assert plus.meta["h_is_real"] is False
+    # h is never probed: a pair is real-h only when the caller says so
+    for h in (lambda n, ctx: ctx.mpc(1, 1) / n**2, lambda n, ctx: 1 / ctx.mpf(n) ** 2):
+        plus, minus = trig_series_pair(h, (0,), (0, 1), 0, 2)
+        assert plus.meta["h_is_real"] is minus.meta["h_is_real"] is False
 
 
 def test_trig_pair_degree_check():

@@ -98,7 +98,7 @@ def test_degenerate_product_rejected(qctx):
 
 
 def test_sum_trig_zero_phase_gives_zero_sine(qctx):
-    pair = trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0,), 0, 2)
+    pair = trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0,), 0, 2, h_is_real=True)
     sc, ss = sum_trig(pair, make_gps(1.3), 32, qctx)
     assert ss == 0
     assert abs(sc - qctx.pi**2 / 6) <= 1e-20
@@ -117,17 +117,40 @@ def test_sum_trig_conjugation_law(qctx):
 
 
 def test_sum_trig_cos_sqrt_over_n2(qctx):
-    pair = trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0, 1), 0, 2)
+    pair = trig_series_pair(
+        lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0, 1), 0, 2, h_is_real=True
+    )
     sc, ss = sum_trig(pair, make_gps(1.3), 32, qctx)
     reference = cos_sqrt_reference(qctx)
     assert abs(sc - reference) <= 1e-20
-    # complex-h path must agree with the real-h shortcut
-    forced = trig_series_pair(
-        lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0, 1), 0, 2, h_is_real=False
-    )
-    sc2, ss2 = sum_trig(forced, make_gps(1.3), 32, qctx)
+    # the default (complex-h) path must agree with the real-h shortcut
+    default = trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, (0,), (0, 1), 0, 2)
+    sc2, ss2 = sum_trig(default, make_gps(1.3), 32, qctx)
     assert abs(sc2 - sc) <= 1e-25
     assert abs(ss2 - ss) <= 1e-25
+
+
+def test_sum_trig_does_not_guess_that_h_is_real(qctx):
+    # h is real at n = 1, 2, 3 and complex beyond; by linearity S_c and S_s
+    # are those of the real part plus i times those of the imaginary part
+    def h_re(n, ctx):
+        return 1 / ctx.mpf(n) ** 2
+
+    def g(n, ctx):  # h_re + Im h, nonzero at every n so its pair can be summed
+        return h_re(n, ctx) + (n - 1) * (n - 2) * (n - 3) / ctx.mpf(n) ** 5
+
+    def h(n, ctx):
+        return ctx.mpc(h_re(n, ctx), g(n, ctx) - h_re(n, ctx))
+
+    def sums(f, **kwargs):
+        return sum_trig(trig_series_pair(f, (0,), (0, 1), 0, 2, **kwargs), make_gps(1.3), 32, qctx)
+
+    sc, ss = sums(h)
+    rc, rs = sums(h_re, h_is_real=True)
+    gc, gs = sums(g, h_is_real=True)
+    assert abs(sc - qctx.mpc(rc, gc - rc)) <= 1e-20
+    assert abs(ss - qctx.mpc(rs, gs - rs)) <= 1e-20
+    assert abs(sc.imag + 0.046367) <= 1e-6
 
 
 def test_scale_equivariance_exact_binary(qctx):
