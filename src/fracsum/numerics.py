@@ -27,6 +27,7 @@ values keep their native operators.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,7 @@ from mpmath.libmp import (
     mpf_e,
     mpf_exp,
     mpf_loggamma,
+    mpf_neg,
     mpf_pi,
     mpf_pow,
     mpf_sub,
@@ -273,7 +275,14 @@ class LoopArithmetic(NamedTuple):
     and return the bits of the context's own ``+``, ``-`` and ``/``.
     ``in_range(x)`` is true only for a value that :func:`check_range`
     passes; for any other value the loop calls ``check_range`` on the
-    lowered value, which raises the named error.
+    lowered value, which raises the named error.  ``neg(x)`` is -x,
+    exact: ``mpf_neg`` without rounding on raw tuples, unary minus on
+    floats.  Both roundings are sign-symmetric, so ``sub(-x, -y)`` is
+    ``neg(sub(x, y))`` and ``div(-x, d)`` is ``neg(div(x, d))`` bit for
+    bit, up to the sign of a binary64 zero.  ``neg`` is None for the
+    native arithmetic: its values may be complex, and an ``mpc`` with a
+    zero imaginary part compares equal to an ``mpf``, so no loop value
+    there is taken as the negation of another.
     """
 
     lift: Callable
@@ -284,6 +293,7 @@ class LoopArithmetic(NamedTuple):
     in_range: Callable
     prec: int
     rnd: str
+    neg: Callable | None
 
 
 def _same(x):
@@ -307,7 +317,7 @@ def _div(x, y, prec, rnd):
 
 
 # any value on the context's own operators, every value range-checked by check_range
-_NATIVE = LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest)
+_NATIVE = LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest, None)
 
 
 def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
@@ -322,7 +332,8 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
         return x[1] and x[2] + x[3] <= max_exp2 or x == fzero
 
     prec, rnd = ctx._prec_rounding
-    return LoopArithmetic(lift, ctx.make_mpf, mpf_add, mpf_sub, mpf_div, in_range, prec, rnd)
+    return LoopArithmetic(lift, ctx.make_mpf, mpf_add, mpf_sub, mpf_div, in_range, prec, rnd,
+                          mpf_neg)
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
@@ -333,7 +344,8 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
 
     # every finite float is in a range that reaches binary64's 2^1024
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
-    return LoopArithmetic(lift, _same, _add, _sub, _div, in_range, 53, round_nearest)
+    return LoopArithmetic(lift, _same, _add, _sub, _div, in_range, 53, round_nearest,
+                          operator.neg)
 
 
 def loop_arithmetic(ctx, values=()) -> LoopArithmetic:

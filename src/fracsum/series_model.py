@@ -102,14 +102,14 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     prec = precision_of(ctx)
     terms = []
     sums = []
-    lift, lower, add, _, _, in_range, p, rnd = loop_arithmetic(ctx)
+    lift, lower, add, _, _, in_range, p, rnd, _ = loop_arithmetic(ctx)
     total = lift(ctx.zero)
     for n in range(1, upto + 1):
         a = ctx.convert(problem.term(n, ctx))
         x = lift(a)
         if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
             total = lower(total)
-            lift, lower, add, _, _, in_range, p, rnd = loop_arithmetic(ctx, [a])
+            lift, lower, add, _, _, in_range, p, rnd, _ = loop_arithmetic(ctx, [a])
             x = lift(a)
         total = add(total, x, p, rnd)
         if not in_range(total):

@@ -8,9 +8,28 @@ the previous antidiagonal is kept, so the working state is O(depth) and
 the returned table holds the j = 0 diagonal alone.  The recursion's
 operations come from ``numerics.loop_arithmetic``: on real quad values
 they run on raw ``libmp`` tuples, and only the diagonal entries are made
-``mpf`` again, with the bits the ``mpf`` operators give.  The recursion is
-cross-checked in the tests against a direct solve of the defining linear
-system (``tests/oracles.py``), which shares no code with it.
+``mpf`` again, with the bits the ``mpf`` operators give.
+
+On real values the loop also mirrors.  Sample l starts H(l,0) = c*N(l,0)
+and K(l,0) = c*M(l,0) for c = +1, -1 or, at a zero, both; the samples
+fall into runs with one c each, kept separately for H and K.  An entry
+H(l-n, n) whose window of samples l-n..l lies in one run is c*N(l-n, n),
+taken from N without a subtraction or division, and likewise K from M.
+By induction on n this is the recursion's own value: mpmath's
+round-to-nearest and binary64's round-to-nearest-even are symmetric in
+sign, so ``sub(-a, -b) = -sub(a, b)`` and ``div(-a, d) = -div(a, d)``;
+only the sign of a binary64 zero can differ, and |.| removes it.  So on
+sign-alternating terms, where H_l = (-1)^l |N_l| keeps one c, every H
+entry is mirrored.  The stored value is always the entry itself, so an
+entry outside a run reads the operands the full recursion would.  Complex
+values run all four recursions: an ``mpc`` with a zero imaginary part
+compares equal to an ``mpf``, so equality does not make one a copy.
+Every computed entry of M, N, H and K is range-checked; a mirrored entry
+has the magnitude of the checked N or M entry it copies.
+
+The recursion is cross-checked in the tests against a direct solve of
+the defining linear system and against the full triangle
+(``tests/oracles.py``), which share no code with it.
 """
 
 from __future__ import annotations
@@ -72,6 +91,25 @@ class ExtrapolationTable:
     lam: list
 
 
+# the signs c = +1, -1 with which a sample's H or K value is c times its N or M value
+_PLUS, _MINUS, _BOTH = 1, 2, 3
+
+
+def _extend_run(run, l, x, base, neg):
+    """The sign run of x = c*base after sample l: (first index, mask of the c it allows).
+
+    A zero matches both signs; a value that matches neither (a binary64
+    NaN) starts the run after it.
+    """
+    start, signs = run
+    own = (x == base and _PLUS) | (x == neg(base) and _MINUS)
+    if signs & own:
+        return start, signs & own
+    if own:
+        return l, own
+    return l + 1, _BOTH
+
+
 def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     """Run the W-algorithm recursion over the samples at R = [R_0, ..., R_depth].
 
@@ -92,20 +130,21 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     inv_m = ctx.convert(Fraction(-1, m))
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
-    lift, lower, _, sub, div, in_range, p, rnd = loop_arithmetic(
+    lift, lower, _, sub, div, in_range, p, rnd, neg = loop_arithmetic(
         ctx, samples + [terms[r] for r in R])
 
     t, A, G, L = [], [], [], []
     # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
     # overwritten with X(l-k, k) while sample l extends it, for X in M, N, H, K
     M, N, H, K = [], [], [], []
+    # the sign runs of H against N and of K against M: (first index, signs mask)
+    h_run = k_run = (0, _BOTH)
     for l, (r, sample) in enumerate(zip(R, samples)):
         a = terms[r]
         if a == 0:
             raise ZeroTermError(r, ctx)
         omega = ctx.power(r, sigma) * a
         tl = lift(ctx.power(r, inv_m))
-        t.append(tl)
         mx = sample / omega
         nx = 1 / omega
         sign = -1 if l % 2 else 1
@@ -113,19 +152,37 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         kx = lift(sign * abs(mx))
         mx = lift(mx)
         nx = lift(nx)
-        for n in range(1, l + 1):
-            k = n - 1
-            den = sub(tl, t[l - n], p, rnd)
+        # X(l-n, n) with n <= span (k < span below) lies in its run: it is c*N or c*M there
+        if neg is None:
+            h_span = k_span = 0
+        else:
+            h_run = _extend_run(h_run, l, hx, nx, neg)
+            k_run = _extend_run(k_run, l, kx, mx, neg)
+            h_span, h_flip = l - h_run[0], h_run[1] == _MINUS
+            k_span, k_flip = l - k_run[0], k_run[1] == _MINUS
+        for k, tj in enumerate(reversed(t)):  # n = k + 1, tj = t[l - n]
+            den = sub(tl, tj, p, rnd)
             mo, no, ho, ko = M[k], N[k], H[k], K[k]
             M[k], N[k], H[k], K[k] = mx, nx, hx, kx
             mx = div(sub(mx, mo, p, rnd), den, p, rnd)
             nx = div(sub(nx, no, p, rnd), den, p, rnd)
-            hx = div(sub(hx, ho, p, rnd), den, p, rnd)
-            kx = div(sub(kx, ko, p, rnd), den, p, rnd)
             if not in_range(mx):
-                check_range(lower(mx), ctx, prec, "M(%d,%d)", l - n, n)
+                check_range(lower(mx), ctx, prec, "M(%d,%d)", l - 1 - k, k + 1)
             if not in_range(nx):
-                check_range(lower(nx), ctx, prec, "N(%d,%d)", l - n, n)
+                check_range(lower(nx), ctx, prec, "N(%d,%d)", l - 1 - k, k + 1)
+            if k >= h_span:
+                hx = div(sub(hx, ho, p, rnd), den, p, rnd)
+                if not in_range(hx):
+                    check_range(lower(hx), ctx, prec, "H(%d,%d)", l - 1 - k, k + 1)
+            else:
+                hx = neg(nx) if h_flip else nx
+            if k >= k_span:
+                kx = div(sub(kx, ko, p, rnd), den, p, rnd)
+                if not in_range(kx):
+                    check_range(lower(kx), ctx, prec, "K(%d,%d)", l - 1 - k, k + 1)
+            else:
+                kx = neg(mx) if k_flip else mx
+        t.append(tl)
         M.append(mx)
         N.append(nx)
         H.append(hx)

@@ -305,8 +305,8 @@ def test_a_narrower_binary64_range_is_still_checked():
 
 
 @pytest.mark.parametrize("config, label", [
-    # mpmath at 53 bits first exceeds 2^1027 at N(1,141)
-    (bench_cli.RunConfig(problem="ex7_1", depth=160, precision="double"), r"M\(3,139\)"),
+    # mpmath at 53 bits first exceeds 2^1027 at H(3,133) (M(3,139) while H went unchecked)
+    (bench_cli.RunConfig(problem="ex7_1", depth=160, precision="double"), r"H\(4,132\)"),
     # ... at partial sum A_308
     (bench_cli.RunConfig(problem="ex5_11", depth=320, precision="double"), "partial sum A_307"),
     # ... at partial sum A_712
@@ -315,7 +315,10 @@ def test_a_narrower_binary64_range_is_still_checked():
     # ... at partial sum A_257; float ** would raise a bare OverflowError
     (bench_cli.RunConfig(problem_file='{"expression": "n**(n/2)", "m": 1}', depth=300,
                          precision="double"), "partial sum A_256"),
-], ids=["ex7_1", "ex5_11", "exp(n)", "n**(n/2)"])
+    # ... at H(1,178) and K(2,176); unchecked, H and K made Gamma and Lambda inf
+    (bench_cli.RunConfig(problem="ex5_1", depth=180, precision="double", stride=1), r"H\(4,175\)"),
+    (bench_cli.RunConfig(problem="ex5_9", depth=180, precision="double"), r"K\(4,174\)"),
+], ids=["ex7_1", "ex5_11", "exp(n)", "n**(n/2)", "ex5_1-H", "ex5_9-K"])
 def test_overflow_boundary(config, label):
     with pytest.raises(RangeOverflowError, match=f"^{label} exceeds the double exponent range"):
         bench_cli.run(config)

@@ -25,6 +25,10 @@ CASES = [
 ] + [
     ["run", "ex5_2", "--depth", "28", "--format", "json"],
     ["run", "ex7_1", "--schedule", "gps:1.3", "--format", "csv"],
+    # deep alternating tables: K mirrors M part of the way (ex5_8) or never (ex5_4)
+    ["run", "ex5_8", "--depth", "128", "--stride", "1", "--format", "json"],
+    ["run", "ex5_8", "--depth", "128", "--stride", "1", "--format", "json", "--precision", "double"],
+    ["run", "ex5_4", "--depth", "128", "--stride", "1", "--precision", "double"],
     ["list"],
 ]
 

@@ -172,6 +172,20 @@ def _table_at(ctx, u, s1, a1, a2):
 
 
 @pytest.mark.parametrize("unit", sorted(_UNITS))
+def test_h_and_k_are_range_checked_at_an_mpmath_preset(unit):
+    ctx = make_context(NARROW_QUAD)
+    u = _UNITS[unit](ctx)
+    big = ctx.ldexp(1, 135)
+    # N_0 = 2^135 and N_1 = 2^134 keep one sign: N(0,1) = 2^135 is in range,
+    # H(0,1) = 2 (|N_0| + |N_1|) = 3 * 2^135 is not
+    with pytest.raises(RangeOverflowError, match=r"^H\(0,1\) exceeds the narrow-quad"):
+        build_table([ctx.zero] * 3, [None, u / big, 2 * u / big], [1, 2], 1, 0, ctx)
+    # the same for M_0 = 2^135, M_1 = 2^134 and K(0,1)
+    with pytest.raises(RangeOverflowError, match=r"^K\(0,1\) exceeds the narrow-quad"):
+        build_table([ctx.zero, big * u, big * u], [None, u, 2 * u], [1, 2], 1, 0, ctx)
+
+
+@pytest.mark.parametrize("unit", sorted(_UNITS))
 def test_recursion_range_edges_at_an_mpmath_preset(unit):
     ctx = make_context(NARROW_QUAD)
     u = _UNITS[unit](ctx)

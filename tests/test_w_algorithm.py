@@ -237,14 +237,19 @@ def _assert_columns_of_triangle(tables, triangle, R):
         assert table.lam == L[j], j
 
 
+# deep alternating tables: H mirrors N throughout, K mirrors M in part (ex5_8) or hardly (ex5_12)
+_DEEP_ALTERNATING = [("ex5_8", "aps:1,1", 128), ("ex5_12", "aps:1,1", 128)]
+
+
 @pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
 def test_streamed_diagonal_matches_triangle_on_reference_tables(precision):
     ctx = make_context(precision)
-    for ref in REFERENCE_TABLES:
-        problem = builtin_problem(ref.problem)
-        schedule = parse_schedule(ref.schedule)
-        R = schedule.prefix(ref.depth + 1)
-        sums, terms = problem_arrays(problem, schedule, ref.depth, ctx)
+    cases = [(ref.problem, ref.schedule, ref.depth) for ref in REFERENCE_TABLES]
+    for ident, spec, depth in cases + _DEEP_ALTERNATING:
+        problem = builtin_problem(ident)
+        schedule = parse_schedule(spec)
+        R = schedule.prefix(depth + 1)
+        sums, terms = problem_arrays(problem, schedule, depth, ctx)
         table = build_table(sums, terms, R, problem.m, problem.sigma_hat, ctx)
         triangle = w_triangle(sums, terms, R, problem.m, problem.sigma_hat, ctx)
         _assert_columns_of_triangle([table], triangle, R)
@@ -286,6 +291,67 @@ def test_streamed_diagonal_matches_triangle_property(qctx, case):
     except ZeroDivisionError:
         assume(False)  # some N(j,n) = 0: covered by the degenerate-denominator test
     tables = columns(sums, terms, make_explicit(R), m, sigma_hat, depth, qctx)
+    _assert_columns_of_triangle(tables, triangle, R)
+
+
+_ALTERNATING_BUILTINS = ("ex5_2", "ex5_4", "ex5_6", "ex5_8", "ex5_10", "ex5_12", "ex5_13")
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+@pytest.mark.parametrize("ident", _ALTERNATING_BUILTINS)
+def test_alternating_builtins_have_gamma_exactly_one(ident, precision):
+    # the paper's stability property: sign-alternating weights make Gamma(0,n) = 1
+    table = _table(ident, make_aps(1, 1), 64, make_context(precision))[0]
+    assert all(g == 1 for g in table.gamma), [n for n, g in enumerate(table.gamma) if g != 1]
+
+
+@st.composite
+def _sign_runs(draw):
+    """Real terms and fit ordinates whose H and K follow sign runs.
+
+    The term at R_l has sign (-1)^l times a run sign that flips at random
+    samples, so H(l, 0) = c*N(l, 0) with one c per run; the ordinates keep
+    a sign that also flips at random samples, so K runs against M the same
+    way, and about one ordinate in six is zero, which matches either sign.
+    Entries the recursion does not read stay zero.
+    """
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    R = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    m = draw(st.sampled_from([1, 2, 3]))
+    sigma_hat = Fraction(draw(st.sampled_from([m, 0, -1])), m)
+    logs = st.floats(-3, 3, allow_nan=False)
+    samples = draw(st.lists(st.tuples(logs, logs, st.integers(0, 5), st.integers(0, 5),
+                                      st.integers(0, 5)), min_size=len(R), max_size=len(R)))
+    return R, m, sigma_hat, samples
+
+
+def _arrays_from_runs(R, sigma_hat, samples, ctx):
+    """``sums`` and ``terms`` holding the drawn ordinates and terms at the sampled indices."""
+    sums = [ctx.zero] * (R[-1] + 1)
+    terms = [ctx.zero] * (R[-1] + 1)
+    term_sign = ordinate_sign = 1
+    for l, (r, (x, y, term_break, ordinate_break, zero)) in enumerate(zip(R, samples)):
+        term_sign *= -1 if term_break == 0 else 1
+        ordinate_sign *= -1 if ordinate_break == 0 else 1
+        terms[r] = (-1) ** l * term_sign * ctx.exp(ctx.mpf(x))
+        at = r - 1 if sigma_hat < 0 else r
+        if at > 0 and zero != 0:  # A_0 stays 0
+            sums[at] = ordinate_sign * ctx.exp(ctx.mpf(y))
+    return sums, terms
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+@settings(max_examples=60, deadline=None)
+@given(_sign_runs())
+def test_sign_runs_match_triangle_property(precision, case):
+    R, m, sigma_hat, samples = case
+    ctx = make_context(precision)
+    sums, terms = _arrays_from_runs(R, sigma_hat, samples, ctx)
+    try:
+        triangle = w_triangle(sums, terms, R, m, sigma_hat, ctx)
+    except ZeroDivisionError:
+        assume(False)  # some N(j,n) = 0: covered by the degenerate-denominator test
+    tables = columns(sums, terms, make_explicit(R), m, sigma_hat, len(R) - 1, ctx)
     _assert_columns_of_triangle(tables, triangle, R)
 
 
