@@ -16,12 +16,14 @@ mutates the global ``mpmath.mp`` state, so computations at different
 precisions can run side by side (and concurrently).
 
 The two hot loops, the W-recursion of ``build_table`` and the partial-sum
-accumulation of ``sums_and_terms``, take their scalar operations from
-:func:`loop_arithmetic`.  Under an ``MPContext``, real values run there as
-raw ``libmp`` tuples (``_mpf_``) through ``mpf_add``/``mpf_sub``/``mpf_div``
-at the context's precision and rounding, which are the bits of the
-``mpf`` operators without the object wrapper; binary64 floats and complex
-values keep their native operators.
+accumulation of ``sums_and_terms``, and the builtin term evaluators take
+their scalar operations from :func:`loop_arithmetic`.  Under an
+``MPContext``, real values run there as raw ``libmp`` tuples (``_mpf_``)
+through ``mpf_add``, ``mpf_mul``, ``mpf_exp``, ``mpf_loggamma`` and the
+other kernels the ``mpf`` operators and context functions call, at the
+context's precision and rounding: the same bits without the object
+wrapper and the dispatch.  Binary64 floats and complex values keep their
+native operators and the context's own functions.
 """
 
 from __future__ import annotations
@@ -39,15 +41,18 @@ from mpmath.libmp import (
     ComplexResult,
     from_float,
     from_int,
+    fone,
     fzero,
     mpf_add,
     mpf_div,
     mpf_e,
     mpf_exp,
     mpf_loggamma,
+    mpf_mul,
     mpf_neg,
     mpf_pi,
     mpf_pow,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_float,
@@ -266,13 +271,20 @@ class Binary64Context:
 
 
 class LoopArithmetic(NamedTuple):
-    """The scalar operations of one hot loop over the values of a context.
+    """The scalar operations of a hot loop or a term over the values of a context.
 
     ``lift(x)`` is the loop's form of the context scalar x, or None when x
     is not a value this arithmetic holds; ``lower`` turns a loop value back
-    into a context scalar.  ``add``, ``sub`` and ``div`` take
-    ``(x, y, prec, rnd)``, called with the ``prec`` and ``rnd`` given here,
-    and return the bits of the context's own ``+``, ``-`` and ``/``.
+    into a context scalar.  ``zero`` and ``one`` are the loop's 0 and 1,
+    and ``from_int(k)`` is its form of the int k (on floats, exact for
+    |k| <= 2^53).  ``add``, ``sub``, ``mul``, ``div`` and ``pow`` take
+    ``(x, y, prec, rnd)``, and ``sqrt``, ``exp`` and ``loggamma`` take
+    ``(x, prec, rnd)``; called with the ``prec`` and ``rnd`` given here,
+    they return the bits of the context's own ``+``, ``-``, ``*``, ``/``,
+    ``power``, ``sqrt``, ``exp`` and ``loggamma``.  The real arithmetics
+    take ``pow``, ``sqrt`` and ``loggamma`` only where the result is real
+    (terms call them on positive integers): where the context would return
+    a complex value, they raise.
     ``in_range(x)`` is true only for a value that :func:`check_range`
     passes; for any other value the loop calls ``check_range`` on the
     lowered value, which raises the named error.  ``neg(x)`` is -x,
@@ -294,6 +306,14 @@ class LoopArithmetic(NamedTuple):
     prec: int
     rnd: str
     neg: Callable | None
+    zero: object
+    one: object
+    from_int: Callable
+    mul: Callable
+    pow: Callable
+    sqrt: Callable
+    exp: Callable
+    loggamma: Callable
 
 
 def _same(x):
@@ -312,12 +332,30 @@ def _sub(x, y, prec, rnd):
     return x - y
 
 
+def _mul(x, y, prec, rnd):
+    return x * y
+
+
 def _div(x, y, prec, rnd):
     return x / y
 
 
-# any value on the context's own operators, every value range-checked by check_range
-_NATIVE = LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest, None)
+# The functions of the float arithmetic: mpmath's kernels at 53 bits on
+# floats, the fast paths of Binary64Context.
+def _float_pow(x, y, prec, rnd):
+    return to_float(mpf_pow(_raw(x), _raw(y), prec, rnd))
+
+
+def _float_sqrt(x, prec, rnd):
+    return math.sqrt(x)
+
+
+def _float_exp(x, prec, rnd):
+    return to_float(mpf_exp(_raw(x), prec, rnd))
+
+
+def _float_loggamma(x, prec, rnd):
+    return to_float(mpf_loggamma(_raw(x), prec, rnd))
 
 
 def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
@@ -333,11 +371,12 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
 
     prec, rnd = ctx._prec_rounding
     return LoopArithmetic(lift, ctx.make_mpf, mpf_add, mpf_sub, mpf_div, in_range, prec, rnd,
-                          mpf_neg)
+                          mpf_neg, fzero, fone, from_int, mpf_mul, mpf_pow, mpf_sqrt, mpf_exp,
+                          mpf_loggamma)
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
-    """Binary64 floats on their native operators."""
+    """Binary64 floats on their native operators and mpmath's kernels at 53 bits."""
 
     def lift(x):
         return x if type(x) is float else None
@@ -345,7 +384,17 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     # every finite float is in a range that reaches binary64's 2^1024
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift, _same, _add, _sub, _div, in_range, 53, round_nearest,
-                          operator.neg)
+                          operator.neg, 0.0, 1.0, float, _mul, _float_pow, _float_sqrt,
+                          _float_exp, _float_loggamma)
+
+
+def _native_arithmetic(ctx) -> LoopArithmetic:
+    """Any value on the context's own operators, every value range-checked by check_range."""
+    power, sqrt, exp, loggamma = ctx.power, ctx.sqrt, ctx.exp, ctx.loggamma
+    return LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest, None,
+                          ctx.zero, ctx.one, _same, _mul, lambda x, y, prec, rnd: power(x, y),
+                          lambda x, prec, rnd: sqrt(x), lambda x, prec, rnd: exp(x),
+                          lambda x, prec, rnd: loggamma(x))
 
 
 def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
@@ -356,9 +405,9 @@ def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
     the context's real arithmetic: raw ``libmp`` tuples under an
     ``MPContext``, floats under binary64.  Otherwise (a complex value, an
     int, another context's ``mpf``) it is the native arithmetic, which
-    lifts every value as is and range-checks each through
-    :func:`check_range`.  A loop whose ``lift`` returns None switches to
-    ``loop_arithmetic(ctx, [that value])``.
+    lifts every value as is, keeps ints as ints, and range-checks each
+    value through :func:`check_range`.  A loop whose ``lift`` returns None
+    switches to ``loop_arithmetic(ctx, [that value])``.
     """
     precision = precision_of(ctx)
     if isinstance(ctx, MPContext):
@@ -367,7 +416,7 @@ def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
     elif isinstance(ctx, Binary64Context):
         if all(type(v) is float for v in values):
             return _float_arithmetic(precision)
-    return _NATIVE
+    return _native_arithmetic(ctx)
 
 
 def make_context(precision: Precision):

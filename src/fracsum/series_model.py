@@ -13,12 +13,17 @@ The paper's factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log
 domain and exponentiated once: telescoping deltas, both exponents of a
 trigonometric pair and the exponential builtins each hold a
 :class:`_LogFactor` with one per-context cache of its constants, and the
-log of (n!)^(s/m) is the context's own ``loggamma(n + 1)`` times s/m.
-Every value a term, a product factor or an expression returns enters
-the context through ``ctx.convert``.  The telescoping and product
-adapters keep their last term's state per context, so that in-order
-evaluation does the per-``n`` work once; any other order starts afresh
-with the same operations.
+log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  The builtin terms,
+the telescoping and product adapters and the factor run on
+``numerics.loop_arithmetic`` of the context and of their constants: raw
+``libmp`` tuples at an mpmath preset, floats at binary64, and the
+context's own operators once a constant or a value is complex.  Each
+computes with the bits of the context's own operators and returns a
+context scalar.  A user's term, product factor or expression enters the
+context through ``ctx.convert``.  The telescoping and product adapters
+keep their last term's state per context, so that in-order evaluation
+does the per-``n`` work once; any other order starts afresh with the
+same operations.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Callable
 
 from .numerics import check_range, loop_arithmetic, precision_of
@@ -58,6 +62,30 @@ class ZeroPartialProductError(ValueError):
     """A partial product reached zero; the series model breaks down."""
 
 
+def _check_m(m):
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+
+
+def _per_context(bind):
+    """ctx -> bind(ctx), calling bind once per context."""
+    bound = {}
+
+    def get(ctx):
+        f = bound.get(ctx)
+        if f is None:
+            f = bound[ctx] = bind(ctx)
+        return f
+
+    return get
+
+
+def _term(bind):
+    """The term ``(n, ctx) -> bind(ctx)(n)``, binding once per context."""
+    get = _per_context(bind)
+    return lambda n, ctx: get(ctx)(n)
+
+
 @dataclass
 class SeriesProblem:
     """An infinite series sum(a_n) with terms expanding in powers of n^(1/m).
@@ -78,8 +106,7 @@ class SeriesProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_m(self.m)
         self.sigma_hat = Fraction(self.sigma_hat)
         if self.sigma_hat > 1:
             raise ValueError("sigma_hat must satisfy sigma_hat <= 1")
@@ -102,14 +129,14 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     prec = precision_of(ctx)
     terms = []
     sums = []
-    lift, lower, add, _, _, in_range, p, rnd, _ = loop_arithmetic(ctx)
+    lift, lower, add, _, _, in_range, p, rnd, *_ = loop_arithmetic(ctx)
     total = lift(ctx.zero)
     for n in range(1, upto + 1):
         a = ctx.convert(problem.term(n, ctx))
         x = lift(a)
         if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
             total = lower(total)
-            lift, lower, add, _, _, in_range, p, rnd, _ = loop_arithmetic(ctx, [a])
+            lift, lower, add, _, _, in_range, p, rnd, *_ = loop_arithmetic(ctx, [a])
             x = lift(a)
         total = add(total, x, p, rnd)
         if not in_range(total):
@@ -131,29 +158,58 @@ _SQRT = object()  # marks the exponent 1/2
 class _LogFactor:
     """ln((n!)^(s/m)) + sum(c * n^p) over exact (c, p) pairs: the log of the paper's factor.
 
-    The sum starts from the log-factorial ``ctx.loggamma(n + 1) * s / m``
+    The sum starts from the log-factorial ``loggamma(n + 1) * s / m``
     (from zero when s = 0 or n <= 1) and adds each c * n^p in pair order.
-    n^1 is n and n^(1/2) is ``ctx.sqrt(n)``, the bits ``ctx.power`` gives,
-    and a coefficient of 1 is not multiplied.
+    n^1 is n and n^(1/2) is ``sqrt(n)``, the bits ``power`` gives, and a
+    coefficient of 1 is not multiplied.
     """
 
     def __init__(self, s: int, m: int, pairs):
         self.s, self.m = s, m
         self.pairs = tuple((c, Fraction(p)) for c, p in pairs if c != 0)
-        self._converted = {}  # per context: the converted pairs, None for a 1, _SQRT for 1/2
+        self.loop = _per_context(self._bind)
+
+    def _bind(self, ctx):
+        """(arithmetic, log, exp_log) under ctx, which ``loop(ctx)`` caches.
+
+        ``log(n)`` is the log of the factor and ``exp_log(n)`` the factor,
+        both as values of the arithmetic: ``loop_arithmetic`` of ctx and the
+        converted constants, so a complex coefficient runs on the context's
+        own operators.
+        """
+        converted = [(None if c == 1 else ctx.convert(c),
+                      None if p == 1 else _SQRT if p == _HALF else ctx.convert(p))
+                     for c, p in self.pairs]
+        ar = loop_arithmetic(ctx, [x for pair in converted for x in pair
+                                   if x is not None and x is not _SQRT])
+        lift, add, mul, div, power, sqrt, exp, loggamma, from_int, prec, rnd = (
+            ar.lift, ar.add, ar.mul, ar.div, ar.pow, ar.sqrt, ar.exp, ar.loggamma, ar.from_int,
+            ar.prec, ar.rnd)
+        # None for a coefficient 1 or the exponent 1, _SQRT for the exponent 1/2
+        pairs = tuple((c if c is None else lift(c), p if p is None or p is _SQRT else lift(p))
+                      for c, p in converted)
+        s, m, zero = from_int(self.s), from_int(self.m), ar.zero
+        scaled = self.s != 0
+
+        def log(n):
+            if scaled and n > 1:
+                val = div(mul(loggamma(from_int(n + 1), prec, rnd), s, prec, rnd), m, prec, rnd)
+            else:
+                val = zero
+            k = from_int(n)
+            for c, p in pairs:
+                x = k if p is None else sqrt(k, prec, rnd) if p is _SQRT else power(k, p, prec, rnd)
+                val = add(val, x if c is None else mul(c, x, prec, rnd), prec, rnd)
+            return val
+
+        def exp_log(n):
+            return exp(log(n), prec, rnd)
+
+        return ar, log, exp_log
 
     def __call__(self, n: int, ctx):
-        pairs = self._converted.get(ctx)
-        if pairs is None:
-            pairs = self._converted[ctx] = tuple(
-                (None if c == 1 else ctx.convert(c),
-                 None if p == 1 else _SQRT if p == _HALF else ctx.convert(p))
-                for c, p in self.pairs)
-        val = ctx.loggamma(n + 1) * self.s / self.m if self.s and n > 1 else ctx.zero
-        for c, p in pairs:
-            x = n if p is None else ctx.sqrt(n) if p is _SQRT else ctx.power(n, p)
-            val = val + (x if c is None else c * x)
-        return val
+        ar, log, _ = self.loop(ctx)
+        return ar.lower(log(n))
 
 
 @dataclass(frozen=True)
@@ -177,8 +233,7 @@ class TelescopingFamily:
     def __post_init__(self):
         if self.kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_m(self.m)
         if len(self.theta) != self.m:
             raise ValueError("theta must list theta_0..theta_{m-1}")
         object.__setattr__(self, "theta", tuple(self.theta))
@@ -188,7 +243,10 @@ class TelescopingFamily:
         object.__setattr__(self, "_factor", _LogFactor(self.s, self.m, pairs))
 
     def delta(self, n: int, ctx):
-        return ctx.exp(self._factor(n, ctx)) if n else ctx.one
+        if not n:
+            return ctx.one
+        ar, _, exp_log = self._factor.loop(ctx)
+        return ar.lower(exp_log(n))
 
 
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
@@ -196,22 +254,35 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
 
     Each context keeps its last term's (n, delta_n), so in-order terms
     evaluate one new delta each; any other order computes both deltas.
+    The deltas combine in the arithmetic of the family's factor.
     """
-    deltas: dict = {}
 
-    def term(n, ctx):
-        last = deltas.get(ctx)
-        d0 = last[1] if last is not None and last[0] == n - 1 else family.delta(n - 1, ctx)
-        d1 = family.delta(n, ctx)
-        deltas[ctx] = (n, d1)
-        if family.kind == 1:
-            return d1 - d0
-        sign = 1 if n % 2 == 0 else -1
-        return sign * (d1 + d0)
+    def bind(ctx):
+        ar = family._factor.loop(ctx)[0]
+        lift, lower, add, sub, mul, prec, rnd = (
+            ar.lift, ar.lower, ar.add, ar.sub, ar.mul, ar.prec, ar.rnd)
+        minus_one = ar.from_int(-1)
+        last = None  # (n, delta_n) of the last term, delta_n as a value of the arithmetic
+
+        def term(n):
+            nonlocal last
+            prev = last  # one read: another thread may store its own term's pair meanwhile
+            if prev is not None and prev[0] == n - 1:
+                d0 = prev[1]
+            else:
+                d0 = lift(family.delta(n - 1, ctx))
+            d1 = lift(family.delta(n, ctx))
+            last = (n, d1)
+            if family.kind == 1:
+                return lower(sub(d1, d0, prec, rnd))
+            a = add(d1, d0, prec, rnd)
+            return lower(mul(a, minus_one, prec, rnd) if n % 2 else a)
+
+        return term
 
     return SeriesProblem(
         name=f"telescoping(kind={family.kind}, s={family.s}, m={family.m})",
-        term=term,
+        term=_term(bind),
         m=family.m,
         sigma_hat=Fraction(1),
         known_S=-1,
@@ -235,8 +306,7 @@ class ProductProblem:
     known_S: object = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_m(self.m)
         if self.t < self.m + 1:
             raise ValueError("t must be >= m + 1 (convergence of the product)")
 
@@ -247,35 +317,50 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
     a_1 = A_1 = 1 + v_1 and a_n = v_n * A_{n-1} for n >= 2, so that
     sum(a_k, k<=n) reproduces prod(1+v_k, k<=n) up to accumulation
     rounding.  Each context keeps only its last term's (n, A_{n-1}, v_n),
-    so in-order evaluation calls v once per term; any other order
-    restarts from A_0 = 1 with the same operations and gets the same
-    bits.  State updates run under a lock.
+    as values of its ``loop_arithmetic``, so in-order evaluation calls v
+    once per term; any other order restarts from A_0 = 1 with the same
+    operations and gets the same bits.  The products run on the
+    context's real arithmetic until a v_n is complex, and from there on
+    the context's own operators.  State updates run under a lock.
     """
-    states: dict = {}
     lock = threading.Lock()
 
-    def grow(prev, v, k):
-        value = prev * (1 + v)
-        if value == 0:
+    def grow(ar, prev, v, k):
+        value = ar.mul(prev, ar.add(ar.one, v, ar.prec, ar.rnd), ar.prec, ar.rnd)
+        if value == ar.zero:
             raise ZeroPartialProductError(f"partial product A_{k} of {problem.name!r} is zero")
         return value
 
-    def term(n, ctx):
-        with lock:
-            state = states.get(ctx)
-            k, prev, v = state if state and state[0] == n - 1 else (0, ctx.one, None)
-            for k in range(k + 1, n + 1):
-                if v is not None:
-                    prev = grow(prev, v, k - 1)
-                v = ctx.convert(problem.v(k, ctx))
-            states[ctx] = (n, prev, v)
-        if n == 1:
-            return grow(prev, v, 1)
-        return v * prev
+    def bind(ctx):
+        real = loop_arithmetic(ctx)
+        state = None  # (n, arithmetic, A_{n-1}, v_n) of the last term
+
+        def term(n):
+            nonlocal state
+            with lock:
+                if state is not None and state[0] == n - 1:
+                    k, ar, prev, v = state
+                else:
+                    k, ar, prev, v = 0, real, real.one, None
+                for k in range(k + 1, n + 1):
+                    if v is not None:
+                        prev = grow(ar, prev, v, k - 1)
+                    value = ctx.convert(problem.v(k, ctx))
+                    v = ar.lift(value)
+                    if v is None:  # complex: go on with the context's own operators
+                        prev = ar.lower(prev)
+                        ar = loop_arithmetic(ctx, [value])
+                        prev, v = ar.lift(prev), ar.lift(value)
+                state = (n, ar, prev, v)
+            if n == 1:
+                return ar.lower(grow(ar, prev, v, 1))
+            return ar.lower(ar.mul(v, prev, ar.prec, ar.rnd))
+
+        return term
 
     return SeriesProblem(
         name=problem.name,
-        term=term,
+        term=_term(bind),
         m=problem.m,
         sigma_hat=Fraction(1),
         known_S=problem.known_S,
@@ -291,17 +376,24 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=False):
     """Complex conjugate-pair problems a_n^± = (n!)^(s/m) e^(u1 ± i*u2) h(n).
 
     ``u1`` and ``u2`` are coefficient sequences of real polynomials of
-    degree at most m in n^(1/m) (entry i multiplies n^(i/m)).  Cosine and
-    sine sums follow as S_c = (S+ + S-)/2 and S_s = (S+ - S-)/(2i).
+    degree at most m in n^(1/m) (entry i multiplies n^(i/m)); an entry of
+    complex type, even with a zero imaginary part, raises ``ValueError``
+    naming it.  Cosine and sine sums follow as S_c = (S+ + S-)/2 and
+    S_s = (S+ - S-)/(2i).
 
     Pass ``h_is_real=True`` only when h(n) is real for every n: then a
     single acceleration of S+ suffices (see transform.sum_trig).  No finite
     sample of h can show that, so it is never guessed.
     """
+    _check_m(m)
     u1 = tuple(u1)
     u2 = tuple(u2)
     if len(u1) > m + 1 or len(u2) > m + 1:
         raise ValueError("u1/u2 must have degree <= m in n^(1/m)")
+    for name, u in (("u1", u1), ("u2", u2)):
+        for i, c in enumerate(u):
+            if isinstance(c, complex) or hasattr(c, "_mpc_"):
+                raise ValueError(f"{name}[{i}] = {c!r} is complex; u1 and u2 must be real")
 
     growth = _LogFactor(s, m, ((c, Fraction(i, m)) for i, c in enumerate(u1)))
     phase = _LogFactor(0, m, ((c, Fraction(i, m)) for i, c in enumerate(u2)))
@@ -327,22 +419,37 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=False):
 _FIFTH = Fraction(1, 5)
 
 
-@lru_cache(maxsize=8)
-def _constants(ctx):
-    """The constants of the builtin terms, built once per context."""
-    return SimpleNamespace(sqrt3=ctx.sqrt(3), minus_one=ctx.mpf(-1), minus_3_2=ctx.mpf(-3) / 2)
+def _ex5_14(ctx):
+    """n -> n^sqrt(3) / (1 + sqrt(n)) under ctx."""
+    sqrt3 = ctx.sqrt(3)
+    ar = loop_arithmetic(ctx, [sqrt3])
+    lower, from_int, add, div, power, sqrt, one, prec, rnd = (
+        ar.lower, ar.from_int, ar.add, ar.div, ar.pow, ar.sqrt, ar.one, ar.prec, ar.rnd)
+    sqrt3 = ar.lift(sqrt3)
+
+    def term(n):
+        x = from_int(n)
+        return lower(div(power(x, sqrt3, prec, rnd), add(one, sqrt(x, prec, rnd), prec, rnd),
+                         prec, rnd))
+
+    return term
 
 
-def _ex5_14(n, ctx):
-    return ctx.power(n, _constants(ctx).sqrt3) / (1 + ctx.sqrt(n))
+def _ex7_1_v(ctx):
+    """n -> -1 / (4 n^2) under ctx."""
+    ar = loop_arithmetic(ctx)
+    lower, from_int, div, prec, rnd = ar.lower, ar.from_int, ar.div, ar.prec, ar.rnd
+    minus_one = from_int(-1)
+    return lambda n: lower(div(minus_one, from_int(4 * n * n), prec, rnd))
 
 
-def _ex7_1_v(n, ctx):
-    return _constants(ctx).minus_one / (4 * n * n)
-
-
-def _ex7_2_v(n, ctx):
-    return ctx.power(n, _constants(ctx).minus_3_2)
+def _ex7_2_v(ctx):
+    """n -> n^(-3/2) under ctx."""
+    minus_3_2 = ctx.mpf(-3) / 2
+    ar = loop_arithmetic(ctx, [minus_3_2])
+    lower, from_int, power, prec, rnd = ar.lower, ar.from_int, ar.pow, ar.prec, ar.rnd
+    minus_3_2 = ar.lift(minus_3_2)
+    return lambda n: lower(power(from_int(n), minus_3_2, prec, rnd))
 
 
 # Builders of the builtins, called with the problem id; m = 2 except for ex7_1.
@@ -358,17 +465,24 @@ def _exponential(s, pairs, alternating=False):
     def build(name):
         factor = _LogFactor(s, 2, pairs)
 
-        def term(n, ctx):
-            a = ctx.exp(factor(n, ctx))
-            return -a if alternating and n % 2 else a
+        def bind(ctx):
+            ar, _, exp_log = factor.loop(ctx)
+            lower, mul, prec, rnd = ar.lower, ar.mul, ar.prec, ar.rnd
+            minus_one = ar.from_int(-1)
 
-        return SeriesProblem(name, term, m=2)
+            def term(n):
+                a = exp_log(n)
+                return lower(mul(a, minus_one, prec, rnd) if alternating and n % 2 else a)
+
+            return term
+
+        return SeriesProblem(name, _term(bind), m=2)
 
     return build
 
 
 def _product(v, m, t, known_S=None):
-    return lambda name: product_to_series(ProductProblem(name, v, m, t, known_S))
+    return lambda name: product_to_series(ProductProblem(name, _term(v), m, t, known_S))
 
 
 _BUILTINS = {  # id: (builder, description)
@@ -385,7 +499,7 @@ _BUILTINS = {  # id: (builder, description)
     "ex5_11": (_family(1, 1, (0, -1)), "a_n = sqrt(n!) e^(-sqrt n) - sqrt((n-1)!) e^(-sqrt(n-1)); antilimit S = -1"),
     "ex5_12": (_family(2, 1, (0, -1)), "a_n = (-1)^n (sqrt(n!) e^(-sqrt n) + sqrt((n-1)!) e^(-sqrt(n-1))); antilimit S = -1"),
     "ex5_13": (_exponential(1, [(-1, _HALF)], True), "a_n = (-1)^n sqrt(n!) e^(-sqrt n); antilimit unknown"),
-    "ex5_14": (lambda name: SeriesProblem(name, _ex5_14, m=2), "a_n = n^sqrt(3)/(1+sqrt n); antilimit unknown"),
+    "ex5_14": (lambda name: SeriesProblem(name, _term(_ex5_14), m=2), "a_n = n^sqrt(3)/(1+sqrt n); antilimit unknown"),
     "ex7_1": (_product(_ex7_1_v, 1, 2, lambda ctx: 2 / ctx.pi), "product, m=1, t=2"),
     "ex7_2": (_product(_ex7_2_v, 2, 3), "product, m=2, t=3"),
 }

@@ -130,7 +130,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     inv_m = ctx.convert(Fraction(-1, m))
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
-    lift, lower, _, sub, div, in_range, p, rnd, neg = loop_arithmetic(
+    lift, lower, _, sub, div, in_range, p, rnd, neg, *_ = loop_arithmetic(
         ctx, samples + [terms[r] for r in R])
 
     t, A, G, L = [], [], [], []

@@ -161,6 +161,24 @@ def telescoping_term(kind, s, m, theta, n, ctx):
     return (1 if n % 2 == 0 else -1) * (d1 + d0)
 
 
+def log_factor(s, m, pairs, n, ctx):
+    """ln((n!)^(s/m)) + sum(c * n^p) as a fold on the context's own operators.
+
+    The fold starts from ``ctx.loggamma(n + 1) * s / m``, or from zero when
+    s = 0 or n <= 1, and adds c * n^p for each pair with c != 0, in order.
+    n^1 is n itself, n^(1/2) is ``ctx.sqrt(n)`` and any other n^p is
+    ``ctx.power(n, p)``; a coefficient of 1 multiplies nothing.
+    """
+    val = ctx.loggamma(n + 1) * s / m if s != 0 and n > 1 else ctx.zero
+    for c, p in pairs:
+        if c == 0:
+            continue
+        p = Fraction(p)
+        x = n if p == 1 else ctx.sqrt(n) if p == Fraction(1, 2) else ctx.power(n, ctx.convert(p))
+        val = val + (x if c == 1 else ctx.convert(c) * x)
+    return val
+
+
 def _sign(n):
     return 1 if n % 2 == 0 else -1
 

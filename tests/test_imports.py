@@ -8,6 +8,11 @@ lists it in ``__all__``.
 A private name (a leading ``_``, not a dunder) bound at module level or
 in a class body in ``src/`` must be read somewhere in ``src/``: as a
 name or as an attribute ``x._name``.  Binding it does not count.
+
+The library reaches mpmath only through ``from mpmath.ctx_mp import ...``
+and ``from mpmath.libmp import ...``: no ``import mpmath``, no other
+mpmath module, and no ``mpmath.mp`` anywhere, so that no code path can
+read or change the global ``mpmath.mp`` context.
 """
 
 import ast
@@ -109,3 +114,40 @@ def test_the_check_sees_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC}
     assert dead_private_names(sources) == []
+
+
+_MPMATH_MODULES = ("mpmath.ctx_mp", "mpmath.libmp")
+
+
+def mpmath_violations(source: str) -> list:
+    """(line, what) of each way *source* reaches mpmath other than the two from-imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name.split(".")[0] == "mpmath"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath":
+            if node.module not in _MPMATH_MODULES:
+                found.append((node.lineno, f"from {node.module} import"))
+            found += [(node.lineno, f"import of mp from {node.module}") for alias in node.names
+                      if alias.name == "mp"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "mp"
+              and isinstance(node.value, ast.Name) and node.value.id == "mpmath"):
+            found.append((node.lineno, "mpmath.mp"))
+    return found
+
+
+def test_the_check_sees_mpmath_reached_another_way():
+    source = ("import mpmath\nimport mpmath.libmp as L\nfrom mpmath import mpf\n"
+              "from mpmath.ctx_mp import MPContext, mp\nfrom mpmath.libmp import mpf_add\n"
+              "from mpmath.functions import rszeta\nx = mpmath.mp.prec\n"
+              "y = MPContext().mp  # an attribute mp of anything but the name mpmath is fine\n")
+    assert mpmath_violations(source) == [
+        (1, "import mpmath"), (2, "import mpmath.libmp"), (3, "from mpmath import"),
+        (4, "import of mp from mpmath.ctx_mp"), (6, "from mpmath.functions import"),
+        (7, "mpmath.mp")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_library_reaches_mpmath_only_through_ctx_mp_and_libmp(path):
+    assert mpmath_violations(path.read_text(encoding="utf-8")) == [], path

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from fracsum import accelerate, build_table, make_aps
@@ -16,6 +18,8 @@ from fracsum.numerics import (
     make_context,
 )
 from fracsum.series_model import SeriesProblem, _LogFactor, sums_and_terms
+
+from oracles import log_factor
 
 
 def test_roundoff_unit_quad_preset():
@@ -66,6 +70,26 @@ def test_exp_ln_factorial_matches_exact_factorials(qctx, s, m):
         # standard 4-ulp slack plus that unavoidable forward-error term
         tol = (4 + 2 * abs(x)) * qctx.eps * abs(ref)
         assert abs(ours - ref) <= tol, (n, s, m)
+
+
+_COEFFICIENTS = st.one_of(st.sampled_from([1, -1, 0]),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.integers(-2, 2), m=st.integers(1, 4), data=st.data(),
+       ns=st.lists(st.integers(1, 400), min_size=1, max_size=5))
+def test_log_factor_is_a_fold_on_the_context_operators(qctx, dctx, s, m, data, ns):
+    # exponents k/m with k in 0..m: n^1 and (for even m) n^(1/2) take their shortcuts
+    pairs = data.draw(st.lists(st.tuples(_COEFFICIENTS, st.integers(0, m)), max_size=4))
+    pairs = [(c, Fraction(k, m)) for c, k in pairs]
+    factor = _LogFactor(s, m, pairs)
+    for ctx in (qctx, dctx):
+        for n in ns:
+            got, want = factor(n, ctx), log_factor(s, m, pairs, n, ctx)
+            assert type(got) is type(want), (n, ctx)
+            assert (got.hex() if type(got) is float else got._mpf_) == \
+                (want.hex() if type(want) is float else want._mpf_), (n, ctx)
 
 
 def test_double_to_quad_round_trip_exact(qctx, dctx):
@@ -145,6 +169,37 @@ def test_raw_range_test_matches_check_range():
     # complex values and values of other types run on the context's own operators
     assert loop_arithmetic(ctx, [ctx.mpc(1, 1)]).lift(ctx.mpc(1, 1)) == ctx.mpc(1, 1)
     assert loop_arithmetic(ctx, [1]).in_range(ctx.one) is False
+
+
+@pytest.mark.parametrize("preset", [QUAD, DOUBLE], ids=["quad", "double"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
+    ctx = make_context(preset)
+    unit = ctx.one if kind == "real" else ctx.mpc(1, 0.5)
+    ar = loop_arithmetic(ctx, [unit])
+    assert (ar.neg is None) is (kind == "complex")
+
+    def bits(v):
+        return v.hex() if type(v) is float else getattr(v, "_mpf_", None) or v._mpc_
+
+    def same(got, want):
+        got = ar.lower(got)
+        return type(got) is type(want) and bits(got) == bits(want)
+
+    p, rnd = ar.prec, ar.rnd
+    assert same(ar.zero, ctx.zero) and same(ar.one, ctx.one)
+    for k in (1, 2, 3, 10, 97, 5258):
+        x, y = ctx.convert(k) / 7 * unit, ctx.sqrt(k) * unit
+        lx, ly, lk = ar.lift(x), ar.lift(y), ar.from_int(k)
+        assert same(ar.add(lx, ly, p, rnd), x + y)
+        assert same(ar.sub(lx, ly, p, rnd), x - y)
+        assert same(ar.mul(lx, ly, p, rnd), x * y)
+        assert same(ar.div(lx, ly, p, rnd), x / y)
+        assert same(ar.mul(lx, lk, p, rnd), x * k)
+        assert same(ar.exp(lx, p, rnd), ctx.exp(x))
+        assert same(ar.pow(lk, lx, p, rnd), ctx.power(k, x))
+        assert same(ar.sqrt(lk, p, rnd), ctx.sqrt(k))
+        assert same(ar.loggamma(ar.from_int(k + 1), p, rnd), ctx.loggamma(k + 1))
 
 
 @pytest.mark.parametrize("unit", sorted(_UNITS))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -336,6 +337,23 @@ def test_product_validation():
         ProductProblem("bad", lambda n, ctx: ctx.zero, m=2, t=2)
 
 
+_M_TAKERS = {
+    "SeriesProblem": lambda m: SeriesProblem("bad m", lambda n, ctx: ctx.one, m=m),
+    "ProductProblem": lambda m: ProductProblem("bad m", lambda n, ctx: ctx.zero, m=m, t=3),
+    "TelescopingFamily": lambda m: TelescopingFamily(1, 0, m, (0, -1)),
+    "trig_series_pair": lambda m: trig_series_pair(lambda n, ctx: ctx.one, (0,), (0, 1), 0, m),
+}
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, True, False, 0, -1, "2", Fraction(2)], ids=repr)
+@pytest.mark.parametrize("taker", sorted(_M_TAKERS))
+def test_m_must_be_a_positive_integer(taker, m):
+    # a float, a bool, a string or a Fraction m was taken, or failed with
+    # a TypeError or a message about sigma_hat
+    with pytest.raises(ValueError, match=re.escape(f"m must be a positive integer, got {m!r}")):
+        _M_TAKERS[taker](m)
+
+
 def test_generator_determinism(qctx):
     for ident in ("ex5_11", "ex7_2", "ex5_14"):
         a = sums_and_terms(builtin_problem(ident), 40, qctx)[0]
@@ -398,6 +416,20 @@ def test_trig_pair_complex_h_probe():
 def test_trig_pair_degree_check():
     with pytest.raises(ValueError):
         trig_series_pair(lambda n, ctx: ctx.one, (0, 1, 2, 3), (0,), 0, 2)
+
+
+@pytest.mark.parametrize("u1,u2,label", [
+    ((0, 1j), (0, 1), "u1[1] = 1j"),
+    ((0,), (0, 1, complex(2, 0)), "u2[2] = (2+0j)"),
+    ((lambda ctx: ctx.mpc(1, 1),), (0, 1), "u1[0] = mpc"),
+], ids=["complex-u1", "zero-imaginary-u2", "mpc-u1"])
+def test_trig_pair_rejects_complex_coefficients(qctx, u1, u2, label):
+    # with u1 = (0, 1j) the pair returned exp(i*sqrt(n)) h(n) at n = 2, not
+    # exp(2i*sqrt(n)) h(n): ctx.mpc(growth, phase) dropped the growth's
+    # imaginary part, and with a complex phase it dropped the phase
+    u1 = tuple(c(qctx) if callable(c) else c for c in u1)
+    with pytest.raises(ValueError, match=re.escape(label)):
+        trig_series_pair(lambda n, ctx: 1 / ctx.mpf(n) ** 2, u1, u2, 0, 2)
 
 
 def test_sigma_hat_validation():
