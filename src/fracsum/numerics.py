@@ -19,11 +19,21 @@ The two hot loops, the W-recursion of ``build_table`` and the partial-sum
 accumulation of ``sums_and_terms``, and the builtin term evaluators take
 their scalar operations from :func:`loop_arithmetic`.  Under an
 ``MPContext``, real values run there as raw ``libmp`` tuples (``_mpf_``)
-through ``mpf_add``, ``mpf_mul``, ``mpf_exp``, ``mpf_loggamma`` and the
-other kernels the ``mpf`` operators and context functions call, at the
-context's precision and rounding: the same bits without the object
-wrapper and the dispatch.  Binary64 floats and complex values keep their
-native operators and the context's own functions.
+at the context's precision and rounding: the same bits as the ``mpf``
+operators and context functions, without the object wrapper and the
+dispatch.  ``+``, ``-``, ``*``, ``/`` and ``sqrt`` are this module's
+round-to-nearest kernels on mpmath's pure-Python backend: each takes the
+integer steps of mpmath's ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
+``mpf_div`` or ``mpf_sqrt`` and rounds once, half to even, which is
+mpmath's rounding, so its bits are mpmath's; ``int.bit_length`` and
+``math.isqrt`` replace mpmath's pure-Python bit count and root, and every
+case but the common one is mpmath's own function.  Under gmpy2, or at
+another rounding, these are mpmath's functions.  ``pow``, ``exp`` and
+``loggamma`` are always mpmath's ``mpf_pow``, ``mpf_exp`` and
+``mpf_loggamma``: their bits are those of mpmath's algorithms, not a
+correctly rounded value, so they are not restated.  Binary64 floats and
+complex values keep their native operators and the context's own
+functions.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from typing import Callable, NamedTuple
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
+    BACKEND,
     MPZ,
     ComplexResult,
     from_float,
@@ -281,7 +292,10 @@ class LoopArithmetic(NamedTuple):
     ``(x, y, prec, rnd)``, and ``sqrt``, ``exp`` and ``loggamma`` take
     ``(x, prec, rnd)``; called with the ``prec`` and ``rnd`` given here,
     they return the bits of the context's own ``+``, ``-``, ``*``, ``/``,
-    ``power``, ``sqrt``, ``exp`` and ``loggamma``.  The real arithmetics
+    ``power``, ``sqrt``, ``exp`` and ``loggamma``.  On raw tuples at
+    round-to-nearest with mpmath's python backend, ``add``, ``sub``,
+    ``mul``, ``div`` and ``sqrt`` are the module's ``_nearest_*`` kernels,
+    which ignore ``rnd``; otherwise they are mpmath's.  The real arithmetics
     take ``pow``, ``sqrt`` and ``loggamma`` only where the result is real
     (terms call them on positive integers): where the context would return
     a complex value, they raise.
@@ -358,6 +372,118 @@ def _float_loggamma(x, prec, rnd):
     return to_float(mpf_loggamma(_raw(x), prec, rnd))
 
 
+# Round-to-nearest kernels on raw tuples, for prec >= 1.  Each forms the
+# mantissa the mpmath function of its name forms (the exact sum or product,
+# mpmath's shifted quotient or root), rounds it once half to even, as
+# mpmath's normalize does, and strips its trailing zeros; the bit count is
+# then the mantissa's bit length.  A nonzero remainder of div and sqrt is
+# mpmath's sticky bit, tested only where it decides a tie.  rnd is not
+# read: _raw_arithmetic binds the kernels for round-to-nearest only.  Every
+# case outside the common one is mpmath's own function, result or exception.
+def _nearest_sum(negate):
+    mpf_f = mpf_sub if negate else mpf_add
+
+    def add(s, t, prec, rnd):
+        ssign, sman, sexp, _ = s
+        tsign, tman, texp, _ = t
+        offset = sexp - texp
+        # a zero, inf or nan, or exponents so far apart that mpmath may perturb instead
+        if not (sman and tman and -100 <= offset <= 100):
+            return mpf_f(s, t, prec, rnd)
+        if offset > 0:
+            sman <<= offset
+            sexp = texp
+        elif offset:
+            tman <<= -offset
+        if ssign == tsign ^ negate:
+            man = sman + tman
+        else:
+            man = sman - tman
+            if man < 0:
+                ssign, man = ssign ^ 1, -man
+            elif not man:
+                return fzero
+        n = man.bit_length() - prec
+        if n > 0:
+            t = man >> (n - 1)
+            man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+            sexp += n
+        if not man & 1:
+            n = (man & -man).bit_length() - 1
+            man >>= n
+            sexp += n
+        return ssign, man, sexp, man.bit_length()
+
+    return add
+
+
+_nearest_add, _nearest_sub = _nearest_sum(0), _nearest_sum(1)
+
+
+def _nearest_mul(s, t, prec, rnd):
+    man = s[1] * t[1]
+    if not man:  # a zero, inf or nan
+        return mpf_mul(s, t, prec, rnd)
+    sign, exp, bc = s[0] ^ t[0], s[2] + t[2], man.bit_length()
+    n = bc - prec
+    if n <= 0:  # the product of odd mantissas is odd
+        return sign, man, exp, bc
+    t = man >> (n - 1)
+    man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+    exp += n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        exp += n
+    return sign, man, exp, man.bit_length()
+
+
+def _nearest_div(s, t, prec, rnd):
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or tman < 2:  # a zero, inf or nan, or a divisor that is a power of two
+        return mpf_div(s, t, prec, rnd)
+    extra = prec - sbc + tbc + 5
+    if extra < 5:
+        extra = 5
+    x = sman << extra
+    man = x // tman
+    n = man.bit_length() - prec  # at least 5: extra leaves prec + 5 bits
+    t = man >> (n - 1)
+    man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * tman != x)
+           else t >> 1)
+    exp = sexp - texp - extra + n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        exp += n
+    return ssign ^ tsign, man, exp, man.bit_length()
+
+
+def _nearest_sqrt(s, prec, rnd):
+    sign, man, exp, bc = s
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    # a negative, zero, inf or nan operand, an exact power of 4, or a radicand
+    # past 2^600, where mpmath's pure-Python sqrtrem switches algorithm
+    if sign or man < 2 or bc + shift > 600:
+        return mpf_sqrt(s, prec, rnd)
+    x = man << shift
+    man = math.isqrt(x)
+    n = man.bit_length() - prec  # at least 2: shift leaves 2 * prec + 4 bits
+    t = man >> (n - 1)
+    man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * man != x)
+           else t >> 1)
+    exp = ((exp - shift) >> 1) + n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        exp += n
+    return 0, man, exp, man.bit_length()
+
+
 def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
     """Raw ``libmp`` tuples at the precision and rounding of the mpf operators."""
     mpf, max_exp2 = ctx.mpf, precision.max_exp2
@@ -370,9 +496,13 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
         return x[1] and x[2] + x[3] <= max_exp2 or x == fzero
 
     prec, rnd = ctx._prec_rounding
-    return LoopArithmetic(lift, ctx.make_mpf, mpf_add, mpf_sub, mpf_div, in_range, prec, rnd,
-                          mpf_neg, fzero, fone, from_int, mpf_mul, mpf_pow, mpf_sqrt, mpf_exp,
-                          mpf_loggamma)
+    if rnd == round_nearest and BACKEND == "python":
+        add, sub, mul, div = _nearest_add, _nearest_sub, _nearest_mul, _nearest_div
+        sqrt = _nearest_sqrt
+    else:  # under gmpy2 mpmath's own kernels run in C
+        add, sub, mul, div, sqrt = mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt
+    return LoopArithmetic(lift, ctx.make_mpf, add, sub, div, in_range, prec, rnd, mpf_neg, fzero,
+                          fone, from_int, mul, mpf_pow, sqrt, mpf_exp, mpf_loggamma)
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:

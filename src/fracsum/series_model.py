@@ -589,6 +589,22 @@ def _expression_term(expr: str) -> TermFn:
     return term
 
 
+def _known_S_expression(expr: str):
+    """known_S as a scalar spec: the expression's value in a context."""
+    s_term = _expression_term(expr)
+
+    def known_S(ctx):
+        try:
+            value = s_term(0, ctx)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"known_S {expr!r} fails: {exc}") from None
+        if not ctx.isfinite(value):
+            raise ValueError(f"known_S {expr!r} is not finite: {ctx.nstr(value)}")
+        return value
+
+    return known_S
+
+
 _BUILTIN_KEYS = ("builtin", "name", "schedule")
 _EXPRESSION_KEYS = ("expression", "name", "m", "sigma_hat", "known_S", "schedule")
 
@@ -641,8 +657,14 @@ def load_problem(source):
     m, sigma_hat = spec["m"], spec.get("sigma_hat", 1)
     if isinstance(m, bool) or not isinstance(m, int):  # JSON true is a Python int
         raise ValueError(f"m must be an integer, got {m!r}")
-    if isinstance(sigma_hat, bool):
+    if isinstance(sigma_hat, bool) or not isinstance(sigma_hat, (numbers.Number, str)):
         raise ValueError(f"sigma_hat must be a number or a fraction string, got {sigma_hat!r}")
+    try:
+        sigma_hat = Fraction(str(sigma_hat))
+    except ZeroDivisionError:
+        raise ValueError(f"sigma_hat {sigma_hat!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"sigma_hat must be a number or a fraction string, got {sigma_hat!r}") from None
 
     known_S = spec.get("known_S")
     if isinstance(known_S, bool) or not isinstance(known_S, (numbers.Number, str, type(None))):
@@ -650,14 +672,13 @@ def load_problem(source):
     if isinstance(known_S, (float, complex)) and not cmath.isfinite(known_S):
         raise ValueError(f"known_S must be finite, got {known_S!r}")
     if isinstance(known_S, str):
-        s_term = _expression_term(known_S)
-        known_S = lambda ctx: s_term(0, ctx)  # noqa: E731 - tiny closure
+        known_S = _known_S_expression(known_S)
 
     problem = SeriesProblem(
         name=spec.get("name", "user-problem"),
         term=_expression_term(spec["expression"]),
         m=m,
-        sigma_hat=Fraction(str(sigma_hat)),
+        sigma_hat=sigma_hat,
         known_S=known_S,
         meta={"describe": spec["expression"]},
     )

@@ -111,7 +111,7 @@ def sum_trig(pair, schedule: Schedule, depth: int, ctx):
     plus, minus = pair
     if plus.meta.get("h_is_real"):
         value = accelerate(plus, schedule, depth, ctx).value
-        return value.real, value.imag
+        return ctx.convert(value.real), ctx.convert(value.imag)
     sp = accelerate(plus, schedule, depth, ctx).value
     sm = accelerate(minus, schedule, depth, ctx).value
     return (sp + sm) / 2, (sp - sm) / (2 * ctx.mpc(0, 1))
@@ -146,7 +146,7 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
     rows = []
     columns = zip(table.R, table.samples, table.A, table.gamma, table.lam)
     for n, (R_n, sample, value, gam, lam) in enumerate(columns):
-        absv = abs(value)
+        absv = ctx.convert(abs(value))
         rows.append(
             DiagnosticsRow(
                 n=n,
@@ -158,8 +158,8 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
                 est_gamma=gam * u,
                 est_abs=lam * u,
                 est_rel=lam * u / absv if absv > 0 else ctx.inf,
-                sample_error=abs(sample - S) if S is not None else None,
-                true_error=abs(value - S) if S is not None else None,
+                sample_error=ctx.convert(abs(sample - S)) if S is not None else None,
+                true_error=ctx.convert(abs(value - S)) if S is not None else None,
             )
         )
     return rows

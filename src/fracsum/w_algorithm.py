@@ -148,8 +148,9 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         mx = sample / omega
         nx = 1 / omega
         sign = -1 if l % 2 else 1
-        hx = lift(sign * abs(nx))
-        kx = lift(sign * abs(mx))
+        # abs of a complex value is real: convert makes it the context's real
+        hx = lift(sign * ctx.convert(abs(nx)))
+        kx = lift(sign * ctx.convert(abs(mx)))
         mx = lift(mx)
         nx = lift(nx)
         # X(l-n, n) with n <= span (k < span below) lies in its run: it is c*N or c*M there
@@ -191,12 +192,12 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
             A.append(sample)
             G.append(ctx.one)
-            L.append(abs(sample))
+            L.append(ctx.convert(abs(sample)))
         elif nx == 0:
             raise DegenerateDenominatorError(0, l)
         else:
             A.append(mx / nx)
-            G.append(abs(hx / nx))
-            L.append(abs(kx / nx))
+            G.append(ctx.convert(abs(hx / nx)))
+            L.append(ctx.convert(abs(kx / nx)))
 
     return ExtrapolationTable(depth=len(R) - 1, ctx=ctx, R=R, samples=samples, A=A, gamma=G, lam=L)

@@ -163,6 +163,14 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": "1/n**2", "m": 2.7}, "m must be an integer, got 2.7"),
         ({"expression": "1/n**2", "m": 1, "sigma_hat": True},
          "sigma_hat must be a number or a fraction string, got True"),
+        ({"expression": "1/n**2", "m": 1, "sigma_hat": "1/0"},
+         "fracsum: error: sigma_hat '1/0' has a zero denominator\n"),
+        ({"expression": "1/n**2", "m": 1, "sigma_hat": [1]},
+         "fracsum: error: sigma_hat must be a number or a fraction string, got [1]\n"),
+        ({"expression": "1/n**2", "m": 1, "known_S": "1/0"},
+         "fracsum: error: known_S '1/0' fails: division by zero\n"),
+        ({"expression": "1/n**2", "m": 1, "known_S": "log(0)"},
+         "fracsum: error: known_S 'log(0)' is not finite: -inf\n"),
         ({"expression": "1/n**2", "m": 1, "sigma-hat": 1}, "unknown key 'sigma-hat'"),
         ({"builtin": "ex5_1", "descr": "x"}, "unknown key 'descr'"),
         ({"builtin": "ex5_1", "m": 3}, "key 'm' does not apply to a builtin problem"),

@@ -118,6 +118,23 @@ def test_sum_trig_is_bit_identical_to_mpmath_53(h):
         _same(x, y)
 
 
+def test_reals_made_from_complex_values_are_floats():
+    # |.|, .real and .imag of an mpc are mpf values; at double they must come out as floats
+    problem = SeriesProblem("cx", lambda n, c: c.exp(c.mpc(-1, 1) * c.sqrt(n)), m=2)
+    schedule = parse_schedule("aps:1,1")
+    ours = accelerate(problem, schedule, 8, FP)
+    reals = ours.table.gamma + ours.table.lam + [ours.est_abs_error, ours.est_rel_error]
+    assert all(type(x) is float for x in reals)
+    _same_result(ours, accelerate(problem, schedule, 8, MP))
+
+    pair = trig_series_pair(lambda n, c: 1 / c.mpf(n * n), (0, 0, -1), (0, 1), 0, 2,
+                            h_is_real=True)
+    ours = sum_trig(pair, make_gps(1.3), 20, FP)
+    assert all(type(x) is float for x in ours)
+    for x, y in zip(ours, sum_trig(pair, make_gps(1.3), 20, MP)):
+        _same(x, y)
+
+
 @pytest.mark.parametrize("expression, complex_value", [
     ("exp(i*sqrt(n) - sqrt(n)/4) * log(n + 1) / power(n, 1.5) + cos(n) / (n*n)", True),
     # ** is ctx.power, not the platform's pow; 7**400 overflows binary64

@@ -5,14 +5,35 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
-from fracsum import accelerate, build_table, make_aps
+from fracsum import accelerate, build_table, make_aps, numerics
 from fracsum.numerics import (
     DOUBLE,
     QUAD,
     NotANumberError,
     Precision,
     RangeOverflowError,
+    _mpmath_context,
+    _nearest_add,
+    _nearest_div,
+    _nearest_mul,
+    _nearest_sqrt,
+    _nearest_sub,
+    _raw_arithmetic,
     check_range,
     loop_arithmetic,
     make_context,
@@ -200,6 +221,97 @@ def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
         assert same(ar.pow(lk, lx, p, rnd), ctx.power(k, x))
         assert same(ar.sqrt(lk, p, rnd), ctx.sqrt(k))
         assert same(ar.loggamma(ar.from_int(k + 1), p, rnd), ctx.loggamma(k + 1))
+
+
+_NEAREST = {"add": (_nearest_add, mpf_add), "sub": (_nearest_sub, mpf_sub),
+            "mul": (_nearest_mul, mpf_mul), "div": (_nearest_div, mpf_div)}
+_SPECIALS = st.sampled_from([fzero, finf, fninf, fnan])
+_SIGNS = st.sampled_from([1, -1])
+
+
+@st.composite
+def _finite(draw, prec, bits=None):
+    """A raw tuple whose mantissa width reaches each rounding case at prec bits."""
+    if bits is None:
+        bits = draw(st.one_of(st.sampled_from([1, 2, prec - 1, prec, prec + 1, prec + 2]),
+                              st.integers(1, 3 * prec)))
+    # all ones carry into the next power of two when they round up
+    man = draw(st.one_of(st.just((1 << bits) - 1), st.integers(1 << (bits - 1), (1 << bits) - 1)))
+    return from_man_exp(draw(_SIGNS) * man, draw(st.integers(-400, 400)))
+
+
+@st.composite
+def _operand_pairs(draw, prec):
+    """(s, t) for the binary kernels, each branch of mpmath's functions drawn on purpose."""
+    case = draw(st.sampled_from(["any", "offset", "magnitude", "cancel", "tie", "exact", "unit"]))
+    if case == "any":
+        return draw(st.one_of(_SPECIALS, _finite(prec))), draw(st.one_of(_SPECIALS, _finite(prec)))
+    s = draw(_finite(prec, prec if case == "tie" else None))
+    sign, man, exp, bc = t = draw(_finite(prec))
+    if case == "offset":  # exponents apart by the limits of the exact sum
+        offset = draw(st.sampled_from([0, 99, 100, 101, prec + 3, prec + 4, prec + 5]))
+        t = sign, man, s[2] - draw(_SIGNS) * offset, bc
+    elif case == "magnitude":  # magnitudes apart by about mpmath's prec + 4 perturbation test
+        delta = draw(st.sampled_from([prec + 3, prec + 4, prec + 5]))
+        t = sign, man, s[2] + s[3] - bc - draw(_SIGNS) * delta, bc
+    elif case == "cancel":  # s - s and s + (-s)
+        t = draw(st.sampled_from([0, 1])), s[1], s[2], s[3]
+    elif case == "tie":  # half an ulp of a prec-bit s
+        t = from_man_exp(draw(_SIGNS), s[2] - 1)
+    elif case == "exact":  # s / t is a prec + 1 bit odd quotient: a tie
+        q = draw(st.integers(1 << prec, (1 << (prec + 1)) - 1)) | 1
+        s = from_man_exp(draw(_SIGNS) * q * man, exp + draw(st.integers(-5, 5)))
+    else:  # a divisor mantissa of 1
+        t = sign, 1, exp, 1
+    return s, t
+
+
+@st.composite
+def _radicands(draw, prec):
+    """Square-root operands: negative, special, powers of 4 and squares of prec + 1 bits."""
+    case = draw(st.sampled_from(["any", "power of 4", "square"]))
+    if case == "any":
+        return draw(st.one_of(_SPECIALS, _finite(prec)))
+    if case == "power of 4":
+        return 0, 1, 2 * draw(st.integers(-200, 200)), 1
+    root = draw(st.integers(1 << prec, (1 << (prec + 1)) - 1)) | 1
+    return from_man_exp(root * root, draw(st.integers(-200, 200)))
+
+
+def _outcome(f, *args):
+    """f's raw result, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception type is the result compared
+        return type(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), prec=st.sampled_from([53, 113, 200]))
+def test_nearest_kernels_are_mpmaths_bit_for_bit(data, prec):
+    s, t = data.draw(_operand_pairs(prec))
+    for name, (ours, theirs) in _NEAREST.items():
+        want = _outcome(theirs, s, t, prec, round_nearest)
+        assert _outcome(ours, s, t, prec, round_nearest) == want, (name, s, t, prec)
+    x = data.draw(_radicands(prec))
+    want = _outcome(mpf_sqrt, x, prec, round_nearest)
+    assert _outcome(_nearest_sqrt, x, prec, round_nearest) == want, (x, prec)
+
+
+@pytest.mark.parametrize("backend, rounding, nearest", [
+    ("python", round_nearest, True), ("gmpy", round_nearest, False), ("python", "d", False)])
+def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
+        monkeypatch, backend, rounding, nearest):
+    monkeypatch.setattr(numerics, "BACKEND", backend)
+    ctx = _mpmath_context(QUAD)
+    ctx._prec_rounding[1] = rounding
+    ar = _raw_arithmetic(ctx, QUAD)
+    kernels = (ar.add, ar.sub, ar.mul, ar.div, ar.sqrt)
+    if nearest:
+        assert kernels == (_nearest_add, _nearest_sub, _nearest_mul, _nearest_div, _nearest_sqrt)
+    else:
+        assert kernels == (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt)
+    assert (ar.prec, ar.rnd, ar.exp) == (113, rounding, mpf_exp)
 
 
 @pytest.mark.parametrize("unit", sorted(_UNITS))
