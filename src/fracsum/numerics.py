@@ -4,9 +4,9 @@ Scalars are created through a context tied to a :class:`Precision`.  A
 preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
 scalars are Python floats and whose every function is mpmath's at 53
-bits: ``convert``, ``mpf``, ``sqrt``, ``power``, ``exp`` and ``loggamma``
-as float fast paths on the same ``libmp`` kernels, all others through a
-private 53-bit ``MPContext``.  Every other preset gets an mpmath
+bits: ``convert`` and ``mpf`` as float fast paths, all others (``sqrt``,
+``power``, ``exp``, ``loggamma``, ...) through a private 53-bit
+``MPContext``.  Every other preset gets an mpmath
 ``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
 values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
 ``ctx.eps``.  Any other number (int, float, str, Fraction, complex)
@@ -31,9 +31,11 @@ case but the common one is mpmath's own function.  Under gmpy2, or at
 another rounding, these are mpmath's functions.  ``pow``, ``exp`` and
 ``loggamma`` are always mpmath's ``mpf_pow``, ``mpf_exp`` and
 ``mpf_loggamma``: their bits are those of mpmath's algorithms, not a
-correctly rounded value, so they are not restated.  Binary64 floats and
-complex values keep their native operators and the context's own
-functions.
+correctly rounded value, so they are not restated.  Binary64 floats keep
+their native operators and ``math.sqrt``, and take ``pow``, ``exp`` and
+``loggamma`` from the same mpmath kernels at 53 bits; a term expression
+at binary64 calls these four kernels too.  Complex values keep their
+native operators and the context's own functions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     BACKEND,
     MPZ,
-    ComplexResult,
     from_float,
     from_int,
     fone,
@@ -136,13 +137,16 @@ def _mpmath_context(precision: Precision) -> MPContext:
     return ctx
 
 
-def _raw(x: float):
-    """The raw mpf of a float, as ``libmp.from_float`` gives it.
+def _raw(x):
+    """The raw mpf of a float, as ``libmp.from_float`` gives it, or of an int.
 
     ``as_integer_ratio`` is already in lowest terms, so only an integral
     float needs its trailing zero bits stripped; from_float normalises
-    every mantissa, which makes it the slower path.
+    every mantissa, which makes it the slower path.  An int is exact
+    through ``from_int``, which has its small values at hand.
     """
+    if type(x) is int:
+        return from_int(x)
     if x - x != 0.0:  # inf or nan
         return from_float(x)
     man, den = x.as_integer_ratio()
@@ -159,50 +163,24 @@ def _raw(x: float):
     return sign, MPZ(man), exp, man.bit_length()
 
 
-def _real_raw(x):
-    """The raw mpf of a float or int; None for any other argument."""
-    t = type(x)
-    if t is float:
-        return _raw(x)
-    if t is int:
-        return from_int(x)
-    return None
-
-
-def _real_kernel(mpf_f, name):
-    """Context method: *mpf_f* at 53 bits, nearest, on a float or int argument.
-
-    Any other argument, or a real argument whose result is complex, is
-    handed to the same-named method of the private 53-bit MPContext.
-    """
-
-    def method(ctx, x):
-        v = _real_raw(x)
-        if v is None:
-            return ctx._demote(getattr(ctx._mp, name)(x))
-        try:
-            return to_float(mpf_f(v, 53, round_nearest))
-        except ComplexResult:
-            return getattr(ctx._mp, name)(x)
-
-    method.__name__ = name
-    return method
-
-
 class Binary64Context:
     """IEEE binary64 arithmetic that gives the same bits as mpmath at 53 bits.
 
-    Real scalars are Python floats.  ``+ - * /``, ``abs``, comparisons and
-    ``sqrt`` run natively: IEEE round-to-nearest-even is mpmath's 53-bit
-    rounding ``"n"``.  The fast paths that terms and loops call per term,
-    ``convert``, ``mpf``, ``sqrt``, ``power``, ``exp`` and ``loggamma``,
-    take a float or int straight to mpmath's ``libmp`` kernels at 53 bits
-    and back through the exact ``to_float``.  Every other function and constant
-    (``log``, ``cosh``, ``digamma``, ``mag``, ``isnan``, ``dps``, ...) is the
-    one of a private 53-bit ``MPContext``, with a real result turned into
-    its float.  Complex scalars are that context's ``mpc`` values, and it
-    renders ``nstr``.  Unlike that context, values end at 2^1024 (overflow
-    gives ``inf``) and lose bits below 2^-1022.
+    Real scalars are Python floats.  ``+ - * /``, ``abs`` and comparisons
+    run natively: IEEE round-to-nearest-even is mpmath's 53-bit rounding
+    ``"n"``.  ``convert`` and ``mpf``, which ``sums_and_terms`` calls once
+    per term, return a float or int as a float without mpmath.  Every other
+    function and constant (``sqrt``, ``power``, ``exp``, ``loggamma``,
+    ``log``, ``mag``, ``isnan``, ``dps``, ...) is the one of a private
+    53-bit ``MPContext``, with a real result turned into its float.  Per
+    term, the hot loops and the builtin terms call none of them: their
+    kernels are :func:`loop_arithmetic`'s.  A term expression calls
+    ``sqrt``, ``power``, ``exp`` and ``loggamma`` only where the float
+    arithmetic's kernels do not take its arguments (a complex value, a
+    complex result).  Complex scalars are that
+    context's ``mpc`` values, and it renders ``nstr``.  Unlike that context,
+    values end at 2^1024 (overflow gives ``inf``) and lose bits below
+    2^-1022.
     """
 
     zero = 0.0
@@ -261,24 +239,6 @@ class Binary64Context:
 
     def nstr(self, x, n=6, **kwargs):
         return self._mp.nstr(self._mp.convert(x), n, **kwargs)
-
-    def sqrt(self, x):
-        t = type(x)
-        if (t is float and x > 0.0) or (t is int and 0 < x <= 1 << 53):
-            return math.sqrt(x)
-        return self._demote(self._mp.sqrt(x))
-
-    def power(self, x, y):
-        vx, vy = _real_raw(x), _real_raw(y)
-        if vx is not None and vy is not None:
-            try:
-                return to_float(mpf_pow(vx, vy, 53, round_nearest))
-            except ComplexResult:
-                pass
-        return self._demote(self._mp.power(x, y))
-
-    exp = _real_kernel(mpf_exp, "exp")
-    loggamma = _real_kernel(mpf_loggamma, "loggamma")
 
 
 class LoopArithmetic(NamedTuple):
@@ -355,13 +315,14 @@ def _div(x, y, prec, rnd):
 
 
 # The functions of the float arithmetic: mpmath's kernels at 53 bits on
-# floats, the fast paths of Binary64Context.
+# floats, with the bits of Binary64Context's functions.  Expressions call
+# pow, exp and loggamma on ints too.
 def _float_pow(x, y, prec, rnd):
     return to_float(mpf_pow(_raw(x), _raw(y), prec, rnd))
 
 
 def _float_sqrt(x, prec, rnd):
-    return math.sqrt(x)
+    return math.sqrt(x) + 0.0  # sqrt(-0.0) is -0.0, and mpmath's is its one zero
 
 
 def _float_exp(x, prec, rnd):

@@ -32,7 +32,6 @@ import ast
 import cmath
 import json
 import numbers
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -321,9 +320,9 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
     once per term; any other order restarts from A_0 = 1 with the same
     operations and gets the same bits.  The products run on the
     context's real arithmetic until a v_n is complex, and from there on
-    the context's own operators.  State updates run under a lock.
+    the context's own operators.  The state is one tuple, read once and
+    replaced whole, so concurrent callers need no lock.
     """
-    lock = threading.Lock()
 
     def grow(ar, prev, v, k):
         value = ar.mul(prev, ar.add(ar.one, v, ar.prec, ar.rnd), ar.prec, ar.rnd)
@@ -333,25 +332,25 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 
     def bind(ctx):
         real = loop_arithmetic(ctx)
-        state = None  # (n, arithmetic, A_{n-1}, v_n) of the last term
+        last = None  # (n, arithmetic, A_{n-1}, v_n) of the last term
 
         def term(n):
-            nonlocal state
-            with lock:
-                if state is not None and state[0] == n - 1:
-                    k, ar, prev, v = state
-                else:
-                    k, ar, prev, v = 0, real, real.one, None
-                for k in range(k + 1, n + 1):
-                    if v is not None:
-                        prev = grow(ar, prev, v, k - 1)
-                    value = ctx.convert(problem.v(k, ctx))
-                    v = ar.lift(value)
-                    if v is None:  # complex: go on with the context's own operators
-                        prev = ar.lower(prev)
-                        ar = loop_arithmetic(ctx, [value])
-                        prev, v = ar.lift(prev), ar.lift(value)
-                state = (n, ar, prev, v)
+            nonlocal last
+            state = last  # one read: another thread may store its own term's state meanwhile
+            if state is not None and state[0] == n - 1:
+                k, ar, prev, v = state
+            else:
+                k, ar, prev, v = 0, real, real.one, None
+            for k in range(k + 1, n + 1):
+                if v is not None:
+                    prev = grow(ar, prev, v, k - 1)
+                value = ctx.convert(problem.v(k, ctx))
+                v = ar.lift(value)
+                if v is None:  # complex: go on with the context's own operators
+                    prev = ar.lower(prev)
+                    ar = loop_arithmetic(ctx, [value])
+                    prev, v = ar.lift(prev), ar.lift(value)
+            last = (n, ar, prev, v)
             if n == 1:
                 return ar.lower(grow(ar, prev, v, 1))
             return ar.lower(ar.mul(v, prev, ar.prec, ar.rnd))
@@ -421,11 +420,10 @@ _FIFTH = Fraction(1, 5)
 
 def _ex5_14(ctx):
     """n -> n^sqrt(3) / (1 + sqrt(n)) under ctx."""
-    sqrt3 = ctx.sqrt(3)
-    ar = loop_arithmetic(ctx, [sqrt3])
+    ar = loop_arithmetic(ctx)
     lower, from_int, add, div, power, sqrt, one, prec, rnd = (
         ar.lower, ar.from_int, ar.add, ar.div, ar.pow, ar.sqrt, ar.one, ar.prec, ar.rnd)
-    sqrt3 = ar.lift(sqrt3)
+    sqrt3 = sqrt(from_int(3), prec, rnd)
 
     def term(n):
         x = from_int(n)
@@ -550,6 +548,36 @@ class _PowerCalls(ast.NodeTransformer):
         return ast.copy_location(call, node)
 
 
+def _float_first(name, kernel, fallback, prec, rnd, types):
+    """The context function *fallback*, through the float arithmetic's *kernel* where it can.
+
+    The kernel takes a call whose arguments' types are all in *types*, and
+    gives fallback's bits; where it raises (a complex result, a pole) or an
+    argument is of another type, fallback gives the value or the error.
+    ``power`` takes two arguments, every other name one.
+    """
+
+    def unary(x):
+        if type(x) in types:
+            try:
+                return kernel(x, prec, rnd)
+            except (ArithmeticError, ValueError):
+                pass
+        return fallback(x)
+
+    def binary(x, y):
+        if type(x) in types and type(y) in types:
+            try:
+                return kernel(x, y, prec, rnd)
+            except (ArithmeticError, ValueError):
+                pass
+        return fallback(x, y)
+
+    f = binary if name == "power" else unary
+    f.__name__ = f.__qualname__ = name  # a call with a wrong argument count names it
+    return f
+
+
 def _expression_term(expr: str) -> TermFn:
     # Trusted-input convenience; no builtins are exposed to the expression.
     # Mistakes that would only surface at evaluation, as a TypeError or
@@ -575,6 +603,13 @@ def _expression_term(expr: str) -> TermFn:
     def names(ctx):
         """Every name an expression can use in *ctx*, except n."""
         env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
+        ar = loop_arithmetic(ctx)
+        if type(ar.zero) is float:  # binary64: the float arithmetic's kernels, as the terms use
+            # they take an int exactly, except math.sqrt, which rounds one past 2^53 first
+            for name, kernel, types in (("power", ar.pow, (float, int)), ("sqrt", ar.sqrt, (float,)),
+                                        ("exp", ar.exp, (float, int)),
+                                        ("loggamma", ar.loggamma, (float, int))):
+                env[name] = _float_first(name, kernel, env[name], ar.prec, ar.rnd, types)
         env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
                    abs=abs, mpf=ctx.mpf)
         return env

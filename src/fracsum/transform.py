@@ -91,13 +91,17 @@ def _select(table: ExtrapolationTable, known_S=None) -> AccelerationResult:
 
 
 def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> AccelerationResult:
-    """Accelerate a series up to diagonal entry A(0, depth), depth >= 0."""
+    """Accelerate a series up to diagonal entry A(0, depth), depth >= 0.
+
+    ``problem.known_S`` is resolved, and so may raise, before any term is evaluated.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    known_S = resolve_scalar(problem.known_S, ctx)
     R = schedule.prefix(depth + 1)
     sums, terms = sums_and_terms(problem, R[-1], ctx)
     table = build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
-    return _select(table, problem.known_S)
+    return _select(table, known_S)
 
 
 def sum_trig(pair, schedule: Schedule, depth: int, ctx):

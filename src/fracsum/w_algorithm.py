@@ -126,12 +126,12 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
     prec = precision_of(ctx)
     use_prev = sigma_hat < 0
-    sigma = ctx.convert(sigma_hat)
-    inv_m = ctx.convert(Fraction(-1, m))
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
-    lift, lower, _, sub, div, in_range, p, rnd, neg, *_ = loop_arithmetic(
-        ctx, samples + [terms[r] for r in R])
+    ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
+    lift, lower, sub, div, in_range, p, rnd, neg = (
+        ar.lift, ar.lower, ar.sub, ar.div, ar.in_range, ar.prec, ar.rnd, ar.neg)
+    sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
 
     t, A, G, L = [], [], [], []
     # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
@@ -143,8 +143,10 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         a = terms[r]
         if a == 0:
             raise ZeroTermError(r, ctx)
-        omega = ctx.power(r, sigma) * a
-        tl = lift(ctx.power(r, inv_m))
+        # the weight r^sigma_hat and the node t_l = r^(-1/m), with the bits of ctx.power
+        x = ar.from_int(r)
+        omega = lower(ar.pow(x, sigma, p, rnd)) * a
+        tl = ar.pow(x, inv_m, p, rnd)
         mx = sample / omega
         nx = 1 / omega
         sign = -1 if l % 2 else 1

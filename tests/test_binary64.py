@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float
 
@@ -23,6 +23,7 @@ from fracsum.numerics import (
     Precision,
     RangeOverflowError,
     check_range,
+    loop_arithmetic,
     make_context,
 )
 from fracsum.reference_tables import REFERENCE_TABLES
@@ -163,16 +164,21 @@ def _outcome(f, *args):
         return type(exc)
 
 
-def _same_kernel(name, *args):
-    """FP.name(*args) is float(MP.name(*args)), or both raise the same error."""
-    ours = _outcome(getattr(FP, name), *args)
-    ref = _outcome(getattr(MP, name), *args)
+def _matches(ours, ref):
+    """An outcome against MP's: the same error, the same complex value, or float(MP's value)."""
     if isinstance(ref, type):
         assert ours is ref
     elif hasattr(ref, "_mpc_"):
         assert hasattr(ours, "_mpc_") and ours == ref
     else:
+        # the sign too: mpmath has no -0.0
         assert type(ours) is float and ours == float(ref), (ours, ref)
+        assert math.copysign(1.0, ours) == math.copysign(1.0, float(ref)), (ours, ref)
+
+
+def _same_kernel(name, *args):
+    """FP.name(*args) is float(MP.name(*args)), or both raise the same error."""
+    _matches(_outcome(getattr(FP, name), *args), _outcome(getattr(MP, name), *args))
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,31 +204,70 @@ def test_convert_strings_match(mantissa, exponent):
     _same_kernel("mpf", text)
 
 
+# The float loop arithmetic's transcendental kernels, those of the hot loops
+# and the builtin terms at DOUBLE, and the functions of the same names in an
+# expression at DOUBLE, which take those kernels on floats and small ints.
+# Each gives float(MP's value) or MP's error.  Where MP's value is complex,
+# the loop kernel raises and the expression gives that complex value.
+_LOOP = loop_arithmetic(FP)
+
+
+def _same_loop_kernel(name, *args):
+    # a loop takes an int through from_int, exact up to 2^53
+    lifted = [_LOOP.from_int(x) if type(x) is int else x for x in args]
+    ours = _outcome(getattr(_LOOP, name), *lifted, _LOOP.prec, _LOOP.rnd)
+    ref = _outcome(getattr(MP, "power" if name == "pow" else name), *args)
+    if hasattr(ref, "_mpc_"):
+        assert isinstance(ours, type), (ours, ref)
+    else:
+        _matches(ours, ref)
+
+
+def _same_expression_function(name, *args):
+    problem, _ = load_problem({"expression": f"{name}({', '.join(map(repr, args))})", "m": 1})
+    _matches(_outcome(problem.term, 1, FP), _outcome(getattr(MP, name), *args))
+
+
+def _same_function(name, *args):
+    if all(type(x) is not int or abs(x) <= 2**53 for x in args):
+        _same_loop_kernel("pow" if name == "power" else name, *args)
+    _same_expression_function(name, *args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-800, max_value=800), st.integers(-800, 800))
 def test_exp_matches(x, k):
-    _same_kernel("exp", x)
-    _same_kernel("exp", k)
+    _same_function("exp", x)
+    _same_function("exp", k)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_positive, st.integers(1, 10**9), st.floats(-50, 50)),
        st.one_of(st.floats(-12, 12), st.integers(-40, 40), st.sampled_from([0.5, -0.5, 1.5])))
 def test_power_matches(x, y):
-    _same_kernel("power", x, y)
+    _same_function("power", x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6000), st.integers(-4, 4), st.integers(1, 4))
+def test_power_of_a_sample_index_matches(r, k, m):
+    # build_table's weight r^sigma_hat and node r^(-1/m): an index r to a multiple of 1/m
+    _same_loop_kernel("pow", r, FP.convert(Fraction(k, m)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.floats(min_value=0.01, max_value=1e8), st.integers(1, 10**6)))
 def test_loggamma_matches(x):
-    _same_kernel("loggamma", x)
+    _same_function("loggamma", x)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.floats(min_value=0, max_value=1e300), st.integers(0, 2**70),
                  st.floats(-10, -1e-10)))
+@example(-0.0)  # math.sqrt keeps its sign
+@example(708977432488605024909)  # math.sqrt rounds it to a float first, and its root then
 def test_sqrt_matches(x):
-    _same_kernel("sqrt", x)
+    _same_function("sqrt", x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,9 +329,10 @@ def test_no_term_or_entry_resolves_through_the_fallback(monkeypatch):
     for ident in builtin_ids():
         run(builtin_problem(ident))
     assert resolved == []
-    # complex values are range-checked one by one: each name resolves once
+    # the complex term's own exp and power, the functions of the native arithmetic
+    # the complex sums switch to, and the range checks of complex values: each once
     run(trig_series_pair(lambda n, c: c.mpc(1, n) / c.power(n, 3), (0, 0, -1), (0, 1), 0, 2)[0])
-    assert resolved == ["mag", "isnan"]
+    assert resolved == ["exp", "power", "sqrt", "loggamma", "mag", "isnan"]
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,20 @@ def test_estimate_errors_known_S_columns(qctx):
     assert rows[8].true_error <= qctx.mpf("4e-8")
 
 
+def test_a_failing_known_S_raises_before_any_term(qctx):
+    problem, _ = load_problem({"expression": "1/n**2", "m": 1, "known_S": "1/0"})
+    term, calls = problem.term, []
+
+    def counting(n, ctx):
+        calls.append(n)
+        return term(n, ctx)
+
+    problem.term = counting
+    with pytest.raises(ValueError, match=r"^known_S '1/0' fails: division by zero$"):
+        accelerate(problem, make_aps(1, 1), 4, qctx)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [lambda ctx: ctx.nan, lambda ctx: ctx.mpc(1, ctx.nan)])
 def test_nan_term_names_first_index(qctx, bad):
     # a NaN term used to yield a wrong value with a tiny error estimate
