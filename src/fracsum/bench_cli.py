@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from mpmath.libmp import finf, fnan, fninf, from_float, fzero, to_rational
+from mpmath.libmp import finf, fnan, fninf, from_float, fzero
 
 from .classify import RatioExpansion, convergence_verdict, structure_from_ratio
 from .numerics import PRESETS, QUAD, Precision, make_context, resolve_scalar
@@ -52,10 +52,11 @@ _SPECIAL = {fzero: "0.00e+00", finf: "inf", fninf: "-inf", fnan: "nan"}
 def _sci(x, digits: int = 3) -> str:
     """Scientific notation with *digits* significant digits.
 
-    The digits are those of the exact binary value (mpmath's
-    ``to_rational`` of its raw mpf) rounded half to even, so a float and
-    the equal mpf print alike at any exponent.  A non-finite value renders
-    as ``inf``, ``-inf`` or ``nan``.
+    The digits are those of the exact binary value man * 2^exp of its raw
+    mpf, scaled by a power of ten as the int quotient num/den and rounded
+    half to even on the remainder, so a float and the equal mpf print alike
+    at any exponent.  A non-finite value renders as ``inf``, ``-inf`` or
+    ``nan``.
     """
     if hasattr(x, "imag") and x.imag != 0:
         im = _sci(abs(x.imag), digits)
@@ -64,15 +65,26 @@ def _sci(x, digits: int = 3) -> str:
     v = x._mpf_ if hasattr(x, "_mpf_") else from_float(x)
     if v in _SPECIAL:
         return _SPECIAL[v]
-    sign, _, exp, bc = v
+    sign, num, exp, bc = v
     # 2^(exp+bc-1) <= |x| < 2^(exp+bc), so floor(log10|x|) is e or e + 1
     e = math.floor((exp + bc - 1) * math.log10(2))
-    scaled = abs(Fraction(*to_rational(v))) * Fraction(10) ** (digits - 1 - e)
-    if scaled >= 10**digits:
-        scaled, e = scaled / 10, e + 1
-    q = round(scaled)  # half to even
-    if q == 10**digits:
-        q, e = q // 10, e + 1
+    # |x| * 10^(digits-1-e) = num / den
+    den, shift, top = 1, digits - 1 - e, 10**digits
+    if exp >= 0:
+        num <<= exp
+    else:
+        den <<= -exp
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    if num >= top * den:
+        den, e = den * 10, e + 1
+    q, r = divmod(num, den)
+    if 2 * r > den or 2 * r == den and q & 1:  # half to even
+        q += 1
+        if q == top:
+            q, e = q // 10, e + 1
     text = str(q)
     return f"{'-' if sign else ''}{text[0]}.{text[1:]}e{e:+03d}"
 

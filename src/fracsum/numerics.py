@@ -27,8 +27,10 @@ integer steps of mpmath's ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
 ``mpf_div`` or ``mpf_sqrt`` and rounds once, half to even, which is
 mpmath's rounding, so its bits are mpmath's; ``int.bit_length`` and
 ``math.isqrt`` replace mpmath's pure-Python bit count and root, and every
-case but the common one is mpmath's own function.  Under gmpy2, or at
-another rounding, these are mpmath's functions.  ``pow``, ``exp`` and
+case but the common one is mpmath's own function.  The W-recursion's
+divided difference ``(x - y) / d`` is one kernel with the bits of the
+``-`` kernel followed by the ``/`` kernel.  Under gmpy2, or at another
+rounding, these are mpmath's functions.  ``pow``, ``exp`` and
 ``loggamma`` are always mpmath's ``mpf_pow``, ``mpf_exp`` and
 ``mpf_loggamma``: their bits are those of mpmath's algorithms, not a
 correctly rounded value, so they are not restated.  Binary64 floats keep
@@ -252,10 +254,14 @@ class LoopArithmetic(NamedTuple):
     ``(x, y, prec, rnd)``, and ``sqrt``, ``exp`` and ``loggamma`` take
     ``(x, prec, rnd)``; called with the ``prec`` and ``rnd`` given here,
     they return the bits of the context's own ``+``, ``-``, ``*``, ``/``,
-    ``power``, ``sqrt``, ``exp`` and ``loggamma``.  On raw tuples at
-    round-to-nearest with mpmath's python backend, ``add``, ``sub``,
-    ``mul``, ``div`` and ``sqrt`` are the module's ``_nearest_*`` kernels,
-    which ignore ``rnd``; otherwise they are mpmath's.  The real arithmetics
+    ``power``, ``sqrt``, ``exp`` and ``loggamma``.  ``divdiff(x, y, d,
+    prec, rnd)`` is ``div(sub(x, y, prec, rnd), d, prec, rnd)`` in one
+    call, the W-recursion's update.  On raw tuples at round-to-nearest
+    with mpmath's python backend, ``add``, ``sub``, ``mul``, ``div``,
+    ``sqrt`` and ``divdiff`` are the module's ``_nearest_*`` kernels, which
+    ignore ``rnd``; otherwise they are mpmath's, and ``divdiff`` is
+    ``mpf_div`` of ``mpf_sub``.  On floats and on the native arithmetic
+    ``divdiff`` is ``(x - y) / d``.  The real arithmetics
     take ``pow``, ``sqrt`` and ``loggamma`` only where the result is real
     (terms call them on positive integers): where the context would return
     a complex value, they raise.
@@ -288,6 +294,7 @@ class LoopArithmetic(NamedTuple):
     sqrt: Callable
     exp: Callable
     loggamma: Callable
+    divdiff: Callable
 
 
 def _same(x):
@@ -312,6 +319,14 @@ def _mul(x, y, prec, rnd):
 
 def _div(x, y, prec, rnd):
     return x / y
+
+
+def _divdiff(x, y, d, prec, rnd):
+    return (x - y) / d
+
+
+def _mpf_divdiff(x, y, d, prec, rnd):
+    return mpf_div(mpf_sub(x, y, prec, rnd), d, prec, rnd)
 
 
 # The functions of the float arithmetic: mpmath's kernels at 53 bits on
@@ -421,6 +436,56 @@ def _nearest_div(s, t, prec, rnd):
     return ssign ^ tsign, man, exp, man.bit_length()
 
 
+def _nearest_divdiff(s, t, d, prec, rnd):
+    """(s - t) / d with the bits of ``_nearest_div(_nearest_sub(s, t), d)``.
+
+    The aligned difference is rounded once, as ``_nearest_sub`` rounds it,
+    and divided without its trailing zeros stripped: with a divisor
+    mantissa of at least 2 bits and a difference of at most prec + 1, the
+    shift ``extra`` is at least 6, above div's clamp at 5, so the dividend
+    ``man << extra`` and the quotient's exponent are those of the stripped
+    mantissa.  Any other case is the composition of the two kernels.
+    """
+    ssign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    dsign, dman, dexp, dbc = d
+    offset = sexp - texp
+    # a zero, inf or nan, exponents far apart, or a divisor that is a power of two
+    if not (sman and tman and dman > 1 and -100 <= offset <= 100):
+        return _nearest_div(_nearest_sub(s, t, prec, rnd), d, prec, rnd)
+    if offset > 0:
+        sman <<= offset
+        sexp = texp
+    elif offset:
+        tman <<= -offset
+    if ssign != tsign:
+        man = sman + tman
+    else:
+        man = sman - tman
+        if man < 0:
+            ssign, man = ssign ^ 1, -man
+        elif not man:  # 0 / d for a finite nonzero d
+            return fzero
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        sexp += n
+    extra = prec - man.bit_length() + dbc + 5
+    x = man << extra
+    man = x // dman
+    n = man.bit_length() - prec
+    t = man >> (n - 1)
+    man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * dman != x)
+           else t >> 1)
+    exp = sexp - dexp - extra + n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        exp += n
+    return ssign ^ dsign, man, exp, man.bit_length()
+
+
 def _nearest_sqrt(s, prec, rnd):
     sign, man, exp, bc = s
     if exp & 1:
@@ -459,11 +524,12 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
     prec, rnd = ctx._prec_rounding
     if rnd == round_nearest and BACKEND == "python":
         add, sub, mul, div = _nearest_add, _nearest_sub, _nearest_mul, _nearest_div
-        sqrt = _nearest_sqrt
+        sqrt, divdiff = _nearest_sqrt, _nearest_divdiff
     else:  # under gmpy2 mpmath's own kernels run in C
         add, sub, mul, div, sqrt = mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt
+        divdiff = _mpf_divdiff
     return LoopArithmetic(lift, ctx.make_mpf, add, sub, div, in_range, prec, rnd, mpf_neg, fzero,
-                          fone, from_int, mul, mpf_pow, sqrt, mpf_exp, mpf_loggamma)
+                          fone, from_int, mul, mpf_pow, sqrt, mpf_exp, mpf_loggamma, divdiff)
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
@@ -476,7 +542,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift, _same, _add, _sub, _div, in_range, 53, round_nearest,
                           operator.neg, 0.0, 1.0, float, _mul, _float_pow, _float_sqrt,
-                          _float_exp, _float_loggamma)
+                          _float_exp, _float_loggamma, _divdiff)
 
 
 def _native_arithmetic(ctx) -> LoopArithmetic:
@@ -485,7 +551,7 @@ def _native_arithmetic(ctx) -> LoopArithmetic:
     return LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest, None,
                           ctx.zero, ctx.one, _same, _mul, lambda x, y, prec, rnd: power(x, y),
                           lambda x, prec, rnd: sqrt(x), lambda x, prec, rnd: exp(x),
-                          lambda x, prec, rnd: loggamma(x))
+                          lambda x, prec, rnd: loggamma(x), _divdiff)
 
 
 def loop_arithmetic(ctx, values=()) -> LoopArithmetic:

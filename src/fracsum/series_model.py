@@ -158,7 +158,8 @@ class _LogFactor:
     """ln((n!)^(s/m)) + sum(c * n^p) over exact (c, p) pairs: the log of the paper's factor.
 
     The sum starts from the log-factorial ``loggamma(n + 1) * s / m``
-    (from zero when s = 0 or n <= 1) and adds each c * n^p in pair order.
+    (from the first c * n^p when s = 0 or n <= 1, and is zero without
+    either) and adds each further c * n^p in pair order.
     n^1 is n and n^(1/2) is ``sqrt(n)``, the bits ``power`` gives, and a
     coefficient of 1 is not multiplied.
     """
@@ -194,12 +195,14 @@ class _LogFactor:
             if scaled and n > 1:
                 val = div(mul(loggamma(from_int(n + 1), prec, rnd), s, prec, rnd), m, prec, rnd)
             else:
-                val = zero
+                val = None
             k = from_int(n)
             for c, p in pairs:
                 x = k if p is None else sqrt(k, prec, rnd) if p is _SQRT else power(k, p, prec, rnd)
-                val = add(val, x if c is None else mul(c, x, prec, rnd), prec, rnd)
-            return val
+                if c is not None:
+                    x = mul(c, x, prec, rnd)
+                val = x if val is None else add(val, x, prec, rnd)
+            return zero if val is None else val
 
         def exp_log(n):
             return exp(log(n), prec, rnd)
@@ -548,6 +551,42 @@ class _PowerCalls(ast.NodeTransformer):
         return ast.copy_location(call, node)
 
 
+# the argument counts each callee of an expression takes: power 2, log 1 or 2, all others 1
+_EXPR_ARITY = dict.fromkeys(_EXPR_FUNCS + ["abs", "mpf"], (1,)) | {"power": (2,), "log": (1, 2)}
+
+
+def _check_calls(expr: str, tree) -> None:
+    """Refuse a call that is not to a function, or with arguments it does not take.
+
+    Every callee is a name in ``_EXPR_ARITY`` with one of its argument
+    counts, positional and unstarred: a constant such as ``pi`` is callable
+    in mpmath, and a keyword such as ``dps`` or ``prec`` would change the
+    working precision of one call.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in _EXPR_ARITY:
+            raise ValueError(f"expression {expr!r} calls {ast.unparse(node.func)!r}, which is not "
+                             f"a function; functions: {', '.join(sorted(_EXPR_ARITY))}")
+        if node.keywords:
+            kw = node.keywords[0].arg
+            what = f"the keyword argument {kw!r}" if kw else "a ** argument"
+        elif any(isinstance(arg, ast.Starred) for arg in node.args):
+            what = "a starred argument"
+        else:
+            what = None
+        if what:
+            raise ValueError(f"expression {expr!r} passes {what} to {name}; "
+                             f"functions take positional arguments only")
+        count, counts = len(node.args), _EXPR_ARITY[name]
+        if count not in counts:
+            raise ValueError(f"expression {expr!r} calls {name} with {count} "
+                             f"argument{'' if count == 1 else 's'}; "
+                             f"{name} takes {' or '.join(map(str, counts))}")
+
+
 def _float_first(name, kernel, fallback, prec, rnd, types):
     """The context function *fallback*, through the float arithmetic's *kernel* where it can.
 
@@ -573,16 +612,15 @@ def _float_first(name, kernel, fallback, prec, rnd, types):
                 pass
         return fallback(x, y)
 
-    f = binary if name == "power" else unary
-    f.__name__ = f.__qualname__ = name  # a call with a wrong argument count names it
-    return f
+    return binary if name == "power" else unary
 
 
 def _expression_term(expr: str) -> TermFn:
     # Trusted-input convenience; no builtins are exposed to the expression.
     # Mistakes that would only surface at evaluation, as a TypeError or
-    # NameError, or not at all (2^3 is xor), are rejected here, and so is
-    # attribute syntax: a chain of attributes reaches any Python object.
+    # NameError, or not at all (2^3 is xor, pi(3) is a 3-bit pi), are
+    # rejected here, and so is attribute syntax: a chain of attributes
+    # reaches any Python object.
     try:
         tree = ast.parse(expr, "<term expression>", "eval")
     except SyntaxError as exc:
@@ -596,6 +634,7 @@ def _expression_term(expr: str) -> TermFn:
         if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES:
             raise ValueError(f"expression {expr!r} uses unknown name {node.id!r}; "
                              f"known names: {', '.join(sorted(_EXPR_NAMES))}")
+    _check_calls(expr, tree)
     tree = _PowerCalls().visit(tree)
     code = compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
 
@@ -618,7 +657,7 @@ def _expression_term(expr: str) -> TermFn:
         # n is bound as a real of ctx so plain arithmetic stays at working precision
         try:
             return ctx.convert(eval(code, names(ctx), {"n": ctx.mpf(n)}))
-        except TypeError as exc:  # e.g. a wrong number of arguments: sqrt(n, 2)
+        except TypeError as exc:  # e.g. a complex value made real: mpf(i)
             raise ValueError(f"expression {expr!r} fails at n = {n}: {exc}") from None
 
     return term

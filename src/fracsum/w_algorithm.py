@@ -8,7 +8,11 @@ the previous antidiagonal is kept, so the working state is O(depth) and
 the returned table holds the j = 0 diagonal alone.  The recursion's
 operations come from ``numerics.loop_arithmetic``: on real quad values
 they run on raw ``libmp`` tuples, and only the diagonal entries are made
-``mpf`` again, with the bits the ``mpf`` operators give.
+``mpf`` again, with the bits the ``mpf`` operators give.  Each entry of
+M, N, H and K is one call of the arithmetic's ``divdiff``,
+``(X(j+1,n-1) - X(j,n-1)) / (t_{j+n} - t_j)`` with the bits of the
+subtraction followed by the division; the denominator is one ``sub`` per
+n, shared by the four.
 
 On real values the loop also mirrors.  Sample l starts H(l,0) = c*N(l,0)
 and K(l,0) = c*M(l,0) for c = +1, -1 or, at a zero, both; the samples
@@ -17,13 +21,14 @@ H(l-n, n) whose window of samples l-n..l lies in one run is c*N(l-n, n),
 taken from N without a subtraction or division, and likewise K from M.
 By induction on n this is the recursion's own value: mpmath's
 round-to-nearest and binary64's round-to-nearest-even are symmetric in
-sign, so ``sub(-a, -b) = -sub(a, b)`` and ``div(-a, d) = -div(a, d)``;
-only the sign of a binary64 zero can differ, and |.| removes it.  So on
-sign-alternating terms, where H_l = (-1)^l |N_l| keeps one c, every H
-entry is mirrored.  The stored value is always the entry itself, so an
-entry outside a run reads the operands the full recursion would.  Complex
-values run all four recursions: an ``mpc`` with a zero imaginary part
-compares equal to an ``mpf``, so equality does not make one a copy.
+sign, so ``sub(-a, -b) = -sub(a, b)`` and ``div(-a, d) = -div(a, d)``,
+hence ``divdiff(-a, -b, d) = -divdiff(a, b, d)``; only the sign of a
+binary64 zero can differ, and |.| removes it.  So on sign-alternating
+terms, where H_l = (-1)^l |N_l| keeps one c, every H entry is mirrored.
+The stored value is always the entry itself, so an entry outside a run
+reads the operands the full recursion would.  Complex values run all four
+recursions: an ``mpc`` with a zero imaginary part compares equal to an
+``mpf``, so equality does not make one a copy.
 Every computed entry of M, N, H and K is range-checked; a mirrored entry
 has the magnitude of the checked N or M entry it copies.
 
@@ -129,8 +134,8 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
     ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
-    lift, lower, sub, div, in_range, p, rnd, neg = (
-        ar.lift, ar.lower, ar.sub, ar.div, ar.in_range, ar.prec, ar.rnd, ar.neg)
+    lift, lower, sub, divdiff, in_range, p, rnd, neg = (
+        ar.lift, ar.lower, ar.sub, ar.divdiff, ar.in_range, ar.prec, ar.rnd, ar.neg)
     sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
 
     t, A, G, L = [], [], [], []
@@ -167,20 +172,20 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             den = sub(tl, tj, p, rnd)
             mo, no, ho, ko = M[k], N[k], H[k], K[k]
             M[k], N[k], H[k], K[k] = mx, nx, hx, kx
-            mx = div(sub(mx, mo, p, rnd), den, p, rnd)
-            nx = div(sub(nx, no, p, rnd), den, p, rnd)
+            mx = divdiff(mx, mo, den, p, rnd)
+            nx = divdiff(nx, no, den, p, rnd)
             if not in_range(mx):
                 check_range(lower(mx), ctx, prec, "M(%d,%d)", l - 1 - k, k + 1)
             if not in_range(nx):
                 check_range(lower(nx), ctx, prec, "N(%d,%d)", l - 1 - k, k + 1)
             if k >= h_span:
-                hx = div(sub(hx, ho, p, rnd), den, p, rnd)
+                hx = divdiff(hx, ho, den, p, rnd)
                 if not in_range(hx):
                     check_range(lower(hx), ctx, prec, "H(%d,%d)", l - 1 - k, k + 1)
             else:
                 hx = neg(nx) if h_flip else nx
             if k >= k_span:
-                kx = div(sub(kx, ko, p, rnd), den, p, rnd)
+                kx = divdiff(kx, ko, den, p, rnd)
                 if not in_range(kx):
                     check_range(lower(kx), ctx, prec, "K(%d,%d)", l - 1 - k, k + 1)
             else:

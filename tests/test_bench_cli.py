@@ -155,7 +155,6 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ([{"builtin": "ex5_1"}], "must be a JSON object"),
         ({"expression": "1/n**2", "m": 1, "known_S": [1]},
          "known_S must be a number or an expression string, got [1]"),
-        ({"expression": "sqrt(n, 2)", "m": 1}, "expression 'sqrt(n, 2)' fails at n = 1: "),
         ({"builtin": ["x"]}, "builtin must be a problem id string, got ['x']"),
         ({"expression": "1/n**2", "m": 1, "known_S": True},
          "known_S must be a number or an expression string, got True"),
@@ -192,6 +191,38 @@ def test_cli_run_and_errors(tmp_path, capsys):
         assert err.startswith("fracsum: error: ") and message in err, (spec, err)
 
 
+    # calls are checked when the file is loaded, with the same message at both presets
+    functions = ("abs, atan, ceil, conj, cos, exp, fabs, factorial, floor, gamma, im, log, "
+                 "loggamma, mpf, power, re, sin, sqrt, tan")
+    for spec, message in [
+        ({"expression": "sqrt(n, 2)", "m": 1},
+         "expression 'sqrt(n, 2)' calls sqrt with 2 arguments; sqrt takes 1"),
+        ({"expression": "pi(3)/n**2", "m": 1},
+         f"expression 'pi(3)/n**2' calls 'pi', which is not a function; functions: {functions}"),
+        ({"expression": "exp(-n, dps=2)", "m": 1},
+         "expression 'exp(-n, dps=2)' passes the keyword argument 'dps' to exp; "
+         "functions take positional arguments only"),
+        ({"expression": "sqrt(*[n])", "m": 1},
+         "expression 'sqrt(*[n])' passes a starred argument to sqrt; "
+         "functions take positional arguments only"),
+        ({"expression": "power(n)", "m": 1},
+         "expression 'power(n)' calls power with 1 argument; power takes 2"),
+        ({"expression": "log(n, 2, 3)", "m": 1},
+         "expression 'log(n, 2, 3)' calls log with 3 arguments; log takes 1 or 2"),
+        ({"expression": "(n+1)(2)", "m": 1},
+         f"expression '(n+1)(2)' calls 'n + 1', which is not a function; functions: {functions}"),
+        ({"expression": "1/n**2", "m": 1, "known_S": "pi(3)**2/6"},
+         f"expression 'pi(3)**2/6' calls 'pi', which is not a function; functions: {functions}"),
+    ]:
+        for precision in ("quad", "double"):
+            assert main(["run", "--problem-file", json.dumps(spec), "--precision", precision]) == 1
+            assert capsys.readouterr() == ("", f"fracsum: error: {message}\n"), (spec, precision)
+    # log takes a base, and mpf is a function
+    assert main(["run", "--problem-file", '{"expression": "log(n + 1, 2)/mpf(n)**3", "m": 1}',
+                 "--depth", "4"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("precision", ["quad", "double"])
 def test_cli_renders_an_infinite_estimate(capsys, precision):
     # A(0,0) = A_0 = 0 at R_0 = 1 with sigma_hat < 0: its relative estimate is inf
@@ -217,11 +248,22 @@ def test_sci_rounds_the_exact_value_half_to_even(qctx, dctx):
         (1015, "1.02e+03"),
         (9.996, "1.00e+01"),  # the carry moves the exponent
         (-2.5 - 3j, "-2.50e+00-3.00e+00i"),
+        # the only exact three-digit ties below 0.1 are 3.125e-2 and 9.375e-2
+        (0.1875, "1.88e-01"),
+        (0.3125, "3.12e-01"),
+        (-0.6875, "-6.88e-01"),
+        (0.03125, "3.12e-02"),
+        (0.09375, "9.38e-02"),
+        (5e-324, "4.94e-324"),  # the smallest and the largest float
+        (1.7976931348623157e308, "1.80e+308"),
     ]
     for ctx in (qctx, dctx):
         for x, text in cases:
             assert bench_cli._sci(ctx.convert(x)) == text, (ctx, x)
     assert bench_cli._sci(qctx.mpf("1.2345e4900")) == "1.23e+4900"
+    # 2^-16000 = 3.3118...e-4817 and 3 * 2^-16001 = 4.9677...e-4817
+    assert bench_cli._sci(qctx.ldexp(1, -16000)) == "3.31e-4817"
+    assert bench_cli._sci(-qctx.ldexp(3, -16001)) == "-4.97e-4817"
     mp53 = dctx._mp
     for x in (1015.0, 9.996, -0.5625, 5e-324, 1.7976931348623157e308, 0.1, 123456.789):
         assert bench_cli._sci(x) == bench_cli._sci(mp53.mpf(x)), x

@@ -29,6 +29,12 @@ CASES = [
     ["run", "ex5_8", "--depth", "128", "--stride", "1", "--format", "json"],
     ["run", "ex5_8", "--depth", "128", "--stride", "1", "--format", "json", "--precision", "double"],
     ["run", "ex5_4", "--depth", "128", "--stride", "1", "--precision", "double"],
+    # with the three cases above, every table the deep-aps benchmark prints is pinned
+    ["run", "ex5_2", "--depth", "128", "--stride", "1", "--format", "json"],
+    ["run", "ex5_2", "--depth", "128", "--stride", "1", "--format", "json", "--precision", "double"],
+    ["run", "ex5_12", "--depth", "128", "--stride", "1", "--format", "json"],
+    ["run", "ex5_12", "--depth", "128", "--stride", "1", "--format", "json", "--precision", "double"],
+    ["run", "ex5_4", "--depth", "128", "--stride", "1", "--format", "json"],
     ["list"],
 ]
 

@@ -30,6 +30,7 @@ from fracsum.numerics import (
     _mpmath_context,
     _nearest_add,
     _nearest_div,
+    _nearest_divdiff,
     _nearest_mul,
     _nearest_sqrt,
     _nearest_sub,
@@ -216,6 +217,8 @@ def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
         assert same(ar.sub(lx, ly, p, rnd), x - y)
         assert same(ar.mul(lx, ly, p, rnd), x * y)
         assert same(ar.div(lx, ly, p, rnd), x / y)
+        assert same(ar.divdiff(lx, ly, lk, p, rnd), (x - y) / k)
+        assert same(ar.divdiff(ly, lx, ly, p, rnd), (y - x) / y)
         assert same(ar.mul(lx, lk, p, rnd), x * k)
         assert same(ar.exp(lx, p, rnd), ctx.exp(x))
         assert same(ar.pow(lk, lx, p, rnd), ctx.power(k, x))
@@ -278,6 +281,28 @@ def _radicands(draw, prec):
     return from_man_exp(root * root, draw(st.integers(-200, 200)))
 
 
+@st.composite
+def _divdiff_triples(draw, prec):
+    """(s, t, d) for the divided difference (s - t) / d.
+
+    s and t are a pair of the binary kernels or a difference that rounds up
+    to a power of two; d is a zero, inf or nan, a mantissa of 1 or 3, or any.
+    """
+    if draw(st.booleans()):
+        s, t = draw(_operand_pairs(prec))
+    else:  # (2^prec - 1) * 2^(e+1) + 2^e has prec + 1 bits, all ones
+        sign, exp = draw(_SIGNS), draw(st.integers(-400, 400))
+        s, t = from_man_exp(sign * ((1 << prec) - 1), exp + 1), from_man_exp(-sign, exp)
+    d = draw(st.one_of(_SPECIALS, _finite(prec),
+                       st.builds(from_man_exp, st.sampled_from([1, -1, 3, -3]),
+                                 st.integers(-400, 400))))
+    return s, t, d
+
+
+def _mpmath_divdiff(s, t, d, prec, rnd):
+    return mpf_div(mpf_sub(s, t, prec, rnd), d, prec, rnd)
+
+
 def _outcome(f, *args):
     """f's raw result, or the type of the exception it raises."""
     try:
@@ -298,6 +323,32 @@ def test_nearest_kernels_are_mpmaths_bit_for_bit(data, prec):
     assert _outcome(_nearest_sqrt, x, prec, round_nearest) == want, (x, prec)
 
 
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), prec=st.sampled_from([53, 113, 200]))
+def test_divdiff_kernel_is_mpmaths_sub_then_div(data, prec):
+    s, t, d = data.draw(_divdiff_triples(prec))
+    want = _outcome(_mpmath_divdiff, s, t, d, prec, round_nearest)
+    assert _outcome(_nearest_divdiff, s, t, d, prec, round_nearest) == want, (s, t, d, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 113, 200])
+def test_divdiff_kernel_edge_cases(prec):
+    one, three = from_man_exp(1, 0), from_man_exp(3, -7)
+    x = from_man_exp((1 << prec) - 1, 1)  # x + 1 has prec + 1 bits and rounds up to 2^(prec+1)
+    cases = [(x, x, three), (x, from_man_exp(-1, 0), three), (x, from_man_exp(-1, 0), one),
+             (fzero, x, three), (x, fzero, three), (finf, x, three), (x, fnan, three),
+             (x, one, fzero), (x, one, finf), (x, one, fnan), (fzero, fzero, fzero)]
+    for offset in (99, 100, 101):
+        for sign in (1, -1):
+            cases.append((x, from_man_exp(sign * 5, 1 - offset), three))
+            cases.append((from_man_exp(sign * 5, 1 - offset), x, from_man_exp(-3, 4)))
+    for s, t, d in cases:
+        want = _outcome(_mpmath_divdiff, s, t, d, prec, round_nearest)
+        assert _outcome(_nearest_divdiff, s, t, d, prec, round_nearest) == want, (s, t, d)
+    assert _outcome(_nearest_divdiff, x, one, fzero, prec, round_nearest) is ZeroDivisionError
+    assert _nearest_divdiff(x, x, three, prec, round_nearest) == fzero
+
+
 @pytest.mark.parametrize("backend, rounding, nearest", [
     ("python", round_nearest, True), ("gmpy", round_nearest, False), ("python", "d", False)])
 def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
@@ -309,8 +360,13 @@ def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
     kernels = (ar.add, ar.sub, ar.mul, ar.div, ar.sqrt)
     if nearest:
         assert kernels == (_nearest_add, _nearest_sub, _nearest_mul, _nearest_div, _nearest_sqrt)
+        assert ar.divdiff is _nearest_divdiff
     else:
         assert kernels == (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt)
+        # mpmath's subtraction, then its division, at the context's rounding
+        s, t, d = from_man_exp(7, -1), from_man_exp(2, -40), from_man_exp(3, 2)
+        assert ar.divdiff(s, t, d, 113, rounding) == _mpmath_divdiff(s, t, d, 113, rounding)
+        assert ar.divdiff is not _nearest_divdiff
     assert (ar.prec, ar.rnd, ar.exp) == (113, rounding, mpf_exp)
 
 

@@ -483,8 +483,10 @@ def test_load_problem_expression_matches_builtin(qctx):
 def test_expression_sees_no_python_builtins(qctx, monkeypatch):
     with pytest.raises(ValueError, match="unknown name 'len'"):
         load_problem({"expression": "len(str(n))", "m": 1})
-    # behind the load-time name check, evaluation still sees no builtins
+    # behind the load-time name and call checks, evaluation still sees no builtins
     monkeypatch.setattr(series_model, "_EXPR_NAMES", series_model._EXPR_NAMES | {"len", "str"})
+    monkeypatch.setattr(series_model, "_EXPR_ARITY",
+                        series_model._EXPR_ARITY | {"len": (1,), "str": (1,)})
     problem, _ = load_problem({"expression": "len(str(n))", "m": 1})
     with pytest.raises(NameError):
         problem.term(1, qctx)
