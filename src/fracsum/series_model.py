@@ -9,21 +9,24 @@ by the CLI and the reference-table harness.
 
 Term generators are pure functions of ``(n, ctx)`` to their callers:
 repeated evaluation, in any order and from any thread, is bit-exact.
+Every builtin term source is a stream ``stream(ctx, start)``: a
+generator that yields a_start, a_start+1, ... and keeps what one term
+hands the next (a telescoping delta, a partial product) in its local
+variables.  One adapter, :func:`_term`, makes a stream the public
+``term(n, ctx)``; it parks each context's last generator, so in-order
+evaluation, as in :func:`sums_and_terms`, does the per-``n`` work once,
+and any other index starts a fresh stream with the same operations.
 The paper's factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log
 domain and exponentiated once: telescoping deltas, both exponents of a
 trigonometric pair and the exponential builtins each hold a
 :class:`_LogFactor` with one per-context cache of its constants, and the
-log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  The builtin terms,
-the telescoping and product adapters and the factor run on
-``numerics.loop_arithmetic`` of the context and of their constants: raw
-``libmp`` tuples at an mpmath preset, floats at binary64, and the
-context's own operators once a constant or a value is complex.  Each
-computes with the bits of the context's own operators and returns a
+log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  The streams and the
+factor run on ``numerics.loop_arithmetic`` of the context and of their
+constants: raw ``libmp`` tuples at an mpmath preset, floats at binary64,
+and the context's own operators once a constant or a value is complex.
+Each computes with the bits of the context's own operators and yields a
 context scalar.  A user's term, product factor or expression enters the
-context through ``ctx.convert``.  The telescoping and product adapters
-keep their last term's state per context, so that in-order evaluation
-does the per-``n`` work once; any other order starts afresh with the
-same operations.
+context through ``ctx.convert``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import count
 from typing import Callable
 
 from .numerics import check_range, loop_arithmetic, precision_of
@@ -79,10 +82,25 @@ def _per_context(bind):
     return get
 
 
-def _term(bind):
-    """The term ``(n, ctx) -> bind(ctx)(n)``, binding once per context."""
-    get = _per_context(bind)
-    return lambda n, ctx: get(ctx)(n)
+def _term(stream):
+    """The term ``(n, ctx) -> a_n`` of ``stream(ctx, start)``, which yields a_start, a_start+1, ...
+
+    Each context parks its last term's ``(n, generator)``.  A call for the
+    next index advances that generator; any other index starts
+    ``stream(ctx, n)``.  A caller pops the parked generator before
+    advancing it, so no two threads share one, and a generator that
+    raised is not parked again.
+    """
+    parked = {}
+
+    def term(n, ctx):
+        last = parked.pop(ctx, None)
+        gen = last[1] if last is not None and last[0] == n - 1 else stream(ctx, n)
+        value = next(gen)
+        parked[ctx] = (n, gen)
+        return value
+
+    return term
 
 
 @dataclass
@@ -254,37 +272,28 @@ class TelescopingFamily:
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
     """Series problem for a telescoping family; the limit/antilimit is -1.
 
-    Each context keeps its last term's (n, delta_n), so in-order terms
-    evaluate one new delta each; any other order computes both deltas.
-    The deltas combine in the arithmetic of the family's factor.
+    The stream hands delta_n on to the next term, so in-order terms
+    evaluate one new delta each and a term at any other index two.  The
+    deltas come from the family's factor and combine in its arithmetic.
     """
 
-    def bind(ctx):
-        ar = family._factor.loop(ctx)[0]
-        lift, lower, add, sub, mul, prec, rnd = (
-            ar.lift, ar.lower, ar.add, ar.sub, ar.mul, ar.prec, ar.rnd)
+    def stream(ctx, start):
+        ar, _, exp_log = family._factor.loop(ctx)
+        lower, add, sub, mul, prec, rnd = ar.lower, ar.add, ar.sub, ar.mul, ar.prec, ar.rnd
         minus_one = ar.from_int(-1)
-        last = None  # (n, delta_n) of the last term, delta_n as a value of the arithmetic
-
-        def term(n):
-            nonlocal last
-            prev = last  # one read: another thread may store its own term's pair meanwhile
-            if prev is not None and prev[0] == n - 1:
-                d0 = prev[1]
-            else:
-                d0 = lift(family.delta(n - 1, ctx))
-            d1 = lift(family.delta(n, ctx))
-            last = (n, d1)
+        d0 = exp_log(start - 1) if start > 1 else ar.one  # delta_{n-1}
+        for n in count(start):
+            d1 = exp_log(n)
             if family.kind == 1:
-                return lower(sub(d1, d0, prec, rnd))
-            a = add(d1, d0, prec, rnd)
-            return lower(mul(a, minus_one, prec, rnd) if n % 2 else a)
-
-        return term
+                yield lower(sub(d1, d0, prec, rnd))
+            else:
+                a = add(d1, d0, prec, rnd)
+                yield lower(mul(a, minus_one, prec, rnd) if n % 2 else a)
+            d0 = d1
 
     return SeriesProblem(
         name=f"telescoping(kind={family.kind}, s={family.s}, m={family.m})",
-        term=_term(bind),
+        term=_term(stream),
         m=family.m,
         sigma_hat=Fraction(1),
         known_S=-1,
@@ -318,13 +327,11 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 
     a_1 = A_1 = 1 + v_1 and a_n = v_n * A_{n-1} for n >= 2, so that
     sum(a_k, k<=n) reproduces prod(1+v_k, k<=n) up to accumulation
-    rounding.  Each context keeps only its last term's (n, A_{n-1}, v_n),
-    as values of its ``loop_arithmetic``, so in-order evaluation calls v
-    once per term; any other order restarts from A_0 = 1 with the same
-    operations and gets the same bits.  The products run on the
-    context's real arithmetic until a v_n is complex, and from there on
-    the context's own operators.  The state is one tuple, read once and
-    replaced whole, so concurrent callers need no lock.
+    rounding.  The stream hands A_n on to the next term, so in-order
+    terms call v once each; a term at any other index restarts from
+    A_0 = 1 with the same operations and gets the same bits.  The
+    products run on the context's real arithmetic until a v_n is
+    complex, and from there on the context's own operators.
     """
 
     def grow(ar, prev, v, k):
@@ -333,36 +340,23 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
             raise ZeroPartialProductError(f"partial product A_{k} of {problem.name!r} is zero")
         return value
 
-    def bind(ctx):
-        real = loop_arithmetic(ctx)
-        last = None  # (n, arithmetic, A_{n-1}, v_n) of the last term
-
-        def term(n):
-            nonlocal last
-            state = last  # one read: another thread may store its own term's state meanwhile
-            if state is not None and state[0] == n - 1:
-                k, ar, prev, v = state
-            else:
-                k, ar, prev, v = 0, real, real.one, None
-            for k in range(k + 1, n + 1):
-                if v is not None:
-                    prev = grow(ar, prev, v, k - 1)
-                value = ctx.convert(problem.v(k, ctx))
-                v = ar.lift(value)
-                if v is None:  # complex: go on with the context's own operators
-                    prev = ar.lower(prev)
-                    ar = loop_arithmetic(ctx, [value])
-                    prev, v = ar.lift(prev), ar.lift(value)
-            last = (n, ar, prev, v)
-            if n == 1:
-                return ar.lower(grow(ar, prev, v, 1))
-            return ar.lower(ar.mul(v, prev, ar.prec, ar.rnd))
-
-        return term
+    def stream(ctx, start):
+        ar = loop_arithmetic(ctx)
+        prev = v = None
+        for k in count(1):
+            prev = ar.one if k == 1 else grow(ar, prev, v, k - 1)  # A_{k-1}
+            value = ctx.convert(problem.v(k, ctx))
+            v = ar.lift(value)
+            if v is None:  # complex: go on with the context's own operators
+                prev = ar.lower(prev)
+                ar = loop_arithmetic(ctx, [value])
+                prev, v = ar.lift(prev), ar.lift(value)
+            if k >= start:
+                yield ar.lower(grow(ar, prev, v, 1) if k == 1 else ar.mul(v, prev, ar.prec, ar.rnd))
 
     return SeriesProblem(
         name=problem.name,
-        term=_term(bind),
+        term=_term(stream),
         m=problem.m,
         sigma_hat=Fraction(1),
         known_S=problem.known_S,
@@ -421,36 +415,35 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=False):
 _FIFTH = Fraction(1, 5)
 
 
-def _ex5_14(ctx):
-    """n -> n^sqrt(3) / (1 + sqrt(n)) under ctx."""
+def _ex5_14(ctx, start):
+    """n^sqrt(3) / (1 + sqrt(n)) under ctx, from n = start on."""
     ar = loop_arithmetic(ctx)
     lower, from_int, add, div, power, sqrt, one, prec, rnd = (
         ar.lower, ar.from_int, ar.add, ar.div, ar.pow, ar.sqrt, ar.one, ar.prec, ar.rnd)
     sqrt3 = sqrt(from_int(3), prec, rnd)
-
-    def term(n):
+    for n in count(start):
         x = from_int(n)
-        return lower(div(power(x, sqrt3, prec, rnd), add(one, sqrt(x, prec, rnd), prec, rnd),
-                         prec, rnd))
-
-    return term
+        yield lower(div(power(x, sqrt3, prec, rnd), add(one, sqrt(x, prec, rnd), prec, rnd),
+                        prec, rnd))
 
 
-def _ex7_1_v(ctx):
-    """n -> -1 / (4 n^2) under ctx."""
+def _ex7_1_v(ctx, start):
+    """-1 / (4 n^2) under ctx, from n = start on."""
     ar = loop_arithmetic(ctx)
     lower, from_int, div, prec, rnd = ar.lower, ar.from_int, ar.div, ar.prec, ar.rnd
     minus_one = from_int(-1)
-    return lambda n: lower(div(minus_one, from_int(4 * n * n), prec, rnd))
+    for n in count(start):
+        yield lower(div(minus_one, from_int(4 * n * n), prec, rnd))
 
 
-def _ex7_2_v(ctx):
-    """n -> n^(-3/2) under ctx."""
+def _ex7_2_v(ctx, start):
+    """n^(-3/2) under ctx, from n = start on."""
     minus_3_2 = ctx.mpf(-3) / 2
     ar = loop_arithmetic(ctx, [minus_3_2])
     lower, from_int, power, prec, rnd = ar.lower, ar.from_int, ar.pow, ar.prec, ar.rnd
     minus_3_2 = ar.lift(minus_3_2)
-    return lambda n: lower(power(from_int(n), minus_3_2, prec, rnd))
+    for n in count(start):
+        yield lower(power(from_int(n), minus_3_2, prec, rnd))
 
 
 # Builders of the builtins, called with the problem id; m = 2 except for ex7_1.
@@ -466,18 +459,15 @@ def _exponential(s, pairs, alternating=False):
     def build(name):
         factor = _LogFactor(s, 2, pairs)
 
-        def bind(ctx):
+        def stream(ctx, start):
             ar, _, exp_log = factor.loop(ctx)
             lower, mul, prec, rnd = ar.lower, ar.mul, ar.prec, ar.rnd
             minus_one = ar.from_int(-1)
-
-            def term(n):
+            for n in count(start):
                 a = exp_log(n)
-                return lower(mul(a, minus_one, prec, rnd) if alternating and n % 2 else a)
+                yield lower(mul(a, minus_one, prec, rnd) if alternating and n % 2 else a)
 
-            return term
-
-        return SeriesProblem(name, _term(bind), m=2)
+        return SeriesProblem(name, _term(stream), m=2)
 
     return build
 
@@ -638,7 +628,7 @@ def _expression_term(expr: str) -> TermFn:
     tree = _PowerCalls().visit(tree)
     code = compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
 
-    @lru_cache(maxsize=8)
+    @_per_context
     def names(ctx):
         """Every name an expression can use in *ctx*, except n."""
         env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
@@ -666,6 +656,8 @@ def _expression_term(expr: str) -> TermFn:
 def _known_S_expression(expr: str):
     """known_S as a scalar spec: the expression's value in a context."""
     s_term = _expression_term(expr)
+    if any(isinstance(node, ast.Name) and node.id == "n" for node in ast.walk(ast.parse(expr))):
+        raise ValueError(f"known_S {expr!r} uses n; known_S is the limit, a constant")
 
     def known_S(ctx):
         try:

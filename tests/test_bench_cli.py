@@ -170,6 +170,8 @@ def test_cli_run_and_errors(tmp_path, capsys):
          "fracsum: error: known_S '1/0' fails: division by zero\n"),
         ({"expression": "1/n**2", "m": 1, "known_S": "log(0)"},
          "fracsum: error: known_S 'log(0)' is not finite: -inf\n"),
+        ({"expression": "1/n**2", "m": 1, "known_S": "n + 1.6449"},
+         "fracsum: error: known_S 'n + 1.6449' uses n; known_S is the limit, a constant\n"),
         ({"expression": "1/n**2", "m": 1, "sigma-hat": 1}, "unknown key 'sigma-hat'"),
         ({"builtin": "ex5_1", "descr": "x"}, "unknown key 'descr'"),
         ({"builtin": "ex5_1", "m": 3}, "key 'm' does not apply to a builtin problem"),

@@ -154,8 +154,14 @@ def test_product_round_trip(qctx):
 
 def test_product_zero_partial_product(qctx):
     bad = ProductProblem("dies", lambda n, ctx: ctx.mpf(-1) if n == 3 else ctx.zero, m=1, t=2)
+    series = product_to_series(bad)
     with pytest.raises(ZeroPartialProductError, match="A_3"):
-        sums_and_terms(product_to_series(bad), 5, qctx)
+        sums_and_terms(series, 5, qctx)
+    # the stream that raised is not resumed: every later term restarts and raises or returns
+    for n in (4, 5):
+        with pytest.raises(ZeroPartialProductError, match="A_3"):
+            series.term(n, qctx)
+    assert (series.term(2, qctx), series.term(3, qctx)) == (0, -1)
 
 
 def _product_terms(problem, upto, ctx):
@@ -183,21 +189,23 @@ def test_product_in_order_terms_call_v_once_each(qctx, dctx):
 
 
 def test_product_out_of_order_terms_are_bit_exact(qctx, dctx):
-    for ctx in (qctx, dctx):
-        ref = _product_terms(EX7_2, 40, ctx)
-        series = builtin_problem("ex7_2")
-        assert [series.term(n, ctx) for n in range(1, 41)] == ref
-        for n in (17, 3, 40, 40, 1, 2, 39, 25, 26):
-            assert series.term(n, ctx) == ref[n - 1], n
+    for ident, factors in (("ex7_1", EX7_1), ("ex7_2", EX7_2)):
+        for ctx in (qctx, dctx):
+            ref = _product_terms(factors, 40, ctx)
+            series = builtin_problem(ident)
+            assert [series.term(n, ctx) for n in range(1, 41)] == ref
+            for n in (17, 3, 40, 40, 1, 2, 39, 25, 26):
+                assert series.term(n, ctx) == ref[n - 1], (ident, n)
 
 
-def test_product_terms_under_concurrent_readers(dctx):
-    ref = _product_terms(EX7_2, 60, dctx)
-    series = builtin_problem("ex7_2")
+def _read_concurrently(problem, upto, ctx):
+    """a_1..a_upto of *problem* as each of six threads reads them, in order, at once."""
     results = {}
+    start = threading.Barrier(6)
 
     def reader(i):
-        results[i] = [series.term(n, dctx) for n in range(1, 61)]
+        start.wait()
+        results[i] = [problem.term(n, ctx) for n in range(1, upto + 1)]
 
     threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
     interval = sys.getswitchinterval()
@@ -210,7 +218,47 @@ def test_product_terms_under_concurrent_readers(dctx):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == {i: ref for i in range(6)}
+    return list(results.values())
+
+
+def test_product_terms_under_concurrent_readers(dctx):
+    for ident, factors in (("ex7_1", EX7_1), ("ex7_2", EX7_2)):
+        ref = _product_terms(factors, 60, dctx)
+        assert _read_concurrently(builtin_problem(ident), 60, dctx) == [ref] * 6, ident
+
+    # a second reader asks for a_3 while the first is inside the stream's v_3
+    inside, resume = threading.Event(), threading.Event()
+
+    def v(n, ctx):
+        if n == 3 and threading.current_thread() is first:
+            inside.set()
+            resume.wait(timeout=60)
+        return EX7_1.v(n, ctx)
+
+    series = product_to_series(ProductProblem("paused", v, m=1, t=2))
+    ref = _product_terms(EX7_1, 4, dctx)
+    results = {}
+    first = threading.Thread(target=lambda: results.update(
+        first=[series.term(n, dctx) for n in range(1, 5)]))
+    first.start()
+    try:
+        assert inside.wait(timeout=60)
+        assert series.term(3, dctx) == ref[2]
+    finally:
+        resume.set()
+        first.join(timeout=60)
+    assert results == {"first": ref}
+
+
+def test_ex5_14_terms_in_any_order_and_under_concurrent_readers(qctx, dctx):
+    shuffled = list(range(1, 61))
+    random.Random(7).shuffle(shuffled)
+    for ctx in (qctx, dctx):
+        ref = [ctx.power(n, ctx.sqrt(3)) / (1 + ctx.sqrt(n)) for n in range(1, 61)]
+        problem = builtin_problem("ex5_14")
+        for n in shuffled + [40, 40, 41, 1, 2]:
+            assert problem.term(n, ctx) == ref[n - 1], (n, ctx)
+        assert _read_concurrently(builtin_problem("ex5_14"), 60, ctx) == [ref] * 6, ctx
 
 
 MEMO_FAMILIES = [
@@ -245,42 +293,33 @@ def test_telescoping_out_of_order_terms_are_bit_exact(qctx, dctx, spec):
 def test_telescoping_terms_under_concurrent_readers(dctx):
     spec = (1, 1, 3, (Fraction(-1, 5), Fraction(-1, 2), Fraction(1, 3)))
     ref = [telescoping_term(*spec, n, dctx) for n in range(1, 61)]
-    series = telescoping_terms(TelescopingFamily(*spec))
-    results = {}
-
-    def reader(i):
-        results[i] = [series.term(n, dctx) for n in range(1, 61)]
-
-    threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == {i: ref for i in range(6)}
+    assert _read_concurrently(telescoping_terms(TelescopingFamily(*spec)), 60, dctx) == [ref] * 6
 
 
 def test_telescoping_in_order_terms_evaluate_each_delta_once(qctx, dctx, monkeypatch):
-    calls = []
-    delta = TelescopingFamily.delta
+    calls = []  # (n, ctx) of each evaluation of the family's factor delta_n
+    bind = series_model._LogFactor._bind
 
-    def counted(self, n, ctx):
-        calls.append((n, ctx))
-        return delta(self, n, ctx)
+    def counted(self, ctx):
+        ar, log, exp_log = bind(self, ctx)
 
-    monkeypatch.setattr(TelescopingFamily, "delta", counted)
+        def delta(n):
+            calls.append((n, ctx))
+            return exp_log(n)
+
+        return ar, log, delta
+
+    monkeypatch.setattr(series_model._LogFactor, "_bind", counted)
     series = telescoping_terms(TelescopingFamily(2, 1, 2, (0, -1)))
-    for n in range(1, 51):
+    for n in range(1, 51):  # two contexts interleaved, each in order
         series.term(n, qctx)
         series.term(n, dctx)
-    assert calls == [(0, qctx), (1, qctx), (0, dctx), (1, dctx)] + [
-        (n, ctx) for n in range(2, 51) for ctx in (qctx, dctx)
-    ]
+    assert calls == [(n, ctx) for n in range(1, 51) for ctx in (qctx, dctx)]
+    calls.clear()
+    series.term(1000, qctx)  # out of order: both deltas
+    assert calls == [(999, qctx), (1000, qctx)]
+    series.term(1001, qctx)  # in order again: one more
+    assert calls == [(999, qctx), (1000, qctx), (1001, qctx)]
 
 
 _LEAVES = ["n", "(n + 1)", "2", "mpf(1)/3", "pi", "e", "i"]
