@@ -17,27 +17,28 @@ precisions can run side by side (and concurrently).
 
 The two hot loops, the W-recursion of ``build_table`` and the partial-sum
 accumulation of ``sums_and_terms``, and the builtin term evaluators take
-their scalar operations from :func:`loop_arithmetic`.  Under an
-``MPContext``, real values run there as raw ``libmp`` tuples (``_mpf_``)
-at the context's precision and rounding: the same bits as the ``mpf``
-operators and context functions, without the object wrapper and the
-dispatch.  ``+``, ``-``, ``*``, ``/`` and ``sqrt`` are this module's
-round-to-nearest kernels on mpmath's pure-Python backend: each takes the
-integer steps of mpmath's ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
-``mpf_div`` or ``mpf_sqrt`` and rounds once, half to even, which is
-mpmath's rounding, so its bits are mpmath's; ``int.bit_length`` and
-``math.isqrt`` replace mpmath's pure-Python bit count and root, and every
-case but the common one is mpmath's own function.  The W-recursion's
-divided difference ``(x - y) / d`` is one kernel with the bits of the
-``-`` kernel followed by the ``/`` kernel.  Under gmpy2, or at another
-rounding, these are mpmath's functions.  ``pow``, ``exp`` and
-``loggamma`` are always mpmath's ``mpf_pow``, ``mpf_exp`` and
-``mpf_loggamma``: their bits are those of mpmath's algorithms, not a
-correctly rounded value, so they are not restated.  Binary64 floats keep
-their native operators and ``math.sqrt``, and take ``pow``, ``exp`` and
-``loggamma`` from the same mpmath kernels at 53 bits; a term expression
-at binary64 calls these four kernels too.  Complex values keep their
-native operators and the context's own functions.
+their scalar operations from :func:`loop_arithmetic`, which binds them to
+the context's precision and rounding: each kernel takes its operands
+alone.  Under an ``MPContext``, real values run there as raw ``libmp``
+tuples (``_mpf_``): the same bits as the ``mpf`` operators and context
+functions, without the object wrapper and the dispatch.  ``+``, ``-``,
+``*``, ``/`` and ``sqrt`` are this module's round-to-nearest kernels on
+mpmath's pure-Python backend: each takes the integer steps of mpmath's
+``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_div`` or ``mpf_sqrt`` and
+rounds once, half to even, which is mpmath's rounding, so its bits are
+mpmath's; ``int.bit_length`` and ``math.isqrt`` replace mpmath's
+pure-Python bit count and root, and every case but the common one is
+mpmath's own function.  The W-recursion's divided difference
+``(x - y) / d`` is one kernel with the bits of the ``-`` kernel followed
+by the ``/`` kernel.  Under gmpy2, or at another rounding, these are
+mpmath's functions.  ``pow``, ``exp`` and ``loggamma`` are always
+mpmath's ``mpf_pow``, ``mpf_exp`` and ``mpf_loggamma``: their bits are
+those of mpmath's algorithms, not a correctly rounded value, so they are
+not restated.  Binary64 floats keep their native operators and
+``math.sqrt``, and take ``pow``, ``exp`` and ``loggamma`` from the same
+mpmath kernels at 53 bits; a term expression at binary64 calls these four
+kernels too.  Complex values keep their native operators and the
+context's own functions.
 """
 
 from __future__ import annotations
@@ -248,53 +249,51 @@ class LoopArithmetic(NamedTuple):
 
     ``lift(x)`` is the loop's form of the context scalar x, or None when x
     is not a value this arithmetic holds; ``lower`` turns a loop value back
-    into a context scalar.  ``zero`` and ``one`` are the loop's 0 and 1,
-    and ``from_int(k)`` is its form of the int k (on floats, exact for
-    |k| <= 2^53).  ``add``, ``sub``, ``mul``, ``div`` and ``pow`` take
-    ``(x, y, prec, rnd)``, and ``sqrt``, ``exp`` and ``loggamma`` take
-    ``(x, prec, rnd)``; called with the ``prec`` and ``rnd`` given here,
-    they return the bits of the context's own ``+``, ``-``, ``*``, ``/``,
-    ``power``, ``sqrt``, ``exp`` and ``loggamma``.  ``divdiff(x, y, d,
-    prec, rnd)`` is ``div(sub(x, y, prec, rnd), d, prec, rnd)`` in one
-    call, the W-recursion's update.  On raw tuples at round-to-nearest
-    with mpmath's python backend, ``add``, ``sub``, ``mul``, ``div``,
-    ``sqrt`` and ``divdiff`` are the module's ``_nearest_*`` kernels, which
-    ignore ``rnd``; otherwise they are mpmath's, and ``divdiff`` is
-    ``mpf_div`` of ``mpf_sub``.  On floats and on the native arithmetic
-    ``divdiff`` is ``(x - y) / d``.  The real arithmetics
-    take ``pow``, ``sqrt`` and ``loggamma`` only where the result is real
-    (terms call them on positive integers): where the context would return
-    a complex value, they raise.
-    ``in_range(x)`` is true only for a value that :func:`check_range`
-    passes; for any other value the loop calls ``check_range`` on the
-    lowered value, which raises the named error.  ``neg(x)`` is -x,
-    exact: ``mpf_neg`` without rounding on raw tuples, unary minus on
+    into a context scalar.  ``in_range(x)`` is true only for a value that
+    :func:`check_range` passes; for any other value the loop calls
+    ``check_range`` on the lowered value, which raises the named error.
+    ``zero`` and ``one`` are the loop's 0 and 1, and ``from_int(k)`` is its
+    form of the int k (on floats, exact for |k| <= 2^53).  ``neg(x)`` is
+    -x, exact: ``mpf_neg`` without rounding on raw tuples, unary minus on
     floats.  Both roundings are sign-symmetric, so ``sub(-x, -y)`` is
     ``neg(sub(x, y))`` and ``div(-x, d)`` is ``neg(div(x, d))`` bit for
     bit, up to the sign of a binary64 zero.  ``neg`` is None for the
     native arithmetic: its values may be complex, and an ``mpc`` with a
     zero imaginary part compares equal to an ``mpf``, so no loop value
     there is taken as the negation of another.
+
+    The kernels take their operands only: the arithmetic is bound to the
+    precision and rounding of its context.  ``add(x, y)``, ``sub``,
+    ``mul``, ``div``, ``pow``, ``sqrt(x)``, ``exp`` and ``loggamma`` return
+    the bits of the context's own ``+``, ``-``, ``*``, ``/``, ``power``,
+    ``sqrt``, ``exp`` and ``loggamma``.  ``divdiff(x, y, d)`` is
+    ``div(sub(x, y), d)`` in one call, the W-recursion's update.  On raw
+    tuples at round-to-nearest with mpmath's python backend, ``add``,
+    ``sub``, ``mul``, ``div``, ``sqrt`` and ``divdiff`` are the kernels of
+    :func:`_nearest_kernels`; otherwise they are mpmath's, and ``divdiff``
+    is ``mpf_div`` of ``mpf_sub``.  On floats and on the native arithmetic
+    ``divdiff`` is ``(x - y) / d``.  The real arithmetics take ``pow``,
+    ``sqrt`` and ``loggamma`` only where the result is real (terms call
+    them on positive integers): where the context would return a complex
+    value, they raise.
     """
 
     lift: Callable
     lower: Callable
-    add: Callable
-    sub: Callable
-    div: Callable
     in_range: Callable
-    prec: int
-    rnd: str
-    neg: Callable | None
     zero: object
     one: object
     from_int: Callable
+    neg: Callable | None
+    add: Callable
+    sub: Callable
     mul: Callable
+    div: Callable
+    divdiff: Callable
     pow: Callable
     sqrt: Callable
     exp: Callable
     loggamma: Callable
-    divdiff: Callable
 
 
 def _same(x):
@@ -305,209 +304,211 @@ def _never(x):
     return False
 
 
-def _add(x, y, prec, rnd):
-    return x + y
-
-
-def _sub(x, y, prec, rnd):
-    return x - y
-
-
-def _mul(x, y, prec, rnd):
-    return x * y
-
-
-def _div(x, y, prec, rnd):
-    return x / y
-
-
-def _divdiff(x, y, d, prec, rnd):
+def _divdiff(x, y, d):
     return (x - y) / d
 
 
-def _mpf_divdiff(x, y, d, prec, rnd):
-    return mpf_div(mpf_sub(x, y, prec, rnd), d, prec, rnd)
+# the basic operations of the float and the native arithmetic: the values' own operators
+_OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "div": operator.truediv, "divdiff": _divdiff}
+
+
+def _mpf_kernels(prec, rnd):
+    """mpmath's kernels at prec bits and rounding rnd, by field name."""
+    return {
+        "add": lambda x, y: mpf_add(x, y, prec, rnd),
+        "sub": lambda x, y: mpf_sub(x, y, prec, rnd),
+        "mul": lambda x, y: mpf_mul(x, y, prec, rnd),
+        "div": lambda x, y: mpf_div(x, y, prec, rnd),
+        "divdiff": lambda x, y, d: mpf_div(mpf_sub(x, y, prec, rnd), d, prec, rnd),
+        "pow": lambda x, y: mpf_pow(x, y, prec, rnd),
+        "sqrt": lambda x: mpf_sqrt(x, prec, rnd),
+        "exp": lambda x: mpf_exp(x, prec, rnd),
+        "loggamma": lambda x: mpf_loggamma(x, prec, rnd),
+    }
 
 
 # The functions of the float arithmetic: mpmath's kernels at 53 bits on
 # floats, with the bits of Binary64Context's functions.  Expressions call
 # pow, exp and loggamma on ints too.
-def _float_pow(x, y, prec, rnd):
-    return to_float(mpf_pow(_raw(x), _raw(y), prec, rnd))
+def _float_pow(x, y):
+    return to_float(mpf_pow(_raw(x), _raw(y), 53, round_nearest))
 
 
-def _float_sqrt(x, prec, rnd):
+def _float_sqrt(x):
     return math.sqrt(x) + 0.0  # sqrt(-0.0) is -0.0, and mpmath's is its one zero
 
 
-def _float_exp(x, prec, rnd):
-    return to_float(mpf_exp(_raw(x), prec, rnd))
+def _float_exp(x):
+    return to_float(mpf_exp(_raw(x), 53, round_nearest))
 
 
-def _float_loggamma(x, prec, rnd):
-    return to_float(mpf_loggamma(_raw(x), prec, rnd))
+def _float_loggamma(x):
+    return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
 
 
-# Round-to-nearest kernels on raw tuples, for prec >= 1.  Each forms the
-# mantissa the mpmath function of its name forms (the exact sum or product,
-# mpmath's shifted quotient or root), rounds it once half to even, as
-# mpmath's normalize does, and strips its trailing zeros; the bit count is
-# then the mantissa's bit length.  A nonzero remainder of div and sqrt is
-# mpmath's sticky bit, tested only where it decides a tie.  rnd is not
-# read: _raw_arithmetic binds the kernels for round-to-nearest only.  Every
-# case outside the common one is mpmath's own function, result or exception.
-def _nearest_sum(negate):
-    mpf_f = mpf_sub if negate else mpf_add
+def _nearest_kernels(prec):
+    """Round-to-nearest kernels on raw tuples at prec >= 1 bits, by field name.
 
-    def add(s, t, prec, rnd):
+    Each forms the mantissa the mpmath function of its name forms (the
+    exact sum or product, mpmath's shifted quotient or root), rounds it
+    once half to even, as mpmath's normalize does, and strips its trailing
+    zeros; the bit count is then the mantissa's bit length.  A nonzero
+    remainder of div and sqrt is mpmath's sticky bit, tested only where it
+    decides a tie.  Every case outside the common one is mpmath's own
+    function at round-to-nearest, result or exception.
+    """
+
+    def summation(negate):
+        mpf_f = mpf_sub if negate else mpf_add
+
+        def add(s, t):
+            ssign, sman, sexp, _ = s
+            tsign, tman, texp, _ = t
+            offset = sexp - texp
+            # a zero, inf or nan, or exponents so far apart that mpmath may perturb instead
+            if not (sman and tman and -100 <= offset <= 100):
+                return mpf_f(s, t, prec, round_nearest)
+            if offset > 0:
+                sman <<= offset
+                sexp = texp
+            elif offset:
+                tman <<= -offset
+            if ssign == tsign ^ negate:
+                man = sman + tman
+            else:
+                man = sman - tman
+                if man < 0:
+                    ssign, man = ssign ^ 1, -man
+                elif not man:
+                    return fzero
+            n = man.bit_length() - prec
+            if n > 0:
+                t = man >> (n - 1)
+                man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+                sexp += n
+            if not man & 1:
+                n = (man & -man).bit_length() - 1
+                man >>= n
+                sexp += n
+            return ssign, man, sexp, man.bit_length()
+
+        return add
+
+    add, sub = summation(0), summation(1)
+
+    def mul(s, t):
+        man = s[1] * t[1]
+        if not man:  # a zero, inf or nan
+            return mpf_mul(s, t, prec, round_nearest)
+        sign, exp, bc = s[0] ^ t[0], s[2] + t[2], man.bit_length()
+        n = bc - prec
+        if n <= 0:  # the product of odd mantissas is odd
+            return sign, man, exp, bc
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+        if not man & 1:
+            n = (man & -man).bit_length() - 1
+            man >>= n
+            exp += n
+        return sign, man, exp, man.bit_length()
+
+    def div(s, t):
+        ssign, sman, sexp, sbc = s
+        tsign, tman, texp, tbc = t
+        if not sman or tman < 2:  # a zero, inf or nan, or a divisor that is a power of two
+            return mpf_div(s, t, prec, round_nearest)
+        extra = prec - sbc + tbc + 5
+        if extra < 5:
+            extra = 5
+        x = sman << extra
+        man = x // tman
+        n = man.bit_length() - prec  # at least 5: extra leaves prec + 5 bits
+        t = man >> (n - 1)
+        man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * tman != x)
+               else t >> 1)
+        exp = sexp - texp - extra + n
+        if not man & 1:
+            n = (man & -man).bit_length() - 1
+            man >>= n
+            exp += n
+        return ssign ^ tsign, man, exp, man.bit_length()
+
+    def divdiff(s, t, d):
+        """(s - t) / d with the bits of ``div(sub(s, t), d)``.
+
+        The aligned difference is rounded once, as ``sub`` rounds it, and
+        divided without its trailing zeros stripped: with a divisor
+        mantissa of at least 2 bits and a difference of at most prec + 1,
+        the shift ``extra`` is at least 6, above div's clamp at 5, so the
+        dividend ``man << extra`` and the quotient's exponent are those of
+        the stripped mantissa.  Any other case is the composition of the
+        two kernels.
+        """
         ssign, sman, sexp, _ = s
         tsign, tman, texp, _ = t
+        dsign, dman, dexp, dbc = d
         offset = sexp - texp
-        # a zero, inf or nan, or exponents so far apart that mpmath may perturb instead
-        if not (sman and tman and -100 <= offset <= 100):
-            return mpf_f(s, t, prec, rnd)
+        # a zero, inf or nan, exponents far apart, or a divisor that is a power of two
+        if not (sman and tman and dman > 1 and -100 <= offset <= 100):
+            return div(sub(s, t), d)
         if offset > 0:
             sman <<= offset
             sexp = texp
         elif offset:
             tman <<= -offset
-        if ssign == tsign ^ negate:
+        if ssign != tsign:
             man = sman + tman
         else:
             man = sman - tman
             if man < 0:
                 ssign, man = ssign ^ 1, -man
-            elif not man:
+            elif not man:  # 0 / d for a finite nonzero d
                 return fzero
         n = man.bit_length() - prec
         if n > 0:
             t = man >> (n - 1)
             man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
             sexp += n
+        extra = prec - man.bit_length() + dbc + 5
+        x = man << extra
+        man = x // dman
+        n = man.bit_length() - prec
+        t = man >> (n - 1)
+        man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * dman != x)
+               else t >> 1)
+        exp = sexp - dexp - extra + n
         if not man & 1:
             n = (man & -man).bit_length() - 1
             man >>= n
-            sexp += n
-        return ssign, man, sexp, man.bit_length()
+            exp += n
+        return ssign ^ dsign, man, exp, man.bit_length()
 
-    return add
-
-
-_nearest_add, _nearest_sub = _nearest_sum(0), _nearest_sum(1)
-
-
-def _nearest_mul(s, t, prec, rnd):
-    man = s[1] * t[1]
-    if not man:  # a zero, inf or nan
-        return mpf_mul(s, t, prec, rnd)
-    sign, exp, bc = s[0] ^ t[0], s[2] + t[2], man.bit_length()
-    n = bc - prec
-    if n <= 0:  # the product of odd mantissas is odd
-        return sign, man, exp, bc
-    t = man >> (n - 1)
-    man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
-    exp += n
-    if not man & 1:
-        n = (man & -man).bit_length() - 1
-        man >>= n
-        exp += n
-    return sign, man, exp, man.bit_length()
-
-
-def _nearest_div(s, t, prec, rnd):
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not sman or tman < 2:  # a zero, inf or nan, or a divisor that is a power of two
-        return mpf_div(s, t, prec, rnd)
-    extra = prec - sbc + tbc + 5
-    if extra < 5:
-        extra = 5
-    x = sman << extra
-    man = x // tman
-    n = man.bit_length() - prec  # at least 5: extra leaves prec + 5 bits
-    t = man >> (n - 1)
-    man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * tman != x)
-           else t >> 1)
-    exp = sexp - texp - extra + n
-    if not man & 1:
-        n = (man & -man).bit_length() - 1
-        man >>= n
-        exp += n
-    return ssign ^ tsign, man, exp, man.bit_length()
-
-
-def _nearest_divdiff(s, t, d, prec, rnd):
-    """(s - t) / d with the bits of ``_nearest_div(_nearest_sub(s, t), d)``.
-
-    The aligned difference is rounded once, as ``_nearest_sub`` rounds it,
-    and divided without its trailing zeros stripped: with a divisor
-    mantissa of at least 2 bits and a difference of at most prec + 1, the
-    shift ``extra`` is at least 6, above div's clamp at 5, so the dividend
-    ``man << extra`` and the quotient's exponent are those of the stripped
-    mantissa.  Any other case is the composition of the two kernels.
-    """
-    ssign, sman, sexp, _ = s
-    tsign, tman, texp, _ = t
-    dsign, dman, dexp, dbc = d
-    offset = sexp - texp
-    # a zero, inf or nan, exponents far apart, or a divisor that is a power of two
-    if not (sman and tman and dman > 1 and -100 <= offset <= 100):
-        return _nearest_div(_nearest_sub(s, t, prec, rnd), d, prec, rnd)
-    if offset > 0:
-        sman <<= offset
-        sexp = texp
-    elif offset:
-        tman <<= -offset
-    if ssign != tsign:
-        man = sman + tman
-    else:
-        man = sman - tman
-        if man < 0:
-            ssign, man = ssign ^ 1, -man
-        elif not man:  # 0 / d for a finite nonzero d
-            return fzero
-    n = man.bit_length() - prec
-    if n > 0:
+    def sqrt(s):
+        sign, man, exp, bc = s
+        if exp & 1:
+            exp, man, bc = exp - 1, man << 1, bc + 1
+        shift = max(4, 2 * prec - bc + 4)
+        shift += shift & 1
+        # a negative, zero, inf or nan operand, an exact power of 4, or a radicand
+        # past 2^600, where mpmath's pure-Python sqrtrem switches algorithm
+        if sign or man < 2 or bc + shift > 600:
+            return mpf_sqrt(s, prec, round_nearest)
+        x = man << shift
+        man = math.isqrt(x)
+        n = man.bit_length() - prec  # at least 2: shift leaves 2 * prec + 4 bits
         t = man >> (n - 1)
-        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
-        sexp += n
-    extra = prec - man.bit_length() + dbc + 5
-    x = man << extra
-    man = x // dman
-    n = man.bit_length() - prec
-    t = man >> (n - 1)
-    man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * dman != x)
-           else t >> 1)
-    exp = sexp - dexp - extra + n
-    if not man & 1:
-        n = (man & -man).bit_length() - 1
-        man >>= n
-        exp += n
-    return ssign ^ dsign, man, exp, man.bit_length()
+        man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * man != x)
+               else t >> 1)
+        exp = ((exp - shift) >> 1) + n
+        if not man & 1:
+            n = (man & -man).bit_length() - 1
+            man >>= n
+            exp += n
+        return 0, man, exp, man.bit_length()
 
-
-def _nearest_sqrt(s, prec, rnd):
-    sign, man, exp, bc = s
-    if exp & 1:
-        exp, man, bc = exp - 1, man << 1, bc + 1
-    shift = max(4, 2 * prec - bc + 4)
-    shift += shift & 1
-    # a negative, zero, inf or nan operand, an exact power of 4, or a radicand
-    # past 2^600, where mpmath's pure-Python sqrtrem switches algorithm
-    if sign or man < 2 or bc + shift > 600:
-        return mpf_sqrt(s, prec, rnd)
-    x = man << shift
-    man = math.isqrt(x)
-    n = man.bit_length() - prec  # at least 2: shift leaves 2 * prec + 4 bits
-    t = man >> (n - 1)
-    man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * man != x)
-           else t >> 1)
-    exp = ((exp - shift) >> 1) + n
-    if not man & 1:
-        n = (man & -man).bit_length() - 1
-        man >>= n
-        exp += n
-    return 0, man, exp, man.bit_length()
+    return {"add": add, "sub": sub, "mul": mul, "div": div, "divdiff": divdiff, "sqrt": sqrt}
 
 
 def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
@@ -522,14 +523,11 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
         return x[1] and x[2] + x[3] <= max_exp2 or x == fzero
 
     prec, rnd = ctx._prec_rounding
-    if rnd == round_nearest and BACKEND == "python":
-        add, sub, mul, div = _nearest_add, _nearest_sub, _nearest_mul, _nearest_div
-        sqrt, divdiff = _nearest_sqrt, _nearest_divdiff
-    else:  # under gmpy2 mpmath's own kernels run in C
-        add, sub, mul, div, sqrt = mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt
-        divdiff = _mpf_divdiff
-    return LoopArithmetic(lift, ctx.make_mpf, add, sub, div, in_range, prec, rnd, mpf_neg, fzero,
-                          fone, from_int, mul, mpf_pow, sqrt, mpf_exp, mpf_loggamma, divdiff)
+    kernels = _mpf_kernels(prec, rnd)
+    if rnd == round_nearest and BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
+        kernels.update(_nearest_kernels(prec))
+    return LoopArithmetic(lift=lift, lower=ctx.make_mpf, in_range=in_range, zero=fzero, one=fone,
+                          from_int=from_int, neg=mpf_neg, **kernels)
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
@@ -540,18 +538,16 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
 
     # every finite float is in a range that reaches binary64's 2^1024
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
-    return LoopArithmetic(lift, _same, _add, _sub, _div, in_range, 53, round_nearest,
-                          operator.neg, 0.0, 1.0, float, _mul, _float_pow, _float_sqrt,
-                          _float_exp, _float_loggamma, _divdiff)
+    return LoopArithmetic(lift=lift, lower=_same, in_range=in_range, zero=0.0, one=1.0,
+                          from_int=float, neg=operator.neg, **_OPERATORS, pow=_float_pow,
+                          sqrt=_float_sqrt, exp=_float_exp, loggamma=_float_loggamma)
 
 
 def _native_arithmetic(ctx) -> LoopArithmetic:
     """Any value on the context's own operators, every value range-checked by check_range."""
-    power, sqrt, exp, loggamma = ctx.power, ctx.sqrt, ctx.exp, ctx.loggamma
-    return LoopArithmetic(_same, _same, _add, _sub, _div, _never, 0, round_nearest, None,
-                          ctx.zero, ctx.one, _same, _mul, lambda x, y, prec, rnd: power(x, y),
-                          lambda x, prec, rnd: sqrt(x), lambda x, prec, rnd: exp(x),
-                          lambda x, prec, rnd: loggamma(x), _divdiff)
+    return LoopArithmetic(lift=_same, lower=_same, in_range=_never, zero=ctx.zero, one=ctx.one,
+                          from_int=_same, neg=None, **_OPERATORS, pow=ctx.power, sqrt=ctx.sqrt,
+                          exp=ctx.exp, loggamma=ctx.loggamma)
 
 
 def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
@@ -619,13 +615,14 @@ def resolve_scalar(spec, ctx):
     return ctx.convert(spec)
 
 
-def check_range(x, ctx, precision: Precision, where: str, *args) -> None:
-    """Raise if x is NaN or |x| exceeds the precision's exponent range.
+def check_range(x, ctx, where: str, *args) -> None:
+    """Raise if x is NaN or |x| exceeds the exponent range of ctx's precision.
 
     ``where`` names x in the message.  With *args* it is a %-format that is
     filled in only when raising, so per-entry callers pay no formatting.
     Overflow raises :class:`RangeOverflowError`, NaN :class:`NotANumberError`.
     """
+    precision = precision_of(ctx)
     # mag alone is not enough: it is NaN for a real NaN but finite for mpc(1, nan)
     if ctx.mag(x) <= precision.max_exp2 and not ctx.isnan(x):
         return

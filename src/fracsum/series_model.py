@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable
 
-from .numerics import check_range, loop_arithmetic, precision_of
+from .numerics import check_range, loop_arithmetic
 from .sampling import parse_schedule
 
 __all__ = [
@@ -143,21 +143,22 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    prec = precision_of(ctx)
     terms = []
     sums = []
-    lift, lower, add, _, _, in_range, p, rnd, *_ = loop_arithmetic(ctx)
-    total = lift(ctx.zero)
+    ar = loop_arithmetic(ctx)
+    lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
+    total = ar.zero
     for n in range(1, upto + 1):
         a = ctx.convert(problem.term(n, ctx))
         x = lift(a)
         if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
             total = lower(total)
-            lift, lower, add, _, _, in_range, p, rnd, *_ = loop_arithmetic(ctx, [a])
+            ar = loop_arithmetic(ctx, [a])
+            lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
             x = lift(a)
-        total = add(total, x, p, rnd)
+        total = add(total, x)
         if not in_range(total):
-            check_range(lower(total), ctx, prec, "partial sum A_%d", n)
+            check_range(lower(total), ctx, "partial sum A_%d", n)
         terms.append(a)
         sums.append(lower(total))
     return sums, terms
@@ -200,9 +201,8 @@ class _LogFactor:
                      for c, p in self.pairs]
         ar = loop_arithmetic(ctx, [x for pair in converted for x in pair
                                    if x is not None and x is not _SQRT])
-        lift, add, mul, div, power, sqrt, exp, loggamma, from_int, prec, rnd = (
-            ar.lift, ar.add, ar.mul, ar.div, ar.pow, ar.sqrt, ar.exp, ar.loggamma, ar.from_int,
-            ar.prec, ar.rnd)
+        lift, add, mul, div, power, sqrt, exp, loggamma, from_int = (
+            ar.lift, ar.add, ar.mul, ar.div, ar.pow, ar.sqrt, ar.exp, ar.loggamma, ar.from_int)
         # None for a coefficient 1 or the exponent 1, _SQRT for the exponent 1/2
         pairs = tuple((c if c is None else lift(c), p if p is None or p is _SQRT else lift(p))
                       for c, p in converted)
@@ -211,19 +211,19 @@ class _LogFactor:
 
         def log(n):
             if scaled and n > 1:
-                val = div(mul(loggamma(from_int(n + 1), prec, rnd), s, prec, rnd), m, prec, rnd)
+                val = div(mul(loggamma(from_int(n + 1)), s), m)
             else:
                 val = None
             k = from_int(n)
             for c, p in pairs:
-                x = k if p is None else sqrt(k, prec, rnd) if p is _SQRT else power(k, p, prec, rnd)
+                x = k if p is None else sqrt(k) if p is _SQRT else power(k, p)
                 if c is not None:
-                    x = mul(c, x, prec, rnd)
-                val = x if val is None else add(val, x, prec, rnd)
+                    x = mul(c, x)
+                val = x if val is None else add(val, x)
             return zero if val is None else val
 
         def exp_log(n):
-            return exp(log(n), prec, rnd)
+            return exp(log(n))
 
         return ar, log, exp_log
 
@@ -279,16 +279,16 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
 
     def stream(ctx, start):
         ar, _, exp_log = family._factor.loop(ctx)
-        lower, add, sub, mul, prec, rnd = ar.lower, ar.add, ar.sub, ar.mul, ar.prec, ar.rnd
+        lower, add, sub, mul = ar.lower, ar.add, ar.sub, ar.mul
         minus_one = ar.from_int(-1)
         d0 = exp_log(start - 1) if start > 1 else ar.one  # delta_{n-1}
         for n in count(start):
             d1 = exp_log(n)
             if family.kind == 1:
-                yield lower(sub(d1, d0, prec, rnd))
+                yield lower(sub(d1, d0))
             else:
-                a = add(d1, d0, prec, rnd)
-                yield lower(mul(a, minus_one, prec, rnd) if n % 2 else a)
+                a = add(d1, d0)
+                yield lower(mul(a, minus_one) if n % 2 else a)
             d0 = d1
 
     return SeriesProblem(
@@ -335,7 +335,7 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
     """
 
     def grow(ar, prev, v, k):
-        value = ar.mul(prev, ar.add(ar.one, v, ar.prec, ar.rnd), ar.prec, ar.rnd)
+        value = ar.mul(prev, ar.add(ar.one, v))
         if value == ar.zero:
             raise ZeroPartialProductError(f"partial product A_{k} of {problem.name!r} is zero")
         return value
@@ -352,7 +352,7 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
                 ar = loop_arithmetic(ctx, [value])
                 prev, v = ar.lift(prev), ar.lift(value)
             if k >= start:
-                yield ar.lower(grow(ar, prev, v, 1) if k == 1 else ar.mul(v, prev, ar.prec, ar.rnd))
+                yield ar.lower(grow(ar, prev, v, 1) if k == 1 else ar.mul(v, prev))
 
     return SeriesProblem(
         name=problem.name,
@@ -418,32 +418,31 @@ _FIFTH = Fraction(1, 5)
 def _ex5_14(ctx, start):
     """n^sqrt(3) / (1 + sqrt(n)) under ctx, from n = start on."""
     ar = loop_arithmetic(ctx)
-    lower, from_int, add, div, power, sqrt, one, prec, rnd = (
-        ar.lower, ar.from_int, ar.add, ar.div, ar.pow, ar.sqrt, ar.one, ar.prec, ar.rnd)
-    sqrt3 = sqrt(from_int(3), prec, rnd)
+    lower, from_int, add, div, power, sqrt, one = (
+        ar.lower, ar.from_int, ar.add, ar.div, ar.pow, ar.sqrt, ar.one)
+    sqrt3 = sqrt(from_int(3))
     for n in count(start):
         x = from_int(n)
-        yield lower(div(power(x, sqrt3, prec, rnd), add(one, sqrt(x, prec, rnd), prec, rnd),
-                        prec, rnd))
+        yield lower(div(power(x, sqrt3), add(one, sqrt(x))))
 
 
 def _ex7_1_v(ctx, start):
     """-1 / (4 n^2) under ctx, from n = start on."""
     ar = loop_arithmetic(ctx)
-    lower, from_int, div, prec, rnd = ar.lower, ar.from_int, ar.div, ar.prec, ar.rnd
+    lower, from_int, div = ar.lower, ar.from_int, ar.div
     minus_one = from_int(-1)
     for n in count(start):
-        yield lower(div(minus_one, from_int(4 * n * n), prec, rnd))
+        yield lower(div(minus_one, from_int(4 * n * n)))
 
 
 def _ex7_2_v(ctx, start):
     """n^(-3/2) under ctx, from n = start on."""
     minus_3_2 = ctx.mpf(-3) / 2
     ar = loop_arithmetic(ctx, [minus_3_2])
-    lower, from_int, power, prec, rnd = ar.lower, ar.from_int, ar.pow, ar.prec, ar.rnd
+    lower, from_int, power = ar.lower, ar.from_int, ar.pow
     minus_3_2 = ar.lift(minus_3_2)
     for n in count(start):
-        yield lower(power(from_int(n), minus_3_2, prec, rnd))
+        yield lower(power(from_int(n), minus_3_2))
 
 
 # Builders of the builtins, called with the problem id; m = 2 except for ex7_1.
@@ -461,11 +460,11 @@ def _exponential(s, pairs, alternating=False):
 
         def stream(ctx, start):
             ar, _, exp_log = factor.loop(ctx)
-            lower, mul, prec, rnd = ar.lower, ar.mul, ar.prec, ar.rnd
+            lower, mul = ar.lower, ar.mul
             minus_one = ar.from_int(-1)
             for n in count(start):
                 a = exp_log(n)
-                yield lower(mul(a, minus_one, prec, rnd) if alternating and n % 2 else a)
+                yield lower(mul(a, minus_one) if alternating and n % 2 else a)
 
         return SeriesProblem(name, _term(stream), m=2)
 
@@ -577,7 +576,7 @@ def _check_calls(expr: str, tree) -> None:
                              f"{name} takes {' or '.join(map(str, counts))}")
 
 
-def _float_first(name, kernel, fallback, prec, rnd, types):
+def _float_first(name, kernel, fallback, types):
     """The context function *fallback*, through the float arithmetic's *kernel* where it can.
 
     The kernel takes a call whose arguments' types are all in *types*, and
@@ -589,7 +588,7 @@ def _float_first(name, kernel, fallback, prec, rnd, types):
     def unary(x):
         if type(x) in types:
             try:
-                return kernel(x, prec, rnd)
+                return kernel(x)
             except (ArithmeticError, ValueError):
                 pass
         return fallback(x)
@@ -597,7 +596,7 @@ def _float_first(name, kernel, fallback, prec, rnd, types):
     def binary(x, y):
         if type(x) in types and type(y) in types:
             try:
-                return kernel(x, y, prec, rnd)
+                return kernel(x, y)
             except (ArithmeticError, ValueError):
                 pass
         return fallback(x, y)
@@ -638,7 +637,7 @@ def _expression_term(expr: str) -> TermFn:
             for name, kernel, types in (("power", ar.pow, (float, int)), ("sqrt", ar.sqrt, (float,)),
                                         ("exp", ar.exp, (float, int)),
                                         ("loggamma", ar.loggamma, (float, int))):
-                env[name] = _float_first(name, kernel, env[name], ar.prec, ar.rnd, types)
+                env[name] = _float_first(name, kernel, env[name], types)
         env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
                    abs=abs, mpf=ctx.mpf)
         return env

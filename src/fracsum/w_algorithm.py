@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import Binary64Context, check_range, loop_arithmetic, precision_of
+from .numerics import Binary64Context, check_range, loop_arithmetic
 
 __all__ = [
     "ZeroTermError",
@@ -129,13 +129,12 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     sigma_hat = Fraction(sigma_hat)
     if R[-1] >= len(sums) or R[-1] >= len(terms):
         raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
-    prec = precision_of(ctx)
     use_prev = sigma_hat < 0
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
     ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
-    lift, lower, sub, divdiff, in_range, p, rnd, neg = (
-        ar.lift, ar.lower, ar.sub, ar.divdiff, ar.in_range, ar.prec, ar.rnd, ar.neg)
+    lift, lower, sub, divdiff, in_range, neg = (
+        ar.lift, ar.lower, ar.sub, ar.divdiff, ar.in_range, ar.neg)
     sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
 
     t, A, G, L = [], [], [], []
@@ -150,8 +149,8 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             raise ZeroTermError(r, ctx)
         # the weight r^sigma_hat and the node t_l = r^(-1/m), with the bits of ctx.power
         x = ar.from_int(r)
-        omega = lower(ar.pow(x, sigma, p, rnd)) * a
-        tl = ar.pow(x, inv_m, p, rnd)
+        omega = lower(ar.pow(x, sigma)) * a
+        tl = ar.pow(x, inv_m)
         mx = sample / omega
         nx = 1 / omega
         sign = -1 if l % 2 else 1
@@ -169,25 +168,25 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             h_span, h_flip = l - h_run[0], h_run[1] == _MINUS
             k_span, k_flip = l - k_run[0], k_run[1] == _MINUS
         for k, tj in enumerate(reversed(t)):  # n = k + 1, tj = t[l - n]
-            den = sub(tl, tj, p, rnd)
+            den = sub(tl, tj)
             mo, no, ho, ko = M[k], N[k], H[k], K[k]
             M[k], N[k], H[k], K[k] = mx, nx, hx, kx
-            mx = divdiff(mx, mo, den, p, rnd)
-            nx = divdiff(nx, no, den, p, rnd)
+            mx = divdiff(mx, mo, den)
+            nx = divdiff(nx, no, den)
             if not in_range(mx):
-                check_range(lower(mx), ctx, prec, "M(%d,%d)", l - 1 - k, k + 1)
+                check_range(lower(mx), ctx, "M(%d,%d)", l - 1 - k, k + 1)
             if not in_range(nx):
-                check_range(lower(nx), ctx, prec, "N(%d,%d)", l - 1 - k, k + 1)
+                check_range(lower(nx), ctx, "N(%d,%d)", l - 1 - k, k + 1)
             if k >= h_span:
-                hx = divdiff(hx, ho, den, p, rnd)
+                hx = divdiff(hx, ho, den)
                 if not in_range(hx):
-                    check_range(lower(hx), ctx, prec, "H(%d,%d)", l - 1 - k, k + 1)
+                    check_range(lower(hx), ctx, "H(%d,%d)", l - 1 - k, k + 1)
             else:
                 hx = neg(nx) if h_flip else nx
             if k >= k_span:
-                kx = divdiff(kx, ko, den, p, rnd)
+                kx = divdiff(kx, ko, den)
                 if not in_range(kx):
-                    check_range(lower(kx), ctx, prec, "K(%d,%d)", l - 1 - k, k + 1)
+                    check_range(lower(kx), ctx, "K(%d,%d)", l - 1 - k, k + 1)
             else:
                 kx = neg(mx) if k_flip else mx
         t.append(tl)

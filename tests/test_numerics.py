@@ -10,11 +10,14 @@ from mpmath.libmp import (
     fnan,
     fninf,
     from_man_exp,
+    from_rational,
     fzero,
     mpf_add,
     mpf_div,
     mpf_exp,
+    mpf_loggamma,
     mpf_mul,
+    mpf_pow,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -28,12 +31,7 @@ from fracsum.numerics import (
     Precision,
     RangeOverflowError,
     _mpmath_context,
-    _nearest_add,
-    _nearest_div,
-    _nearest_divdiff,
-    _nearest_mul,
-    _nearest_sqrt,
-    _nearest_sub,
+    _nearest_kernels,
     _raw_arithmetic,
     check_range,
     loop_arithmetic,
@@ -61,7 +59,7 @@ def test_quad_preset_exponent_range():
     assert QUAD.max_exp10 >= 4900
     ctx = make_context(QUAD)
     # partial-product magnitudes around 1e300 are nowhere near the limit
-    check_range(ctx.mpf("1e300"), ctx, QUAD, "probe")
+    check_range(ctx.mpf("1e300"), ctx, "probe")
 
 
 def test_ln_factorial_frac_trivial(qctx):
@@ -125,18 +123,18 @@ def test_double_to_quad_round_trip_exact(qctx, dctx):
 
 def test_check_range_raises(dctx):
     with pytest.raises(RangeOverflowError, match="double"):
-        check_range(dctx.mpf("1e320"), dctx, DOUBLE, "partial sum A_3")
+        check_range(dctx.mpf("1e320"), dctx, "partial sum A_3")
 
 
 def test_check_range_rejects_nan_and_formats_label_on_raise(dctx):
-    check_range(dctx.mpc(1, 2), dctx, DOUBLE, "M(%d,%d)", 3, 4)
+    check_range(dctx.mpc(1, 2), dctx, "M(%d,%d)", 3, 4)
     with pytest.raises(NotANumberError, match=r"^N\(3,4\) is NaN$"):
-        check_range(dctx.nan, dctx, DOUBLE, "N(%d,%d)", 3, 4)
+        check_range(dctx.nan, dctx, "N(%d,%d)", 3, 4)
     # mpmath's mag of mpc(1, nan) is finite, so the range test alone misses it
     with pytest.raises(NotANumberError, match="A_5"):
-        check_range(dctx.mpc(1, dctx.nan), dctx, DOUBLE, "partial sum A_%d", 5)
+        check_range(dctx.mpc(1, dctx.nan), dctx, "partial sum A_%d", 5)
     with pytest.raises(RangeOverflowError, match=r"^M\(3,4\) exceeds the double"):
-        check_range(dctx.mpf("-1e320"), dctx, DOUBLE, "M(%d,%d)", 3, 4)
+        check_range(dctx.mpf("-1e320"), dctx, "M(%d,%d)", 3, 4)
 
 
 def _nan_at_5(n, ctx):
@@ -187,13 +185,14 @@ def test_raw_range_test_matches_check_range():
         assert bool(arith.in_range(arith.lift(x))) is passes, x
         assert arith.lower(arith.lift(x)) == x or ctx.isnan(x)
     with pytest.raises(NotANumberError, match=r"^N\(0,1\) is NaN$"):
-        check_range(arith.lower(arith.lift(ctx.nan)), ctx, NARROW_QUAD, "N(%d,%d)", 0, 1)
+        check_range(arith.lower(arith.lift(ctx.nan)), ctx, "N(%d,%d)", 0, 1)
     # complex values and values of other types run on the context's own operators
     assert loop_arithmetic(ctx, [ctx.mpc(1, 1)]).lift(ctx.mpc(1, 1)) == ctx.mpc(1, 1)
     assert loop_arithmetic(ctx, [1]).in_range(ctx.one) is False
 
 
-@pytest.mark.parametrize("preset", [QUAD, DOUBLE], ids=["quad", "double"])
+@pytest.mark.parametrize("preset", [QUAD, DOUBLE, Precision("wide", 200, 4932)],
+                         ids=["quad", "double", "200-bit"])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
     ctx = make_context(preset)
@@ -208,26 +207,24 @@ def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
         got = ar.lower(got)
         return type(got) is type(want) and bits(got) == bits(want)
 
-    p, rnd = ar.prec, ar.rnd
     assert same(ar.zero, ctx.zero) and same(ar.one, ctx.one)
     for k in (1, 2, 3, 10, 97, 5258):
         x, y = ctx.convert(k) / 7 * unit, ctx.sqrt(k) * unit
         lx, ly, lk = ar.lift(x), ar.lift(y), ar.from_int(k)
-        assert same(ar.add(lx, ly, p, rnd), x + y)
-        assert same(ar.sub(lx, ly, p, rnd), x - y)
-        assert same(ar.mul(lx, ly, p, rnd), x * y)
-        assert same(ar.div(lx, ly, p, rnd), x / y)
-        assert same(ar.divdiff(lx, ly, lk, p, rnd), (x - y) / k)
-        assert same(ar.divdiff(ly, lx, ly, p, rnd), (y - x) / y)
-        assert same(ar.mul(lx, lk, p, rnd), x * k)
-        assert same(ar.exp(lx, p, rnd), ctx.exp(x))
-        assert same(ar.pow(lk, lx, p, rnd), ctx.power(k, x))
-        assert same(ar.sqrt(lk, p, rnd), ctx.sqrt(k))
-        assert same(ar.loggamma(ar.from_int(k + 1), p, rnd), ctx.loggamma(k + 1))
+        assert same(ar.add(lx, ly), x + y)
+        assert same(ar.sub(lx, ly), x - y)
+        assert same(ar.mul(lx, ly), x * y)
+        assert same(ar.div(lx, ly), x / y)
+        assert same(ar.divdiff(lx, ly, lk), (x - y) / k)
+        assert same(ar.divdiff(ly, lx, ly), (y - x) / y)
+        assert same(ar.mul(lx, lk), x * k)
+        assert same(ar.exp(lx), ctx.exp(x))
+        assert same(ar.pow(lk, lx), ctx.power(k, x))
+        assert same(ar.sqrt(lk), ctx.sqrt(k))
+        assert same(ar.loggamma(ar.from_int(k + 1)), ctx.loggamma(k + 1))
 
 
-_NEAREST = {"add": (_nearest_add, mpf_add), "sub": (_nearest_sub, mpf_sub),
-            "mul": (_nearest_mul, mpf_mul), "div": (_nearest_div, mpf_div)}
+_MPMATH = {"add": mpf_add, "sub": mpf_sub, "mul": mpf_mul, "div": mpf_div}
 _SPECIALS = st.sampled_from([fzero, finf, fninf, fnan])
 _SIGNS = st.sampled_from([1, -1])
 
@@ -314,25 +311,28 @@ def _outcome(f, *args):
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), prec=st.sampled_from([53, 113, 200]))
 def test_nearest_kernels_are_mpmaths_bit_for_bit(data, prec):
+    nearest = _nearest_kernels(prec)
     s, t = data.draw(_operand_pairs(prec))
-    for name, (ours, theirs) in _NEAREST.items():
+    for name, theirs in _MPMATH.items():
         want = _outcome(theirs, s, t, prec, round_nearest)
-        assert _outcome(ours, s, t, prec, round_nearest) == want, (name, s, t, prec)
+        assert _outcome(nearest[name], s, t) == want, (name, s, t, prec)
     x = data.draw(_radicands(prec))
     want = _outcome(mpf_sqrt, x, prec, round_nearest)
-    assert _outcome(_nearest_sqrt, x, prec, round_nearest) == want, (x, prec)
+    assert _outcome(nearest["sqrt"], x) == want, (x, prec)
 
 
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), prec=st.sampled_from([53, 113, 200]))
 def test_divdiff_kernel_is_mpmaths_sub_then_div(data, prec):
+    divdiff = _nearest_kernels(prec)["divdiff"]
     s, t, d = data.draw(_divdiff_triples(prec))
     want = _outcome(_mpmath_divdiff, s, t, d, prec, round_nearest)
-    assert _outcome(_nearest_divdiff, s, t, d, prec, round_nearest) == want, (s, t, d, prec)
+    assert _outcome(divdiff, s, t, d) == want, (s, t, d, prec)
 
 
 @pytest.mark.parametrize("prec", [53, 113, 200])
 def test_divdiff_kernel_edge_cases(prec):
+    divdiff = _nearest_kernels(prec)["divdiff"]
     one, three = from_man_exp(1, 0), from_man_exp(3, -7)
     x = from_man_exp((1 << prec) - 1, 1)  # x + 1 has prec + 1 bits and rounds up to 2^(prec+1)
     cases = [(x, x, three), (x, from_man_exp(-1, 0), three), (x, from_man_exp(-1, 0), one),
@@ -344,9 +344,9 @@ def test_divdiff_kernel_edge_cases(prec):
             cases.append((from_man_exp(sign * 5, 1 - offset), x, from_man_exp(-3, 4)))
     for s, t, d in cases:
         want = _outcome(_mpmath_divdiff, s, t, d, prec, round_nearest)
-        assert _outcome(_nearest_divdiff, s, t, d, prec, round_nearest) == want, (s, t, d)
-    assert _outcome(_nearest_divdiff, x, one, fzero, prec, round_nearest) is ZeroDivisionError
-    assert _nearest_divdiff(x, x, three, prec, round_nearest) == fzero
+        assert _outcome(divdiff, s, t, d) == want, (s, t, d)
+    assert _outcome(divdiff, x, one, fzero) is ZeroDivisionError
+    assert divdiff(x, x, three) == fzero
 
 
 @pytest.mark.parametrize("backend, rounding, nearest", [
@@ -357,17 +357,22 @@ def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
     ctx = _mpmath_context(QUAD)
     ctx._prec_rounding[1] = rounding
     ar = _raw_arithmetic(ctx, QUAD)
-    kernels = (ar.add, ar.sub, ar.mul, ar.div, ar.sqrt)
-    if nearest:
-        assert kernels == (_nearest_add, _nearest_sub, _nearest_mul, _nearest_div, _nearest_sqrt)
-        assert ar.divdiff is _nearest_divdiff
-    else:
-        assert kernels == (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt)
-        # mpmath's subtraction, then its division, at the context's rounding
-        s, t, d = from_man_exp(7, -1), from_man_exp(2, -40), from_man_exp(3, 2)
-        assert ar.divdiff(s, t, d, 113, rounding) == _mpmath_divdiff(s, t, d, 113, rounding)
-        assert ar.divdiff is not _nearest_divdiff
-    assert (ar.prec, ar.rnd, ar.exp) == (113, rounding, mpf_exp)
+    # the int kernels are closures over prec: each shares its code with the factory's kernel
+    for name, kernel in _nearest_kernels(113).items():
+        assert (getattr(ar, name).__code__ is kernel.__code__) is nearest, name
+    # otherwise mpmath's kernels (divdiff its subtraction, then its division) at the
+    # context's rounding; rounding down and to nearest differ on every one of these,
+    # and divdiff rounding down differs from either of its steps rounding to nearest
+    s, t = from_rational(13, 3, 113, round_nearest), from_rational(7, 11, 113, round_nearest)
+    d = from_man_exp(13, 0)
+    mpmath_kernels = {"add": (mpf_add, s, t), "sub": (mpf_sub, s, t), "mul": (mpf_mul, s, t),
+                      "div": (mpf_div, s, t), "divdiff": (_mpmath_divdiff, s, t, d),
+                      "pow": (mpf_pow, s, t), "sqrt": (mpf_sqrt, s), "exp": (mpf_exp, s),
+                      "loggamma": (mpf_loggamma, s)}
+    for name, (theirs, *args) in mpmath_kernels.items():
+        want = theirs(*args, 113, rounding)
+        assert getattr(ar, name)(*args) == want, name
+        assert (want != theirs(*args, 113, round_nearest)) is (rounding == "d"), name
 
 
 @pytest.mark.parametrize("unit", sorted(_UNITS))
