@@ -9,17 +9,20 @@ by the CLI and the reference-table harness.
 
 Term generators are pure functions of ``(n, ctx)`` to their callers:
 repeated evaluation, in any order and from any thread, is bit-exact.
-Every builtin term source is a stream ``stream(ctx, start)``: a
-generator that yields a_start, a_start+1, ... and keeps what one term
-hands the next (a telescoping delta, a partial product) in its local
-variables.  One adapter, :func:`_term`, makes a stream the public
-``term(n, ctx)``; it parks each context's last generator, so in-order
-evaluation, as in :func:`sums_and_terms`, does the per-``n`` work once,
-and any other index starts a fresh stream with the same operations.
-The paper's factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log
-domain and exponentiated once: telescoping deltas, both exponents of a
+Every term source the library builds (the builtins, both branches of a
+trigonometric pair, an expression) is a stream ``stream(ctx, start)``: a
+generator that binds its constants when it starts, yields a_start,
+a_start+1, ... and keeps what one term hands the next (a telescoping
+delta, a partial product) in its local variables.  One adapter,
+:func:`_term`, makes a stream the public ``term(n, ctx)``; it parks each
+context's last generator, so in-order evaluation, as in
+:func:`sums_and_terms`, does the per-``n`` work once, and any other index
+starts a fresh stream with the same operations.  The parked generators
+are the only per-context state.  The paper's factor
+(n!)^(s/m) * exp(Q(n)) has one evaluator, in the log domain and
+exponentiated once: telescoping deltas, both exponents of a
 trigonometric pair and the exponential builtins each hold a
-:class:`_LogFactor` with one per-context cache of its constants, and the
+:class:`_LogFactor`, whose ``loop(ctx)`` binds its constants, and the
 log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  The streams and the
 factor run on ``numerics.loop_arithmetic`` of the context and of their
 constants: raw ``libmp`` tuples at an mpmath preset, floats at binary64,
@@ -67,19 +70,6 @@ class ZeroPartialProductError(ValueError):
 def _check_m(m):
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-
-
-def _per_context(bind):
-    """ctx -> bind(ctx), calling bind once per context."""
-    bound = {}
-
-    def get(ctx):
-        f = bound.get(ctx)
-        if f is None:
-            f = bound[ctx] = bind(ctx)
-        return f
-
-    return get
 
 
 def _term(stream):
@@ -186,23 +176,22 @@ class _LogFactor:
     def __init__(self, s: int, m: int, pairs):
         self.s, self.m = s, m
         self.pairs = tuple((c, Fraction(p)) for c, p in pairs if c != 0)
-        self.loop = _per_context(self._bind)
 
-    def _bind(self, ctx):
-        """(arithmetic, log, exp_log) under ctx, which ``loop(ctx)`` caches.
+    def loop(self, ctx):
+        """(arithmetic, log) under ctx, with the constants converted once.
 
-        ``log(n)`` is the log of the factor and ``exp_log(n)`` the factor,
-        both as values of the arithmetic: ``loop_arithmetic`` of ctx and the
-        converted constants, so a complex coefficient runs on the context's
-        own operators.
+        ``log(n)`` is the log of the factor as a value of the arithmetic:
+        ``loop_arithmetic`` of ctx and the converted constants, so a complex
+        coefficient runs on the context's own operators.  The factor itself
+        is ``arithmetic.exp(log(n))``.
         """
         converted = [(None if c == 1 else ctx.convert(c),
                       None if p == 1 else _SQRT if p == _HALF else ctx.convert(p))
                      for c, p in self.pairs]
         ar = loop_arithmetic(ctx, [x for pair in converted for x in pair
                                    if x is not None and x is not _SQRT])
-        lift, add, mul, div, power, sqrt, exp, loggamma, from_int = (
-            ar.lift, ar.add, ar.mul, ar.div, ar.pow, ar.sqrt, ar.exp, ar.loggamma, ar.from_int)
+        lift, add, mul, div, power, sqrt, loggamma, from_int = (
+            ar.lift, ar.add, ar.mul, ar.div, ar.pow, ar.sqrt, ar.loggamma, ar.from_int)
         # None for a coefficient 1 or the exponent 1, _SQRT for the exponent 1/2
         pairs = tuple((c if c is None else lift(c), p if p is None or p is _SQRT else lift(p))
                       for c, p in converted)
@@ -222,14 +211,7 @@ class _LogFactor:
                 val = x if val is None else add(val, x)
             return zero if val is None else val
 
-        def exp_log(n):
-            return exp(log(n))
-
-        return ar, log, exp_log
-
-    def __call__(self, n: int, ctx):
-        ar, log, _ = self.loop(ctx)
-        return ar.lower(log(n))
+        return ar, log
 
 
 @dataclass(frozen=True)
@@ -262,12 +244,6 @@ class TelescopingFamily:
         pairs = ((th, Fraction(self.m - i, self.m)) for i, th in enumerate(self.theta))
         object.__setattr__(self, "_factor", _LogFactor(self.s, self.m, pairs))
 
-    def delta(self, n: int, ctx):
-        if not n:
-            return ctx.one
-        ar, _, exp_log = self._factor.loop(ctx)
-        return ar.lower(exp_log(n))
-
 
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
     """Series problem for a telescoping family; the limit/antilimit is -1.
@@ -278,12 +254,12 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
     """
 
     def stream(ctx, start):
-        ar, _, exp_log = family._factor.loop(ctx)
-        lower, add, sub, mul = ar.lower, ar.add, ar.sub, ar.mul
+        ar, log = family._factor.loop(ctx)
+        lower, add, sub, mul, exp = ar.lower, ar.add, ar.sub, ar.mul, ar.exp
         minus_one = ar.from_int(-1)
-        d0 = exp_log(start - 1) if start > 1 else ar.one  # delta_{n-1}
+        d0 = exp(log(start - 1)) if start > 1 else ar.one  # delta_{n-1}
         for n in count(start):
-            d1 = exp_log(n)
+            d1 = exp(log(n))
             if family.kind == 1:
                 yield lower(sub(d1, d0))
             else:
@@ -395,11 +371,14 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=False):
     phase = _LogFactor(0, m, ((c, Fraction(i, m)) for i, c in enumerate(u2)))
 
     def make_term(sign):
-        def term(n, ctx):
-            z = ctx.mpc(growth(n, ctx), sign * phase(n, ctx))
-            return ctx.exp(z) * ctx.convert(h(n, ctx))
+        def stream(ctx, start):
+            gar, glog = growth.loop(ctx)
+            par, plog = phase.loop(ctx)
+            for n in count(start):
+                z = ctx.mpc(gar.lower(glog(n)), sign * par.lower(plog(n)))
+                yield ctx.exp(z) * ctx.convert(h(n, ctx))
 
-        return term
+        return _term(stream)
 
     meta = {"h_is_real": bool(h_is_real)}
     plus = SeriesProblem(name="trig-pair(+)", term=make_term(1), m=m, meta=dict(meta))
@@ -459,11 +438,11 @@ def _exponential(s, pairs, alternating=False):
         factor = _LogFactor(s, 2, pairs)
 
         def stream(ctx, start):
-            ar, _, exp_log = factor.loop(ctx)
-            lower, mul = ar.lower, ar.mul
+            ar, log = factor.loop(ctx)
+            lower, mul, exp = ar.lower, ar.mul, ar.exp
             minus_one = ar.from_int(-1)
             for n in count(start):
-                a = exp_log(n)
+                a = exp(log(n))
                 yield lower(mul(a, minus_one) if alternating and n % 2 else a)
 
         return SeriesProblem(name, _term(stream), m=2)
@@ -604,7 +583,8 @@ def _float_first(name, kernel, fallback, types):
     return binary if name == "power" else unary
 
 
-def _expression_term(expr: str) -> TermFn:
+def _compile_expression(expr: str):
+    """The code of a term or known_S expression, refused here if malformed."""
     # Trusted-input convenience; no builtins are exposed to the expression.
     # Mistakes that would only surface at evaluation, as a TypeError or
     # NameError, or not at all (2^3 is xor, pi(3) is a 3-bit pi), are
@@ -625,44 +605,56 @@ def _expression_term(expr: str) -> TermFn:
                              f"known names: {', '.join(sorted(_EXPR_NAMES))}")
     _check_calls(expr, tree)
     tree = _PowerCalls().visit(tree)
-    code = compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
+    return compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
 
-    @_per_context
-    def names(ctx):
-        """Every name an expression can use in *ctx*, except n."""
-        env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
-        ar = loop_arithmetic(ctx)
-        if type(ar.zero) is float:  # binary64: the float arithmetic's kernels, as the terms use
-            # they take an int exactly, except math.sqrt, which rounds one past 2^53 first
-            for name, kernel, types in (("power", ar.pow, (float, int)), ("sqrt", ar.sqrt, (float,)),
-                                        ("exp", ar.exp, (float, int)),
-                                        ("loggamma", ar.loggamma, (float, int))):
-                env[name] = _float_first(name, kernel, env[name], types)
-        env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
-                   abs=abs, mpf=ctx.mpf)
-        return env
 
-    def term(n, ctx):
-        # n is bound as a real of ctx so plain arithmetic stays at working precision
-        try:
-            return ctx.convert(eval(code, names(ctx), {"n": ctx.mpf(n)}))
-        except TypeError as exc:  # e.g. a complex value made real: mpf(i)
-            raise ValueError(f"expression {expr!r} fails at n = {n}: {exc}") from None
+def _expression_names(ctx):
+    """Every name an expression can use in *ctx*, except n."""
+    env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
+    ar = loop_arithmetic(ctx)
+    if type(ar.zero) is float:  # binary64: the float arithmetic's kernels, as the terms use
+        # they take an int exactly, except math.sqrt, which rounds one past 2^53 first
+        for name, kernel, types in (("power", ar.pow, (float, int)), ("sqrt", ar.sqrt, (float,)),
+                                    ("exp", ar.exp, (float, int)),
+                                    ("loggamma", ar.loggamma, (float, int))):
+            env[name] = _float_first(name, kernel, env[name], types)
+    env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
+               abs=abs, mpf=ctx.mpf)
+    return env
 
-    return term
+
+def _failure(exc):
+    """An evaluation error's text, the same at both presets (mpmath's ZeroDivisionError has none)."""
+    return "division by zero" if isinstance(exc, ZeroDivisionError) else exc
+
+
+def _expression_term(expr: str) -> TermFn:
+    code = _compile_expression(expr)
+
+    def stream(ctx, start):
+        env = _expression_names(ctx)
+        for n in count(start):
+            # n is bound as a real of ctx so plain arithmetic stays at working precision
+            try:
+                value = ctx.convert(eval(code, env, {"n": ctx.mpf(n)}))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:  # mpf(i), gamma(0), 1/0
+                raise ValueError(f"expression {expr!r} fails at n = {n}: {_failure(exc)}") from None
+            yield value
+
+    return _term(stream)
 
 
 def _known_S_expression(expr: str):
     """known_S as a scalar spec: the expression's value in a context."""
-    s_term = _expression_term(expr)
+    code = _compile_expression(expr)
     if any(isinstance(node, ast.Name) and node.id == "n" for node in ast.walk(ast.parse(expr))):
         raise ValueError(f"known_S {expr!r} uses n; known_S is the limit, a constant")
 
     def known_S(ctx):
         try:
-            value = s_term(0, ctx)
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError(f"known_S {expr!r} fails: {exc}") from None
+            value = ctx.convert(eval(code, _expression_names(ctx)))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ValueError(f"known_S {expr!r} fails: {_failure(exc)}") from None
         if not ctx.isfinite(value):
             raise ValueError(f"known_S {expr!r} is not finite: {ctx.nstr(value)}")
         return value
@@ -706,6 +698,8 @@ def load_problem(source):
     if schedule is not None and not isinstance(schedule, str):
         raise ValueError(f"schedule must be a string such as 'gps:1.3', got {schedule!r}")
     schedule = parse_schedule(schedule) if schedule is not None else None
+    if not isinstance(spec.get("name", ""), str):
+        raise ValueError(f"name must be a string, got {spec['name']!r}")
 
     if "builtin" in spec:
         if not isinstance(spec["builtin"], str):

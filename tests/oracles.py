@@ -137,25 +137,29 @@ def w_triangle(sums, terms, R, m, sigma_hat, ctx):
     return samples, A, G, L
 
 
+def telescoping_delta(s, m, theta, k, ctx):
+    """delta_k = exp((s/m) ln k! + sum(theta_i k^((m-i)/m))) from scratch; delta_0 = 1.
+
+    The operations are those of the library's telescoping terms, so its
+    deltas, and the terms built from them, match bit for bit.
+    """
+    val = ctx.zero
+    if k > 0:
+        if s != 0 and k > 1:
+            val = ctx.loggamma(k + 1) * s / m
+        for i, th in enumerate(theta):
+            if th != 0:
+                val = val + ctx.convert(th) * ctx.power(k, ctx.convert(Fraction(m - i, m)))
+    return ctx.exp(val)
+
+
 def telescoping_term(kind, s, m, theta, n, ctx):
     """a_n of the telescoping family (kind, s, m, theta), both deltas from scratch.
 
-    delta_k = exp((s/m) ln k! + sum(theta_i k^((m-i)/m))), through the same
-    operations as ``TelescopingFamily.delta``, so the result must match the
-    library's terms bit for bit in whatever order they are evaluated.
+    The result must match the library's terms bit for bit in whatever
+    order they are evaluated.
     """
-
-    def delta(k):
-        val = ctx.zero
-        if k > 0:
-            if s != 0 and k > 1:
-                val = ctx.loggamma(k + 1) * s / m
-            for i, th in enumerate(theta):
-                if th != 0:
-                    val = val + ctx.convert(th) * ctx.power(k, ctx.convert(Fraction(m - i, m)))
-        return ctx.exp(val)
-
-    d0, d1 = delta(n - 1), delta(n)
+    d0, d1 = telescoping_delta(s, m, theta, n - 1, ctx), telescoping_delta(s, m, theta, n, ctx)
     if kind == 1:
         return d1 - d0
     return (1 if n % 2 == 0 else -1) * (d1 + d0)
@@ -221,13 +225,14 @@ def trig_pair_term(h, u1, u2, m, sign, n, ctx):
 
 # Closed forms of a ``TelescopingFamily``: its telescoped partial sums and
 # the a_n asymptotics the classifier round-trip is checked against.  The
-# partial sum reads the family's own delta_n: it checks the telescoping of
-# the terms and their accumulation, not delta_n itself.
+# partial sum reads :func:`telescoping_delta`, which matches the library's
+# delta_n bit for bit: it checks the telescoping of the terms and their
+# accumulation, not delta_n itself.
 
 
 def closed_partial_sum(family, n, ctx):
     """A_n from the telescoped closed form -delta_0 +- delta_n."""
-    d = family.delta(n, ctx)
+    d = telescoping_delta(family.s, family.m, family.theta, n, ctx)
     if family.kind == 2 and n % 2:
         d = -d
     return d - 1

@@ -156,6 +156,9 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": "1/n**2", "m": 1, "known_S": [1]},
          "known_S must be a number or an expression string, got [1]"),
         ({"builtin": ["x"]}, "builtin must be a problem id string, got ['x']"),
+        ({"builtin": "ex5_1", "name": ["x"]}, "name must be a string, got ['x']"),
+        ({"expression": "1/n**2", "m": 1, "name": 5}, "name must be a string, got 5"),
+        ({"expression": "1/n**2", "m": 1, "name": None}, "name must be a string, got None"),
         ({"expression": "1/n**2", "m": 1, "known_S": True},
          "known_S must be a number or an expression string, got True"),
         ({"expression": "1/n**2", "m": True}, "m must be an integer, got True"),
@@ -218,6 +221,19 @@ def test_cli_run_and_errors(tmp_path, capsys):
     ]:
         for precision in ("quad", "double"):
             assert main(["run", "--problem-file", json.dumps(spec), "--precision", precision]) == 1
+            assert capsys.readouterr() == ("", f"fracsum: error: {message}\n"), (spec, precision)
+    # a failure at evaluation names the expression (and a term's n) in the same words at
+    # both presets: mpmath's ZeroDivisionError has no text, the float one another
+    for spec, message in [
+        ({"expression": "1/(n - 3)", "m": 1}, "expression '1/(n - 3)' fails at n = 3: division by zero"),
+        ({"expression": "gamma(3 - n)", "m": 1},
+         "expression 'gamma(3 - n)' fails at n = 3: gamma function pole"),
+        ({"expression": "1/n**2", "m": 1, "known_S": "1/mpf(0)"},
+         "known_S '1/mpf(0)' fails: division by zero"),
+    ]:
+        for precision in ("quad", "double"):
+            assert main(["run", "--problem-file", json.dumps(spec), "--depth", "4",
+                         "--precision", precision]) == 1
             assert capsys.readouterr() == ("", f"fracsum: error: {message}\n"), (spec, precision)
     # log takes a base, and mpf is a function
     assert main(["run", "--problem-file", '{"expression": "log(n + 1, 2)/mpf(n)**3", "m": 1}',

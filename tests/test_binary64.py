@@ -224,8 +224,22 @@ def _same_loop_kernel(name, *args):
 
 
 def _same_expression_function(name, *args):
-    problem, _ = load_problem({"expression": f"{name}({', '.join(map(repr, args))})", "m": 1})
-    _matches(_outcome(problem.term, 1, FP), _outcome(getattr(MP, name), *args))
+    expr = f"{name}({', '.join(map(repr, args))})"
+    problem, _ = load_problem({"expression": expr, "m": 1})
+    try:
+        ref = getattr(MP, name)(*args)
+    except ZeroDivisionError:
+        ref = "division by zero"
+    except ValueError as exc:
+        ref = str(exc)
+    except ArithmeticError as exc:
+        ref = type(exc)
+    if isinstance(ref, str):  # MP's ValueError or division by zero: the term's names expr and n
+        with pytest.raises(ValueError) as failure:
+            problem.term(1, FP)
+        assert str(failure.value) == f"expression {expr!r} fails at n = 1: {ref}"
+    else:
+        _matches(_outcome(problem.term, 1, FP), ref)
 
 
 def _same_function(name, *args):

@@ -62,17 +62,23 @@ def test_quad_preset_exponent_range():
     check_range(ctx.mpf("1e300"), ctx, "probe")
 
 
+def _log(factor, n, ctx):
+    """The factor's log at n, as a scalar of ctx."""
+    ar, log = factor.loop(ctx)
+    return ar.lower(log(n))
+
+
 def test_ln_factorial_frac_trivial(qctx):
-    assert _LogFactor(1, 2, ())(0, qctx) == 0
-    assert _LogFactor(3, 2, ())(1, qctx) == 0
-    assert _LogFactor(0, 2, ())(7, qctx) == 0
+    assert _log(_LogFactor(1, 2, ()), 0, qctx) == 0
+    assert _log(_LogFactor(3, 2, ()), 1, qctx) == 0
+    assert _log(_LogFactor(0, 2, ()), 7, qctx) == 0
 
 
 def test_ln_factorial_frac_values(qctx):
-    v = _LogFactor(1, 2, ())(4, qctx)
+    v = _log(_LogFactor(1, 2, ()), 4, qctx)
     assert abs(v - qctx.log(24) / 2) <= 4 * qctx.eps
     assert abs(float(v) - 1.58903) <= 1e-5
-    w = _LogFactor(-1, 2, ())(10, qctx)
+    w = _log(_LogFactor(-1, 2, ()), 10, qctx)
     assert abs(w - (-qctx.log(3628800) / 2)) <= 4 * qctx.eps * abs(w)
     assert abs(float(w) + 7.55221) <= 1e-5
 
@@ -83,7 +89,7 @@ def test_exp_ln_factorial_matches_exact_factorials(qctx, s, m):
     ref_prec = Precision("ref", 160, 100000)
     wide = make_context(ref_prec)
     for n in range(2, 31):
-        x = _LogFactor(s, m, ())(n, qctx)
+        x = _log(_LogFactor(s, m, ()), n, qctx)
         ours = qctx.exp(x)
         ref = qctx.mpf(wide.power(wide.mpf(math.factorial(n)), wide.mpf(s) / m))
         # exponentiation amplifies the log's rounding by |x|: allow the
@@ -106,7 +112,7 @@ def test_log_factor_is_a_fold_on_the_context_operators(qctx, dctx, s, m, data, n
     factor = _LogFactor(s, m, pairs)
     for ctx in (qctx, dctx):
         for n in ns:
-            got, want = factor(n, ctx), log_factor(s, m, pairs, n, ctx)
+            got, want = _log(factor, n, ctx), log_factor(s, m, pairs, n, ctx)
             assert type(got) is type(want), (n, ctx)
             assert (got.hex() if type(got) is float else got._mpf_) == \
                 (want.hex() if type(want) is float else want._mpf_), (n, ctx)

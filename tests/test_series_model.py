@@ -250,15 +250,56 @@ def test_product_terms_under_concurrent_readers(dctx):
     assert results == {"first": ref}
 
 
-def test_ex5_14_terms_in_any_order_and_under_concurrent_readers(qctx, dctx):
+def _check_any_order_and_concurrent_readers(make, ref, ctx):
+    """A fresh make() gives a_1..a_60 = ref in a shuffled order, and to six concurrent readers."""
     shuffled = list(range(1, 61))
     random.Random(7).shuffle(shuffled)
+    problem = make()
+    for n in shuffled + [40, 40, 41, 1, 2]:
+        assert problem.term(n, ctx) == ref[n - 1], (n, ctx)
+    assert _read_concurrently(make(), 60, ctx) == [ref] * 6, ctx
+
+
+def test_ex5_14_terms_in_any_order_and_under_concurrent_readers(qctx, dctx):
     for ctx in (qctx, dctx):
         ref = [ctx.power(n, ctx.sqrt(3)) / (1 + ctx.sqrt(n)) for n in range(1, 61)]
-        problem = builtin_problem("ex5_14")
-        for n in shuffled + [40, 40, 41, 1, 2]:
-            assert problem.term(n, ctx) == ref[n - 1], (n, ctx)
-        assert _read_concurrently(builtin_problem("ex5_14"), 60, ctx) == [ref] * 6, ctx
+        _check_any_order_and_concurrent_readers(lambda: builtin_problem("ex5_14"), ref, ctx)
+
+
+def _trig_pair(s):
+    u1, u2 = (0, Fraction(-1, 3), Fraction(1, 7)), (Fraction(1, 3), 1, Fraction(-2, 7))
+    return trig_series_pair(lambda n, ctx: ctx.one / n, u1, u2, s, 2)
+
+
+STREAMED_SOURCES = {  # id: a fresh problem, whose in-order terms are the reference
+    "trig-s1-plus": lambda: _trig_pair(1)[0],
+    "trig-s-1-minus": lambda: _trig_pair(-1)[1],
+    "expression-real": lambda: load_problem(
+        {"expression": "(-1)**n*exp(loggamma(n+1)/2 - sqrt(n))", "m": 2})[0],
+    "expression-complex": lambda: load_problem({"expression": "exp((-1+i)*sqrt(n))", "m": 2})[0],
+}
+
+
+@pytest.mark.parametrize("source", sorted(STREAMED_SOURCES))
+def test_trig_and_expression_terms_in_any_order_and_under_concurrent_readers(qctx, dctx, source):
+    make = STREAMED_SOURCES[source]
+    for ctx in (qctx, dctx):
+        in_order = make()
+        ref = [in_order.term(n, ctx) for n in range(1, 61)]
+        _check_any_order_and_concurrent_readers(make, ref, ctx)
+
+
+def test_expression_term_raises_at_its_pole_only(qctx, dctx):
+    # the stream that raised is not resumed: later terms start a fresh one
+    pole = re.escape("expression '1/(n - 3)' fails at n = 3: division by zero")
+    for ctx in (qctx, dctx):
+        problem, _ = load_problem({"expression": "1/(n - 3)", "m": 1})
+        assert [problem.term(n, ctx) for n in (1, 2)] == [-0.5, -1]
+        with pytest.raises(ValueError, match=pole):
+            problem.term(3, ctx)
+        assert (problem.term(4, ctx), problem.term(2, ctx)) == (1, -1)
+        with pytest.raises(ValueError, match=pole):
+            problem.term(3, ctx)
 
 
 MEMO_FAMILIES = [
@@ -297,19 +338,19 @@ def test_telescoping_terms_under_concurrent_readers(dctx):
 
 
 def test_telescoping_in_order_terms_evaluate_each_delta_once(qctx, dctx, monkeypatch):
-    calls = []  # (n, ctx) of each evaluation of the family's factor delta_n
-    bind = series_model._LogFactor._bind
+    calls = []  # (n, ctx) of each evaluation of the log of the family's factor delta_n
+    loop = series_model._LogFactor.loop
 
     def counted(self, ctx):
-        ar, log, exp_log = bind(self, ctx)
+        ar, log = loop(self, ctx)
 
-        def delta(n):
+        def log_delta(n):
             calls.append((n, ctx))
-            return exp_log(n)
+            return log(n)
 
-        return ar, log, delta
+        return ar, log_delta
 
-    monkeypatch.setattr(series_model._LogFactor, "_bind", counted)
+    monkeypatch.setattr(series_model._LogFactor, "loop", counted)
     series = telescoping_terms(TelescopingFamily(2, 1, 2, (0, -1)))
     for n in range(1, 51):  # two contexts interleaved, each in order
         series.term(n, qctx)
@@ -346,17 +387,26 @@ def _expressions():
 
 
 def _fresh_eval(expr, n, ctx):
-    """The expression at n with every name bound afresh, as a term once did."""
+    """The expression at n with every name bound afresh, as a term once did.
+
+    A ValueError or a division by zero becomes the term's ValueError,
+    which names the expression and n, and a division by zero in the same
+    words at both presets.
+    """
     env = {name: getattr(ctx, name) for name in _UNARY + ["power"] if name != "abs"}
     env.update(n=ctx.mpf(n), pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1), abs=abs, mpf=ctx.mpf)
-    return ctx.convert(eval(expr, {"__builtins__": {}}, env))
+    try:
+        return ctx.convert(eval(expr, {"__builtins__": {}}, env))
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = "division by zero" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"expression {expr!r} fails at n = {n}: {reason}") from None
 
 
 def _outcome(fn):
     try:
         value = fn()
     except (ArithmeticError, ValueError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return type(value), repr(value)
 
 

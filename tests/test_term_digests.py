@@ -7,12 +7,16 @@ builtins with a ``gps:1.3`` reference table run to R_32 = 5258, every
 other one to the largest R of its reference tables.  Three problems pin
 the paths on which values are complex: a telescoping family with a
 complex theta, a product with a complex v_n, and a product whose v_n
-switches between real and complex.
+switches between real and complex.  Both branches of two trigonometric
+pairs (s = 1 and s = -1) and two expression problems pin the other term
+sources: ex5_13 written as an expression, which takes the float kernels
+at binary64, and a complex exponential.
 
 Run this file as a script to print the digests of the tree it imports.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -24,9 +28,11 @@ from fracsum.series_model import (
     TelescopingFamily,
     builtin_ids,
     builtin_problem,
+    load_problem,
     product_to_series,
     sums_and_terms,
     telescoping_terms,
+    trig_series_pair,
 )
 
 
@@ -40,12 +46,32 @@ def _mixed_v(n, ctx):
     return ctx.mpc(v, v / 3) if n % 3 == 0 else -v
 
 
+def _trig(s, u1, u2, branch):
+    def make():
+        return trig_series_pair(lambda n, ctx: ctx.one / n, u1, u2, s, 2)[branch]
+
+    return make
+
+
+def _expression(expr):
+    return lambda: load_problem({"expression": expr, "m": 2})[0]
+
+
+_TRIG_S1 = (1, (0, -1, Fraction(-1, 5)), (0, 1, Fraction(1, 3)))
+_TRIG_S_MINUS_1 = (-1, (0, Fraction(-1, 3), Fraction(1, 7)), (Fraction(1, 3), 1, Fraction(-2, 7)))
+
 FALLBACKS = {
     "complex-theta": (
         lambda: telescoping_terms(TelescopingFamily(2, 1, 2, (0, complex(-1, 0.5)))), 200),
     "complex-v": (lambda: product_to_series(ProductProblem(
         "complex-v", lambda n, ctx: ctx.convert(complex(0.5, 1)) / (n * n), m=1, t=2)), 400),
     "mixed-v": (lambda: product_to_series(ProductProblem("mixed-v", _mixed_v, m=1, t=3)), 400),
+    "trig-s1-plus": (_trig(*_TRIG_S1, 0), 200),
+    "trig-s1-minus": (_trig(*_TRIG_S1, 1), 200),
+    "trig-s-1-plus": (_trig(*_TRIG_S_MINUS_1, 0), 200),
+    "trig-s-1-minus": (_trig(*_TRIG_S_MINUS_1, 1), 200),
+    "expr-ex5_13": (_expression("(-1)**n*exp(loggamma(n+1)/2 - sqrt(n))"), 200),
+    "expr-complex": (_expression("exp((-1+i)*sqrt(n))"), 400),
 }
 
 
@@ -120,6 +146,19 @@ DIGESTS = {
     ('complex-v', 'quad'): '8f34ceb9e02f496323bad2e822c41c485db93cb3dea4b8bc42e63661b7df9582',
     ('mixed-v', 'double'): 'b33f62d4c127dfb6484186d6a3521c69a9c6dc1a486b6a6db2981af7c21ce93a',
     ('mixed-v', 'quad'): '873672b00e122a8242f6a1a7bcdf2ed2e789436860f55dcaf150db3ac8881e26',
+    # pinned at the commit before trigonometric pairs and expressions became streams
+    ('trig-s1-plus', 'double'): 'd3a67236e1fed19d91f3364748cd5c8748ff3d6b9bbfca51fa84f310a41a5d05',
+    ('trig-s1-plus', 'quad'): 'e8883320a402ca2ca9ff37c9fce6c2d622b205aec26cf2d7366b34931f70cff5',
+    ('trig-s1-minus', 'double'): '323150538caa0dec748b718763999375ea6aa6290f90c2006a6587e003ad0286',
+    ('trig-s1-minus', 'quad'): '5696380b2cc974bbf9c1d91c6e225a655eb66356964031c6d5dac061933bce1d',
+    ('trig-s-1-plus', 'double'): 'ff4063f9c84636c0af4cb3ca12cc2601772be20c3e75a29d321a3722b110abd7',
+    ('trig-s-1-plus', 'quad'): '7564fb30b2e9e2cb9f9c472cf75c13b199950783b32418b299496c8ccde45cde',
+    ('trig-s-1-minus', 'double'): 'df08c6af955e4fecc02b0fbb10aafe1b952fcc15f1b644e9bb46a77831685e9a',
+    ('trig-s-1-minus', 'quad'): 'a5f100cc2269e189d4d9f9558774347edf8420ed92f2d6ae7ecd6eea58598de6',
+    ('expr-ex5_13', 'double'): 'd1133f38952dcc22b7b3835d1c238797d7ffd2bd43e58735c2d30e16e3dbe357',
+    ('expr-ex5_13', 'quad'): 'fb6062bc7f5b8b7ff931b3ff672f89b63b900c464238a7089f21b1f03bbf5785',
+    ('expr-complex', 'double'): 'dd08a398b89fdecb25a634ef71d0a0e000b9f7f60e6f865887938ba905ba9f37',
+    ('expr-complex', 'quad'): '46c0859d059f7fbddeec14a910d07b1286c590c6559ab5794808d21c132f0492',
 }
 
 PRESETS = {"quad": QUAD, "double": DOUBLE}
