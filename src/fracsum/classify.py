@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .series_model import _check_m
+
 __all__ = [
     "RatioExpansion",
     "StructuralParameters",
@@ -41,8 +43,7 @@ class RatioExpansion:
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
         object.__setattr__(self, "c", tuple(self.c))
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_m(self.m)
         if len(self.c) != self.m + 1:
             raise ValueError("c must list c_0..c_m")
         s = self.mu * self.m

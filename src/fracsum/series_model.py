@@ -17,17 +17,18 @@ delta, a partial product) in its local variables.  One adapter,
 :func:`_term`, makes a stream the public ``term(n, ctx)``; it parks each
 context's last generator, so in-order evaluation, as in
 :func:`sums_and_terms`, does the per-``n`` work once, and any other index
-starts a fresh stream with the same operations.  The parked generators
-are the only per-context state.  The paper's factor
-(n!)^(s/m) * exp(Q(n)) has one evaluator, in the log domain and
-exponentiated once: telescoping deltas, both exponents of a
-trigonometric pair and the exponential builtins each hold a
-:class:`_LogFactor`, whose ``loop(ctx)`` binds its constants, and the
-log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  The streams and the
-factor run on ``numerics.loop_arithmetic`` of the context and of their
-constants: raw ``libmp`` tuples at an mpmath preset, floats at binary64,
-and the context's own operators once a constant or a value is complex.
-Each computes with the bits of the context's own operators and yields a
+starts a fresh stream with the same operations.  A product's stream reads
+its factors from an iterator of its own, so a product has one adapter
+too.  The parked generators are the only per-context state.  The paper's
+factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log domain and
+exponentiated once: telescoping deltas, both exponents of a trigonometric
+pair and the exponential builtins each hold a :class:`_LogFactor`, whose
+``loop(ctx)`` binds its constants, and the log of (n!)^(s/m) is
+``loggamma(n + 1)`` times s/m.  The streams and the factor run on
+``numerics.loop_arithmetic`` of the context and of their constants: raw
+``libmp`` tuples at an mpmath preset, floats at binary64, and the
+context's own operators once a constant or a value is complex.  Each
+computes with the bits of the context's own operators and yields a
 context scalar.  A user's term, product factor or expression enters the
 context through ``ctx.convert``.
 """
@@ -128,8 +129,8 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
     real quad terms, until a complex term, from which on it uses the
     context's own operators; every A_n is returned as a context scalar.
     Raises :class:`~fracsum.numerics.RangeOverflowError` naming the first
-    index whose sum leaves the active precision's exponent range, and
-    :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
+    index whose sum leaves the exponent range (and its term, if infinite),
+    and :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
     """
     if upto < 1:
         raise ValueError("upto must be >= 1")
@@ -148,7 +149,10 @@ def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
             x = lift(a)
         total = add(total, x)
         if not in_range(total):
-            check_range(lower(total), ctx, "partial sum A_%d", n)
+            try:
+                check_range(lower(total), ctx, "partial sum A_%d", n)
+            except ArithmeticError as exc:  # an infinite term is the cause: name it
+                raise type(exc)(f"{exc}: its term a_{n} is infinite") if ctx.isinf(a) else exc from None
         terms.append(a)
         sums.append(lower(total))
     return sums, terms
@@ -230,7 +234,6 @@ class TelescopingFamily:
     s: int
     m: int
     theta: tuple
-    _factor: _LogFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (1, 2):
@@ -241,8 +244,6 @@ class TelescopingFamily:
         object.__setattr__(self, "theta", tuple(self.theta))
         if self.kind == 1 and self.s == 0 and all(t == 0 for t in self.theta):
             raise ValueError("degenerate family: delta_n constant, a_n identically zero")
-        pairs = ((th, Fraction(self.m - i, self.m)) for i, th in enumerate(self.theta))
-        object.__setattr__(self, "_factor", _LogFactor(self.s, self.m, pairs))
 
 
 def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
@@ -252,9 +253,11 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
     evaluate one new delta each and a term at any other index two.  The
     deltas come from the family's factor and combine in its arithmetic.
     """
+    m = family.m
+    factor = _LogFactor(family.s, m, ((th, Fraction(m - i, m)) for i, th in enumerate(family.theta)))
 
     def stream(ctx, start):
-        ar, log = family._factor.loop(ctx)
+        ar, log = factor.loop(ctx)
         lower, add, sub, mul, exp = ar.lower, ar.add, ar.sub, ar.mul, ar.exp
         minus_one = ar.from_int(-1)
         d0 = exp(log(start - 1)) if start > 1 else ar.one  # delta_{n-1}
@@ -271,7 +274,6 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
         name=f"telescoping(kind={family.kind}, s={family.s}, m={family.m})",
         term=_term(stream),
         m=family.m,
-        sigma_hat=Fraction(1),
         known_S=-1,
         meta={"family": family},
     )
@@ -303,25 +305,33 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
 
     a_1 = A_1 = 1 + v_1 and a_n = v_n * A_{n-1} for n >= 2, so that
     sum(a_k, k<=n) reproduces prod(1+v_k, k<=n) up to accumulation
-    rounding.  The stream hands A_n on to the next term, so in-order
-    terms call v once each; a term at any other index restarts from
-    A_0 = 1 with the same operations and gets the same bits.  The
-    products run on the context's real arithmetic until a v_n is
-    complex, and from there on the context's own operators.
+    rounding.  Each run calls ``v`` once per n, in order.
+    """
+    return _product_series(problem.name, lambda ctx: (problem.v(k, ctx) for k in count(1)),
+                           problem.m, problem.known_S)
+
+
+def _product_series(name, factors, m, known_S=None) -> SeriesProblem:
+    """The one product stream: the series of prod(1 + v_n), where ``factors(ctx)`` yields v_1, v_2, ....
+
+    The stream hands A_n on to the next term, so in-order terms read one
+    factor each; any other index restarts from A_0 = 1 on fresh factors
+    and gets the same bits.  The products run on the context's real
+    arithmetic until a v_n is complex, then on its own operators.
     """
 
     def grow(ar, prev, v, k):
         value = ar.mul(prev, ar.add(ar.one, v))
         if value == ar.zero:
-            raise ZeroPartialProductError(f"partial product A_{k} of {problem.name!r} is zero")
+            raise ZeroPartialProductError(f"partial product A_{k} of {name!r} is zero")
         return value
 
     def stream(ctx, start):
+        vs = factors(ctx)
         ar = loop_arithmetic(ctx)
-        prev = v = None
         for k in count(1):
             prev = ar.one if k == 1 else grow(ar, prev, v, k - 1)  # A_{k-1}
-            value = ctx.convert(problem.v(k, ctx))
+            value = ctx.convert(next(vs))
             v = ar.lift(value)
             if v is None:  # complex: go on with the context's own operators
                 prev = ar.lower(prev)
@@ -330,13 +340,7 @@ def product_to_series(problem: ProductProblem) -> SeriesProblem:
             if k >= start:
                 yield ar.lower(grow(ar, prev, v, 1) if k == 1 else ar.mul(v, prev))
 
-    return SeriesProblem(
-        name=problem.name,
-        term=_term(stream),
-        m=problem.m,
-        sigma_hat=Fraction(1),
-        known_S=problem.known_S,
-    )
+    return SeriesProblem(name=name, term=_term(stream), m=m, known_S=known_S)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +409,21 @@ def _ex5_14(ctx, start):
         yield lower(div(power(x, sqrt3), add(one, sqrt(x))))
 
 
-def _ex7_1_v(ctx, start):
-    """-1 / (4 n^2) under ctx, from n = start on."""
+def _ex7_1_v(ctx):
+    """-1 / (4 n^2) under ctx, from n = 1 on."""
     ar = loop_arithmetic(ctx)
     lower, from_int, div = ar.lower, ar.from_int, ar.div
     minus_one = from_int(-1)
-    for n in count(start):
+    for n in count(1):
         yield lower(div(minus_one, from_int(4 * n * n)))
 
 
-def _ex7_2_v(ctx, start):
-    """n^(-3/2) under ctx, from n = start on."""
-    minus_3_2 = ctx.mpf(-3) / 2
-    ar = loop_arithmetic(ctx, [minus_3_2])
+def _ex7_2_v(ctx):
+    """n^(-3/2) under ctx, from n = 1 on."""
+    ar = loop_arithmetic(ctx)
     lower, from_int, power = ar.lower, ar.from_int, ar.pow
-    minus_3_2 = ar.lift(minus_3_2)
-    for n in count(start):
+    minus_3_2 = ar.div(from_int(-3), from_int(2))
+    for n in count(1):
         yield lower(power(from_int(n), minus_3_2))
 
 
@@ -450,10 +453,6 @@ def _exponential(s, pairs, alternating=False):
     return build
 
 
-def _product(v, m, t, known_S=None):
-    return lambda name: product_to_series(ProductProblem(name, _term(v), m, t, known_S))
-
-
 _BUILTINS = {  # id: (builder, description)
     "ex5_1": (_family(1, 0, (0, -1)), "a_n = e^(-sqrt n) - e^(-sqrt(n-1)); S = -1"),
     "ex5_2": (_family(2, 0, (0, -1)), "a_n = (-1)^n (e^(-sqrt n) + e^(-sqrt(n-1))); S = -1"),
@@ -469,8 +468,8 @@ _BUILTINS = {  # id: (builder, description)
     "ex5_12": (_family(2, 1, (0, -1)), "a_n = (-1)^n (sqrt(n!) e^(-sqrt n) + sqrt((n-1)!) e^(-sqrt(n-1))); antilimit S = -1"),
     "ex5_13": (_exponential(1, [(-1, _HALF)], True), "a_n = (-1)^n sqrt(n!) e^(-sqrt n); antilimit unknown"),
     "ex5_14": (lambda name: SeriesProblem(name, _term(_ex5_14), m=2), "a_n = n^sqrt(3)/(1+sqrt n); antilimit unknown"),
-    "ex7_1": (_product(_ex7_1_v, 1, 2, lambda ctx: 2 / ctx.pi), "product, m=1, t=2"),
-    "ex7_2": (_product(_ex7_2_v, 2, 3), "product, m=2, t=3"),
+    "ex7_1": (lambda name: _product_series(name, _ex7_1_v, 1, lambda ctx: 2 / ctx.pi), "product, m=1, t=2"),
+    "ex7_2": (lambda name: _product_series(name, _ex7_2_v, 2), "product, m=2, t=3"),
 }
 
 

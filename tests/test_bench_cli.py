@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import decimal
 import importlib
 import io
@@ -241,6 +242,18 @@ def test_cli_run_and_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("precision, bound", [("quad", "1e4932"), ("double", "1e308")])
+def test_cli_names_an_infinite_term(capsys, precision, bound):
+    # a_1 = log(0) = -inf and atan(i) = +infi: the sum leaves the range at A_1
+    # because of its term, and the message says so
+    for expr in ("log(n-1)", "atan(i*n)"):
+        spec = json.dumps({"expression": expr, "m": 1})
+        assert main(["run", "--problem-file", spec, "--depth", "4", "--precision", precision]) == 1
+        assert capsys.readouterr() == ("", (
+            f"fracsum: error: partial sum A_1 exceeds the {precision} exponent range "
+            f"(|value| > {bound}): its term a_1 is infinite\n")), expr
+
+
 @pytest.mark.parametrize("precision", ["quad", "double"])
 def test_cli_renders_an_infinite_estimate(capsys, precision):
     # A(0,0) = A_0 = 0 at R_0 = 1 with sigma_hat < 0: its relative estimate is inf
@@ -380,6 +393,45 @@ def test_reproduce_json_format():
     doc = json.loads(report.to_json())
     assert doc["exit_code"] == 0
     assert doc["tables"][0]["problem"] == "ex5_2"
+
+
+def _corrupted(problem, schedule, n, column, cell):
+    """The reference table of (problem, schedule) with row n's column replaced by cell."""
+    ref = next(t for t in REFERENCE_TABLES if (t.problem, t.schedule) == (problem, schedule))
+    rows = tuple(r[:column] + (cell,) + r[column + 1:] if r[0] == n else r for r in ref.rows)
+    return dataclasses.replace(ref, rows=rows)
+
+
+def test_reproduce_fails_a_row_on_each_corrupted_cell(monkeypatch, capsys):
+    # one wrong cell per table reaches each mismatch branch of _compare_table:
+    # ex7_1 checks error columns relative to S, ex7_2 raw values
+    cases = [
+        (("ex7_1", "aps:1,1", 4, 1, 6), "R_4 = 5, expected 6"),
+        (("ex7_1", "aps:1,1", 8, 4, "1.11D+06"), "Gamma 1.11e+04 vs 1.11D+06"),
+        (("ex7_1", "aps:1,1", 12, 5, "1.60D+04"), "Lambda 1.60e+06 vs 1.60D+04"),
+        (("ex7_1", "aps:1,1", 16, 2, "1.44D-04"), "partial-sum error 1.44e-02 vs 1.44D-04"),
+        (("ex7_1", "aps:1,1", 20, 3, "6.56D-30"), "error 6.56e-20 vs 6.56D-30"),
+        (("ex7_2", "aps:1,1", 4, 2, "4.96D+00"), "A_R 3.96e+00 vs 4.96D+00"),
+        (("ex7_2", "aps:1,1", 8, 3, "-1.57042116160622622722411746352944801D+01"),
+         "value -15.704211616062262262 vs -1.57042116160622622722411746352944801D+01"),
+    ]
+    monkeypatch.setattr(bench_cli, "REFERENCE_TABLES", tuple(_corrupted(*c) for c, _ in cases))
+    assert main(["reproduce"]) == 1
+    text = capsys.readouterr().out.splitlines()
+    expected = ["# reference-table reproduction at precision=quad"]
+    for (problem, schedule, n, _, _), detail in cases:
+        expected += [f"[FAIL] {problem:<7} {schedule:<9} rows=9 pass=8 fail=1 precision-limited=0",
+                     f"    row n={n}: {detail}"]
+    assert text == expected + ["total: 7 tables, 63 rows checked, 7 failed, 0 precision-limited"]
+
+    assert main(["reproduce", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exit_code"] == 1
+    for table, ((problem, schedule, n, _, _), detail) in zip(doc["tables"], cases):
+        assert (table["problem"], table["schedule"]) == (problem, schedule)
+        failed = [row for row in table["rows"] if row["status"] != "pass"]
+        assert failed == [{"n": n, "status": "fail", "detail": detail}]
+        assert len(table["rows"]) == 9
 
 
 def test_cli_degenerate_denominator_is_named(tmp_path, capsys):

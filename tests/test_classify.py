@@ -5,6 +5,7 @@ import pytest
 
 from fracsum.classify import (
     RatioExpansion,
+    Verdict,
     convergence_verdict,
     epsilons_from_ratio,
     structure_from_ratio,
@@ -142,3 +143,21 @@ def test_verdict_oscillatory_exponential(qctx):
     sp2 = structure_from_ratio(RatioExpansion(0, 2, tuple(c2)), ctx=qctx, zero_tol=1e-30)
     verdict2 = convergence_verdict(sp2, 0, zero_tol=1e-30)
     assert verdict2.kind == "diverges-finite-part"
+
+
+@pytest.mark.parametrize("mu, c, s, kind, condition", [
+    (Fraction(-1, 2), (1, 0, 0), -1, "converges",
+     "s < 0: factorial decay dominates for every gamma"),
+    (0, (2, 0, 0), 0, "diverges-strongly", "Re theta_0 > 0 (|zeta| > 1): diverges for all gamma"),
+    # zeta = -1: theta_0 = i*pi, and gamma = c_2/c_0 here
+    (0, (-1, 0, 1), 0, "converges", "|zeta| = 1, zeta != 1 and Re gamma < 0"),
+    (0, (-1, 0, 0), 0, "diverges-finite-part", "|zeta| = 1, zeta != 1 and Re gamma >= 0: Abel sum"),
+    (0, (1, -1, 0), 0, "converges", "Re theta_1 < 0: Re Q(n) -> -inf, converges for all gamma"),
+    (0, (1, 1, 0), 0, "diverges-strongly", "Re theta_1 > 0: Re Q(n) -> +inf"),
+    # m = 3: theta_1 = i/2 leads with Re theta_1 = 0, but theta_2 = 3/8 is real
+    (0, (1, 0.5j, 0, 0), 0, "indeterminate", "mixed oscillatory/zero leading theta: case not covered"),
+], ids=["s<0", "Re theta_0>0", "|zeta|=1 gamma<0", "|zeta|=1 gamma>=0", "Re theta_r<0",
+        "Re theta_r>0", "mixed"])
+def test_verdict_conditions(qctx, mu, c, s, kind, condition):
+    sp = structure_from_ratio(RatioExpansion(mu, len(c) - 1, c), ctx=qctx)
+    assert convergence_verdict(sp, s) == Verdict(kind, condition)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsum import series_model
+from fracsum.classify import RatioExpansion
 from fracsum.numerics import RangeOverflowError, resolve_scalar
 from fracsum.series_model import (
     ProductProblem,
@@ -52,6 +53,19 @@ def test_partial_sums_overflow_names_index(dctx):
     p = SeriesProblem("grower", lambda n, ctx: ctx.exp(n), m=1)
     with pytest.raises(RangeOverflowError, match=r"A_7\d\d"):
         sums_and_terms(p, 740, dctx)
+
+
+def test_partial_sums_overflow_names_an_infinite_term(qctx, dctx):
+    # a finite term beyond the range is not called infinite (mpmath's exponent is unbounded)
+    big = SeriesProblem("big", lambda n, ctx: ctx.mpf("1e5000"), m=1)
+    with pytest.raises(RangeOverflowError, match=r"^partial sum A_1 exceeds the quad exponent "
+                                                 r"range \(\|value\| > 1e4932\)$"):
+        sums_and_terms(big, 2, qctx)
+    for ctx in (qctx, dctx):
+        infinite = SeriesProblem("inf", lambda n, ctx: -ctx.inf if n == 3 else ctx.one, m=1)
+        with pytest.raises(RangeOverflowError, match=r"^partial sum A_3 exceeds the .*: its term a_3 "
+                                                     r"is infinite$"):
+            sums_and_terms(infinite, 4, ctx)
 
 
 def test_partial_sums_rejects_bad_upto(qctx):
@@ -429,6 +443,7 @@ def test_product_validation():
 _M_TAKERS = {
     "SeriesProblem": lambda m: SeriesProblem("bad m", lambda n, ctx: ctx.one, m=m),
     "ProductProblem": lambda m: ProductProblem("bad m", lambda n, ctx: ctx.zero, m=m, t=3),
+    "RatioExpansion": lambda m: RatioExpansion(0, m, (1, 0, 0)),
     "TelescopingFamily": lambda m: TelescopingFamily(1, 0, m, (0, -1)),
     "trig_series_pair": lambda m: trig_series_pair(lambda n, ctx: ctx.one, (0,), (0, 1), 0, m),
 }
