@@ -33,7 +33,7 @@ from mpmath.libmp import finf, fnan, fninf, from_float, fzero
 from .classify import RatioExpansion, convergence_verdict, structure_from_ratio
 from .numerics import PRESETS, QUAD, Precision, make_context, resolve_scalar
 from .reference_tables import REFERENCE_TABLES, ReferenceTable, parse_number
-from .sampling import parse_schedule
+from .sampling import _check_integer, parse_schedule
 from .series_model import builtin_ids, builtin_problem, load_problem
 from .transform import accelerate
 
@@ -201,8 +201,7 @@ def _resolve_problem(config: RunConfig):
 def run(config: RunConfig) -> RunReport:
     """Accelerate one problem and produce the rendered diagnostic table."""
     stride = config.stride
-    if stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride}")
+    _check_integer(stride, "stride", 1)
     precision = PRESETS[config.precision]
     ctx = make_context(precision)
     problem, schedule = _resolve_problem(config)

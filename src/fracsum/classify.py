@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series_model import _check_m
+from .sampling import _check_integer
 
 __all__ = [
     "RatioExpansion",
@@ -43,7 +43,7 @@ class RatioExpansion:
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
         object.__setattr__(self, "c", tuple(self.c))
-        _check_m(self.m)
+        _check_integer(self.m, "m", 1)
         if len(self.c) != self.m + 1:
             raise ValueError("c must list c_0..c_m")
         s = self.mu * self.m
@@ -70,6 +70,11 @@ class StructuralParameters:
 
 def _is_zero(x, tol) -> bool:
     return x == 0 if tol == 0 else abs(x) <= tol
+
+
+def _check_zero_tol(zero_tol) -> None:
+    if not zero_tol >= 0:  # NaN too
+        raise ValueError(f"zero_tol must be nonnegative, got {zero_tol!r}")
 
 
 def epsilons_from_ratio(ratio: RatioExpansion) -> list:
@@ -114,8 +119,10 @@ def structure_from_ratio(ratio: RatioExpansion, ctx=None, zero_tol=0) -> Structu
     theta_0 is the principal logarithm of c_0 (exactly 0 when c_0 == 1);
     theta_i = eps_i / (1 - i/m) for 1 <= i < m; gamma = eps_m.  ``ctx``
     is required only when c_0 != 1 (to take the logarithm).  ``zero_tol``
-    relaxes the zero/one tests for numerically fitted coefficients.
+    relaxes the zero/one tests for numerically fitted coefficients; a
+    negative or NaN ``zero_tol`` raises ``ValueError``.
     """
+    _check_zero_tol(zero_tol)
     m = ratio.m
     c0 = ratio.c[0]
     if _is_zero(c0, zero_tol):
@@ -182,7 +189,9 @@ def convergence_verdict(sp: StructuralParameters, s: int, zero_tol=0) -> Verdict
     Hadamard finite part serves as antilimit), diverges-strongly (no
     finite part), or indeterminate for boundary cases that the case
     analysis excludes (e.g. gamma + 1 = i/m, where a log term appears).
+    A negative or NaN ``zero_tol`` raises ``ValueError``.
     """
+    _check_zero_tol(zero_tol)
     m = sp.m
     if s > 0:
         return Verdict("diverges-strongly", "s > 0: factorial growth, no finite part")

@@ -6,14 +6,17 @@ R_0 = 1 and R_l = max(floor(tau*R_{l-1}), l+1), and explicit user lists.
 A schedule holds only its parameters; ``prefix`` computes the values on
 each call, and ``accelerate`` takes the prefix once and passes it on.
 
-Floor operations run on exact rationals.  Float parameters are taken at
-their decimal repr (1.7 means 17/10, not the nearest binary double), so
+Floor operations run on exact rationals.  ``_exact`` is the package's
+rule for exact numbers, for ``SeriesProblem.sigma_hat`` too: a
+``numbers.Rational`` as is, a float or a string at its decimal value
+(1.7 means 17/10, not the nearest binary double), and never a bool.  So
 floors at integer boundaries never depend on binary rounding.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -27,19 +30,25 @@ __all__ = [
 ]
 
 
+def _check_integer(x, name: str, low=None):
+    """Refuse *x* unless it is an integer (a ``numbers.Integral``, not a bool) >= *low*, naming it."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or (low is not None and x < low):
+        what = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+        raise ValueError(f"{name} must be {what}, got {x!r}")
+
+
 def _exact(x, name: str) -> Fraction:
+    """*x* as an exact rational: a ``numbers.Rational`` as is, a float or a string at its decimal value."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Rational, float, str)):
+        raise ValueError(f"{name} must be a number or a fraction string, got {x!r}")
     try:
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, numbers.Rational) or "/" in str(x):
             return Fraction(x)
-        if isinstance(x, str):
-            if "/" in x:
-                return Fraction(x)
-            return Fraction(Decimal(x))
-        if isinstance(x, float):
-            return Fraction(Decimal(str(x)))
+        return Fraction(Decimal(str(x)))
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {x!r} has a zero denominator") from None
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"bad value {x!r} for {name}") from exc
-    raise TypeError(f"{name} must be int, float, str or Fraction, got {type(x).__name__}")
 
 
 class Schedule:
@@ -54,8 +63,7 @@ class Schedule:
 
     def prefix(self, count: int) -> list:
         """First *count* values; deterministic and idempotent."""
-        if not isinstance(count, int) or count < 1:
-            raise ValueError("count must be a positive integer")
+        _check_integer(count, "count", 1)
         if self.kind == "aps":
             return [math.floor(self.kappa * l + self.eta) for l in range(count)]
         if self.kind == "gps":
@@ -120,8 +128,7 @@ def make_explicit(values) -> Schedule:
     if not values:
         raise ValueError("explicit schedule must be nonempty")
     for v in values:
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"schedule values must be positive integers, got {v!r}")
+        _check_integer(v, "a schedule value", 1)
     for a, b in zip(values, values[1:]):
         if b <= a:
             raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")

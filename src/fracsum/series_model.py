@@ -45,7 +45,7 @@ from itertools import count
 from typing import Callable
 
 from .numerics import check_range, loop_arithmetic
-from .sampling import parse_schedule
+from .sampling import _check_integer, _exact, parse_schedule
 
 __all__ = [
     "SeriesProblem",
@@ -66,11 +66,6 @@ TermFn = Callable[[int, object], object]
 
 class ZeroPartialProductError(ValueError):
     """A partial product reached zero; the series model breaks down."""
-
-
-def _check_m(m):
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
 def _term(stream):
@@ -104,6 +99,9 @@ class SeriesProblem:
     omega_r = r^sigma_hat * a_r; 1 is the safe universal choice.
     ``known_S`` is the limit (or antilimit) when available: a number or
     a callable of ctx for values like 2/pi that depend on the precision.
+    Every caller's parameters are checked here: ``sigma_hat`` is read by
+    ``sampling._exact`` (0.1 is 1/10), and a bool or a non-finite float
+    or complex ``known_S`` is refused.
     """
 
     name: str
@@ -114,12 +112,17 @@ class SeriesProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_m(self.m)
-        self.sigma_hat = Fraction(self.sigma_hat)
+        _check_integer(self.m, "m", 1)
+        self.sigma_hat = _exact(self.sigma_hat, "sigma_hat")
         if self.sigma_hat > 1:
             raise ValueError("sigma_hat must satisfy sigma_hat <= 1")
         if self.m % self.sigma_hat.denominator:
             raise ValueError("sigma_hat must be a multiple of 1/m")
+        S = self.known_S
+        if isinstance(S, bool) or not (S is None or callable(S) or isinstance(S, (numbers.Number, str))):
+            raise ValueError(f"known_S must be a number or an expression string, got {S!r}")
+        if isinstance(S, (float, complex)) and not cmath.isfinite(S):
+            raise ValueError(f"known_S must be finite, got {S!r}")
 
 
 def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
@@ -236,9 +239,11 @@ class TelescopingFamily:
     theta: tuple
 
     def __post_init__(self):
+        _check_integer(self.kind, "kind")
         if self.kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        _check_m(self.m)
+        _check_integer(self.s, "s")
+        _check_integer(self.m, "m", 1)
         if len(self.theta) != self.m:
             raise ValueError("theta must list theta_0..theta_{m-1}")
         object.__setattr__(self, "theta", tuple(self.theta))
@@ -295,7 +300,8 @@ class ProductProblem:
     known_S: object = None
 
     def __post_init__(self):
-        _check_m(self.m)
+        _check_integer(self.m, "m", 1)
+        _check_integer(self.t, "t")
         if self.t < self.m + 1:
             raise ValueError("t must be >= m + 1 (convergence of the product)")
 
@@ -361,7 +367,8 @@ def trig_series_pair(h, u1, u2, s: int, m: int, h_is_real=False):
     single acceleration of S+ suffices (see transform.sum_trig).  No finite
     sample of h can show that, so it is never guessed.
     """
-    _check_m(m)
+    _check_integer(s, "s")
+    _check_integer(m, "m", 1)
     u1 = tuple(u1)
     u2 = tuple(u2)
     if len(u1) > m + 1 or len(u2) > m + 1:
@@ -502,13 +509,27 @@ _EXPR_FUNCS = (
 _EXPR_NAMES = frozenset(_EXPR_FUNCS + ["n", "pi", "e", "i", "abs", "mpf"])
 
 
-class _PowerCalls(ast.NodeTransformer):
-    """Rewrite ``a ** b`` as ``power(a, b)``.
+class _Rewrite(ast.NodeTransformer):
+    """Rewrite ``a ** b`` as ``power(a, b)``, and each int or float literal as a name in ``literals``.
 
     On the floats of the binary64 context ``**`` is the platform's pow: it
     need not round as ``ctx.power`` does, and it raises a bare
     OverflowError where ``ctx.power`` returns inf for the range checks.
+    ``literals`` maps each name to the literal's source text, which
+    ``_expression_names`` binds to ``ctx.mpf`` of it: ``1/3`` is then a
+    quotient at the working precision, not a binary64 one.
     """
+
+    def __init__(self, expr):
+        self.expr, self.literals = expr, {}
+
+    def visit_Constant(self, node):
+        if type(node.value) not in (int, float):  # a bool, a complex or a string stays
+            return node
+        name = f"_{len(self.literals)}"  # never a name an expression may use
+        self.literals[name] = (str(node.value) if type(node.value) is int  # its decimal text: 0x10 is 16
+                               else ast.get_source_segment(self.expr, node))
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
@@ -583,7 +604,7 @@ def _float_first(name, kernel, fallback, types):
 
 
 def _compile_expression(expr: str):
-    """The code of a term or known_S expression, refused here if malformed."""
+    """``(code, literals)`` of a term or known_S expression, refused here if malformed."""
     # Trusted-input convenience; no builtins are exposed to the expression.
     # Mistakes that would only surface at evaluation, as a TypeError or
     # NameError, or not at all (2^3 is xor, pi(3) is a 3-bit pi), are
@@ -603,12 +624,13 @@ def _compile_expression(expr: str):
             raise ValueError(f"expression {expr!r} uses unknown name {node.id!r}; "
                              f"known names: {', '.join(sorted(_EXPR_NAMES))}")
     _check_calls(expr, tree)
-    tree = _PowerCalls().visit(tree)
-    return compile(ast.fix_missing_locations(tree), "<term expression>", "eval")
+    rewrite = _Rewrite(expr)
+    tree = rewrite.visit(tree)
+    return compile(ast.fix_missing_locations(tree), "<term expression>", "eval"), rewrite.literals
 
 
-def _expression_names(ctx):
-    """Every name an expression can use in *ctx*, except n."""
+def _expression_names(ctx, literals):
+    """Every name an expression can use in *ctx*, except n, and its *literals* as reals of ctx."""
     env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
     ar = loop_arithmetic(ctx)
     if type(ar.zero) is float:  # binary64: the float arithmetic's kernels, as the terms use
@@ -619,6 +641,7 @@ def _expression_names(ctx):
             env[name] = _float_first(name, kernel, env[name], types)
     env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
                abs=abs, mpf=ctx.mpf)
+    env.update((name, ctx.mpf(text)) for name, text in literals.items())
     return env
 
 
@@ -628,10 +651,10 @@ def _failure(exc):
 
 
 def _expression_term(expr: str) -> TermFn:
-    code = _compile_expression(expr)
+    code, literals = _compile_expression(expr)
 
     def stream(ctx, start):
-        env = _expression_names(ctx)
+        env = _expression_names(ctx, literals)
         for n in count(start):
             # n is bound as a real of ctx so plain arithmetic stays at working precision
             try:
@@ -645,13 +668,13 @@ def _expression_term(expr: str) -> TermFn:
 
 def _known_S_expression(expr: str):
     """known_S as a scalar spec: the expression's value in a context."""
-    code = _compile_expression(expr)
+    code, literals = _compile_expression(expr)
     if any(isinstance(node, ast.Name) and node.id == "n" for node in ast.walk(ast.parse(expr))):
         raise ValueError(f"known_S {expr!r} uses n; known_S is the limit, a constant")
 
     def known_S(ctx):
         try:
-            value = ctx.convert(eval(code, _expression_names(ctx)))
+            value = ctx.convert(eval(code, _expression_names(ctx, literals)))
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise ValueError(f"known_S {expr!r} fails: {_failure(exc)}") from None
         if not ctx.isfinite(value):
@@ -712,31 +735,15 @@ def load_problem(source):
         raise ValueError("problem definition needs either 'builtin' or an 'expression' string")
     if "m" not in spec:
         raise ValueError("expression problems must declare m")
-    m, sigma_hat = spec["m"], spec.get("sigma_hat", 1)
-    if isinstance(m, bool) or not isinstance(m, int):  # JSON true is a Python int
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if isinstance(sigma_hat, bool) or not isinstance(sigma_hat, (numbers.Number, str)):
-        raise ValueError(f"sigma_hat must be a number or a fraction string, got {sigma_hat!r}")
-    try:
-        sigma_hat = Fraction(str(sigma_hat))
-    except ZeroDivisionError:
-        raise ValueError(f"sigma_hat {sigma_hat!r} has a zero denominator") from None
-    except ValueError:
-        raise ValueError(f"sigma_hat must be a number or a fraction string, got {sigma_hat!r}") from None
-
     known_S = spec.get("known_S")
-    if isinstance(known_S, bool) or not isinstance(known_S, (numbers.Number, str, type(None))):
-        raise ValueError(f"known_S must be a number or an expression string, got {known_S!r}")
-    if isinstance(known_S, (float, complex)) and not cmath.isfinite(known_S):
-        raise ValueError(f"known_S must be finite, got {known_S!r}")
     if isinstance(known_S, str):
         known_S = _known_S_expression(known_S)
 
     problem = SeriesProblem(
         name=spec.get("name", "user-problem"),
         term=_expression_term(spec["expression"]),
-        m=m,
-        sigma_hat=sigma_hat,
+        m=spec["m"],
+        sigma_hat=spec.get("sigma_hat", 1),
         known_S=known_S,
         meta={"describe": spec["expression"]},
     )

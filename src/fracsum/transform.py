@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .numerics import resolve_scalar
-from .sampling import Schedule
+from .sampling import Schedule, _check_integer
 from .series_model import SeriesProblem, sums_and_terms
 from .w_algorithm import ExtrapolationTable, build_table
 
@@ -95,8 +95,7 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
 
     ``problem.known_S`` is resolved, and so may raise, before any term is evaluated.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_integer(depth, "depth", 0)
     known_S = resolve_scalar(problem.known_S, ctx)
     R = schedule.prefix(depth + 1)
     sums, terms = sums_and_terms(problem, R[-1], ctx)

@@ -162,8 +162,8 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": "1/n**2", "m": 1, "name": None}, "name must be a string, got None"),
         ({"expression": "1/n**2", "m": 1, "known_S": True},
          "known_S must be a number or an expression string, got True"),
-        ({"expression": "1/n**2", "m": True}, "m must be an integer, got True"),
-        ({"expression": "1/n**2", "m": 2.7}, "m must be an integer, got 2.7"),
+        ({"expression": "1/n**2", "m": True}, "m must be a positive integer, got True"),
+        ({"expression": "1/n**2", "m": 2.7}, "m must be a positive integer, got 2.7"),
         ({"expression": "1/n**2", "m": 1, "sigma_hat": True},
          "sigma_hat must be a number or a fraction string, got True"),
         ({"expression": "1/n**2", "m": 1, "sigma_hat": "1/0"},
@@ -361,6 +361,17 @@ def test_cli_classify(capsys):
     assert "gamma   = -3/2" in out
     assert "sigma   = 1" in out
     assert "verdict = converges" in out
+
+
+def test_cli_classify_refuses_a_negative_or_nan_zero_tol(capsys):
+    # with --zero-tol -1 every coefficient counted as zero: c_0 = 1 gave the verdict
+    # "converges: |zeta| = 1, zeta != 1 and Re gamma < 0"
+    for tol in ("-1", "nan"):
+        assert main(["classify", "--m", "2", "--mu", "0", "--c", "1,0,-3/2", "--zero-tol", tol]) == 1
+        assert capsys.readouterr() == (
+            "", f"fracsum: error: zero_tol must be nonnegative, got {float(tol)!r}\n")
+    assert main(["classify", "--m", "2", "--mu", "0", "--c", "1,0,-3/2", "--zero-tol", "0"]) == 0
+    assert "verdict = converges: Q = 0 and Re gamma < -1\n" in capsys.readouterr().out
 
 
 def test_cli_classify_complex(capsys):

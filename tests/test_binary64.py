@@ -226,6 +226,8 @@ def _same_loop_kernel(name, *args):
 def _same_expression_function(name, *args):
     expr = f"{name}({', '.join(map(repr, args))})"
     problem, _ = load_problem({"expression": expr, "m": 1})
+    # an expression takes each literal at the working precision: an int past 2^53 rounds
+    args = [MP.mpf(x) if type(x) is int else x for x in args]
     try:
         ref = getattr(MP, name)(*args)
     except ZeroDivisionError:

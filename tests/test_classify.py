@@ -37,6 +37,16 @@ def test_epsilons_reject_zero_c0():
         epsilons_from_ratio(RatioExpansion(0, 2, (0, 1, 1)))
 
 
+@pytest.mark.parametrize("tol", [-1, -1e-30, float("nan")], ids=repr)
+def test_zero_tol_must_be_nonnegative(tol):
+    ratio = RatioExpansion(0, 2, (1, 0, Fraction(-3, 2)))
+    message = f"^zero_tol must be nonnegative, got {tol!r}$"
+    with pytest.raises(ValueError, match=message):
+        structure_from_ratio(ratio, zero_tol=tol)
+    with pytest.raises(ValueError, match=message):
+        convergence_verdict(structure_from_ratio(ratio), 0, zero_tol=tol)
+
+
 def test_ratio_expansion_validation():
     with pytest.raises(ValueError):
         RatioExpansion(Fraction(1, 3), 2, (1, 0, 0))  # mu not s/m

@@ -33,6 +33,18 @@ def test_aps_rejects_bad_parameters():
         make_aps(1, 0.5)
 
 
+def test_exact_refuses_a_bool_or_another_type_and_names_a_zero_denominator():
+    for bad in (True, [1], None, 1 + 2j):
+        with pytest.raises(ValueError, match="^kappa must be a number or a fraction string, got "):
+            make_aps(bad, 1)
+    with pytest.raises(ValueError, match="^eta must be a number or a fraction string, got False$"):
+        make_aps(1, False)
+    with pytest.raises(ValueError, match="^tau '3/0' has a zero denominator$"):
+        make_gps("3/0")
+    with pytest.raises(ValueError, match="^bad value 'x' for tau$"):
+        make_gps("x")
+
+
 def test_gps_tau_1_3_reference_values():
     R = make_gps(1.3).prefix(33)
     assert R[8] == 11

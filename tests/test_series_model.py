@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsum import series_model
+from fracsum.bench_cli import RunConfig, run
 from fracsum.classify import RatioExpansion
-from fracsum.numerics import RangeOverflowError, resolve_scalar
+from fracsum.numerics import QUAD, RangeOverflowError, make_context, resolve_scalar
+from fracsum.sampling import make_aps, make_explicit
 from fracsum.series_model import (
     ProductProblem,
     SeriesProblem,
@@ -24,6 +26,7 @@ from fracsum.series_model import (
     telescoping_terms,
     trig_series_pair,
 )
+from fracsum.transform import accelerate
 
 from oracles import EXPONENTIAL_BUILTINS, closed_partial_sum, telescoping_term, trig_pair_term
 
@@ -458,6 +461,31 @@ def test_m_must_be_a_positive_integer(taker, m):
         _M_TAKERS[taker](m)
 
 
+# every other integer parameter by the same rule: a numbers.Integral, not a bool;
+# s = 0.5 summed as s = 0 at quad and as s = 0.5 at double, and kind = True as kind 1
+_INTEGER_TAKERS = {
+    "TelescopingFamily.s": ("s", lambda k: TelescopingFamily(1, k, 2, (0, -1))),
+    "TelescopingFamily.kind": ("kind", lambda k: TelescopingFamily(k, 0, 2, (0, -1))),
+    "trig_series_pair.s": (
+        "s", lambda k: trig_series_pair(lambda n, ctx: ctx.one, (0,), (0, 1), k, 2)),
+    "ProductProblem.t": ("t", lambda k: ProductProblem("bad t", lambda n, ctx: ctx.zero, m=1, t=k)),
+    "make_explicit": ("a schedule value", lambda k: make_explicit([k, 5, 7])),
+    "Schedule.prefix": ("count", lambda k: make_aps(1, 1).prefix(k)),
+    "RunConfig.stride": ("stride", lambda k: run(RunConfig(problem="ex5_1", depth=4, stride=k))),
+    "accelerate.depth": (
+        "depth", lambda k: accelerate(builtin_problem("ex5_1"), make_aps(1, 1), k, make_context(QUAD))),
+}
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, True, False, "2", Fraction(2)], ids=repr)
+@pytest.mark.parametrize("taker", sorted(_INTEGER_TAKERS))
+def test_integer_parameters_refuse_non_integers(taker, k):
+    name, take = _INTEGER_TAKERS[taker]
+    message = rf"^{name} must be an? (positive |nonnegative )?integer, got {re.escape(repr(k))}$"
+    with pytest.raises(ValueError, match=message):
+        take(k)
+
+
 def test_generator_determinism(qctx):
     for ident in ("ex5_11", "ex7_2", "ex5_14"):
         a = sums_and_terms(builtin_problem(ident), 40, qctx)[0]
@@ -541,6 +569,50 @@ def test_sigma_hat_validation():
         SeriesProblem("bad", lambda n, ctx: ctx.one, m=2, sigma_hat=Fraction(1, 3))
     with pytest.raises(ValueError):
         SeriesProblem("bad", lambda n, ctx: ctx.one, m=2, sigma_hat=2)
+    # a float at its decimal value, as in a problem file or a schedule: binary 0.1 was refused for m = 10
+    assert SeriesProblem("x", lambda n, ctx: ctx.one, m=10, sigma_hat=0.1).sigma_hat == Fraction(1, 10)
+    assert SeriesProblem("x", lambda n, ctx: ctx.one, m=4, sigma_hat="-3/4").sigma_hat == Fraction(-3, 4)
+    for bad, message in [(True, "sigma_hat must be a number or a fraction string, got True"),
+                         ([1], "sigma_hat must be a number or a fraction string, got [1]"),
+                         ("1/0", "sigma_hat '1/0' has a zero denominator"),
+                         (float("nan"), "bad value nan for sigma_hat")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SeriesProblem("bad", lambda n, ctx: ctx.one, m=2, sigma_hat=bad)
+
+
+@pytest.mark.parametrize("known_S, message", [
+    (True, "known_S must be a number or an expression string, got True"),
+    ([1], "known_S must be a number or an expression string, got [1]"),
+    (float("inf"), "known_S must be finite, got inf"),
+    (float("nan"), "known_S must be finite, got nan"),
+    (complex(1, float("-inf")), "known_S must be finite, got (1-infj)"),
+], ids=repr)
+def test_known_S_is_checked_for_every_caller(known_S, message):
+    # known_S = True ran sum(1/n^2) with S = 1 and reported a true error of 0.645
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=match):
+        SeriesProblem("bad", lambda n, ctx: 1 / ctx.mpf(n) ** 2, m=1, known_S=known_S)
+    with pytest.raises(ValueError, match=match):  # a product's series too
+        product_to_series(ProductProblem("bad", lambda n, ctx: ctx.zero, m=1, t=2, known_S=known_S))
+
+
+def test_known_S_takes_none_a_number_a_callable_or_a_string(qctx):
+    for known_S in (None, -1, Fraction(1, 3), 0.5, 1j, qctx.pi, lambda ctx: 2 / ctx.pi, "1.5"):
+        problem = SeriesProblem("ok", lambda n, ctx: ctx.one, m=1, known_S=known_S)
+        assert problem.known_S is known_S
+
+
+def test_expression_literals_are_taken_at_the_working_precision(qctx, dctx):
+    # 1/3 was a binary64 quotient: at quad the true error was 3.04e-17 beside an
+    # estimate of 2.01e-31, and a known_S of "1/6" was 0.1666666666666666574...
+    problem, _ = load_problem({"expression": "1/3/n**2", "m": 1, "known_S": "1/6"})
+    for ctx in (qctx, dctx):
+        for n in (1, 2, 7, 40):
+            assert problem.term(n, ctx) == ctx.mpf(1) / 3 / ctx.mpf(n) ** 2, (ctx, n)
+        assert resolve_scalar(problem.known_S, ctx) == ctx.mpf(1) / 6
+    # a literal is read from its text, so 0.1 is the quad value and 0x10 is 16
+    problem, _ = load_problem({"expression": "0.1 + 0x10 + 1e400 + 0*n", "m": 1})
+    assert problem.term(1, qctx) == qctx.mpf("0.1") + 16 + qctx.mpf("1e400")
 
 
 def test_builtin_registry():
