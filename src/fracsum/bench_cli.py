@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from mpmath.libmp import finf, fnan, fninf, from_float, fzero
 
@@ -112,8 +112,7 @@ class RunConfig:
     stride: int = 4
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     n: int
     R: int
     col3: str  # A_{R_n} or |A_{R_n} - S|
@@ -128,24 +127,16 @@ class RunReport:
     schedule: str
     depth: int
     precision: str
-    has_S: bool
-    rows: list
+    columns: list
+    rows: list  # of TableRow, one cell per column
     summary: dict
 
-    def _headers(self):
-        if self.has_S:
-            return ["n", "R_n", "|A_R-S|", "|A(0,n)-S|", "Gamma(0,n)", "Lambda(0,n)"]
-        return ["n", "R_n", "A_R", "A(0,n)", "Gamma(0,n)", "Lambda(0,n)"]
-
     def text(self) -> str:
-        headers = self._headers()
-        cells = [headers] + [
-            [str(r.n), str(r.R), r.col3, r.col4, r.gamma, r.lam] for r in self.rows
-        ]
-        widths = [max(len(row[i]) for row in cells) for i in range(6)]
+        cells = [self.columns] + [list(map(str, row)) for row in self.rows]
+        widths = [max(map(len, column)) for column in zip(*cells)]
         out = [f"# {self.problem}  schedule={self.schedule}  depth={self.depth}  precision={self.precision}"]
         for row in cells:
-            out.append("  ".join(row[i].rjust(widths[i]) for i in range(6)))
+            out.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
         out.append("")
         for key, value in self.summary.items():
             out.append(f"{key}: {value}")
@@ -154,24 +145,15 @@ class RunReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self._headers())
-        for r in self.rows:
-            writer.writerow([r.n, r.R, r.col3, r.col4, r.gamma, r.lam])
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
         for key, value in self.summary.items():
             writer.writerow(["summary", key, value])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        doc = {
-            "problem": self.problem,
-            "schedule": self.schedule,
-            "depth": self.depth,
-            "precision": self.precision,
-            "columns": self._headers(),
-            "rows": [[r.n, r.R, r.col3, r.col4, r.gamma, r.lam] for r in self.rows],
-            "summary": self.summary,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        # the fields in their declared order are the document's keys
+        return json.dumps(vars(self), indent=2) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "text":
@@ -185,6 +167,9 @@ class RunReport:
 
 def _resolve_problem(config: RunConfig):
     file_schedule = None
+    if config.problem_file and config.problem:
+        raise ValueError(f"give a builtin id or --problem-file, not both: got "
+                         f"{config.problem!r} and --problem-file {config.problem_file!r}")
     if config.problem_file:
         problem, file_schedule = load_problem(config.problem_file)
     elif config.problem:
@@ -209,6 +194,8 @@ def run(config: RunConfig) -> RunReport:
     result = accelerate(problem, schedule, depth, ctx)
 
     has_S = problem.known_S is not None
+    columns = ["n", "R_n", *(["|A_R-S|", "|A(0,n)-S|"] if has_S else ["A_R", "A(0,n)"]),
+               "Gamma(0,n)", "Lambda(0,n)"]
     rows = []
     for row in result.rows:
         if row.n % stride and row.n != depth:
@@ -233,7 +220,7 @@ def run(config: RunConfig) -> RunReport:
         schedule=schedule.spec_string(),
         depth=depth,
         precision=precision.name,
-        has_S=has_S,
+        columns=columns,
         rows=rows,
         summary=summary,
     )
@@ -420,7 +407,7 @@ def _classify_text(m: int, mu: Fraction, coeffs, zero_tol: float) -> str:
     ratio = RatioExpansion(mu=mu, m=m, c=tuple(coeffs))
     ctx = make_context(QUAD)
     sp = structure_from_ratio(ratio, ctx=ctx, zero_tol=zero_tol)
-    verdict = convergence_verdict(sp, ratio.s, zero_tol=zero_tol)
+    verdict = convergence_verdict(sp, zero_tol=zero_tol)
     out = [
         f"mu      = {sp.mu}",
         f"zeta    = {sp.zeta}",
@@ -501,7 +488,7 @@ def _command(args) -> int:
             fmt=args.fmt,
             stride=args.stride,
         )
-        sys.stdout.write(run(config).render(args.fmt))
+        sys.stdout.write(run(config).render(config.fmt))
         return 0
     if args.command == "classify":
         coeffs = [_parse_coefficient(c) for c in args.c.split(",")]

@@ -182,8 +182,8 @@ def _im(x):
     return getattr(x, "imag", 0)
 
 
-def convergence_verdict(sp: StructuralParameters, s: int, zero_tol=0) -> Verdict:
-    """Classify sum(a_n) from the recovered structure.
+def convergence_verdict(sp: StructuralParameters, zero_tol=0) -> Verdict:
+    """Classify sum(a_n) from the recovered structure, with s = mu * m.
 
     Returns one of: converges, diverges-finite-part (an Abel sum or
     Hadamard finite part serves as antilimit), diverges-strongly (no
@@ -193,6 +193,7 @@ def convergence_verdict(sp: StructuralParameters, s: int, zero_tol=0) -> Verdict
     """
     _check_zero_tol(zero_tol)
     m = sp.m
+    s = sp.mu * m
     if s > 0:
         return Verdict("diverges-strongly", "s > 0: factorial growth, no finite part")
     if s < 0:

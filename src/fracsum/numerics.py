@@ -4,9 +4,10 @@ Scalars are created through a context tied to a :class:`Precision`.  A
 preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
 scalars are Python floats and whose every function is mpmath's at 53
-bits: ``convert`` and ``mpf`` as float fast paths, all others (``sqrt``,
-``power``, ``exp``, ``loggamma``, ...) through a private 53-bit
-``MPContext``.  Every other preset gets an mpmath
+bits: ``convert`` and ``mpf`` as float fast paths, ``sqrt``, ``power``,
+``exp`` and ``loggamma`` through float kernels where they can, and all
+others (``log``, ``gamma``, ...) through a private 53-bit ``MPContext``.
+Every other preset gets an mpmath
 ``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
 values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
 ``ctx.eps``.  Any other number (int, float, str, Fraction, complex)
@@ -36,9 +37,10 @@ mpmath's ``mpf_pow``, ``mpf_exp`` and ``mpf_loggamma``: their bits are
 those of mpmath's algorithms, not a correctly rounded value, so they are
 not restated.  Binary64 floats keep their native operators and
 ``math.sqrt``, and take ``pow``, ``exp`` and ``loggamma`` from the same
-mpmath kernels at 53 bits; a term expression at binary64 calls these four
-kernels too.  Complex values keep their native operators and the
-context's own functions.
+mpmath kernels at 53 bits; the binary64 context's own ``sqrt``, ``power``,
+``exp`` and ``loggamma`` run these four kernels too, wherever they take
+the arguments, so every caller at binary64 gets them.  Complex values
+keep their native operators and the context's own functions.
 """
 
 from __future__ import annotations
@@ -172,15 +174,17 @@ class Binary64Context:
     Real scalars are Python floats.  ``+ - * /``, ``abs`` and comparisons
     run natively: IEEE round-to-nearest-even is mpmath's 53-bit rounding
     ``"n"``.  ``convert`` and ``mpf``, which ``sums_and_terms`` calls once
-    per term, return a float or int as a float without mpmath.  Every other
-    function and constant (``sqrt``, ``power``, ``exp``, ``loggamma``,
-    ``log``, ``mag``, ``isnan``, ``dps``, ...) is the one of a private
-    53-bit ``MPContext``, with a real result turned into its float.  Per
-    term, the hot loops and the builtin terms call none of them: their
-    kernels are :func:`loop_arithmetic`'s.  A term expression calls
-    ``sqrt``, ``power``, ``exp`` and ``loggamma`` only where the float
-    arithmetic's kernels do not take its arguments (a complex value, a
-    complex result).  Complex scalars are that
+    per term, return a float or int as a float without mpmath.  ``power``,
+    ``exp`` and ``loggamma`` of floats and ints, and ``sqrt`` of a float,
+    are the float arithmetic's kernels (``_FLOAT_KERNELS``), for every
+    caller: a term expression, a user's term function, ``h`` of a
+    trigonometric pair and the native loop arithmetic.  Where a kernel
+    raises (a complex result, a pole) or does not take the arguments, and
+    for every other function and constant (``log``, ``mag``, ``isnan``,
+    ``dps``, ...), the context is a private 53-bit ``MPContext``, with a
+    real result turned into its float.  Per term, the hot loops and the
+    builtin terms call none of them: their kernels are
+    :func:`loop_arithmetic`'s.  Complex scalars are that
     context's ``mpc`` values, and it renders ``nstr``.  Unlike that context,
     values end at 2^1024 (overflow gives ``inf``) and lose bits below
     2^-1022.
@@ -209,6 +213,29 @@ class Binary64Context:
 
         def method(*args, **kwargs):
             return self._demote(value(*args, **kwargs))
+
+        if name in _FLOAT_KERNELS:  # the float kernel where it takes the call, else mpmath's
+            kernel, types = _FLOAT_KERNELS[name]
+            fallback = method
+            if name == "power":  # mpmath's power takes no keywords
+
+                def method(x, y):
+                    if type(x) in types and type(y) in types:
+                        try:
+                            return kernel(x, y)
+                        except (ArithmeticError, ValueError):  # a complex result, a pole
+                            pass
+                    return fallback(x, y)
+
+            else:
+
+                def method(x, **kwargs):
+                    if type(x) in types and not kwargs:
+                        try:
+                            return kernel(x)
+                        except (ArithmeticError, ValueError):
+                            pass
+                    return fallback(x, **kwargs)
 
         method.__name__ = name
         # kept on the instance: the next lookup of the name does not come here
@@ -345,6 +372,12 @@ def _float_exp(x):
 
 def _float_loggamma(x):
     return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
+
+
+# Binary64Context's functions that run these kernels first, with the argument
+# types each takes exactly: math.sqrt rounds an int past 2^53 before its root
+_FLOAT_KERNELS = {"power": (_float_pow, (float, int)), "sqrt": (_float_sqrt, (float,)),
+                  "exp": (_float_exp, (float, int)), "loggamma": (_float_loggamma, (float, int))}
 
 
 def _nearest_kernels(prec):

@@ -52,14 +52,48 @@ def _exact(x, name: str) -> Fraction:
 
 
 class Schedule:
-    """Immutable integer schedule; ``prefix`` computes its values on each call."""
+    """Immutable integer schedule; ``prefix`` computes its values on each call.
+
+    ``kind`` is ``"aps"`` (``kappa`` >= 1, ``eta`` >= 1), ``"gps"``
+    (``tau`` > 1, with a warning past 2) or ``"explicit"`` (``values``,
+    positive integers, strictly increasing); each parameter is checked
+    here, for every caller, and ``kappa``, ``eta`` and ``tau`` are read by
+    :func:`_exact`.
+    """
 
     def __init__(self, kind, *, kappa=None, eta=None, tau=None, values=None):
+        if kind == "aps":
+            kappa, eta = _exact(kappa, "kappa"), _exact(eta, "eta")
+            if kappa < 1:
+                raise ValueError("kappa must be >= 1 (smaller values break strict ordering)")
+            if eta < 1:
+                raise ValueError("eta must be >= 1 (R_0 = floor(eta) must be >= 1)")
+        elif kind == "gps":
+            tau = _exact(tau, "tau")
+            if tau <= 1:
+                raise ValueError("tau must be > 1 (the schedule would stall)")
+            if tau > 2:
+                warnings.warn(
+                    "tau > 2 lies outside the recommended range (1, 2]; "
+                    "term consumption grows very quickly",
+                    stacklevel=2,
+                )
+        elif kind == "explicit":
+            values = list(values if values is not None else ())
+            if not values:
+                raise ValueError("explicit schedule must be nonempty")
+            for v in values:
+                _check_integer(v, "a schedule value", 1)
+            for a, b in zip(values, values[1:]):
+                if b <= a:
+                    raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
+        else:
+            raise ValueError(f"unknown schedule kind {kind!r} (expected aps, gps or explicit)")
         self.kind = kind
         self.kappa = kappa
         self.eta = eta
         self.tau = tau
-        self._values = list(values) if values is not None else None
+        self._values = values
 
     def prefix(self, count: int) -> list:
         """First *count* values; deterministic and idempotent."""
@@ -99,39 +133,16 @@ def _fmt(q: Fraction) -> str:
 
 def make_aps(kappa, eta) -> Schedule:
     """APS schedule R_l = floor(kappa*l + eta), kappa >= 1, eta >= 1."""
-    kappa = _exact(kappa, "kappa")
-    eta = _exact(eta, "eta")
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1 (smaller values break strict ordering)")
-    if eta < 1:
-        raise ValueError("eta must be >= 1 (R_0 = floor(eta) must be >= 1)")
     return Schedule("aps", kappa=kappa, eta=eta)
 
 
 def make_gps(tau) -> Schedule:
     """GPS schedule R_0 = 1, R_l = max(floor(tau*R_{l-1}), l+1), 1 < tau <= 2."""
-    tau = _exact(tau, "tau")
-    if tau <= 1:
-        raise ValueError("tau must be > 1 (the schedule would stall)")
-    if tau > 2:
-        warnings.warn(
-            "tau > 2 lies outside the recommended range (1, 2]; "
-            "term consumption grows very quickly",
-            stacklevel=2,
-        )
     return Schedule("gps", tau=tau)
 
 
 def make_explicit(values) -> Schedule:
     """Explicit schedule; values are validated, not trusted."""
-    values = list(values)
-    if not values:
-        raise ValueError("explicit schedule must be nonempty")
-    for v in values:
-        _check_integer(v, "a schedule value", 1)
-    for a, b in zip(values, values[1:]):
-        if b <= a:
-            raise ValueError(f"schedule must be strictly increasing, got {a} then {b}")
     return Schedule("explicit", values=values)
 
 

@@ -30,7 +30,11 @@ pair and the exponential builtins each hold a :class:`_LogFactor`, whose
 context's own operators once a constant or a value is complex.  Each
 computes with the bits of the context's own operators and yields a
 context scalar.  A user's term, product factor or expression enters the
-context through ``ctx.convert``.
+context through ``ctx.convert``; an expression calls the context's own
+functions, which at binary64 run the float arithmetic's kernels where
+they take the arguments.  A ``known_S`` string, from a problem file or
+from Python, is an expression of constants, compiled when the
+:class:`SeriesProblem` is built.
 """
 
 from __future__ import annotations
@@ -97,11 +101,14 @@ class SeriesProblem:
     or a complex mpc) for n >= 1.
     ``sigma_hat`` is the exponent used in the remainder weight
     omega_r = r^sigma_hat * a_r; 1 is the safe universal choice.
-    ``known_S`` is the limit (or antilimit) when available: a number or
-    a callable of ctx for values like 2/pi that depend on the precision.
+    ``known_S`` is the limit (or antilimit) when available: a number, a
+    callable of ctx for values like 2/pi that depend on the precision, or
+    an expression string such as ``"pi*pi/6"``, read as in a problem file
+    and kept as its callable.
     Every caller's parameters are checked here: ``sigma_hat`` is read by
-    ``sampling._exact`` (0.1 is 1/10), and a bool or a non-finite float
-    or complex ``known_S`` is refused.
+    ``sampling._exact`` (0.1 is 1/10), a bool or a non-finite float or
+    complex ``known_S`` is refused, and so is a ``known_S`` string that is
+    not an expression of constants.
     """
 
     name: str
@@ -123,6 +130,8 @@ class SeriesProblem:
             raise ValueError(f"known_S must be a number or an expression string, got {S!r}")
         if isinstance(S, (float, complex)) and not cmath.isfinite(S):
             raise ValueError(f"known_S must be finite, got {S!r}")
+        if isinstance(S, str):
+            self.known_S = _known_S_expression(S)
 
 
 def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
@@ -575,34 +584,6 @@ def _check_calls(expr: str, tree) -> None:
                              f"{name} takes {' or '.join(map(str, counts))}")
 
 
-def _float_first(name, kernel, fallback, types):
-    """The context function *fallback*, through the float arithmetic's *kernel* where it can.
-
-    The kernel takes a call whose arguments' types are all in *types*, and
-    gives fallback's bits; where it raises (a complex result, a pole) or an
-    argument is of another type, fallback gives the value or the error.
-    ``power`` takes two arguments, every other name one.
-    """
-
-    def unary(x):
-        if type(x) in types:
-            try:
-                return kernel(x)
-            except (ArithmeticError, ValueError):
-                pass
-        return fallback(x)
-
-    def binary(x, y):
-        if type(x) in types and type(y) in types:
-            try:
-                return kernel(x, y)
-            except (ArithmeticError, ValueError):
-                pass
-        return fallback(x, y)
-
-    return binary if name == "power" else unary
-
-
 def _compile_expression(expr: str):
     """``(code, literals)`` of a term or known_S expression, refused here if malformed."""
     # Trusted-input convenience; no builtins are exposed to the expression.
@@ -632,13 +613,6 @@ def _compile_expression(expr: str):
 def _expression_names(ctx, literals):
     """Every name an expression can use in *ctx*, except n, and its *literals* as reals of ctx."""
     env = {name: getattr(ctx, name) for name in _EXPR_FUNCS}
-    ar = loop_arithmetic(ctx)
-    if type(ar.zero) is float:  # binary64: the float arithmetic's kernels, as the terms use
-        # they take an int exactly, except math.sqrt, which rounds one past 2^53 first
-        for name, kernel, types in (("power", ar.pow, (float, int)), ("sqrt", ar.sqrt, (float,)),
-                                    ("exp", ar.exp, (float, int)),
-                                    ("loggamma", ar.loggamma, (float, int))):
-            env[name] = _float_first(name, kernel, env[name], types)
     env.update(__builtins__={}, pi=ctx.pi, e=ctx.exp(ctx.one), i=ctx.mpc(0, 1),
                abs=abs, mpf=ctx.mpf)
     env.update((name, ctx.mpf(text)) for name, text in literals.items())
@@ -735,16 +709,13 @@ def load_problem(source):
         raise ValueError("problem definition needs either 'builtin' or an 'expression' string")
     if "m" not in spec:
         raise ValueError("expression problems must declare m")
-    known_S = spec.get("known_S")
-    if isinstance(known_S, str):
-        known_S = _known_S_expression(known_S)
 
     problem = SeriesProblem(
         name=spec.get("name", "user-problem"),
         term=_expression_term(spec["expression"]),
         m=spec["m"],
         sigma_hat=spec.get("sigma_hat", 1),
-        known_S=known_S,
+        known_S=spec.get("known_S"),
         meta={"describe": spec["expression"]},
     )
     return problem, schedule

@@ -94,7 +94,7 @@ def test_run_formats_carry_identical_values():
 
 def test_run_value_columns_for_unknown_limit():
     report = run(RunConfig(problem="ex5_6", schedule="aps:1,1", depth=16))
-    assert not report.has_S
+    assert report.columns == ["n", "R_n", "A_R", "A(0,n)", "Gamma(0,n)", "Lambda(0,n)"]
     assert report.rows[-1].col4.startswith("-1.0239607320490606")
 
 
@@ -144,6 +144,11 @@ def test_cli_run_and_errors(tmp_path, capsys):
 
     assert main(["run"]) == 1
     assert "no problem" in capsys.readouterr().err
+    # the builtin id was dropped, and the file's ex5_2 table printed with exit 0
+    assert main(["run", "ex5_1", "--problem-file", '{"builtin": "ex5_2"}', "--depth", "4"]) == 1
+    assert capsys.readouterr() == ("", "fracsum: error: give a builtin id or --problem-file, "
+                                       "not both: got 'ex5_1' and --problem-file "
+                                       "'{\"builtin\": \"ex5_2\"}'\n")
 
     path = tmp_path / "p.json"
     for spec, message in [

@@ -205,10 +205,11 @@ def test_convert_strings_match(mantissa, exponent):
 
 
 # The float loop arithmetic's transcendental kernels, those of the hot loops
-# and the builtin terms at DOUBLE, and the functions of the same names in an
-# expression at DOUBLE, which take those kernels on floats and small ints.
-# Each gives float(MP's value) or MP's error.  Where MP's value is complex,
-# the loop kernel raises and the expression gives that complex value.
+# and the builtin terms at DOUBLE, and the functions of the same names of the
+# DOUBLE context, which take those kernels on floats and ints, as called
+# from an expression and directly.  Each gives float(MP's value) or MP's
+# error.  Where MP's value is complex, the loop kernel raises and the
+# context's function gives that complex value.
 _LOOP = loop_arithmetic(FP)
 
 
@@ -248,6 +249,7 @@ def _same_function(name, *args):
     if all(type(x) is not int or abs(x) <= 2**53 for x in args):
         _same_loop_kernel("pow" if name == "power" else name, *args)
     _same_expression_function(name, *args)
+    _same_kernel(name, *args)  # the context's own function, as a term function calls it
 
 
 @settings(max_examples=200, deadline=None)

@@ -44,7 +44,7 @@ def test_zero_tol_must_be_nonnegative(tol):
     with pytest.raises(ValueError, match=message):
         structure_from_ratio(ratio, zero_tol=tol)
     with pytest.raises(ValueError, match=message):
-        convergence_verdict(structure_from_ratio(ratio), 0, zero_tol=tol)
+        convergence_verdict(structure_from_ratio(ratio), zero_tol=tol)
 
 
 def test_ratio_expansion_validation():
@@ -119,26 +119,29 @@ def test_structure_positive_s():
 def test_verdict_cases():
     # Q = 0, Re gamma < -1: convergent
     sp = structure_from_ratio(RatioExpansion(0, 2, (1, 0, Fraction(-3, 2))))
-    assert convergence_verdict(sp, 0).kind == "converges"
+    assert convergence_verdict(sp).kind == "converges"
     # |zeta| < 1 converges for every gamma
     sp = structure_from_ratio(
         RatioExpansion(0, 2, (Fraction(1, 2), 0, Fraction(5))), ctx=make_context(QUAD)
     )
-    assert convergence_verdict(sp, 0).kind == "converges"
+    assert convergence_verdict(sp).kind == "converges"
     # s > 0 diverges with no finite part
     sp = structure_from_ratio(RatioExpansion(Fraction(1, 2), 2, (1, 0, 0)))
-    assert convergence_verdict(sp, 1).kind == "diverges-strongly"
+    assert convergence_verdict(sp).kind == "diverges-strongly"
+    # s is mu * m: an s > 0 passed beside mu = 0 called a convergent ratio factorial growth
+    sp = structure_from_ratio(RatioExpansion(0, 2, (1, 0, -1.5)))
+    assert convergence_verdict(sp) == Verdict("converges", "Q = 0 and Re gamma < -1")
 
 
 def test_verdict_finite_part_and_boundary():
     # Q = 0, gamma = -2/5 (off the i/m grid): Hadamard finite part
     sp = structure_from_ratio(RatioExpansion(0, 2, (1, 0, Fraction(-2, 5))))
-    assert convergence_verdict(sp, 0).kind == "diverges-finite-part"
+    assert convergence_verdict(sp).kind == "diverges-finite-part"
     # gamma exactly at a log-term boundary (gamma + 1 = i/m) is flagged,
     # including gamma = -1 (i = 0) and gamma = -1/2 (i = 1, m = 2)
     for g in (Fraction(-1), Fraction(-1, 2)):
         sp = structure_from_ratio(RatioExpansion(0, 2, (1, 0, g)))
-        assert convergence_verdict(sp, 0).kind == "indeterminate"
+        assert convergence_verdict(sp).kind == "indeterminate"
 
 
 def test_verdict_oscillatory_exponential(qctx):
@@ -146,28 +149,28 @@ def test_verdict_oscillatory_exponential(qctx):
     c = (1, qctx.mpc(0, "0.5"), qctx.mpc(-1, 0))
     sp = structure_from_ratio(RatioExpansion(0, 2, tuple(c)), ctx=qctx, zero_tol=1e-30)
     # gamma = c_2 - c_1^2/2 = -0.875 < -1/2
-    verdict = convergence_verdict(sp, 0, zero_tol=1e-30)
+    verdict = convergence_verdict(sp, zero_tol=1e-30)
     assert verdict.kind == "converges"
     # same phase but gamma above the threshold: Abel-summable divergence
     c2 = (1, qctx.mpc(0, "0.5"), qctx.mpc(0, 0))
     sp2 = structure_from_ratio(RatioExpansion(0, 2, tuple(c2)), ctx=qctx, zero_tol=1e-30)
-    verdict2 = convergence_verdict(sp2, 0, zero_tol=1e-30)
+    verdict2 = convergence_verdict(sp2, zero_tol=1e-30)
     assert verdict2.kind == "diverges-finite-part"
 
 
-@pytest.mark.parametrize("mu, c, s, kind, condition", [
-    (Fraction(-1, 2), (1, 0, 0), -1, "converges",
+@pytest.mark.parametrize("mu, c, kind, condition", [
+    (Fraction(-1, 2), (1, 0, 0), "converges",
      "s < 0: factorial decay dominates for every gamma"),
-    (0, (2, 0, 0), 0, "diverges-strongly", "Re theta_0 > 0 (|zeta| > 1): diverges for all gamma"),
+    (0, (2, 0, 0), "diverges-strongly", "Re theta_0 > 0 (|zeta| > 1): diverges for all gamma"),
     # zeta = -1: theta_0 = i*pi, and gamma = c_2/c_0 here
-    (0, (-1, 0, 1), 0, "converges", "|zeta| = 1, zeta != 1 and Re gamma < 0"),
-    (0, (-1, 0, 0), 0, "diverges-finite-part", "|zeta| = 1, zeta != 1 and Re gamma >= 0: Abel sum"),
-    (0, (1, -1, 0), 0, "converges", "Re theta_1 < 0: Re Q(n) -> -inf, converges for all gamma"),
-    (0, (1, 1, 0), 0, "diverges-strongly", "Re theta_1 > 0: Re Q(n) -> +inf"),
+    (0, (-1, 0, 1), "converges", "|zeta| = 1, zeta != 1 and Re gamma < 0"),
+    (0, (-1, 0, 0), "diverges-finite-part", "|zeta| = 1, zeta != 1 and Re gamma >= 0: Abel sum"),
+    (0, (1, -1, 0), "converges", "Re theta_1 < 0: Re Q(n) -> -inf, converges for all gamma"),
+    (0, (1, 1, 0), "diverges-strongly", "Re theta_1 > 0: Re Q(n) -> +inf"),
     # m = 3: theta_1 = i/2 leads with Re theta_1 = 0, but theta_2 = 3/8 is real
-    (0, (1, 0.5j, 0, 0), 0, "indeterminate", "mixed oscillatory/zero leading theta: case not covered"),
+    (0, (1, 0.5j, 0, 0), "indeterminate", "mixed oscillatory/zero leading theta: case not covered"),
 ], ids=["s<0", "Re theta_0>0", "|zeta|=1 gamma<0", "|zeta|=1 gamma>=0", "Re theta_r<0",
         "Re theta_r>0", "mixed"])
-def test_verdict_conditions(qctx, mu, c, s, kind, condition):
+def test_verdict_conditions(qctx, mu, c, kind, condition):
     sp = structure_from_ratio(RatioExpansion(mu, len(c) - 1, c), ctx=qctx)
-    assert convergence_verdict(sp, s) == Verdict(kind, condition)
+    assert convergence_verdict(sp) == Verdict(kind, condition)

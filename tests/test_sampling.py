@@ -1,11 +1,12 @@
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
+from fracsum.sampling import Schedule, make_aps, make_explicit, make_gps, parse_schedule
 
 
 def test_aps_identity_schedule():
@@ -43,6 +44,32 @@ def test_exact_refuses_a_bool_or_another_type_and_names_a_zero_denominator():
         make_gps("3/0")
     with pytest.raises(ValueError, match="^bad value 'x' for tau$"):
         make_gps("x")
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("foo", {}, "unknown schedule kind 'foo' (expected aps, gps or explicit)"),
+    ("aps", {}, "kappa must be a number or a fraction string, got None"),
+    ("aps", {"kappa": 2}, "eta must be a number or a fraction string, got None"),
+    ("aps", {"kappa": Fraction(1, 2), "eta": 1},
+     "kappa must be >= 1 (smaller values break strict ordering)"),
+    ("aps", {"kappa": 1, "eta": 0.5}, "eta must be >= 1 (R_0 = floor(eta) must be >= 1)"),
+    ("gps", {}, "tau must be a number or a fraction string, got None"),
+    ("gps", {"tau": 1}, "tau must be > 1 (the schedule would stall)"),
+    ("explicit", {}, "explicit schedule must be nonempty"),
+    ("explicit", {"values": [1, 4, 4]}, "schedule must be strictly increasing, got 4 then 4"),
+    ("explicit", {"values": [0, 3]}, "a schedule value must be a positive integer, got 0"),
+], ids=repr)
+def test_schedule_checks_its_own_parameters(kind, params, message):
+    # the constructor checked nothing: Schedule("gps", tau=1) ran as R_l = l + 1, and
+    # Schedule("aps", kappa=1/2, eta=1) gave R = [1, 1, 2, 2, 3]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Schedule(kind, **params)
+
+
+def test_schedule_reads_parameters_at_their_decimal_value():
+    # repr raised AttributeError on a float kappa, which has no denominator
+    assert repr(Schedule("aps", kappa=1.1, eta=1)) == "Schedule('aps:1.1,1')"
+    assert Schedule("gps", tau="1.3").prefix(9) == make_gps(1.3).prefix(9)
 
 
 def test_gps_tau_1_3_reference_values():

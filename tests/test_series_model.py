@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from fracsum import series_model
 from fracsum.bench_cli import RunConfig, run
 from fracsum.classify import RatioExpansion
-from fracsum.numerics import QUAD, RangeOverflowError, make_context, resolve_scalar
-from fracsum.sampling import make_aps, make_explicit
+from fracsum.numerics import DOUBLE, QUAD, RangeOverflowError, make_context, resolve_scalar
+from fracsum.sampling import make_aps, make_explicit, make_gps
 from fracsum.series_model import (
     ProductProblem,
     SeriesProblem,
@@ -597,9 +597,28 @@ def test_known_S_is_checked_for_every_caller(known_S, message):
 
 
 def test_known_S_takes_none_a_number_a_callable_or_a_string(qctx):
-    for known_S in (None, -1, Fraction(1, 3), 0.5, 1j, qctx.pi, lambda ctx: 2 / ctx.pi, "1.5"):
+    for known_S in (None, -1, Fraction(1, 3), 0.5, 1j, qctx.pi, lambda ctx: 2 / ctx.pi):
         problem = SeriesProblem("ok", lambda n, ctx: ctx.one, m=1, known_S=known_S)
         assert problem.known_S is known_S
+    # a string is an expression, kept as its callable
+    problem = SeriesProblem("ok", lambda n, ctx: ctx.one, m=1, known_S="1.5")
+    assert resolve_scalar(problem.known_S, qctx) == qctx.mpf("1.5")
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+def test_known_S_string_from_python_is_the_files_expression(precision):
+    # it was taken as a decimal number: accelerate raised "cannot create mpf from 'pi*pi/6'"
+    ctx = make_context(precision)
+    problem = SeriesProblem("x", lambda n, ctx: 1 / ctx.mpf(n) ** 2, m=1, known_S="pi*pi/6")
+    from_file, _ = load_problem({"expression": "1/n**2", "m": 1, "known_S": "pi*pi/6"})
+    assert resolve_scalar(problem.known_S, ctx) == resolve_scalar(from_file.known_S, ctx)
+    if precision is QUAD:
+        result = accelerate(problem, make_gps("1.3"), 24, ctx)
+        assert result.rows[result.best[1]].true_error < 1e-30
+    for bad, message in [("pi*pi/", "expression 'pi*pi/' is not valid syntax"),
+                         ("n + 1.6449", "known_S 'n + 1.6449' uses n; known_S is the limit")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SeriesProblem("x", lambda n, ctx: ctx.one, m=1, known_S=bad)
 
 
 def test_expression_literals_are_taken_at_the_working_precision(qctx, dctx):
