@@ -31,16 +31,19 @@ mpmath's; ``int.bit_length`` and ``math.isqrt`` replace mpmath's
 pure-Python bit count and root, and every case but the common one is
 mpmath's own function.  The W-recursion's divided difference
 ``(x - y) / d`` is one kernel with the bits of the ``-`` kernel followed
-by the ``/`` kernel.  Under gmpy2, or at another rounding, these are
-mpmath's functions.  ``pow``, ``exp`` and ``loggamma`` are always
-mpmath's ``mpf_pow``, ``mpf_exp`` and ``mpf_loggamma``: their bits are
-those of mpmath's algorithms, not a correctly rounded value, so they are
-not restated.  Binary64 floats keep their native operators and
-``math.sqrt``, and take ``pow``, ``exp`` and ``loggamma`` from the same
-mpmath kernels at 53 bits; the binary64 context's own ``sqrt``, ``power``,
-``exp`` and ``loggamma`` run these four kernels too, wherever they take
-the arguments, so every caller at binary64 gets them.  Complex values
-keep their native operators and the context's own functions.
+by the ``/`` kernel.  ``exp`` and ``pow`` are :func:`_exp_pow`'s:
+mpmath's ``mpf_exp`` rounds its own approximation, not the exact value,
+so ``exp`` computes a closer one from tables and rounds it only where it
+and mpmath's round alike, outside a narrow band around each rounding
+midpoint, and calls ``mpf_exp`` inside it; ``pow`` takes ``mpf_pow``'s
+steps on these kernels.  Under gmpy2, or at another rounding, these are
+mpmath's functions.  ``loggamma`` is always mpmath's ``mpf_loggamma``.
+Binary64 floats keep their native operators and ``math.sqrt``, and take
+``pow`` and ``exp`` from the same kernels at 53 bits and ``loggamma``
+from mpmath's; the binary64 context's own ``sqrt``, ``power``, ``exp``
+and ``loggamma`` run these four kernels too, wherever they take the
+arguments, so every caller at binary64 gets them.  Complex values keep
+their native operators and the context's own functions.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from mpmath.libmp import (
     mpf_div,
     mpf_e,
     mpf_exp,
+    mpf_log,
     mpf_loggamma,
     mpf_mul,
     mpf_neg,
@@ -297,8 +301,9 @@ class LoopArithmetic(NamedTuple):
     ``div(sub(x, y), d)`` in one call, the W-recursion's update.  On raw
     tuples at round-to-nearest with mpmath's python backend, ``add``,
     ``sub``, ``mul``, ``div``, ``sqrt`` and ``divdiff`` are the kernels of
-    :func:`_nearest_kernels`; otherwise they are mpmath's, and ``divdiff``
-    is ``mpf_div`` of ``mpf_sub``.  On floats and on the native arithmetic
+    :func:`_nearest_kernels` and ``exp`` and ``pow`` those of
+    :func:`_exp_pow`; otherwise they are mpmath's, and ``divdiff`` is
+    ``mpf_div`` of ``mpf_sub``.  On floats and on the native arithmetic
     ``divdiff`` is ``(x - y) / d``.  The real arithmetics take ``pow``,
     ``sqrt`` and ``loggamma`` only where the result is real (terms call
     them on positive integers): where the context would return a complex
@@ -355,11 +360,11 @@ def _mpf_kernels(prec, rnd):
     }
 
 
-# The functions of the float arithmetic: mpmath's kernels at 53 bits on
+# The functions of the float arithmetic: the raw kernels at 53 bits on
 # floats, with the bits of Binary64Context's functions.  Expressions call
 # pow, exp and loggamma on ints too.
 def _float_pow(x, y):
-    return to_float(mpf_pow(_raw(x), _raw(y), 53, round_nearest))
+    return to_float(_exp_pow(53).pow(_raw(x), _raw(y)))
 
 
 def _float_sqrt(x):
@@ -367,7 +372,16 @@ def _float_sqrt(x):
 
 
 def _float_exp(x):
-    return to_float(mpf_exp(_raw(x), 53, round_nearest))
+    # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
+    if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
+        n, d = x.as_integer_ratio()
+        result = _exp_pow(53).exp_fixed((n << 75) >> (d.bit_length() - 1))
+        if result is not None:
+            try:
+                return math.ldexp(*result)  # to_float's step, subnormals included
+            except OverflowError:
+                return math.inf
+    return to_float(_exp_pow(53).exp(_raw(x)))
 
 
 def _float_loggamma(x):
@@ -380,6 +394,13 @@ _FLOAT_KERNELS = {"power": (_float_pow, (float, int)), "sqrt": (_float_sqrt, (fl
                   "exp": (_float_exp, (float, int)), "loggamma": (_float_loggamma, (float, int))}
 
 
+# The widest exponent offset at which add and sub form the exact aligned sum.
+# Past an offset of 100 mpmath's mpf_add perturbs the larger operand by one
+# unit below its prec + 4 bits instead; for operands of at most prec + 4
+# bits that rounds as the exact sum does, so the bits are the same.
+_SUM_CAP = 512
+
+
 def _nearest_kernels(prec):
     """Round-to-nearest kernels on raw tuples at prec >= 1 bits, by field name.
 
@@ -389,18 +410,23 @@ def _nearest_kernels(prec):
     zeros; the bit count is then the mantissa's bit length.  A nonzero
     remainder of div and sqrt is mpmath's sticky bit, tested only where it
     decides a tie.  Every case outside the common one is mpmath's own
-    function at round-to-nearest, result or exception.
+    function at round-to-nearest, result or exception.  :func:`_exp_pow`
+    holds ``exp`` and ``pow``.
     """
+
+    wide = prec + 4
 
     def summation(negate):
         mpf_f = mpf_sub if negate else mpf_add
 
         def add(s, t):
-            ssign, sman, sexp, _ = s
-            tsign, tman, texp, _ = t
+            ssign, sman, sexp, sbc = s
+            tsign, tman, texp, tbc = t
             offset = sexp - texp
-            # a zero, inf or nan, or exponents so far apart that mpmath may perturb instead
-            if not (sman and tman and -100 <= offset <= 100):
+            # a zero, inf or nan; exponents more than _SUM_CAP bits apart; or, past mpmath's
+            # offset of 100, a mantissa wider than prec + 4 bits, which mpmath may perturb
+            if not (sman and tman and (-100 <= offset <= 100 or (
+                    -_SUM_CAP <= offset <= _SUM_CAP and sbc <= wide and tbc <= wide))):
                 return mpf_f(s, t, prec, round_nearest)
             if offset > 0:
                 sman <<= offset
@@ -544,6 +570,159 @@ def _nearest_kernels(prec):
     return {"add": add, "sub": sub, "mul": mul, "div": div, "divdiff": divdiff, "sqrt": sqrt}
 
 
+def _rounded(man, exp, prec):
+    """The positive raw mpf of man * 2^exp rounded to prec bits half to even, as mpmath's normalize."""
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        exp += n
+    return 0, man, exp, man.bit_length()
+
+
+class _ExpPow(NamedTuple):
+    """The exp and pow kernels at one precision; ``exp_fixed`` is exp's core."""
+
+    exp_fixed: Callable
+    exp: Callable
+    pow: Callable
+
+
+_EXP_BAND = 2  # E within _EXP_BAND * 2^-8 ulp of a rounding midpoint falls back to mpf_exp
+_EXP_MAX_MAG = 20  # the fast range of exp: |x| < 2^20
+_exp_pow_cache: dict[int, _ExpPow] = {}
+_exp_pow_lock = threading.Lock()
+
+
+def _exp_pow(prec) -> _ExpPow:
+    """Round-to-nearest ``exp`` and ``pow`` on raw tuples with the bits of mpmath's, at prec >= 53.
+
+    ``exp_fixed(X)`` takes x = X * 2^-F at F = prec + 22 fraction bits
+    and |x| < 2^20.  It reduces x = k ln2 / 4096 + r with |r| < 2^-13.5,
+    takes 2^(k/4096) from two 64-entry tables, 2^(j/64) and 2^(j/4096),
+    and exp(r) from a Taylor polynomial whose first omitted term is below
+    2^-(F-1) (5 terms at 53 bits, 9 at 113).  The product E has a
+    relative error below 2^-(prec+17): every table entry and Taylor
+    coefficient is rounded at F bits, ln2 at F + 24, and each truncating
+    step adds at most 2^-F.  ``exp_fixed`` returns (man, exp) of E rounded
+    to prec bits, or None when E lies within 2^-7 ulp of a rounding
+    midpoint.  mpmath's ``mpf_exp`` rounds its own fixed-point value once,
+    and that value's relative error measured at most 2^-(prec+10.5) at
+    53, 113, 200, 400 and 700 bits against a reference 400 bits wider,
+    below 2^-9.5 ulp.  Outside the band E, mpmath's value and exp(x) are
+    on the same side of every midpoint, so the bits are mpmath's.
+    ``exp(s)`` is the raw adapter: a zero, inf or nan, |s| below
+    2^-(prec+8) (where mpmath rounds 1 plus a perturbation), |s| past the
+    fast range, an integer s at a precision above 600 bits (where mpmath
+    raises e to an integer power) and every None are ``mpf_exp`` itself.
+
+    ``pow(s, t)`` takes the steps of ``mpf_pow``: for a half-integer t the
+    square root at prec + 10 bits and the exact odd power of it rounded
+    once, at prec + 5 bits for a negative t (then 1 divided by it) and at
+    prec bits otherwise, on :func:`_nearest_kernels`; for any other
+    fractional t, ``exp`` of t times mpmath's ``mpf_log(s, prec + 10)``.
+    An integer t, a zero, inf or nan, a power of two, a negative base
+    (mpmath raises ``ComplexResult``) and a power of at least 1000 bits
+    are ``mpf_pow`` itself.
+
+    Built once per precision, on first use, under a lock; the tables come
+    from a private ``MPContext``.
+    """
+    exp_pow = _exp_pow_cache.get(prec)
+    if exp_pow is None:
+        with _exp_pow_lock:
+            exp_pow = _exp_pow_cache.get(prec)
+            if exp_pow is None:
+                exp_pow = _exp_pow_cache[prec] = _build_exp_pow(prec)
+    return exp_pow
+
+
+def _build_exp_pow(prec) -> _ExpPow:
+    F = prec + 22
+    one = 1 << F
+    mp = MPContext()
+    mp.prec = F + 40
+
+    def fixed(x, bits):
+        return int(mp.nint(mp.ldexp(x, bits)))
+
+    ln2 = fixed(mp.ln2, F + 24)
+    coarse = [fixed(mp.power(2, mp.mpf(j) / 64), F) for j in range(64)]
+    fine = [fixed(mp.power(2, mp.mpf(j) / 4096), F) for j in range(64)]
+    # 1/i! at F bits for i = terms - 1, ..., 1, with terms the first count whose
+    # next term, at most 2^-13.5^terms / terms!, is below 2^-(F-1)
+    terms = 1
+    while 13.5 * terms + math.log2(math.factorial(terms)) <= F - 1:
+        terms += 1
+    taylor = [((one << 1) // math.factorial(i) + 1) >> 1 for i in range(terms - 1, 0, -1)]
+    top, taylor = taylor[0], taylor[1:] + [one]
+    to_k = 4096 / math.log(2) / 2.0 ** 40  # k from x's top 40 fraction bits
+    scale = 3 * F  # E is the product of three values at F bits
+
+    def exp_fixed(X):
+        k = round((X >> (F - 40)) * to_k)
+        r = X - (k * ln2 >> 36)
+        p = top
+        for c in taylor:
+            p = c + (p * r >> F)
+        E = coarse[k >> 6 & 63] * fine[k & 63] * p
+        n = E.bit_length() - prec - 8
+        h = E >> n  # prec + 8 bits: the low 8 are E's position within an ulp
+        if (h - 128 + _EXP_BAND) & 255 < 2 * _EXP_BAND:
+            return None
+        man = (h + 128) >> 8
+        exp = (k >> 12) - scale + n + 8
+        if not man & 1:
+            n = (man & -man).bit_length() - 1
+            man >>= n
+            exp += n
+        return man, exp
+
+    low = -(prec + 8)
+    integral_wide = prec > 600
+
+    def exp(s):
+        sign, man, e, bc = s
+        mag = e + bc
+        if not man or mag > _EXP_MAX_MAG or mag <= low or (integral_wide and e >= 0):
+            return mpf_exp(s, prec, round_nearest)
+        shift = e + F
+        X = man << shift if shift >= 0 else man >> -shift
+        result = exp_fixed(-X if sign else X)
+        if result is None:
+            return mpf_exp(s, prec, round_nearest)
+        man, e = result
+        return 0, man, e, man.bit_length()
+
+    nearest, wider = _nearest_kernels(prec), _nearest_kernels(prec + 10)
+    div, sqrt, root = nearest["div"], nearest["sqrt"], wider["sqrt"]
+
+    def pow(s, t):
+        ssign, sman, sexp, sbc = s
+        tsign, tman, texp, tbc = t
+        # an integer t, a zero, inf or nan, a power of two, or a negative base
+        if texp >= 0 or sman < 2 or not tman or ssign:
+            return mpf_pow(s, t, prec, round_nearest)
+        if texp == -1:
+            if tman == 1:
+                return div(fone, root(s)) if tsign else sqrt(s)
+            _, rman, rexp, rbc = root(s)
+            if rbc * tman >= 1000:
+                return mpf_pow(s, t, prec, round_nearest)
+            if tsign:
+                return div(fone, _rounded(rman ** tman, rexp * tman, prec + 5))
+            return _rounded(rman ** tman, rexp * tman, prec)
+        csign, cman, cexp, _ = mpf_log(s, prec + 10, round_nearest)
+        man = tman * cman  # the exact product, which mpf_pow hands to mpf_exp
+        return exp((tsign ^ csign, man, texp + cexp, man.bit_length()))
+
+    return _ExpPow(exp_fixed, exp, pow)
+
+
 def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
     """Raw ``libmp`` tuples at the precision and rounding of the mpf operators."""
     mpf, max_exp2 = ctx.mpf, precision.max_exp2
@@ -558,13 +737,13 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
     prec, rnd = ctx._prec_rounding
     kernels = _mpf_kernels(prec, rnd)
     if rnd == round_nearest and BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
-        kernels.update(_nearest_kernels(prec))
+        kernels.update(_nearest_kernels(prec), exp=_exp_pow(prec).exp, pow=_exp_pow(prec).pow)
     return LoopArithmetic(lift=lift, lower=ctx.make_mpf, in_range=in_range, zero=fzero, one=fone,
                           from_int=from_int, neg=mpf_neg, **kernels)
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
-    """Binary64 floats on their native operators and mpmath's kernels at 53 bits."""
+    """Binary64 floats on their native operators and the float kernels at 53 bits."""
 
     def lift(x):
         return x if type(x) is float else None

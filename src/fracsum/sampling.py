@@ -51,17 +51,26 @@ def _exact(x, name: str) -> Fraction:
         raise ValueError(f"bad value {x!r} for {name}") from exc
 
 
+# the parameters that each kind of schedule does not take
+_NOT_TAKEN = {"aps": ("tau", "values"), "gps": ("kappa", "eta", "values"),
+               "explicit": ("kappa", "eta", "tau")}
+
+
 class Schedule:
     """Immutable integer schedule; ``prefix`` computes its values on each call.
 
     ``kind`` is ``"aps"`` (``kappa`` >= 1, ``eta`` >= 1), ``"gps"``
     (``tau`` > 1, with a warning past 2) or ``"explicit"`` (``values``,
     positive integers, strictly increasing); each parameter is checked
-    here, for every caller, and ``kappa``, ``eta`` and ``tau`` are read by
-    :func:`_exact`.
+    here, for every caller, a parameter of another kind is refused, and
+    ``kappa``, ``eta`` and ``tau`` are read by :func:`_exact`.
     """
 
     def __init__(self, kind, *, kappa=None, eta=None, tau=None, values=None):
+        given = {"kappa": kappa, "eta": eta, "tau": tau, "values": values}
+        for name in _NOT_TAKEN.get(kind, ()):
+            if given[name] is not None:
+                raise ValueError(f"{kind} schedules take no {name}")
         if kind == "aps":
             kappa, eta = _exact(kappa, "kappa"), _exact(eta, "eta")
             if kappa < 1:
@@ -79,7 +88,10 @@ class Schedule:
                     stacklevel=2,
                 )
         elif kind == "explicit":
-            values = list(values if values is not None else ())
+            try:
+                values = list(values if values is not None else ())
+            except TypeError:
+                raise ValueError(f"values must be an iterable of integers, got {values!r}") from None
             if not values:
                 raise ValueError("explicit schedule must be nonempty")
             for v in values:

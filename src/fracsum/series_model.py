@@ -552,8 +552,8 @@ class _Rewrite(ast.NodeTransformer):
 _EXPR_ARITY = dict.fromkeys(_EXPR_FUNCS + ["abs", "mpf"], (1,)) | {"power": (2,), "log": (1, 2)}
 
 
-def _check_calls(expr: str, tree) -> None:
-    """Refuse a call that is not to a function, or with arguments it does not take.
+def _check_calls(label: str, tree) -> None:
+    """Refuse a call that is not to a function, or with arguments it does not take, naming *label*.
 
     Every callee is a name in ``_EXPR_ARITY`` with one of its argument
     counts, positional and unstarred: a constant such as ``pi`` is callable
@@ -565,7 +565,7 @@ def _check_calls(expr: str, tree) -> None:
             continue
         name = node.func.id if isinstance(node.func, ast.Name) else None
         if name not in _EXPR_ARITY:
-            raise ValueError(f"expression {expr!r} calls {ast.unparse(node.func)!r}, which is not "
+            raise ValueError(f"{label} calls {ast.unparse(node.func)!r}, which is not "
                              f"a function; functions: {', '.join(sorted(_EXPR_ARITY))}")
         if node.keywords:
             kw = node.keywords[0].arg
@@ -575,36 +575,40 @@ def _check_calls(expr: str, tree) -> None:
         else:
             what = None
         if what:
-            raise ValueError(f"expression {expr!r} passes {what} to {name}; "
+            raise ValueError(f"{label} passes {what} to {name}; "
                              f"functions take positional arguments only")
         count, counts = len(node.args), _EXPR_ARITY[name]
         if count not in counts:
-            raise ValueError(f"expression {expr!r} calls {name} with {count} "
+            raise ValueError(f"{label} calls {name} with {count} "
                              f"argument{'' if count == 1 else 's'}; "
                              f"{name} takes {' or '.join(map(str, counts))}")
 
 
-def _compile_expression(expr: str):
-    """``(code, literals)`` of a term or known_S expression, refused here if malformed."""
+def _compile_expression(expr: str, what="expression"):
+    """``(code, literals)`` of a term or known_S expression, refused here if malformed.
+
+    Each refusal names the text as *what* (``expression`` or ``known_S``).
+    """
     # Trusted-input convenience; no builtins are exposed to the expression.
     # Mistakes that would only surface at evaluation, as a TypeError or
     # NameError, or not at all (2^3 is xor, pi(3) is a 3-bit pi), are
     # rejected here, and so is attribute syntax: a chain of attributes
     # reaches any Python object.
+    label = f"{what} {expr!r}"
     try:
         tree = ast.parse(expr, "<term expression>", "eval")
     except SyntaxError as exc:
-        raise ValueError(f"expression {expr!r} is not valid syntax: {exc.msg}") from None
+        raise ValueError(f"{label} is not valid syntax: {exc.msg}") from None
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
-            raise ValueError(f"expression {expr!r} uses '^', which is not a power: write a ** b")
+            raise ValueError(f"{label} uses '^', which is not a power: write a ** b")
         if isinstance(node, ast.Attribute):
-            raise ValueError(f"expression {expr!r} uses the attribute '.{node.attr}'; "
+            raise ValueError(f"{label} uses the attribute '.{node.attr}'; "
                              f"attributes are not allowed, use re(n), im(n) or conj(n)")
         if isinstance(node, ast.Name) and node.id not in _EXPR_NAMES:
-            raise ValueError(f"expression {expr!r} uses unknown name {node.id!r}; "
+            raise ValueError(f"{label} uses unknown name {node.id!r}; "
                              f"known names: {', '.join(sorted(_EXPR_NAMES))}")
-    _check_calls(expr, tree)
+    _check_calls(label, tree)
     rewrite = _Rewrite(expr)
     tree = rewrite.visit(tree)
     return compile(ast.fix_missing_locations(tree), "<term expression>", "eval"), rewrite.literals
@@ -642,7 +646,7 @@ def _expression_term(expr: str) -> TermFn:
 
 def _known_S_expression(expr: str):
     """known_S as a scalar spec: the expression's value in a context."""
-    code, literals = _compile_expression(expr)
+    code, literals = _compile_expression(expr, "known_S")
     if any(isinstance(node, ast.Name) and node.id == "n" for node in ast.walk(ast.parse(expr))):
         raise ValueError(f"known_S {expr!r} uses n; known_S is the limit, a constant")
 

@@ -223,7 +223,7 @@ def test_cli_run_and_errors(tmp_path, capsys):
         ({"expression": "(n+1)(2)", "m": 1},
          f"expression '(n+1)(2)' calls 'n + 1', which is not a function; functions: {functions}"),
         ({"expression": "1/n**2", "m": 1, "known_S": "pi(3)**2/6"},
-         f"expression 'pi(3)**2/6' calls 'pi', which is not a function; functions: {functions}"),
+         f"known_S 'pi(3)**2/6' calls 'pi', which is not a function; functions: {functions}"),
     ]:
         for precision in ("quad", "double"):
             assert main(["run", "--problem-file", json.dumps(spec), "--precision", precision]) == 1

@@ -17,6 +17,7 @@ from mpmath.libmp import (
     mpf_exp,
     mpf_loggamma,
     mpf_mul,
+    mpf_neg,
     mpf_pow,
     mpf_sqrt,
     mpf_sub,
@@ -255,7 +256,8 @@ def _operand_pairs(draw, prec):
     s = draw(_finite(prec, prec if case == "tie" else None))
     sign, man, exp, bc = t = draw(_finite(prec))
     if case == "offset":  # exponents apart by the limits of the exact sum
-        offset = draw(st.sampled_from([0, 99, 100, 101, prec + 3, prec + 4, prec + 5]))
+        offset = draw(st.sampled_from([0, 99, 100, 101, prec + 3, prec + 4, prec + 5, 450, 511,
+                                       512, 513]))
         t = sign, man, s[2] - draw(_SIGNS) * offset, bc
     elif case == "magnitude":  # magnitudes apart by about mpmath's prec + 4 perturbation test
         delta = draw(st.sampled_from([prec + 3, prec + 4, prec + 5]))
@@ -434,3 +436,21 @@ def test_recursion_range_edges_at_an_mpmath_preset(unit):
         _table_at(ctx, u, ctx.zero, ctx.ldexp(1, -135), -one)
     with pytest.raises(NotANumberError, match=r"^M\(0,1\) is NaN$"):
         _table_at(ctx, u, ctx.nan, one, two)
+
+
+@pytest.mark.parametrize("prec", [53, 113])
+def test_far_apart_sums_keep_mpmaths_perturbation_of_a_wide_mantissa(prec):
+    # add and sub form the exact sum up to an offset of 512 bits, where mpmath perturbs
+    # past 100; for s of 3 prec bits whose low part is one unit short of half an ulp,
+    # the exact s + t rounds up and mpmath's perturbed s rounds down
+    low = 2 * prec - 3
+    s = from_man_exp((((1 << (prec - 1)) + 1) << (low + 1)) + (1 << low) - 1, 0)
+    add, sub = _nearest_kernels(prec)["add"], _nearest_kernels(prec)["sub"]
+    for offset in (101, 300, 512, 513):
+        t = from_man_exp((1 << (offset + 5)) + 1, -offset)
+        assert add(s, t) == mpf_add(s, t, prec, round_nearest), offset
+        assert sub(s, mpf_neg(t)) == mpf_sub(s, mpf_neg(t), prec, round_nearest), offset
+        assert add(t, s) == mpf_add(t, s, prec, round_nearest), offset
+    # operands of at most prec + 4 bits: the exact sum, rounded once, is mpmath's perturbation
+    x, y = from_man_exp((1 << (prec + 3)) + 3, 0), from_man_exp(-5, -450)
+    assert add(x, y) == mpf_add(x, y, prec, round_nearest)

@@ -58,10 +58,14 @@ def test_exact_refuses_a_bool_or_another_type_and_names_a_zero_denominator():
     ("explicit", {}, "explicit schedule must be nonempty"),
     ("explicit", {"values": [1, 4, 4]}, "schedule must be strictly increasing, got 4 then 4"),
     ("explicit", {"values": [0, 3]}, "a schedule value must be a positive integer, got 0"),
+    ("gps", {"tau": "1.3", "kappa": 2}, "gps schedules take no kappa"),
+    ("aps", {"kappa": 1, "eta": 1, "values": [1, 2]}, "aps schedules take no values"),
+    ("explicit", {"values": 5}, "values must be an iterable of integers, got 5"),
 ], ids=repr)
 def test_schedule_checks_its_own_parameters(kind, params, message):
     # the constructor checked nothing: Schedule("gps", tau=1) ran as R_l = l + 1, and
-    # Schedule("aps", kappa=1/2, eta=1) gave R = [1, 1, 2, 2, 3]
+    # Schedule("aps", kappa=1/2, eta=1) gave R = [1, 1, 2, 2, 3]; Schedule("gps", tau=1.3,
+    # kappa=2) kept kappa, and Schedule("explicit", values=5) raised a bare TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Schedule(kind, **params)
 

@@ -615,7 +615,7 @@ def test_known_S_string_from_python_is_the_files_expression(precision):
     if precision is QUAD:
         result = accelerate(problem, make_gps("1.3"), 24, ctx)
         assert result.rows[result.best[1]].true_error < 1e-30
-    for bad, message in [("pi*pi/", "expression 'pi*pi/' is not valid syntax"),
+    for bad, message in [("pi*pi/", "known_S 'pi*pi/' is not valid syntax"),
                          ("n + 1.6449", "known_S 'n + 1.6449' uses n; known_S is the limit")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             SeriesProblem("x", lambda n, ctx: ctx.one, m=1, known_S=bad)
