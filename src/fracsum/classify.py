@@ -14,6 +14,7 @@ mpf/mpc inputs stay at their working precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ __all__ = [
 class RatioExpansion:
     """Coefficients c_0..c_m of a_{n+1}/a_n ~ sum(c_i n^(mu - i/m)).
 
-    ``mu`` must be s/m for an integer s (the same m).
+    ``mu`` must be s/m for an integer s (the same m).  A NaN or infinite
+    c_i (float, complex, mpf or mpc) raises ``ValueError`` naming it.
     """
 
     mu: Fraction
@@ -46,6 +48,9 @@ class RatioExpansion:
         _check_integer(self.m, "m", 1)
         if len(self.c) != self.m + 1:
             raise ValueError("c must list c_0..c_m")
+        for i, c in enumerate(self.c):
+            if not all(x == x and abs(x) != math.inf for x in (_re(c), _im(c))):
+                raise ValueError(f"c_{i} must be finite, got {c}")
         s = self.mu * self.m
         if s.denominator != 1:
             raise ValueError("mu must be s/m for an integer s")
@@ -182,6 +187,11 @@ def _im(x):
     return getattr(x, "imag", 0)
 
 
+def _ceil(x) -> int:
+    k = int(x)  # toward zero, exact for a Fraction, float or mpf of any size
+    return k + (k < x)
+
+
 def convergence_verdict(sp: StructuralParameters, zero_tol=0) -> Verdict:
     """Classify sum(a_n) from the recovered structure, with s = mu * m.
 
@@ -234,12 +244,14 @@ def convergence_verdict(sp: StructuralParameters, zero_tol=0) -> Verdict:
     # Q identically zero: a_n ~ n^gamma w(n).  Exclude gamma + 1 = i/m
     # boundaries, where the partial sums pick up a log term.
     if _is_zero(_im(gamma), zero_tol):
-        scaled = _re(gamma) * m  # compare m*gamma against integers i - m
-        i = 0
-        while i - m <= scaled + (m * zero_tol if zero_tol else 0):
-            if _is_zero(scaled - (i - m), m * zero_tol):
-                return Verdict("indeterminate", f"gamma = {i}/{m} - 1: log-term boundary case")
-            i += 1
+        scaled = _re(gamma) * m  # compare m*gamma against integers k = i - m >= -m
+        tol = m * zero_tol if zero_tol else 0
+        # the first k within tol of m*gamma is the ceiling of scaled - tol, or
+        # a neighbour of it where that difference rounds; the exact tests decide
+        first = max(-m, _ceil(scaled - tol) - 1)
+        for k in range(first, first + 3):
+            if k <= scaled + tol and _is_zero(scaled - k, tol):
+                return Verdict("indeterminate", f"gamma = {k + m}/{m} - 1: log-term boundary case")
     if _re(gamma) < -1:
         return Verdict("converges", "Q = 0 and Re gamma < -1")
     return Verdict("diverges-finite-part", "Q = 0 and Re gamma >= -1: Hadamard finite part")

@@ -34,7 +34,8 @@ context through ``ctx.convert``; an expression calls the context's own
 functions, which at binary64 run the float arithmetic's kernels where
 they take the arguments.  A ``known_S`` string, from a problem file or
 from Python, is an expression of constants, compiled when the
-:class:`SeriesProblem` is built.
+:class:`SeriesProblem` is built; ``transform.estimate_errors`` reads its
+``known_S`` by the same rule.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class SeriesProblem:
     Every caller's parameters are checked here: ``sigma_hat`` is read by
     ``sampling._exact`` (0.1 is 1/10), a bool or a non-finite float or
     complex ``known_S`` is refused, and so is a ``known_S`` string that is
-    not an expression of constants.
+    not an expression of constants (``_known_S_spec``).
     """
 
     name: str
@@ -125,13 +126,7 @@ class SeriesProblem:
             raise ValueError("sigma_hat must satisfy sigma_hat <= 1")
         if self.m % self.sigma_hat.denominator:
             raise ValueError("sigma_hat must be a multiple of 1/m")
-        S = self.known_S
-        if isinstance(S, bool) or not (S is None or callable(S) or isinstance(S, (numbers.Number, str))):
-            raise ValueError(f"known_S must be a number or an expression string, got {S!r}")
-        if isinstance(S, (float, complex)) and not cmath.isfinite(S):
-            raise ValueError(f"known_S must be finite, got {S!r}")
-        if isinstance(S, str):
-            self.known_S = _known_S_expression(S)
+        self.known_S = _known_S_spec(self.known_S)
 
 
 def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
@@ -644,19 +639,31 @@ def _expression_term(expr: str) -> TermFn:
     return _term(stream)
 
 
-def _known_S_expression(expr: str):
-    """known_S as a scalar spec: the expression's value in a context."""
-    code, literals = _compile_expression(expr, "known_S")
-    if any(isinstance(node, ast.Name) and node.id == "n" for node in ast.walk(ast.parse(expr))):
-        raise ValueError(f"known_S {expr!r} uses n; known_S is the limit, a constant")
+def _known_S_spec(S):
+    """known_S checked, as a scalar spec for ``numerics.resolve_scalar``.
+
+    None, a callable of ctx and a finite number pass as they are; a string
+    becomes the callable that gives its expression's value in a context.
+    A bool, a non-finite float or complex, any other type, and a string
+    that is not an expression of constants raise ``ValueError``.
+    """
+    if isinstance(S, bool) or not (S is None or callable(S) or isinstance(S, (numbers.Number, str))):
+        raise ValueError(f"known_S must be a number or an expression string, got {S!r}")
+    if isinstance(S, (float, complex)) and not cmath.isfinite(S):
+        raise ValueError(f"known_S must be finite, got {S!r}")
+    if not isinstance(S, str):
+        return S
+    code, literals = _compile_expression(S, "known_S")
+    if any(isinstance(node, ast.Name) and node.id == "n" for node in ast.walk(ast.parse(S))):
+        raise ValueError(f"known_S {S!r} uses n; known_S is the limit, a constant")
 
     def known_S(ctx):
         try:
             value = ctx.convert(eval(code, _expression_names(ctx, literals)))
         except (ArithmeticError, TypeError, ValueError) as exc:
-            raise ValueError(f"known_S {expr!r} fails: {_failure(exc)}") from None
+            raise ValueError(f"known_S {S!r} fails: {_failure(exc)}") from None
         if not ctx.isfinite(value):
-            raise ValueError(f"known_S {expr!r} is not finite: {ctx.nstr(value)}")
+            raise ValueError(f"known_S {S!r} is not finite: {ctx.nstr(value)}")
         return value
 
     return known_S

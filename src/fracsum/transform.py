@@ -1,10 +1,10 @@
 """User-facing acceleration driver.
 
 ``accelerate`` takes the schedule prefix R once, accumulates the partial
-sums, runs the W-algorithm and selects an answer from the j = 0 diagonal
-by the rows of ``estimate_errors`` (Gamma*u, Lambda*u and Lambda*u/|A|,
-with u = ``ctx.eps``), built once per run and returned as
-``AccelerationResult.rows``.  Builtin products arrive as the series of
+sums, runs the W-algorithm and answers with the deepest j = 0 diagonal
+entry of least ``score``.  ``estimate_errors`` is the one pass that makes
+the diagonal's rows (Gamma*u, Lambda*u, Lambda*u/|A| with u = ``ctx.eps``,
+and the score); builtin products arrive as the series of
 ``series_model.product_to_series``.
 """
 
@@ -15,7 +15,7 @@ from typing import Optional
 
 from .numerics import resolve_scalar
 from .sampling import Schedule, _check_integer
-from .series_model import SeriesProblem, sums_and_terms
+from .series_model import SeriesProblem, _known_S_spec, sums_and_terms
 from .w_algorithm import ExtrapolationTable, build_table
 
 __all__ = [
@@ -31,10 +31,9 @@ __all__ = [
 class AccelerationResult:
     """Outcome of one acceleration run.
 
-    ``value`` is the entry at ``best = (j, n)``; ``est_abs_error`` and
-    ``est_rel_error`` are the stability-based estimates Lambda*u and
-    Lambda*u/|value| there.  ``rows`` are the ``estimate_errors`` rows and
-    ``scores`` the per-n selection metric minimized over them (``_select``).
+    ``rows`` are the ``estimate_errors`` rows, ``best = (0, n)`` the deepest
+    of least ``score``, and ``value``, ``est_abs_error`` and
+    ``est_rel_error`` that row's ``value``, ``est_abs`` and ``est_rel``.
     """
 
     table: ExtrapolationTable
@@ -42,52 +41,7 @@ class AccelerationResult:
     value: object
     est_abs_error: object
     est_rel_error: object
-    scores: list
     rows: list
-
-
-def _select(table: ExtrapolationTable, known_S=None) -> AccelerationResult:
-    """Pick the diagonal entry with the smallest combined error metric.
-
-    The stability part of the score is max(Gamma*u, Lambda*u/|A|), the
-    attainable relative accuracy at entry n.  On its own it is useless
-    early in the diagonal (it is smallest at n = 0, where nothing has
-    converged yet), so it is combined with the realized convergence
-    signal |A_n - A_{n-1}|/|A_n|; the score bottoms out at the
-    instability onset, after which added terms stop helping.  This
-    selection rule is a heuristic of this implementation, not part of
-    the algorithm.  The rows' true errors (from ``known_S``) are not read.
-    """
-    rows = estimate_errors(table, known_S)
-    scores = []
-    prev = None
-    for row in rows:
-        absa = abs(row.value)
-        # A = 0 with Lambda = 0 (A(0,0) = A_0 = 0 when sigma_hat < 0 and
-        # R_0 = 1) has no relative-error scale; Gamma*u alone remains
-        stab = row.est_gamma if absa == 0 and row.lam == 0 else max(row.est_gamma, row.est_rel)
-        if row.n == 0:
-            conv = table.ctx.one  # no convergence evidence yet: claim no digits
-        elif absa > 0:
-            conv = abs(row.value - prev) / absa
-        else:
-            conv = table.ctx.inf
-        scores.append(max(stab, conv))
-        prev = row.value
-    best_n = 0
-    for n, s in enumerate(scores):
-        if s <= scores[best_n]:  # ties resolve to the deeper entry
-            best_n = n
-    best = rows[best_n]
-    return AccelerationResult(
-        table=table,
-        best=(0, best_n),
-        value=best.value,
-        est_abs_error=best.est_abs,
-        est_rel_error=best.est_rel,
-        scores=scores,
-        rows=rows,
-    )
 
 
 def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> AccelerationResult:
@@ -100,7 +54,16 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
     R = schedule.prefix(depth + 1)
     sums, terms = sums_and_terms(problem, R[-1], ctx)
     table = build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
-    return _select(table, known_S)
+    rows = estimate_errors(table, known_S)
+    best = min(reversed(rows), key=lambda row: row.score)  # ties resolve to the deeper entry
+    return AccelerationResult(
+        table=table,
+        best=(0, best.n),
+        value=best.value,
+        est_abs_error=best.est_abs,
+        est_rel_error=best.est_rel,
+        rows=rows,
+    )
 
 
 def sum_trig(pair, schedule: Schedule, depth: int, ctx):
@@ -122,7 +85,7 @@ def sum_trig(pair, schedule: Schedule, depth: int, ctx):
 
 @dataclass
 class DiagnosticsRow:
-    """Per-entry diagnostics along the j = 0 diagonal."""
+    """Per-entry diagnostics along the j = 0 diagonal, with the entry's selection score."""
 
     n: int
     R: int
@@ -130,26 +93,41 @@ class DiagnosticsRow:
     value: object
     gamma: object
     lam: object
-    est_gamma: object  # Gamma * u: attainable relative accuracy, convergent case
     est_abs: object  # Lambda * u
     est_rel: object  # Lambda * u / |value|
+    score: object  # max(stability part, convergence signal); see estimate_errors
     sample_error: Optional[object] = None  # |A_{R_n} - S|, when S is known
     true_error: Optional[object] = None  # |A(0,n) - S|, when S is known
 
 
 def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
-    """Diagnostics rows for the j = 0 diagonal.
+    """Diagnostics rows for the j = 0 diagonal, each with its selection score.
 
-    When ``known_S`` is given the true errors are included; they are
-    reporting-only and never feed back into entry selection.
+    The stability part of ``score`` is max(Gamma*u, Lambda*u/|A|), the
+    attainable relative accuracy at entry n; A = 0 with Lambda = 0
+    (A(0,0) = A_0 = 0 when sigma_hat < 0 and R_0 = 1) has no relative-error
+    scale, and Gamma*u alone remains.  That part is smallest at n = 0, where
+    nothing has converged yet, so the score is its max with the realized
+    convergence signal |A(0,n) - A(0,n-1)|/|A(0,n)| (1 at n = 0, claiming
+    no digits; inf at A = 0), and it bottoms out at the instability onset.
+    This rule is a heuristic of this implementation, not of the algorithm.
+    ``known_S`` is read as ``SeriesProblem`` reads it; the true errors it
+    gives are reporting-only and never feed the score.
     """
     ctx = table.ctx
     u = ctx.eps
-    S = resolve_scalar(known_S, ctx)
+    S = resolve_scalar(_known_S_spec(known_S), ctx)
     rows = []
     columns = zip(table.R, table.samples, table.A, table.gamma, table.lam)
     for n, (R_n, sample, value, gam, lam) in enumerate(columns):
         absv = ctx.convert(abs(value))
+        est_gamma, est_abs = gam * u, lam * u
+        est_rel = est_abs / absv if absv > 0 else ctx.inf
+        stab = est_gamma if absv == 0 and lam == 0 else max(est_gamma, est_rel)
+        if n == 0:
+            conv = ctx.one
+        else:
+            conv = abs(value - table.A[n - 1]) / absv if absv > 0 else ctx.inf
         rows.append(
             DiagnosticsRow(
                 n=n,
@@ -158,9 +136,9 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
                 value=value,
                 gamma=gam,
                 lam=lam,
-                est_gamma=gam * u,
-                est_abs=lam * u,
-                est_rel=lam * u / absv if absv > 0 else ctx.inf,
+                est_abs=est_abs,
+                est_rel=est_rel,
+                score=max(stab, conv),
                 sample_error=ctx.convert(abs(sample - S)) if S is not None else None,
                 true_error=ctx.convert(abs(value - S)) if S is not None else None,
             )

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,26 @@ def test_cli_classify_refuses_a_negative_or_nan_zero_tol(capsys):
             "", f"fracsum: error: zero_tol must be nonnegative, got {float(tol)!r}\n")
     assert main(["classify", "--m", "2", "--mu", "0", "--c", "1,0,-3/2", "--zero-tol", "0"]) == 0
     assert "verdict = converges: Q = 0 and Re gamma < -1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ("nan,1", "c_0 must be finite, got (nan+0j)"),
+    ("1,nan", "c_1 must be finite, got (nan+0j)"),
+    ("inf,1", "c_0 must be finite, got (inf+0j)"),
+])
+def test_cli_classify_refuses_non_finite_coefficients(capsys, coeffs, message):
+    # these printed a verdict: diverges-finite-part, a Hadamard finite part, diverges-strongly
+    assert main(["classify", "--m", "1", "--c", coeffs]) == 1
+    assert capsys.readouterr() == ("", f"fracsum: error: {message}\n")
+
+
+def test_cli_classify_far_log_term_boundary(capsys):
+    # the boundary scan stepped through 10**400 integers
+    start = time.perf_counter()
+    assert main(["classify", "--m", "1", "--c", "1,1e400"]) == 0
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert out.endswith(f"verdict = indeterminate: gamma = {10**400 + 1}/1 - 1: log-term boundary case\n")
 
 
 def test_cli_classify_complex(capsys):

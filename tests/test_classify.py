@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from fracsum.classify import (
     RatioExpansion,
+    StructuralParameters,
     Verdict,
     convergence_verdict,
     epsilons_from_ratio,
@@ -114,6 +117,65 @@ def test_structure_negative_s():
 def test_structure_positive_s():
     sp = structure_from_ratio(RatioExpansion(Fraction(3, 2), 2, (1, 0, 0)))
     assert sp.sigma == Fraction(-3, 2) and sp.q == -3
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("-inf"), complex(1, float("nan")), complex(float("inf"), 0),
+    mpmath.mpf("nan"), mpmath.mpf("-inf"), mpmath.mpc(0, "inf"), mpmath.mpc("nan", 1),
+], ids=repr)
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_ratio_expansion_refuses_non_finite_coefficients(bad, i):
+    # a NaN c_0 gave diverges-finite-part, a NaN c_2 a Hadamard finite part
+    c = [1, 0, Fraction(-3, 2)]
+    c[i] = bad
+    with pytest.raises(ValueError, match=rf"^c_{i} must be finite, got "):
+        RatioExpansion(0, 2, c)
+    assert RatioExpansion(0, 1, (1, mpmath.mpf("1e400"))).c[1] > 0  # large is finite
+
+
+def _boundary_by_scan(gamma, m, zero_tol):
+    """i of the first log-term boundary gamma = i/m - 1, scanning i = 0, 1, ... (or None)."""
+    scaled = gamma * m
+    tol = m * zero_tol
+    i = 0
+    while i - m <= scaled + (tol if zero_tol else 0):
+        if (scaled - (i - m) == 0) if tol == 0 else abs(scaled - (i - m)) <= tol:
+            return i
+        i += 1
+    return None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_log_term_boundary_matches_the_scan(m):
+    gammas = {Fraction(p, q) for q in range(1, 7) for p in range(-8 * q, 3 * q + 1)}
+    for gamma in sorted(gammas):
+        for g in (gamma, float(gamma), mpmath.mpf(gamma.numerator) / gamma.denominator):
+            # an mpf does not compare with a Fraction
+            exact_tols = () if isinstance(g, mpmath.mpf) else (Fraction(1, 12),)
+            for zero_tol in (0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 1) + exact_tols:
+                sp = StructuralParameters(mu=Fraction(0), m=m, theta=(0,) * m, gamma=g,
+                                          zeta=1, sigma=Fraction(1), q=m)
+                i = _boundary_by_scan(g, m, zero_tol)
+                if i is not None:
+                    expected = Verdict("indeterminate", f"gamma = {i}/{m} - 1: log-term boundary case")
+                elif g < -1:
+                    expected = Verdict("converges", "Q = 0 and Re gamma < -1")
+                else:
+                    expected = Verdict("diverges-finite-part",
+                                       "Q = 0 and Re gamma >= -1: Hadamard finite part")
+                assert convergence_verdict(sp, zero_tol) == expected, (g, m, zero_tol)
+
+
+def test_far_log_term_boundary_is_found_at_once():
+    # the scan took 5.4 s for gamma = 10**7, and never ended for 10**400
+    start = time.perf_counter()
+    for c1, i in ((10**7, 10**7 + 1), (Fraction(10**400), 10**400 + 1)):
+        sp = structure_from_ratio(RatioExpansion(0, 1, (1, c1)))
+        assert convergence_verdict(sp) == Verdict(
+            "indeterminate", f"gamma = {i}/1 - 1: log-term boundary case")
+    sp = structure_from_ratio(RatioExpansion(0, 1, (1, mpmath.mpf("1e400"))))
+    assert convergence_verdict(sp).kind == "indeterminate"
+    assert time.perf_counter() - start < 1
 
 
 def test_verdict_cases():

@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
+from fracsum import transform
 from fracsum.sampling import make_aps, make_gps, parse_schedule
 from fracsum.series_model import (
     ProductProblem,
     SeriesProblem,
+    builtin_ids,
     builtin_problem,
     load_problem,
     product_to_series,
@@ -14,8 +18,8 @@ from fracsum.transform import (
     estimate_errors,
     sum_trig,
 )
-from fracsum.numerics import NotANumberError
-from fracsum.w_algorithm import ZeroTermError
+from fracsum.numerics import DOUBLE, QUAD, NotANumberError, make_context
+from fracsum.w_algorithm import ExtrapolationTable, ZeroTermError
 
 from columns import problem_columns
 from oracles import cos_sqrt_reference
@@ -53,10 +57,11 @@ def test_negative_sigma_hat_with_zero_first_ordinate(qctx):
     # stability part of that entry's score is Gamma*u, so its score is 1, not inf
     problem, _ = load_problem({"expression": "power(-1,n)/n", "m": 1, "sigma_hat": -1})
     res = accelerate(problem, make_aps(1, 1), 0, qctx)
-    assert (res.best, res.value, res.est_abs_error, res.scores) == ((0, 0), 0, 0, [1])
+    assert (res.best, res.value, res.est_abs_error) == ((0, 0), 0, 0)
+    assert [r.score for r in res.rows] == [1]
     assert res.est_rel_error == qctx.inf
     res = accelerate(problem, make_aps(1, 1), 20, qctx)
-    assert (res.best, res.scores[:2]) == ((0, 20), [1, 1])
+    assert (res.best, [r.score for r in res.rows[:2]]) == ((0, 20), [1, 1])
     assert (res.value, res.est_abs_error, res.est_rel_error) == tuple(map(qctx.mpf, (
         "-0.693147180559079048041782649636964154", "1.33495291090631643944382471321461805e-34",
         "1.92592994438723585305597794258492732e-34")))
@@ -72,8 +77,60 @@ def test_result_rows_are_the_diagnostics_rows(qctx, ident):
     # the selection never reads the true errors
     problem.known_S = None
     blind = accelerate(problem, make_gps(1.3), 16, qctx)
-    assert (blind.best, blind.value, blind.scores) == (res.best, res.value, res.scores)
+    assert (blind.best, blind.value) == (res.best, res.value)
+    assert [r.score for r in blind.rows] == [r.score for r in res.rows]
     assert [vars(r) for r in blind.rows] == [vars(r) for r in estimate_errors(blind.table)]
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=lambda p: p.name)
+def test_the_answer_is_the_deepest_row_of_least_score(precision):
+    ctx = make_context(precision)
+    for ident in builtin_ids():
+        res = accelerate(builtin_problem(ident), make_aps(1, 1), 24, ctx)
+        least = min(row.score for row in res.rows)
+        row = [row for row in res.rows if row.score == least][-1]
+        assert res.best == (0, row.n), ident
+        assert (res.value, res.est_abs_error, res.est_rel_error) == (
+            row.value, row.est_abs, row.est_rel), ident
+
+
+def test_hand_built_table_scores(qctx, monkeypatch):
+    # A(0,0) = 0 with Lambda = 0 scores max(Gamma*u, 1), not inf; A = 0 with
+    # Lambda > 0 scores inf; rows 2 and 3 tie at 1/2, and the deeper one wins
+    u, mpf = qctx.eps, qctx.mpf
+    A = [mpf(0), mpf(1), mpf(2), mpf(4), mpf(0)]
+    table = ExtrapolationTable(depth=4, ctx=qctx, R=[1, 2, 3, 4, 5], samples=A, A=A,
+                               gamma=[mpf(3)] * 5, lam=[mpf(0)] + [mpf(1)] * 4)
+    rows = estimate_errors(table)
+    assert [r.score for r in rows] == [1, 1, 0.5, 0.5, qctx.inf]
+    assert (rows[0].est_abs, rows[0].est_rel, rows[3].est_rel) == (0, qctx.inf, u / 4)
+    monkeypatch.setattr(transform, "build_table", lambda *args: table)
+    res = accelerate(SeriesProblem("ones", lambda n, ctx: ctx.one, m=1), make_aps(1, 1), 4, qctx)
+    assert (res.best, res.value, res.est_rel_error) == ((0, 3), 4, u / 4)
+    assert [vars(r) for r in res.rows] == [vars(r) for r in rows]
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=lambda p: p.name)
+def test_known_S_is_read_by_one_rule(precision):
+    # estimate_errors took True as S = 1, a NaN as S, and refused a string
+    ctx = make_context(precision)
+
+    def basel(n, ctx):
+        return 1 / ctx.mpf(n) ** 2
+
+    table = accelerate(SeriesProblem("basel", basel, m=1), make_aps(1, 1), 12, ctx).table
+    for bad, message in ((True, "known_S must be a number or an expression string, got True"),
+                         (float("nan"), "known_S must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SeriesProblem("basel", basel, m=1, known_S=bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_errors(table, bad)
+    problem = SeriesProblem("basel", basel, m=1, known_S="pi*pi/6")
+    rows = estimate_errors(table, "pi*pi/6")
+    assert [vars(r) for r in rows] == [vars(r) for r in estimate_errors(table, problem.known_S)]
+    assert rows[-1].true_error <= 1e-10
+    with pytest.raises(ValueError, match=r"^known_S 'n \+ 1' uses n; known_S is the limit, a constant$"):
+        estimate_errors(table, "n + 1")
 
 
 def test_product_with_known_limit(qctx):
@@ -192,7 +249,7 @@ def test_scale_equivariance_generic(qctx):
 )
 def test_best_entry_never_worse_than_first(qctx, ident, sched, depth):
     res = accelerate(builtin_problem(ident), parse_schedule(sched), depth, qctx)
-    assert res.scores[res.best[1]] <= res.scores[0]
+    assert res.rows[res.best[1]].score <= res.rows[0].score
     assert 0 <= res.best[1] <= depth
 
 
