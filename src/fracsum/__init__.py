@@ -36,7 +36,8 @@ from .transform import (
     estimate_errors,
     sum_trig,
 )
-from .w_algorithm import DegenerateDenominatorError, ExtrapolationTable, ZeroTermError, build_table
+from .w_algorithm import (DegenerateDenominatorError, ExtrapolationTable, WeightUnderflowError, ZeroTermError,
+                          build_table)
 
 __version__ = "0.1.0"
 
@@ -57,6 +58,7 @@ __all__ = [
     "StructuralParameters",
     "TelescopingFamily",
     "Verdict",
+    "WeightUnderflowError",
     "ZeroTermError",
     "accelerate",
     "build_table",

@@ -24,17 +24,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import finf, fnan, fninf, from_float, fzero
 
 from .classify import RatioExpansion, convergence_verdict, structure_from_ratio
-from .numerics import PRESETS, QUAD, Precision, make_context, resolve_scalar
+from .numerics import PRESETS, QUAD, Precision, make_context
 from .reference_tables import REFERENCE_TABLES, ReferenceTable, parse_number
 from .sampling import _check_integer, parse_schedule
-from .series_model import builtin_ids, builtin_problem, load_problem
+from .series_model import builtin_ids, builtin_problem, load_problem, resolve_known_S
 from .transform import accelerate
 
 __all__ = ["RunConfig", "TableRow", "RunReport", "run", "reproduce_all", "ReproduceReport", "main"]
@@ -269,7 +269,7 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
     u = ctx.eps
     problem = builtin_problem(ref.problem)
     result = accelerate(problem, parse_schedule(ref.schedule), ref.depth, ctx)
-    S = resolve_scalar(problem.known_S, ctx)
+    S = resolve_known_S(problem.known_S, ctx)
     absS = abs(S) if S is not None else None
 
     outcome = TableOutcome(ref)
@@ -279,10 +279,7 @@ def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
         if row.R != R:
             outcome.rows.append(RowOutcome(n, "fail", f"R_{n} = {row.R}, expected {R}"))
             continue
-        g_fix = parse_number(g, ctx)
-        l_fix = parse_number(l, ctx)
-        c3_fix = parse_number(c3, ctx)
-        c4_fix = parse_number(c4, ctx)
+        g_fix, l_fix, c3_fix, c4_fix = (parse_number(x, ctx) for x in (g, l, c3, c4))
 
         lam_cmp = row.lam / absS if ref.relative else row.lam
 
@@ -361,20 +358,10 @@ class ReproduceReport:
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
-        doc = {
-            "precision": self.precision,
-            "exit_code": self.exit_code,
-            "tables": [
-                {
-                    "problem": o.reference.problem,
-                    "schedule": o.reference.schedule,
-                    "rows": [
-                        {"n": r.n, "status": r.status, "detail": r.detail} for r in o.rows
-                    ],
-                }
-                for o in self.outcomes
-            ],
-        }
+        # a row's fields in their declared order are its keys
+        tables = [{"problem": o.reference.problem, "schedule": o.reference.schedule,
+                   "rows": [vars(r) for r in o.rows]} for o in self.outcomes]
+        doc = {"precision": self.precision, "exit_code": self.exit_code, "tables": tables}
         return json.dumps(doc, indent=2) + "\n"
 
 
@@ -479,15 +466,8 @@ def main(argv=None) -> int:
 def _command(args) -> int:
     """Run the parsed subcommand; its exit status."""
     if args.command == "run":
-        config = RunConfig(
-            problem=args.problem,
-            problem_file=args.problem_file,
-            schedule=args.schedule,
-            depth=args.depth,
-            precision=args.precision,
-            fmt=args.fmt,
-            stride=args.stride,
-        )
+        # the run options are RunConfig's fields, by name
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         sys.stdout.write(run(config).render(config.fmt))
         return 0
     if args.command == "classify":

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath.libmp import to_rational
+
 from .sampling import _check_integer
 
 __all__ = [
@@ -49,7 +51,7 @@ class RatioExpansion:
         if len(self.c) != self.m + 1:
             raise ValueError("c must list c_0..c_m")
         for i, c in enumerate(self.c):
-            if not all(x == x and abs(x) != math.inf for x in (_re(c), _im(c))):
+            if not _finite(c):
                 raise ValueError(f"c_{i} must be finite, got {c}")
         s = self.mu * self.m
         if s.denominator != 1:
@@ -73,8 +75,23 @@ class StructuralParameters:
     q: int
 
 
+def _finite(x) -> bool:
+    return all(v == v and abs(v) != math.inf for v in (_re(x), _im(x)))
+
+
+def _exactly(*values):
+    """Values that compare: beside a Fraction, an mpf is its exact Fraction (a float if not finite)."""
+    if any(isinstance(v, Fraction) for v in values):
+        values = [(Fraction(*to_rational(v._mpf_)) if _finite(v) else float(v)) if hasattr(v, "_mpf_") else v
+                  for v in values]
+    return values
+
+
 def _is_zero(x, tol) -> bool:
-    return x == 0 if tol == 0 else abs(x) <= tol
+    if tol == 0:
+        return x == 0
+    x, tol = _exactly(abs(x), tol)
+    return x <= tol
 
 
 def _check_zero_tol(zero_tol) -> None:
@@ -125,7 +142,8 @@ def structure_from_ratio(ratio: RatioExpansion, ctx=None, zero_tol=0) -> Structu
     theta_i = eps_i / (1 - i/m) for 1 <= i < m; gamma = eps_m.  ``ctx``
     is required only when c_0 != 1 (to take the logarithm).  ``zero_tol``
     relaxes the zero/one tests for numerically fitted coefficients; a
-    negative or NaN ``zero_tol`` raises ``ValueError``.
+    negative or NaN ``zero_tol`` raises ``ValueError``, and so does a
+    theta_i or gamma that finite coefficients overflow.
     """
     _check_zero_tol(zero_tol)
     m = ratio.m
@@ -147,6 +165,9 @@ def structure_from_ratio(ratio: RatioExpansion, ctx=None, zero_tol=0) -> Structu
         e = eps[i - 1]
         theta.append(0 if e == 0 else e * m / (m - i))
     gamma = eps[m - 1]
+    for name, x in [(f"theta_{i}", th) for i, th in enumerate(theta)] + [("gamma", gamma)]:
+        if not _finite(x):
+            raise ValueError(f"{name} = {x} is not finite: the coefficients c overflow it")
 
     s = ratio.s
     if s > 0:
@@ -244,8 +265,8 @@ def convergence_verdict(sp: StructuralParameters, zero_tol=0) -> Verdict:
     # Q identically zero: a_n ~ n^gamma w(n).  Exclude gamma + 1 = i/m
     # boundaries, where the partial sums pick up a log term.
     if _is_zero(_im(gamma), zero_tol):
-        scaled = _re(gamma) * m  # compare m*gamma against integers k = i - m >= -m
-        tol = m * zero_tol if zero_tol else 0
+        # compare m*gamma against integers k = i - m >= -m
+        scaled, tol = _exactly(_re(gamma) * m, m * zero_tol if zero_tol else 0)
         # the first k within tol of m*gamma is the ceiling of scaled - tol, or
         # a neighbour of it where that difference rounds; the exact tests decide
         first = max(-m, _ceil(scaled - tol) - 1)

@@ -41,9 +41,9 @@ mpmath's functions.  ``loggamma`` is always mpmath's ``mpf_loggamma``.
 Binary64 floats keep their native operators and ``math.sqrt``, and take
 ``pow`` and ``exp`` from the same kernels at 53 bits and ``loggamma``
 from mpmath's; the binary64 context's own ``sqrt``, ``power``, ``exp``
-and ``loggamma`` run these four kernels too, wherever they take the
-arguments, so every caller at binary64 gets them.  Complex values keep
-their native operators and the context's own functions.
+and ``loggamma`` run these four kernels too, through one wrapper, where
+they take the arguments, so every caller at binary64 gets them.  Complex
+values keep their native operators and the context's own functions.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ __all__ = [
     "NotANumberError",
     "make_context",
     "precision_of",
-    "resolve_scalar",
     "check_range",
     "LoopArithmetic",
     "loop_arithmetic",
@@ -172,6 +171,53 @@ def _raw(x):
     return sign, MPZ(man), exp, man.bit_length()
 
 
+# The functions of the float arithmetic: the raw kernels at 53 bits on
+# floats, with the bits of Binary64Context's functions.  Expressions call
+# pow, exp and loggamma on ints too.
+def _float_pow(x, y):
+    return to_float(_exp_pow(53).pow(_raw(x), _raw(y)))
+
+
+def _float_sqrt(x):
+    return math.sqrt(x) + 0.0  # sqrt(-0.0) is -0.0, and mpmath's is its one zero
+
+
+def _float_exp(x):
+    # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
+    if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
+        n, d = x.as_integer_ratio()
+        result = _exp_pow(53).exp_fixed((n << 75) >> (d.bit_length() - 1))
+        if result is not None:
+            try:
+                return math.ldexp(*result)  # to_float's step, subnormals included
+            except OverflowError:
+                return math.inf
+    return to_float(_exp_pow(53).exp(_raw(x)))
+
+
+def _float_loggamma(x):
+    return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
+
+
+def _kernel_function(name, kernel, types):
+    """Binary64Context's *name*: *kernel* where every argument's type is one of *types*.
+
+    A keyword, another type, or a kernel that raises (a complex result, a
+    pole) calls mpmath's function at 53 bits, its real result demoted.
+    """
+
+    def function(self, *args, **kwargs):
+        if not kwargs and all(type(x) in types for x in args):
+            try:
+                return kernel(*args)
+            except (ArithmeticError, ValueError):
+                pass
+        return self._demote(getattr(self._mp, name)(*args, **kwargs))
+
+    function.__name__ = name
+    return function
+
+
 class Binary64Context:
     """IEEE binary64 arithmetic that gives the same bits as mpmath at 53 bits.
 
@@ -179,14 +225,14 @@ class Binary64Context:
     run natively: IEEE round-to-nearest-even is mpmath's 53-bit rounding
     ``"n"``.  ``convert`` and ``mpf``, which ``sums_and_terms`` calls once
     per term, return a float or int as a float without mpmath.  ``power``,
-    ``exp`` and ``loggamma`` of floats and ints, and ``sqrt`` of a float,
-    are the float arithmetic's kernels (``_FLOAT_KERNELS``), for every
+    ``exp``, ``loggamma`` and ``sqrt`` are :func:`_kernel_function`'s: the
+    float kernels on floats and ints (floats only for ``sqrt``), for every
     caller: a term expression, a user's term function, ``h`` of a
     trigonometric pair and the native loop arithmetic.  Where a kernel
     raises (a complex result, a pole) or does not take the arguments, and
     for every other function and constant (``log``, ``mag``, ``isnan``,
-    ``dps``, ...), the context is a private 53-bit ``MPContext``, with a
-    real result turned into its float.  Per term, the hot loops and the
+    ``dps``, ..., through ``__getattr__``), the context is a private 53-bit
+    ``MPContext``, with a real result turned into its float.  Per term, the hot loops and the
     builtin terms call none of them: their kernels are
     :func:`loop_arithmetic`'s.  Complex scalars are that
     context's ``mpc`` values, and it renders ``nstr``.  Unlike that context,
@@ -203,6 +249,12 @@ class Binary64Context:
     pi = to_float(mpf_pi(53, round_nearest))
     e = to_float(mpf_e(53, round_nearest))
 
+    # math.sqrt rounds an int past 2^53 before its root, so sqrt's kernel takes floats only
+    power = _kernel_function("power", _float_pow, (float, int))
+    sqrt = _kernel_function("sqrt", _float_sqrt, (float,))
+    exp = _kernel_function("exp", _float_exp, (float, int))
+    loggamma = _kernel_function("loggamma", _float_loggamma, (float, int))
+
     def __init__(self, precision: Precision):
         self._mp = _mpmath_context(precision)
         self._fracsum_precision = precision
@@ -217,29 +269,6 @@ class Binary64Context:
 
         def method(*args, **kwargs):
             return self._demote(value(*args, **kwargs))
-
-        if name in _FLOAT_KERNELS:  # the float kernel where it takes the call, else mpmath's
-            kernel, types = _FLOAT_KERNELS[name]
-            fallback = method
-            if name == "power":  # mpmath's power takes no keywords
-
-                def method(x, y):
-                    if type(x) in types and type(y) in types:
-                        try:
-                            return kernel(x, y)
-                        except (ArithmeticError, ValueError):  # a complex result, a pole
-                            pass
-                    return fallback(x, y)
-
-            else:
-
-                def method(x, **kwargs):
-                    if type(x) in types and not kwargs:
-                        try:
-                            return kernel(x)
-                        except (ArithmeticError, ValueError):
-                            pass
-                    return fallback(x, **kwargs)
 
         method.__name__ = name
         # kept on the instance: the next lookup of the name does not come here
@@ -358,40 +387,6 @@ def _mpf_kernels(prec, rnd):
         "exp": lambda x: mpf_exp(x, prec, rnd),
         "loggamma": lambda x: mpf_loggamma(x, prec, rnd),
     }
-
-
-# The functions of the float arithmetic: the raw kernels at 53 bits on
-# floats, with the bits of Binary64Context's functions.  Expressions call
-# pow, exp and loggamma on ints too.
-def _float_pow(x, y):
-    return to_float(_exp_pow(53).pow(_raw(x), _raw(y)))
-
-
-def _float_sqrt(x):
-    return math.sqrt(x) + 0.0  # sqrt(-0.0) is -0.0, and mpmath's is its one zero
-
-
-def _float_exp(x):
-    # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
-    if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
-        n, d = x.as_integer_ratio()
-        result = _exp_pow(53).exp_fixed((n << 75) >> (d.bit_length() - 1))
-        if result is not None:
-            try:
-                return math.ldexp(*result)  # to_float's step, subnormals included
-            except OverflowError:
-                return math.inf
-    return to_float(_exp_pow(53).exp(_raw(x)))
-
-
-def _float_loggamma(x):
-    return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
-
-
-# Binary64Context's functions that run these kernels first, with the argument
-# types each takes exactly: math.sqrt rounds an int past 2^53 before its root
-_FLOAT_KERNELS = {"power": (_float_pow, (float, int)), "sqrt": (_float_sqrt, (float,)),
-                  "exp": (_float_exp, (float, int)), "loggamma": (_float_loggamma, (float, int))}
 
 
 # The widest exponent offset at which add and sub form the exact aligned sum.
@@ -816,15 +811,6 @@ def precision_of(ctx) -> Precision:
             f"{type(ctx).__name__} context has no fracsum precision; "
             f"make one with fracsum.make_context"
         ) from None
-
-
-def resolve_scalar(spec, ctx):
-    """Materialize a scalar spec: a callable of ctx, a number, or None."""
-    if spec is None:
-        return None
-    if callable(spec):
-        return spec(ctx)
-    return ctx.convert(spec)
 
 
 def check_range(x, ctx, where: str, *args) -> None:

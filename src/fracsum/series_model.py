@@ -21,10 +21,11 @@ starts a fresh stream with the same operations.  A product's stream reads
 its factors from an iterator of its own, so a product has one adapter
 too.  The parked generators are the only per-context state.  The paper's
 factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log domain and
-exponentiated once: telescoping deltas, both exponents of a trigonometric
-pair and the exponential builtins each hold a :class:`_LogFactor`, whose
-``loop(ctx)`` binds its constants, and the log of (n!)^(s/m) is
-``loggamma(n + 1)`` times s/m.  The streams and the factor run on
+exponentiated once: a :class:`_LogFactor`, whose ``loop(ctx)`` binds its
+constants; the log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  One
+stream, :func:`_delta_stream`, serves the telescoping families and the
+exponential builtins; both exponents of a trigonometric pair hold a
+factor too.  The streams and the factor run on
 ``numerics.loop_arithmetic`` of the context and of their constants: raw
 ``libmp`` tuples at an mpmath preset, floats at binary64, and the
 context's own operators once a constant or a value is complex.  Each
@@ -34,8 +35,8 @@ context through ``ctx.convert``; an expression calls the context's own
 functions, which at binary64 run the float arithmetic's kernels where
 they take the arguments.  A ``known_S`` string, from a problem file or
 from Python, is an expression of constants, compiled when the
-:class:`SeriesProblem` is built; ``transform.estimate_errors`` reads its
-``known_S`` by the same rule.
+:class:`SeriesProblem` is built; :func:`resolve_known_S` is the one
+resolver of a limit, for ``SeriesProblem`` and every other caller.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ __all__ = [
     "builtin_problem",
     "builtin_ids",
     "load_problem",
+    "resolve_known_S",
 ]
 
 TermFn = Callable[[int, object], object]
@@ -255,33 +257,38 @@ class TelescopingFamily:
             raise ValueError("degenerate family: delta_n constant, a_n identically zero")
 
 
-def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
-    """Series problem for a telescoping family; the limit/antilimit is -1.
+def _delta_stream(factor: _LogFactor, kind: int, alternating: bool):
+    """The one stream of the paper's factor delta_n = exp(factor.log(n)), delta_0 = 1.
 
-    The stream hands delta_n on to the next term, so in-order terms
-    evaluate one new delta each and a term at any other index two.  The
-    deltas come from the family's factor and combine in its arithmetic.
+    a_n = +-delta_n (kind 0), +-(delta_n - delta_{n-1}) (kind 1) or
+    +-(delta_n + delta_{n-1}) (kind 2), the sign (-1)^n when *alternating*.
+    Kinds 1 and 2 hand delta_n on to the next term, so in-order terms
+    evaluate one new delta each and a term at any other index two; kind 0
+    reads no delta_{n-1}.  The deltas combine in the factor's arithmetic.
     """
-    m = family.m
-    factor = _LogFactor(family.s, m, ((th, Fraction(m - i, m)) for i, th in enumerate(family.theta)))
 
     def stream(ctx, start):
         ar, log = factor.loop(ctx)
-        lower, add, sub, mul, exp = ar.lower, ar.add, ar.sub, ar.mul, ar.exp
+        lower, mul, exp = ar.lower, ar.mul, ar.exp
+        combine = ar.sub if kind == 1 else ar.add
         minus_one = ar.from_int(-1)
-        d0 = exp(log(start - 1)) if start > 1 else ar.one  # delta_{n-1}
+        d0 = exp(log(start - 1)) if kind and start > 1 else ar.one  # delta_{n-1}
         for n in count(start):
             d1 = exp(log(n))
-            if family.kind == 1:
-                yield lower(sub(d1, d0))
-            else:
-                a = add(d1, d0)
-                yield lower(mul(a, minus_one) if n % 2 else a)
+            a = combine(d1, d0) if kind else d1
+            yield lower(mul(a, minus_one) if alternating and n % 2 else a)
             d0 = d1
 
+    return stream
+
+
+def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
+    """Series problem for a telescoping family; the limit/antilimit is -1."""
+    m = family.m
+    factor = _LogFactor(family.s, m, ((th, Fraction(m - i, m)) for i, th in enumerate(family.theta)))
     return SeriesProblem(
         name=f"telescoping(kind={family.kind}, s={family.s}, m={family.m})",
-        term=_term(stream),
+        term=_term(_delta_stream(factor, family.kind, family.kind == 2)),
         m=family.m,
         known_S=-1,
         meta={"family": family},
@@ -446,22 +453,9 @@ def _family(kind, s, theta):
 
 
 def _exponential(s, pairs, alternating=False):
-    """a_n = (+-1)^n (n!)^(s/2) exp(sum(c * n^p)) over the (c, p) pairs."""
-
-    def build(name):
-        factor = _LogFactor(s, 2, pairs)
-
-        def stream(ctx, start):
-            ar, log = factor.loop(ctx)
-            lower, mul, exp = ar.lower, ar.mul, ar.exp
-            minus_one = ar.from_int(-1)
-            for n in count(start):
-                a = exp(log(n))
-                yield lower(mul(a, minus_one) if alternating and n % 2 else a)
-
-        return SeriesProblem(name, _term(stream), m=2)
-
-    return build
+    """a_n = (+-1)^n (n!)^(s/2) exp(sum(c * n^p)) over the (c, p) pairs: kind 0 of the delta stream."""
+    stream = _delta_stream(_LogFactor(s, 2, pairs), 0, alternating)
+    return lambda name: SeriesProblem(name, _term(stream), m=2)
 
 
 _BUILTINS = {  # id: (builder, description)
@@ -640,7 +634,7 @@ def _expression_term(expr: str) -> TermFn:
 
 
 def _known_S_spec(S):
-    """known_S checked, as a scalar spec for ``numerics.resolve_scalar``.
+    """known_S checked, as the spec that :func:`resolve_known_S` resolves.
 
     None, a callable of ctx and a finite number pass as they are; a string
     becomes the callable that gives its expression's value in a context.
@@ -667,6 +661,12 @@ def _known_S_spec(S):
         return value
 
     return known_S
+
+
+def resolve_known_S(S, ctx):
+    """The limit *S*, checked by ``_known_S_spec``, as a scalar of ctx (None stays None)."""
+    S = _known_S_spec(S)
+    return S if S is None else S(ctx) if callable(S) else ctx.convert(S)
 
 
 _BUILTIN_KEYS = ("builtin", "name", "schedule")

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import resolve_scalar
 from .sampling import Schedule, _check_integer
-from .series_model import SeriesProblem, _known_S_spec, sums_and_terms
+from .series_model import SeriesProblem, resolve_known_S, sums_and_terms
 from .w_algorithm import ExtrapolationTable, build_table
 
 __all__ = [
@@ -50,7 +49,7 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
     ``problem.known_S`` is resolved, and so may raise, before any term is evaluated.
     """
     _check_integer(depth, "depth", 0)
-    known_S = resolve_scalar(problem.known_S, ctx)
+    known_S = resolve_known_S(problem.known_S, ctx)
     R = schedule.prefix(depth + 1)
     sums, terms = sums_and_terms(problem, R[-1], ctx)
     table = build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
@@ -111,12 +110,12 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
     convergence signal |A(0,n) - A(0,n-1)|/|A(0,n)| (1 at n = 0, claiming
     no digits; inf at A = 0), and it bottoms out at the instability onset.
     This rule is a heuristic of this implementation, not of the algorithm.
-    ``known_S`` is read as ``SeriesProblem`` reads it; the true errors it
-    gives are reporting-only and never feed the score.
+    ``known_S`` is read by ``series_model.resolve_known_S``; the true
+    errors it gives are reporting-only and never feed the score.
     """
     ctx = table.ctx
     u = ctx.eps
-    S = resolve_scalar(_known_S_spec(known_S), ctx)
+    S = resolve_known_S(known_S, ctx)
     rows = []
     columns = zip(table.R, table.samples, table.A, table.gamma, table.lam)
     for n, (R_n, sample, value, gam, lam) in enumerate(columns):

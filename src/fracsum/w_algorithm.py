@@ -46,6 +46,7 @@ from .numerics import Binary64Context, check_range, loop_arithmetic
 
 __all__ = [
     "ZeroTermError",
+    "WeightUnderflowError",
     "DegenerateDenominatorError",
     "ExtrapolationTable",
     "build_table",
@@ -62,6 +63,10 @@ class ZeroTermError(ValueError):
             message += (" (in binary64 it may have underflowed below 2^-1074; "
                         "--precision quad has the wider range)")
         super().__init__(message)
+
+
+class WeightUnderflowError(ZeroDivisionError):
+    """The remainder weight r^sigma_hat * a_r of a nonzero term underflowed to zero."""
 
 
 class DegenerateDenominatorError(ZeroDivisionError):
@@ -150,6 +155,10 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         # the weight r^sigma_hat and the node t_l = r^(-1/m), with the bits of ctx.power
         x = ar.from_int(r)
         omega = lower(ar.pow(x, sigma)) * a
+        if omega == 0:
+            raise WeightUnderflowError(
+                f"remainder weight omega_{r} = {r}^({sigma_hat}) * a_{r} underflowed to zero, "
+                f"with a_{r} = {ctx.nstr(a)}; --precision quad has the wider range")
         tl = ar.pow(x, inv_m)
         mx = sample / omega
         nx = 1 / omega

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 from fracsum.bench_cli import reproduce_all
 from fracsum.classify import RatioExpansion, structure_from_ratio
-from fracsum.numerics import DOUBLE, QUAD, make_context, resolve_scalar
+from fracsum.numerics import DOUBLE, QUAD, make_context
 from fracsum.sampling import make_gps, parse_schedule
-from fracsum.series_model import builtin_ids, builtin_problem, sums_and_terms
+from fracsum.series_model import builtin_ids, builtin_problem, resolve_known_S, sums_and_terms
 from fracsum.transform import accelerate
 
 from columns import columns
@@ -91,7 +91,7 @@ def test_criterion_6_instability_onset():
 
 
 def test_criterion_7_product_with_known_limit():
-    S = resolve_scalar(builtin_problem("ex7_1").known_S, CTX)
+    S = resolve_known_S(builtin_problem("ex7_1").known_S, CTX)
     res_gps = _accelerated("ex7_1", "gps:1.3", 32)
     assert abs(res_gps.table.A[20] - S) / abs(S) <= 1e-23
     res_aps = _accelerated("ex7_1", "aps:1,1", 32)
@@ -212,7 +212,7 @@ def test_criterion_11_estimator_reliability():
     for ident, sched, depth in cases:
         problem = builtin_problem(ident)
         res = _accelerated(ident, sched, depth)
-        S = resolve_scalar(problem.known_S, CTX)
+        S = resolve_known_S(problem.known_S, CTX)
         true_rel = abs(res.value - S) / abs(S)
         assert true_rel <= 100 * res.est_rel_error, (ident, sched)
     _ok(11, "true relative error at the selected entry <= 100x the estimate")

@@ -481,6 +481,19 @@ def test_cli_degenerate_denominator_is_named(tmp_path, capsys):
     assert "sigma_hat" in err
 
 
+def test_cli_names_an_underflowed_weight(capsys):
+    # a_2 = 5e-324 is nonzero, but its weight 2^-1 * a_2 underflows to 0.0 in binary64
+    spec = json.dumps({"expression": 'mpf("5e-324")', "m": 1, "sigma_hat": -1})
+    argv = ["run", "--problem-file", spec, "--depth", "4"]
+    with pytest.raises(fracsum.WeightUnderflowError):
+        run(RunConfig(problem_file=spec, depth=4, precision="double"))
+    assert main(argv + ["--precision", "double"]) == 1
+    assert capsys.readouterr().err == (
+        "fracsum: error: remainder weight omega_2 = 2^(-1) * a_2 underflowed to zero, "
+        "with a_2 = 4.94066e-324; --precision quad has the wider range\n")
+    assert main(argv + ["--precision", "quad"]) == 0
+
+
 def test_every_public_name_resolves():
     modules = [fracsum] + [importlib.import_module(f"fracsum.{info.name}")
                            for info in pkgutil.iter_modules(fracsum.__path__)]

@@ -133,6 +133,16 @@ def test_ratio_expansion_refuses_non_finite_coefficients(bad, i):
     assert RatioExpansion(0, 1, (1, mpmath.mpf("1e400"))).c[1] > 0  # large is finite
 
 
+@pytest.mark.parametrize("m, c, name", [
+    (2, (1, 1e200j, 1), "gamma"),  # gamma = 1 - (1e200j)^2 / 2
+    (3, (1, 1e200, 0, 0), "theta_2"),  # theta_2 = -3 * (1e200)^2 / 2
+])
+def test_structure_refuses_an_overflowed_theta_or_gamma(m, c, name):
+    # gamma = (inf+nanj) gave the verdict diverges-finite-part
+    with pytest.raises(ValueError, match=rf"^{name} = .* is not finite: the coefficients c overflow it$"):
+        structure_from_ratio(RatioExpansion(0, m, c))
+
+
 def _boundary_by_scan(gamma, m, zero_tol):
     """i of the first log-term boundary gamma = i/m - 1, scanning i = 0, 1, ... (or None)."""
     scaled = gamma * m
@@ -150,12 +160,12 @@ def test_log_term_boundary_matches_the_scan(m):
     gammas = {Fraction(p, q) for q in range(1, 7) for p in range(-8 * q, 3 * q + 1)}
     for gamma in sorted(gammas):
         for g in (gamma, float(gamma), mpmath.mpf(gamma.numerator) / gamma.denominator):
-            # an mpf does not compare with a Fraction
-            exact_tols = () if isinstance(g, mpmath.mpf) else (Fraction(1, 12),)
-            for zero_tol in (0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 1) + exact_tols:
+            for zero_tol in (0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 1, Fraction(1, 12)):
                 sp = StructuralParameters(mu=Fraction(0), m=m, theta=(0,) * m, gamma=g,
                                           zeta=1, sigma=Fraction(1), q=m)
-                i = _boundary_by_scan(g, m, zero_tol)
+                # beside a Fraction tolerance an mpf is compared as its exact value (53 bits: a float)
+                exact = isinstance(g, mpmath.mpf) and isinstance(zero_tol, Fraction)
+                i = _boundary_by_scan(Fraction(float(g)) if exact else g, m, zero_tol)
                 if i is not None:
                     expected = Verdict("indeterminate", f"gamma = {i}/{m} - 1: log-term boundary case")
                 elif g < -1:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fracsum import series_model
 from fracsum.bench_cli import RunConfig, run
 from fracsum.classify import RatioExpansion
-from fracsum.numerics import DOUBLE, QUAD, RangeOverflowError, make_context, resolve_scalar
+from fracsum.numerics import DOUBLE, QUAD, RangeOverflowError, make_context
 from fracsum.sampling import make_aps, make_explicit, make_gps
 from fracsum.series_model import (
     ProductProblem,
@@ -22,6 +22,7 @@ from fracsum.series_model import (
     builtin_problem,
     load_problem,
     product_to_series,
+    resolve_known_S,
     sums_and_terms,
     telescoping_terms,
     trig_series_pair,
@@ -132,7 +133,7 @@ def test_telescoping_identity_short(qctx, family):
 def test_product_first_partial_product(qctx):
     p = builtin_problem("ex7_1")
     assert p.term(1, qctx) == qctx.mpf(3) / 4  # A_1 = 1 - 1/4
-    S = resolve_scalar(p.known_S, qctx)
+    S = resolve_known_S(p.known_S, qctx)
     assert abs(S - 2 / qctx.pi) == 0
 
 
@@ -368,16 +369,19 @@ def test_telescoping_in_order_terms_evaluate_each_delta_once(qctx, dctx, monkeyp
         return ar, log_delta
 
     monkeypatch.setattr(series_model._LogFactor, "loop", counted)
-    series = telescoping_terms(TelescopingFamily(2, 1, 2, (0, -1)))
-    for n in range(1, 51):  # two contexts interleaved, each in order
-        series.term(n, qctx)
-        series.term(n, dctx)
-    assert calls == [(n, ctx) for n in range(1, 51) for ctx in (qctx, dctx)]
-    calls.clear()
-    series.term(1000, qctx)  # out of order: both deltas
-    assert calls == [(999, qctx), (1000, qctx)]
-    series.term(1001, qctx)  # in order again: one more
-    assert calls == [(999, qctx), (1000, qctx), (1001, qctx)]
+    # kind 2 of the delta stream reads delta_{n-1}; kind 0 (ex5_9's a_n = delta_n) does not
+    for series, jump in ((telescoping_terms(TelescopingFamily(2, 1, 2, (0, -1))), [999, 1000]),
+                         (builtin_problem("ex5_9"), [1000])):
+        calls.clear()
+        for n in range(1, 51):  # two contexts interleaved, each in order
+            series.term(n, qctx)
+            series.term(n, dctx)
+        assert calls == [(n, ctx) for n in range(1, 51) for ctx in (qctx, dctx)]
+        calls.clear()
+        series.term(1000, qctx)  # out of order: both deltas of a difference, one of kind 0
+        assert calls == [(n, qctx) for n in jump]
+        series.term(1001, qctx)  # in order again: one more
+        assert calls == [(n, qctx) for n in jump + [1001]]
 
 
 _LEAVES = ["n", "(n + 1)", "2", "mpf(1)/3", "pi", "e", "i"]
@@ -602,7 +606,7 @@ def test_known_S_takes_none_a_number_a_callable_or_a_string(qctx):
         assert problem.known_S is known_S
     # a string is an expression, kept as its callable
     problem = SeriesProblem("ok", lambda n, ctx: ctx.one, m=1, known_S="1.5")
-    assert resolve_scalar(problem.known_S, qctx) == qctx.mpf("1.5")
+    assert resolve_known_S(problem.known_S, qctx) == qctx.mpf("1.5")
 
 
 @pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
@@ -611,7 +615,7 @@ def test_known_S_string_from_python_is_the_files_expression(precision):
     ctx = make_context(precision)
     problem = SeriesProblem("x", lambda n, ctx: 1 / ctx.mpf(n) ** 2, m=1, known_S="pi*pi/6")
     from_file, _ = load_problem({"expression": "1/n**2", "m": 1, "known_S": "pi*pi/6"})
-    assert resolve_scalar(problem.known_S, ctx) == resolve_scalar(from_file.known_S, ctx)
+    assert resolve_known_S(problem.known_S, ctx) == resolve_known_S(from_file.known_S, ctx)
     if precision is QUAD:
         result = accelerate(problem, make_gps("1.3"), 24, ctx)
         assert result.rows[result.best[1]].true_error < 1e-30
@@ -628,7 +632,7 @@ def test_expression_literals_are_taken_at_the_working_precision(qctx, dctx):
     for ctx in (qctx, dctx):
         for n in (1, 2, 7, 40):
             assert problem.term(n, ctx) == ctx.mpf(1) / 3 / ctx.mpf(n) ** 2, (ctx, n)
-        assert resolve_scalar(problem.known_S, ctx) == ctx.mpf(1) / 6
+        assert resolve_known_S(problem.known_S, ctx) == ctx.mpf(1) / 6
     # a literal is read from its text, so 0.1 is the quad value and 0x10 is 16
     problem, _ = load_problem({"expression": "0.1 + 0x10 + 1e400 + 0*n", "m": 1})
     assert problem.term(1, qctx) == qctx.mpf("0.1") + 16 + qctx.mpf("1e400")
@@ -661,7 +665,7 @@ def test_load_problem_expression(tmp_path, qctx):
     path.write_text(json.dumps(spec))
     problem, schedule = load_problem(str(path))
     assert problem.term(3, qctx) == qctx.mpf(1) / 9
-    assert abs(resolve_scalar(problem.known_S, qctx) - qctx.pi**2 / 6) == 0
+    assert abs(resolve_known_S(problem.known_S, qctx) - qctx.pi**2 / 6) == 0
     assert schedule.prefix(2) == [1, 2]
 
 
