@@ -64,7 +64,7 @@ class RatioExpansion:
 
 @dataclass(frozen=True)
 class StructuralParameters:
-    """Recovered structure of a_n = Gamma(n)^mu exp(Q(n)) n^gamma w(n)."""
+    """Recovered structure of a_n = Gamma(n)^mu exp(Q(n)) n^gamma w(n); a non-finite theta_i or gamma raises."""
 
     mu: Fraction
     m: int
@@ -73,6 +73,11 @@ class StructuralParameters:
     zeta: object  # e^(theta_0) = c_0
     sigma: Fraction  # q/m from the difference representation a_n = p(n) Delta a_n
     q: int
+
+    def __post_init__(self):
+        for name, x in [(f"theta_{i}", th) for i, th in enumerate(self.theta)] + [("gamma", self.gamma)]:
+            if not _finite(x):
+                raise ValueError(f"{name} = {x} is not finite: the coefficients c overflow it")
 
 
 def _finite(x) -> bool:
@@ -165,9 +170,6 @@ def structure_from_ratio(ratio: RatioExpansion, ctx=None, zero_tol=0) -> Structu
         e = eps[i - 1]
         theta.append(0 if e == 0 else e * m / (m - i))
     gamma = eps[m - 1]
-    for name, x in [(f"theta_{i}", th) for i, th in enumerate(theta)] + [("gamma", gamma)]:
-        if not _finite(x):
-            raise ValueError(f"{name} = {x} is not finite: the coefficients c overflow it")
 
     s = ratio.s
     if s > 0:

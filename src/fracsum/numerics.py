@@ -19,31 +19,27 @@ precisions can run side by side (and concurrently).
 The two hot loops, the W-recursion of ``build_table`` and the partial-sum
 accumulation of ``sums_and_terms``, and the builtin term evaluators take
 their scalar operations from :func:`loop_arithmetic`, which binds them to
-the context's precision and rounding: each kernel takes its operands
-alone.  Under an ``MPContext``, real values run there as raw ``libmp``
-tuples (``_mpf_``): the same bits as the ``mpf`` operators and context
-functions, without the object wrapper and the dispatch.  ``+``, ``-``,
-``*``, ``/`` and ``sqrt`` are this module's round-to-nearest kernels on
-mpmath's pure-Python backend: each takes the integer steps of mpmath's
-``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_div`` or ``mpf_sqrt`` and
-rounds once, half to even, which is mpmath's rounding, so its bits are
-mpmath's; ``int.bit_length`` and ``math.isqrt`` replace mpmath's
-pure-Python bit count and root, and every case but the common one is
-mpmath's own function.  The W-recursion's divided difference
-``(x - y) / d`` is one kernel with the bits of the ``-`` kernel followed
-by the ``/`` kernel.  ``exp`` and ``pow`` are :func:`_exp_pow`'s:
-mpmath's ``mpf_exp`` rounds its own approximation, not the exact value,
-so ``exp`` computes a closer one from tables and rounds it only where it
-and mpmath's round alike, outside a narrow band around each rounding
-midpoint, and calls ``mpf_exp`` inside it; ``pow`` takes ``mpf_pow``'s
-steps on these kernels.  Under gmpy2, or at another rounding, these are
-mpmath's functions.  ``loggamma`` is always mpmath's ``mpf_loggamma``.
-Binary64 floats keep their native operators and ``math.sqrt``, and take
-``pow`` and ``exp`` from the same kernels at 53 bits and ``loggamma``
-from mpmath's; the binary64 context's own ``sqrt``, ``power``, ``exp``
-and ``loggamma`` run these four kernels too, through one wrapper, where
-they take the arguments, so every caller at binary64 gets them.  Complex
-values keep their native operators and the context's own functions.
+the context's precision: each kernel takes its operands alone.  They
+round to nearest only; an ``MPContext`` set to another rounding is
+refused.  Under an ``MPContext``, real values run there as raw ``libmp``
+tuples (``_mpf_``) on the precision's one kernel table,
+:func:`_raw_kernels`: the bits of the ``mpf`` operators and context
+functions, without the object wrapper and the dispatch.  On mpmath's
+pure-Python backend ``+``, ``-``, ``*``, ``/`` and ``sqrt`` take the
+integer steps of mpmath's ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
+``mpf_div`` or ``mpf_sqrt`` and round once, half to even, as mpmath
+does, with ``int.bit_length`` and ``math.isqrt`` for mpmath's
+pure-Python bit count and root; every case but the common one is
+mpmath's own function.  The W-recursion's ``(x - y) / d`` is one kernel
+with the bits of ``-`` then ``/``.  ``exp`` computes a closer value than
+``mpf_exp``'s own approximation, from tables, and rounds it only outside
+a narrow band around each rounding midpoint, where the two round alike;
+``pow`` takes ``mpf_pow``'s steps on these kernels.  Under gmpy2 the
+loop kernels are mpmath's; ``loggamma`` always is.  Binary64 floats keep their
+native operators and ``math.sqrt`` and take ``pow``, ``exp`` and
+``loggamma`` from the table at 53 bits, as do the binary64 context's own
+``sqrt``, ``power``, ``exp`` and ``loggamma`` where they take the
+arguments.  Complex values keep their native operators and functions.
 """
 
 from __future__ import annotations
@@ -133,7 +129,19 @@ QUAD = Precision("quad", 113, 4932)
 PRESETS = {"double": DOUBLE, "quad": QUAD}
 
 _context_cache: dict[Precision, object] = {}
-_context_lock = threading.Lock()
+_kernel_cache: dict[int, dict] = {}
+_build_lock = threading.Lock()
+
+
+def _once(cache: dict, key, build):
+    """``cache[key]``, made by ``build(key)`` once for all threads; no build may call ``_once``."""
+    value = cache.get(key)
+    if value is None:
+        with _build_lock:
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = build(key)
+    return value
 
 
 def _mpmath_context(precision: Precision) -> MPContext:
@@ -175,7 +183,7 @@ def _raw(x):
 # floats, with the bits of Binary64Context's functions.  Expressions call
 # pow, exp and loggamma on ints too.
 def _float_pow(x, y):
-    return to_float(_exp_pow(53).pow(_raw(x), _raw(y)))
+    return to_float(_raw_kernels(53)["pow"](_raw(x), _raw(y)))
 
 
 def _float_sqrt(x):
@@ -186,17 +194,17 @@ def _float_exp(x):
     # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
     if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
         n, d = x.as_integer_ratio()
-        result = _exp_pow(53).exp_fixed((n << 75) >> (d.bit_length() - 1))
+        result = _raw_kernels(53)["exp_fixed"]((n << 75) >> (d.bit_length() - 1))
         if result is not None:
             try:
                 return math.ldexp(*result)  # to_float's step, subnormals included
             except OverflowError:
                 return math.inf
-    return to_float(_exp_pow(53).exp(_raw(x)))
+    return to_float(_raw_kernels(53)["exp"](_raw(x)))
 
 
 def _float_loggamma(x):
-    return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
+    return to_float(_raw_kernels(53)["loggamma"](_raw(x)))
 
 
 def _kernel_function(name, kernel, types):
@@ -323,20 +331,15 @@ class LoopArithmetic(NamedTuple):
     there is taken as the negation of another.
 
     The kernels take their operands only: the arithmetic is bound to the
-    precision and rounding of its context.  ``add(x, y)``, ``sub``,
-    ``mul``, ``div``, ``pow``, ``sqrt(x)``, ``exp`` and ``loggamma`` return
-    the bits of the context's own ``+``, ``-``, ``*``, ``/``, ``power``,
-    ``sqrt``, ``exp`` and ``loggamma``.  ``divdiff(x, y, d)`` is
-    ``div(sub(x, y), d)`` in one call, the W-recursion's update.  On raw
-    tuples at round-to-nearest with mpmath's python backend, ``add``,
-    ``sub``, ``mul``, ``div``, ``sqrt`` and ``divdiff`` are the kernels of
-    :func:`_nearest_kernels` and ``exp`` and ``pow`` those of
-    :func:`_exp_pow`; otherwise they are mpmath's, and ``divdiff`` is
-    ``mpf_div`` of ``mpf_sub``.  On floats and on the native arithmetic
-    ``divdiff`` is ``(x - y) / d``.  The real arithmetics take ``pow``,
-    ``sqrt`` and ``loggamma`` only where the result is real (terms call
-    them on positive integers): where the context would return a complex
-    value, they raise.
+    precision of its context, which rounds to nearest.  ``add(x, y)``,
+    ``sub``, ``mul``, ``div``, ``pow``, ``sqrt(x)``, ``exp`` and
+    ``loggamma`` return the bits of the context's own ``+``, ``-``, ``*``,
+    ``/``, ``power``, ``sqrt``, ``exp`` and ``loggamma``, on raw tuples
+    through :func:`_raw_kernels`.  ``divdiff(x, y, d)`` is
+    ``div(sub(x, y), d)`` in one call, the W-recursion's update.  The real
+    arithmetics take ``pow``, ``sqrt`` and ``loggamma`` only where the
+    result is real (terms call them on positive integers): where the
+    context would return a complex value, they raise.
     """
 
     lift: Callable
@@ -374,8 +377,9 @@ _OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
               "div": operator.truediv, "divdiff": _divdiff}
 
 
-def _mpf_kernels(prec, rnd):
-    """mpmath's kernels at prec bits and rounding rnd, by field name."""
+def _mpf_kernels(prec):
+    """mpmath's kernels at prec bits, rounding to nearest, by field name."""
+    rnd = round_nearest
     return {
         "add": lambda x, y: mpf_add(x, y, prec, rnd),
         "sub": lambda x, y: mpf_sub(x, y, prec, rnd),
@@ -405,7 +409,7 @@ def _nearest_kernels(prec):
     zeros; the bit count is then the mantissa's bit length.  A nonzero
     remainder of div and sqrt is mpmath's sticky bit, tested only where it
     decides a tie.  Every case outside the common one is mpmath's own
-    function at round-to-nearest, result or exception.  :func:`_exp_pow`
+    function at round-to-nearest, result or exception.  :func:`_raw_kernels`
     holds ``exp`` and ``pow``.
     """
 
@@ -579,22 +583,19 @@ def _rounded(man, exp, prec):
     return 0, man, exp, man.bit_length()
 
 
-class _ExpPow(NamedTuple):
-    """The exp and pow kernels at one precision; ``exp_fixed`` is exp's core."""
-
-    exp_fixed: Callable
-    exp: Callable
-    pow: Callable
-
-
 _EXP_BAND = 2  # E within _EXP_BAND * 2^-8 ulp of a rounding midpoint falls back to mpf_exp
 _EXP_MAX_MAG = 20  # the fast range of exp: |x| < 2^20
-_exp_pow_cache: dict[int, _ExpPow] = {}
-_exp_pow_lock = threading.Lock()
+_KERNELS = LoopArithmetic._fields[LoopArithmetic._fields.index("add"):]  # add to loggamma
 
 
-def _exp_pow(prec) -> _ExpPow:
-    """Round-to-nearest ``exp`` and ``pow`` on raw tuples with the bits of mpmath's, at prec >= 53.
+def _raw_kernels(prec) -> dict:
+    """The round-to-nearest raw kernels at prec >= 53 bits, by name, with the bits of mpmath's.
+
+    The nine of :class:`LoopArithmetic`, and ``exp_fixed`` for the float
+    ``exp``.  On mpmath's python backend the basic ones are
+    :func:`_nearest_kernels`' and exp and pow those below; under gmpy2,
+    whose kernels run in C, the nine are mpmath's.  ``loggamma`` is
+    ``mpf_loggamma`` under both.
 
     ``exp_fixed(X)`` takes x = X * 2^-F at F = prec + 22 fraction bits
     and |x| < 2^20.  It reduces x = k ln2 / 4096 + r with |r| < 2^-13.5,
@@ -624,19 +625,13 @@ def _exp_pow(prec) -> _ExpPow:
     (mpmath raises ``ComplexResult``) and a power of at least 1000 bits
     are ``mpf_pow`` itself.
 
-    Built once per precision, on first use, under a lock; the tables come
-    from a private ``MPContext``.
+    Built once per precision by :func:`_once`; the tables come from a
+    private ``MPContext``.
     """
-    exp_pow = _exp_pow_cache.get(prec)
-    if exp_pow is None:
-        with _exp_pow_lock:
-            exp_pow = _exp_pow_cache.get(prec)
-            if exp_pow is None:
-                exp_pow = _exp_pow_cache[prec] = _build_exp_pow(prec)
-    return exp_pow
+    return _once(_kernel_cache, prec, _build_raw_kernels)
 
 
-def _build_exp_pow(prec) -> _ExpPow:
+def _build_raw_kernels(prec) -> dict:
     F = prec + 22
     one = 1 << F
     mp = MPContext()
@@ -693,8 +688,8 @@ def _build_exp_pow(prec) -> _ExpPow:
         man, e = result
         return 0, man, e, man.bit_length()
 
-    nearest, wider = _nearest_kernels(prec), _nearest_kernels(prec + 10)
-    div, sqrt, root = nearest["div"], nearest["sqrt"], wider["sqrt"]
+    nearest = _nearest_kernels(prec)
+    div, sqrt, root = nearest["div"], nearest["sqrt"], _nearest_kernels(prec + 10)["sqrt"]
 
     def pow(s, t):
         ssign, sman, sexp, sbc = s
@@ -715,11 +710,15 @@ def _build_exp_pow(prec) -> _ExpPow:
         man = tman * cman  # the exact product, which mpf_pow hands to mpf_exp
         return exp((tsign ^ csign, man, texp + cexp, man.bit_length()))
 
-    return _ExpPow(exp_fixed, exp, pow)
+    kernels = _mpf_kernels(prec)
+    if BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
+        kernels.update(nearest, exp=exp, pow=pow)
+    kernels["exp_fixed"] = exp_fixed
+    return kernels
 
 
 def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
-    """Raw ``libmp`` tuples at the precision and rounding of the mpf operators."""
+    """Raw ``libmp`` tuples on the kernels of the mpf operators' precision."""
     mpf, max_exp2 = ctx.mpf, precision.max_exp2
 
     def lift(x):
@@ -729,12 +728,9 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
         # a nonzero mantissa is finite with ctx.mag(x) = exp + bc; fzero has mag -inf
         return x[1] and x[2] + x[3] <= max_exp2 or x == fzero
 
-    prec, rnd = ctx._prec_rounding
-    kernels = _mpf_kernels(prec, rnd)
-    if rnd == round_nearest and BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
-        kernels.update(_nearest_kernels(prec), exp=_exp_pow(prec).exp, pow=_exp_pow(prec).pow)
+    kernels = _raw_kernels(ctx.prec)
     return LoopArithmetic(lift=lift, lower=ctx.make_mpf, in_range=in_range, zero=fzero, one=fone,
-                          from_int=from_int, neg=mpf_neg, **kernels)
+                          from_int=from_int, neg=mpf_neg, **{name: kernels[name] for name in _KERNELS})
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
@@ -768,9 +764,15 @@ def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
     lifts every value as is, keeps ints as ints, and range-checks each
     value through :func:`check_range`.  A loop whose ``lift`` returns None
     switches to ``loop_arithmetic(ctx, [that value])``.
+
+    The loops round to nearest only: an ``MPContext`` set to any other
+    rounding raises ``ValueError``, which names that rounding.
     """
     precision = precision_of(ctx)
     if isinstance(ctx, MPContext):
+        rounding = ctx._prec_rounding[1]
+        if rounding != round_nearest:
+            raise ValueError(f"the loops round to nearest only, not with rounding {rounding!r}")
         if all(type(v) is ctx.mpf for v in values):
             return _raw_arithmetic(ctx, precision)
     elif isinstance(ctx, Binary64Context):
@@ -784,18 +786,11 @@ def make_context(precision: Precision):
 
     A preset that fits IEEE binary64 gets a :class:`Binary64Context`,
     every other one an mpmath ``MPContext``.  Contexts are cached per
-    precision and must be treated as read-only; all rounding happens at
-    ``precision.mantissa_bits`` significant bits.
+    precision and must be treated as read-only; all rounding is to nearest
+    at ``precision.mantissa_bits`` significant bits.
     """
-    with _context_lock:
-        ctx = _context_cache.get(precision)
-        if ctx is None:
-            if precision.mantissa_bits == 53 and precision.max_exp10 <= 308:
-                ctx = Binary64Context(precision)
-            else:
-                ctx = _mpmath_context(precision)
-            _context_cache[precision] = ctx
-        return ctx
+    fits_binary64 = precision.mantissa_bits == 53 and precision.max_exp10 <= 308
+    return _once(_context_cache, precision, Binary64Context if fits_binary64 else _mpmath_context)
 
 
 def precision_of(ctx) -> Precision:

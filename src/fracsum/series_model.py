@@ -302,7 +302,7 @@ def telescoping_terms(family: TelescopingFamily) -> SeriesProblem:
 
 @dataclass
 class ProductProblem:
-    """Infinite product prod(1 + v_n) with v_n decaying like n^(-t/m)."""
+    """Infinite product prod(1 + v_n) with v_n decaying like n^(-t/m); ``known_S`` as in SeriesProblem."""
 
     name: str
     v: TermFn
@@ -315,6 +315,7 @@ class ProductProblem:
         _check_integer(self.t, "t")
         if self.t < self.m + 1:
             raise ValueError("t must be >= m + 1 (convergence of the product)")
+        self.known_S = _known_S_spec(self.known_S)
 
 
 def product_to_series(problem: ProductProblem) -> SeriesProblem:

@@ -143,6 +143,17 @@ def test_structure_refuses_an_overflowed_theta_or_gamma(m, c, name):
         structure_from_ratio(RatioExpansion(0, m, c))
 
 
+@pytest.mark.parametrize("theta, gamma, name", [
+    ((float("nan"),), -2, "theta_0"),  # the verdict was "converges: |zeta| = 1, zeta != 1 ..."
+    ((0,), float("nan"), "gamma"),  # the verdict raised "cannot convert float NaN to integer"
+    ((0, mpmath.mpf("-inf")), 1, "theta_1"),
+], ids=["nan-theta", "nan-gamma", "inf-theta"])
+def test_hand_built_structure_refuses_a_non_finite_theta_or_gamma(theta, gamma, name):
+    with pytest.raises(ValueError, match=rf"^{name} = .* is not finite: the coefficients c overflow it$"):
+        StructuralParameters(mu=Fraction(0), m=len(theta), theta=theta, gamma=gamma,
+                             zeta=1, sigma=Fraction(1), q=len(theta))
+
+
 def _boundary_by_scan(gamma, m, zero_tol):
     """i of the first log-term boundary gamma = i/m - 1, scanning i = 0, 1, ... (or None)."""
     scaled = gamma * m

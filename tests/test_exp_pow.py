@@ -1,9 +1,10 @@
 """The exp and pow kernels against mpmath's ``mpf_exp`` and ``mpf_pow``, bit for bit.
 
-``numerics._exp_pow(prec)`` holds a table-driven ``exp`` with a rounding
-test and a ``pow`` that takes ``mpf_pow``'s steps on the round-to-nearest
-kernels; the float arithmetic's ``_float_exp`` and ``_float_pow`` run them
-at 53 bits.  Every result, or the exception raised, must be mpmath's.
+``numerics._raw_kernels(prec)`` holds a table-driven ``exp`` with a
+rounding test and a ``pow`` that takes ``mpf_pow``'s steps on the
+round-to-nearest kernels; the float arithmetic's ``_float_exp`` and
+``_float_pow`` run them at 53 bits.  Every result, or the exception
+raised, must be mpmath's.
 """
 
 import math
@@ -31,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from fracsum import numerics, series_model
-from fracsum.numerics import DOUBLE, QUAD, _exp_pow, make_context
+from fracsum.numerics import DOUBLE, QUAD, _raw_kernels, make_context
 from fracsum.series_model import builtin_ids, builtin_problem, sums_and_terms
 
 PRECS = [53, 113, 200]
@@ -59,12 +60,12 @@ def _arguments(draw, prec):
 @given(data=st.data(), prec=st.sampled_from(PRECS))
 def test_exp_is_mpmaths_bit_for_bit(data, prec):
     x = data.draw(st.one_of(st.sampled_from(_SPECIALS), _arguments(prec)))
-    assert _exp_pow(prec).exp(x) == mpf_exp(x, prec, round_nearest), (x, prec)
+    assert _raw_kernels(prec)["exp"](x) == mpf_exp(x, prec, round_nearest), (x, prec)
 
 
 @pytest.mark.parametrize("prec", PRECS)
 def test_exp_at_the_edges_of_its_fast_range(prec):
-    exp = _exp_pow(prec).exp
+    exp = _raw_kernels(prec)["exp"]
     for mag in (-prec - 9, -prec - 8, -prec - 7, 19, 20, 21):
         for man in (1, 3, (1 << prec) - 1):
             for sign in (1, -1):
@@ -87,12 +88,12 @@ def test_pow_is_mpmaths_bit_for_bit(data, prec):
                             st.sampled_from(_SPECIALS), _arguments(prec)))
     t = data.draw(st.one_of(st.sampled_from(_exponents(prec) + _SPECIALS), _arguments(prec)))
     want = _outcome(mpf_pow, s, t, prec, round_nearest)
-    assert _outcome(_exp_pow(prec).pow, s, t) == want, (s, t, prec)
+    assert _outcome(_raw_kernels(prec)["pow"], s, t) == want, (s, t, prec)
 
 
 @pytest.mark.parametrize("prec", PRECS)
 def test_pow_of_a_wide_power_and_a_negative_base(prec):
-    pow = _exp_pow(prec).pow
+    pow = _raw_kernels(prec)["pow"]
     t = from_rational(999, 2, prec, round_nearest)  # a power of more than 1000 bits
     for s in (from_int(7), from_int(-7)):
         for exponent in (t, from_rational(-3, 2, prec, round_nearest), from_int(3)):
@@ -117,7 +118,7 @@ def test_exp_near_a_midpoint_falls_back_and_still_matches(monkeypatch, prec):
         return mpf_exp(x, p, rnd)
 
     monkeypatch.setattr(numerics, "mpf_exp", counting)
-    exp = _exp_pow(prec).exp
+    exp = _raw_kernels(prec)["exp"]
     xs = list(_midpoints(prec, 60))
     for x in xs:
         assert exp(x) == mpf_exp(x, prec, round_nearest), x
@@ -195,22 +196,22 @@ def test_float_pow_is_mpmaths_at_53_bits(x, y):
 
 
 def test_kernels_are_built_once_for_threads_that_share_a_fresh_precision(monkeypatch):
-    monkeypatch.setattr(numerics, "_exp_pow_cache", {})
-    builds, build = [], numerics._build_exp_pow
+    monkeypatch.setattr(numerics, "_kernel_cache", {})
+    builds, build = [], numerics._build_raw_kernels
 
     def counting_build(prec):
         builds.append(prec)
         return build(prec)
 
-    monkeypatch.setattr(numerics, "_build_exp_pow", counting_build)
+    monkeypatch.setattr(numerics, "_build_raw_kernels", counting_build)
     before = (mpmath.mp.prec, mpmath.mp.pretty, mpmath.mp._prec_rounding[1])
     barrier, got = threading.Barrier(8), []
 
     def first_use():
         barrier.wait(timeout=60)
-        kernels = _exp_pow(171)
-        got.append((kernels, kernels.exp(from_int(3)),
-                    kernels.pow(from_int(5), from_rational(-3, 2, 171, round_nearest))))
+        kernels = _raw_kernels(171)
+        got.append((kernels, kernels["exp"](from_int(3)),
+                    kernels["pow"](from_int(5), from_rational(-3, 2, 171, round_nearest))))
 
     threads = [threading.Thread(target=first_use) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -232,6 +233,7 @@ def test_kernels_are_built_once_for_threads_that_share_a_fresh_precision(monkeyp
 
 def test_raw_arithmetic_runs_the_kernels_of_its_precision():
     ar = numerics.loop_arithmetic(make_context(QUAD))
-    assert ar.exp is _exp_pow(113).exp and ar.pow is _exp_pow(113).pow
+    kernels = _raw_kernels(113)
+    assert all(getattr(ar, name) is kernels[name] for name in numerics._KERNELS)
     assert ar.pow(ar.from_int(9), ar.div(ar.from_int(-3), ar.from_int(2))) == mpf_pow(
         from_int(9), from_rational(-3, 2, 113), 113, round_nearest)

@@ -357,20 +357,17 @@ def test_divdiff_kernel_edge_cases(prec):
     assert divdiff(x, x, three) == fzero
 
 
-@pytest.mark.parametrize("backend, rounding, nearest", [
-    ("python", round_nearest, True), ("gmpy", round_nearest, False), ("python", "d", False)])
+@pytest.mark.parametrize("backend, nearest", [("python", True), ("gmpy", False)],
+                         ids=["python-nearest", "gmpy-not-nearest"])
 def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
-        monkeypatch, backend, rounding, nearest):
+        monkeypatch, backend, nearest):
     monkeypatch.setattr(numerics, "BACKEND", backend)
-    ctx = _mpmath_context(QUAD)
-    ctx._prec_rounding[1] = rounding
-    ar = _raw_arithmetic(ctx, QUAD)
+    monkeypatch.setattr(numerics, "_kernel_cache", {})  # the table is built under this backend
+    ar = _raw_arithmetic(_mpmath_context(QUAD), QUAD)
     # the int kernels are closures over prec: each shares its code with the factory's kernel
     for name, kernel in _nearest_kernels(113).items():
         assert (getattr(ar, name).__code__ is kernel.__code__) is nearest, name
-    # otherwise mpmath's kernels (divdiff its subtraction, then its division) at the
-    # context's rounding; rounding down and to nearest differ on every one of these,
-    # and divdiff rounding down differs from either of its steps rounding to nearest
+    # either way the bits of mpmath's kernels (divdiff its subtraction, then its division)
     s, t = from_rational(13, 3, 113, round_nearest), from_rational(7, 11, 113, round_nearest)
     d = from_man_exp(13, 0)
     mpmath_kernels = {"add": (mpf_add, s, t), "sub": (mpf_sub, s, t), "mul": (mpf_mul, s, t),
@@ -378,9 +375,23 @@ def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
                       "pow": (mpf_pow, s, t), "sqrt": (mpf_sqrt, s), "exp": (mpf_exp, s),
                       "loggamma": (mpf_loggamma, s)}
     for name, (theirs, *args) in mpmath_kernels.items():
-        want = theirs(*args, 113, rounding)
-        assert getattr(ar, name)(*args) == want, name
-        assert (want != theirs(*args, 113, round_nearest)) is (rounding == "d"), name
+        assert getattr(ar, name)(*args) == theirs(*args, 113, round_nearest), name
+
+
+@pytest.mark.parametrize("rounding", ["f", "c", "d", "u"])
+def test_a_context_that_does_not_round_to_nearest_is_refused_before_any_term(rounding):
+    ctx = _mpmath_context(QUAD)
+    ctx._prec_rounding[1] = rounding
+    calls = []
+
+    def term(n, c):
+        calls.append(n)
+        return c.one / n ** 2
+
+    problem = SeriesProblem("rounded", term, m=1)
+    with pytest.raises(ValueError, match=rf"^the loops round to nearest only, not with rounding '{rounding}'$"):
+        accelerate(problem, make_aps(1, 1), 8, ctx)
+    assert calls == []
 
 
 @pytest.mark.parametrize("unit", sorted(_UNITS))

@@ -596,8 +596,8 @@ def test_known_S_is_checked_for_every_caller(known_S, message):
     match = f"^{re.escape(message)}$"
     with pytest.raises(ValueError, match=match):
         SeriesProblem("bad", lambda n, ctx: 1 / ctx.mpf(n) ** 2, m=1, known_S=known_S)
-    with pytest.raises(ValueError, match=match):  # a product's series too
-        product_to_series(ProductProblem("bad", lambda n, ctx: ctx.zero, m=1, t=2, known_S=known_S))
+    with pytest.raises(ValueError, match=match):  # a product too, when it is built
+        ProductProblem("bad", lambda n, ctx: ctx.zero, m=1, t=2, known_S=known_S)
 
 
 def test_known_S_takes_none_a_number_a_callable_or_a_string(qctx):
@@ -623,6 +623,8 @@ def test_known_S_string_from_python_is_the_files_expression(precision):
                          ("n + 1.6449", "known_S 'n + 1.6449' uses n; known_S is the limit")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             SeriesProblem("x", lambda n, ctx: ctx.one, m=1, known_S=bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ProductProblem("x", lambda n, ctx: ctx.zero, m=1, t=2, known_S=bad)
 
 
 def test_expression_literals_are_taken_at_the_working_precision(qctx, dctx):
