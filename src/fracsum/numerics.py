@@ -7,39 +7,29 @@ scalars are Python floats and whose every function is mpmath's at 53
 bits: ``convert`` and ``mpf`` as float fast paths, ``sqrt``, ``power``,
 ``exp`` and ``loggamma`` through float kernels where they can, and all
 others (``log``, ``gamma``, ...) through a private 53-bit ``MPContext``.
-Every other preset gets an mpmath
-``MPContext`` with ``mpf`` reals.  Complex scalars are mpmath ``mpc``
-values under both, and the roundoff unit u = 2^(1 - mantissa_bits) is
-``ctx.eps``.  Any other number (int, float, str, Fraction, complex)
-enters a context through the context's own ``convert``.  The precision
-is always an explicit parameter: nothing in this package reads or
-mutates the global ``mpmath.mp`` state, so computations at different
-precisions can run side by side (and concurrently).
+Every other preset gets an mpmath ``MPContext`` with ``mpf`` reals.
+Complex scalars are mpmath ``mpc`` values under both, and the roundoff
+unit u = 2^(1 - mantissa_bits) is ``ctx.eps``.  Any other number enters
+a context through the context's own ``convert``.  Nothing in this
+package reads or mutates the global ``mpmath.mp`` state, so computations
+at different precisions can run side by side (and concurrently).
 
-The two hot loops, the W-recursion of ``build_table`` and the partial-sum
-accumulation of ``sums_and_terms``, and the builtin term evaluators take
-their scalar operations from :func:`loop_arithmetic`, which binds them to
-the context's precision: each kernel takes its operands alone.  They
-round to nearest only; an ``MPContext`` set to another rounding is
-refused.  Under an ``MPContext``, real values run there as raw ``libmp``
-tuples (``_mpf_``) on the precision's one kernel table,
-:func:`_raw_kernels`: the bits of the ``mpf`` operators and context
-functions, without the object wrapper and the dispatch.  On mpmath's
-pure-Python backend ``+``, ``-``, ``*``, ``/`` and ``sqrt`` take the
-integer steps of mpmath's ``mpf_add``, ``mpf_sub``, ``mpf_mul``,
-``mpf_div`` or ``mpf_sqrt`` and round once, half to even, as mpmath
-does, with ``int.bit_length`` and ``math.isqrt`` for mpmath's
-pure-Python bit count and root; every case but the common one is
-mpmath's own function.  The W-recursion's ``(x - y) / d`` is one kernel
-with the bits of ``-`` then ``/``.  ``exp`` computes a closer value than
-``mpf_exp``'s own approximation, from tables, and rounds it only outside
-a narrow band around each rounding midpoint, where the two round alike;
-``pow`` takes ``mpf_pow``'s steps on these kernels.  Under gmpy2 the
-loop kernels are mpmath's; ``loggamma`` always is.  Binary64 floats keep their
-native operators and ``math.sqrt`` and take ``pow``, ``exp`` and
-``loggamma`` from the table at 53 bits, as do the binary64 context's own
-``sqrt``, ``power``, ``exp`` and ``loggamma`` where they take the
-arguments.  Complex values keep their native operators and functions.
+The hot loops (the W-recursion of ``build_table``, the partial sums of
+``sums_and_terms``) and the builtin terms take their scalar operations
+from :func:`loop_arithmetic`, bound to the context's precision, which
+must round to nearest.  Under an ``MPContext`` real values run as raw
+``libmp`` tuples on the precision's kernel table, :func:`_raw_kernels`,
+with the bits of the ``mpf`` operators and functions.  On mpmath's
+pure-Python backend ``+``, ``-``, ``*``, ``/``, ``sqrt`` and the
+W-recursion's scan of ``(x - y) / d`` along an antidiagonal take
+mpmath's integer steps and round once, half to even, as mpmath does;
+``exp`` rounds a closer, table-driven value outside a narrow band around
+each rounding midpoint, and ``pow`` takes ``mpf_pow``'s steps on these
+kernels.  Every other case is mpmath's own function, as are all kernels
+under gmpy2 and ``loggamma`` always.  Binary64 floats keep their native
+operators and ``math.sqrt`` and take ``pow``, ``exp`` and ``loggamma``
+from the table at 53 bits, as does the binary64 context.  Complex values
+keep their native operators and functions.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from mpmath.ctx_mp import MPContext
@@ -179,11 +169,23 @@ def _raw(x):
     return sign, MPZ(man), exp, man.bit_length()
 
 
-# The functions of the float arithmetic: the raw kernels at 53 bits on
-# floats, with the bits of Binary64Context's functions.  Expressions call
-# pow, exp and loggamma on ints too.
+class _Kernels53(dict):
+    """The raw kernel table at 53 bits, copied from :func:`_raw_kernels` at its first lookup."""
+
+    def __missing__(self, name):
+        kernels = _raw_kernels(53)
+        self.update(kernels)
+        return kernels[name]
+
+
+# The functions of the float arithmetic and of Binary64Context: the raw kernels at 53
+# bits on floats (and on ints, which expressions pass), from the table bound at the
+# first call: importing fracsum or making a context builds none.
+_kernels53 = _Kernels53()
+
+
 def _float_pow(x, y):
-    return to_float(_raw_kernels(53)["pow"](_raw(x), _raw(y)))
+    return to_float(_kernels53["pow"](_raw(x), _raw(y)))
 
 
 def _float_sqrt(x):
@@ -194,17 +196,17 @@ def _float_exp(x):
     # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
     if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
         n, d = x.as_integer_ratio()
-        result = _raw_kernels(53)["exp_fixed"]((n << 75) >> (d.bit_length() - 1))
+        result = _kernels53["exp_fixed"]((n << 75) >> (d.bit_length() - 1))
         if result is not None:
             try:
                 return math.ldexp(*result)  # to_float's step, subnormals included
             except OverflowError:
                 return math.inf
-    return to_float(_raw_kernels(53)["exp"](_raw(x)))
+    return to_float(_kernels53["exp"](_raw(x)))
 
 
 def _float_loggamma(x):
-    return to_float(_raw_kernels(53)["loggamma"](_raw(x)))
+    return to_float(_kernels53["loggamma"](_raw(x)))
 
 
 def _kernel_function(name, kernel, types):
@@ -240,12 +242,11 @@ class Binary64Context:
     raises (a complex result, a pole) or does not take the arguments, and
     for every other function and constant (``log``, ``mag``, ``isnan``,
     ``dps``, ..., through ``__getattr__``), the context is a private 53-bit
-    ``MPContext``, with a real result turned into its float.  Per term, the hot loops and the
-    builtin terms call none of them: their kernels are
-    :func:`loop_arithmetic`'s.  Complex scalars are that
-    context's ``mpc`` values, and it renders ``nstr``.  Unlike that context,
-    values end at 2^1024 (overflow gives ``inf``) and lose bits below
-    2^-1022.
+    ``MPContext``, with a real result turned into its float.  Per term, the
+    hot loops and the builtin terms call none of them: their kernels are
+    :func:`loop_arithmetic`'s.  Complex scalars are that context's ``mpc``
+    values, and it renders ``nstr``.  Unlike that context, values end at
+    2^1024 (overflow gives ``inf``) and lose bits below 2^-1022.
     """
 
     zero = 0.0
@@ -335,11 +336,13 @@ class LoopArithmetic(NamedTuple):
     ``sub``, ``mul``, ``div``, ``pow``, ``sqrt(x)``, ``exp`` and
     ``loggamma`` return the bits of the context's own ``+``, ``-``, ``*``,
     ``/``, ``power``, ``sqrt``, ``exp`` and ``loggamma``, on raw tuples
-    through :func:`_raw_kernels`.  ``divdiff(x, y, d)`` is
-    ``div(sub(x, y), d)`` in one call, the W-recursion's update.  The real
-    arithmetics take ``pow``, ``sqrt`` and ``loggamma`` only where the
-    result is real (terms call them on positive integers): where the
-    context would return a complex value, they raise.
+    through :func:`_raw_kernels`.  ``scan(X, x, dens, start)`` extends a
+    W-recursion antidiagonal: ``X[k], x = x, div(sub(x, X[k]), dens[k])``
+    for k = start, ..., len(dens) - 1; it returns x and the first k whose x
+    ``in_range`` refuses, or None.  The real arithmetics take ``pow``,
+    ``sqrt`` and ``loggamma`` only where the result is real (terms call
+    them on positive integers): where the context would return a complex
+    value, they raise.
     """
 
     lift: Callable
@@ -349,11 +352,11 @@ class LoopArithmetic(NamedTuple):
     one: object
     from_int: Callable
     neg: Callable | None
+    scan: Callable
     add: Callable
     sub: Callable
     mul: Callable
     div: Callable
-    divdiff: Callable
     pow: Callable
     sqrt: Callable
     exp: Callable
@@ -368,24 +371,48 @@ def _never(x):
     return False
 
 
-def _divdiff(x, y, d):
-    return (x - y) / d
+def _in_raw_range(x, top):
+    # a nonzero mantissa is finite with ctx.mag(x) = exp + bc; fzero has mag -inf
+    return x[1] and x[2] + x[3] <= top or x == fzero
+
+
+def _operator_scan(in_range):
+    """The float and the native arithmetic's scan: the values' own operators."""
+
+    def scan(X, x, dens, start):
+        bad = None
+        for k, d in enumerate(dens[start:], start):
+            X[k], x = x, (x - X[k]) / d
+            if bad is None and not in_range(x):
+                bad = k
+        return x, bad
+
+    return scan
 
 
 # the basic operations of the float and the native arithmetic: the values' own operators
 _OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-              "div": operator.truediv, "divdiff": _divdiff}
+              "div": operator.truediv}
 
 
 def _mpf_kernels(prec):
     """mpmath's kernels at prec bits, rounding to nearest, by field name."""
     rnd = round_nearest
+
+    def scan(X, x, dens, start, top):
+        bad = None
+        for k, d in enumerate(dens[start:], start):
+            X[k], x = x, mpf_div(mpf_sub(x, X[k], prec, rnd), d, prec, rnd)
+            if bad is None and not _in_raw_range(x, top):
+                bad = k
+        return x, bad
+
     return {
+        "scan": scan,
         "add": lambda x, y: mpf_add(x, y, prec, rnd),
         "sub": lambda x, y: mpf_sub(x, y, prec, rnd),
         "mul": lambda x, y: mpf_mul(x, y, prec, rnd),
         "div": lambda x, y: mpf_div(x, y, prec, rnd),
-        "divdiff": lambda x, y, d: mpf_div(mpf_sub(x, y, prec, rnd), d, prec, rnd),
         "pow": lambda x, y: mpf_pow(x, y, prec, rnd),
         "sqrt": lambda x: mpf_sqrt(x, prec, rnd),
         "exp": lambda x: mpf_exp(x, prec, rnd),
@@ -493,55 +520,67 @@ def _nearest_kernels(prec):
             exp += n
         return ssign ^ tsign, man, exp, man.bit_length()
 
-    def divdiff(s, t, d):
-        """(s - t) / d with the bits of ``div(sub(s, t), d)``.
+    def scan(X, x, dens, start, top):
+        """``X[k], x = x, div(sub(x, X[k]), dens[k])`` for k >= start; see LoopArithmetic.
 
-        The aligned difference is rounded once, as ``sub`` rounds it, and
+        Each aligned difference is rounded once, as ``sub`` rounds it, and
         divided without its trailing zeros stripped: with a divisor
         mantissa of at least 2 bits and a difference of at most prec + 1,
         the shift ``extra`` is at least 6, above div's clamp at 5, so the
         dividend ``man << extra`` and the quotient's exponent are those of
-        the stripped mantissa.  Any other case is the composition of the
-        two kernels.
+        the stripped mantissa.  Any other step is the composition of the
+        two kernels.  The range is |x| below 2^top, as ``_in_raw_range``.
         """
-        ssign, sman, sexp, _ = s
-        tsign, tman, texp, _ = t
-        dsign, dman, dexp, dbc = d
-        offset = sexp - texp
-        # a zero, inf or nan, exponents far apart, or a divisor that is a power of two
-        if not (sman and tman and dman > 1 and -100 <= offset <= 100):
-            return div(sub(s, t), d)
-        if offset > 0:
-            sman <<= offset
-            sexp = texp
-        elif offset:
-            tman <<= -offset
-        if ssign != tsign:
-            man = sman + tman
-        else:
-            man = sman - tman
-            if man < 0:
-                ssign, man = ssign ^ 1, -man
-            elif not man:  # 0 / d for a finite nonzero d
-                return fzero
-        n = man.bit_length() - prec
-        if n > 0:
+        bad = None
+        for k, d in enumerate(dens[start:], start):
+            y = X[k]
+            X[k] = x
+            xsign, xman, xexp, _ = x
+            ysign, yman, yexp, _ = y
+            dsign, dman, dexp, dbc = d
+            offset = xexp - yexp
+            # a zero, inf or nan, exponents far apart, or a divisor that is a power of two
+            if not (xman and yman and dman > 1 and -100 <= offset <= 100):
+                x = div(sub(x, y), d)
+                if bad is None and not _in_raw_range(x, top):
+                    bad = k
+                continue
+            if offset > 0:
+                xman <<= offset
+                xexp = yexp
+            elif offset:
+                yman <<= -offset
+            if xsign != ysign:
+                man = xman + yman
+            else:
+                man = xman - yman
+                if man < 0:
+                    xsign, man = xsign ^ 1, -man
+                elif not man:  # 0 / d for a finite nonzero d
+                    x = fzero
+                    continue
+            n = man.bit_length() - prec
+            if n > 0:
+                t = man >> (n - 1)
+                man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+                xexp += n
+            extra = prec - man.bit_length() + dbc + 5
+            w = man << extra
+            man = w // dman
+            n = man.bit_length() - prec
             t = man >> (n - 1)
-            man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
-            sexp += n
-        extra = prec - man.bit_length() + dbc + 5
-        x = man << extra
-        man = x // dman
-        n = man.bit_length() - prec
-        t = man >> (n - 1)
-        man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * dman != x)
-               else t >> 1)
-        exp = sexp - dexp - extra + n
-        if not man & 1:
-            n = (man & -man).bit_length() - 1
-            man >>= n
-            exp += n
-        return ssign ^ dsign, man, exp, man.bit_length()
+            man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * dman != w)
+                   else t >> 1)
+            exp = xexp - dexp - extra + n
+            if not man & 1:
+                n = (man & -man).bit_length() - 1
+                man >>= n
+                exp += n
+            bc = man.bit_length()
+            x = xsign ^ dsign, man, exp, bc
+            if exp + bc > top and bad is None:
+                bad = k
+        return x, bad
 
     def sqrt(s):
         sign, man, exp, bc = s
@@ -566,7 +605,7 @@ def _nearest_kernels(prec):
             exp += n
         return 0, man, exp, man.bit_length()
 
-    return {"add": add, "sub": sub, "mul": mul, "div": div, "divdiff": divdiff, "sqrt": sqrt}
+    return {"scan": scan, "add": add, "sub": sub, "mul": mul, "div": div, "sqrt": sqrt}
 
 
 def _rounded(man, exp, prec):
@@ -591,8 +630,9 @@ _KERNELS = LoopArithmetic._fields[LoopArithmetic._fields.index("add"):]  # add t
 def _raw_kernels(prec) -> dict:
     """The round-to-nearest raw kernels at prec >= 53 bits, by name, with the bits of mpmath's.
 
-    The nine of :class:`LoopArithmetic`, and ``exp_fixed`` for the float
-    ``exp``.  On mpmath's python backend the basic ones are
+    The nine of :class:`LoopArithmetic`, ``scan`` with a fifth operand top,
+    the largest mag in range, and ``exp_fixed`` for the float ``exp``.  On
+    mpmath's python backend the basic ones are
     :func:`_nearest_kernels`' and exp and pow those below; under gmpy2,
     whose kernels run in C, the nine are mpmath's.  ``loggamma`` is
     ``mpf_loggamma`` under both.
@@ -724,13 +764,13 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
     def lift(x):
         return x._mpf_ if type(x) is mpf else None
 
-    def in_range(x):
-        # a nonzero mantissa is finite with ctx.mag(x) = exp + bc; fzero has mag -inf
+    def in_range(x):  # _in_raw_range(x, max_exp2) without the second call
         return x[1] and x[2] + x[3] <= max_exp2 or x == fzero
 
     kernels = _raw_kernels(ctx.prec)
     return LoopArithmetic(lift=lift, lower=ctx.make_mpf, in_range=in_range, zero=fzero, one=fone,
-                          from_int=from_int, neg=mpf_neg, **{name: kernels[name] for name in _KERNELS})
+                          from_int=from_int, neg=mpf_neg, scan=partial(kernels["scan"], top=max_exp2),
+                          **{name: kernels[name] for name in _KERNELS})
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
@@ -742,15 +782,16 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     # every finite float is in a range that reaches binary64's 2^1024
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift=lift, lower=_same, in_range=in_range, zero=0.0, one=1.0,
-                          from_int=float, neg=operator.neg, **_OPERATORS, pow=_float_pow,
-                          sqrt=_float_sqrt, exp=_float_exp, loggamma=_float_loggamma)
+                          from_int=float, neg=operator.neg, scan=_operator_scan(in_range),
+                          **_OPERATORS, pow=_float_pow, sqrt=_float_sqrt, exp=_float_exp,
+                          loggamma=_float_loggamma)
 
 
 def _native_arithmetic(ctx) -> LoopArithmetic:
     """Any value on the context's own operators, every value range-checked by check_range."""
     return LoopArithmetic(lift=_same, lower=_same, in_range=_never, zero=ctx.zero, one=ctx.one,
-                          from_int=_same, neg=None, **_OPERATORS, pow=ctx.power, sqrt=ctx.sqrt,
-                          exp=ctx.exp, loggamma=ctx.loggamma)
+                          from_int=_same, neg=None, scan=_operator_scan(_never), **_OPERATORS,
+                          pow=ctx.power, sqrt=ctx.sqrt, exp=ctx.exp, loggamma=ctx.loggamma)
 
 
 def loop_arithmetic(ctx, values=()) -> LoopArithmetic:

@@ -8,11 +8,11 @@ the previous antidiagonal is kept, so the working state is O(depth) and
 the returned table holds the j = 0 diagonal alone.  The recursion's
 operations come from ``numerics.loop_arithmetic``: on real quad values
 they run on raw ``libmp`` tuples, and only the diagonal entries are made
-``mpf`` again, with the bits the ``mpf`` operators give.  Each entry of
-M, N, H and K is one call of the arithmetic's ``divdiff``,
-``(X(j+1,n-1) - X(j,n-1)) / (t_{j+n} - t_j)`` with the bits of the
-subtraction followed by the division; the denominator is one ``sub`` per
-n, shared by the four.
+``mpf`` again, with the bits the ``mpf`` operators give.  Each of M, N,
+H and K extends its antidiagonal in one call of the arithmetic's
+``scan``: X(j,n) = (X(j+1,n-1) - X(j,n-1)) / (t_{j+n} - t_j) with the
+bits of the subtraction followed by the division, for n = 1..l, on
+denominators made by one ``sub`` per n and shared by the four.
 
 On real values the loop also mirrors.  Sample l starts H(l,0) = c*N(l,0)
 and K(l,0) = c*M(l,0) for c = +1, -1 or, at a zero, both; the samples
@@ -22,11 +22,12 @@ taken from N without a subtraction or division, and likewise K from M.
 By induction on n this is the recursion's own value: mpmath's
 round-to-nearest and binary64's round-to-nearest-even are symmetric in
 sign, so ``sub(-a, -b) = -sub(a, b)`` and ``div(-a, d) = -div(a, d)``,
-hence ``divdiff(-a, -b, d) = -divdiff(a, b, d)``; only the sign of a
-binary64 zero can differ, and |.| removes it.  So on sign-alternating
-terms, where H_l = (-1)^l |N_l| keeps one c, every H entry is mirrored.
-The stored value is always the entry itself, so an entry outside a run
-reads the operands the full recursion would.  Complex values run all four
+hence each step negates with its operands; only the sign of a binary64
+zero can differ, and |.| removes it.  So on sign-alternating terms, where
+H_l = (-1)^l |N_l| keeps one c, every H entry is mirrored: H is scanned
+from n = span only, below it a slice copy of N.  The stored value is
+always the entry itself, so an entry outside a run reads the operands
+the full recursion would.  Complex values run all four
 recursions: an ``mpc`` with a zero imaginary part compares equal to an
 ``mpf``, so equality does not make one a copy.
 Every computed entry of M, N, H and K is range-checked; a mirrored entry
@@ -120,6 +121,22 @@ def _extend_run(run, l, x, base, neg):
     return l + 1, _BOTH
 
 
+def _mirror(X, x, source, l, run, neg):
+    """Where X's scan starts at sample l: (X(l-span, span), span) in a sign run, else (x, 0).
+
+    X(l-n, n) with n <= span lies in the run: it is c*source(l-n, n), which
+    source's scan has stored at source[n].  Below the span X takes X(l, 0)
+    = x and a slice copy of source; the scan overwrites X[span] only.
+    """
+    span = 0 if run is None else l - run[0]
+    if span <= 0:  # no run, or one that starts after sample l (a NaN)
+        return x, 0
+    flip = run[1] == _MINUS
+    X[0] = x
+    X[1:span] = map(neg, source[1:span]) if flip else source[1:span]
+    return (neg(source[span]) if flip else source[span]), span
+
+
 def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     """Run the W-algorithm recursion over the samples at R = [R_0, ..., R_depth].
 
@@ -138,8 +155,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
     ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
-    lift, lower, sub, divdiff, in_range, neg = (
-        ar.lift, ar.lower, ar.sub, ar.divdiff, ar.in_range, ar.neg)
+    lift, lower, sub, scan, neg = ar.lift, ar.lower, ar.sub, ar.scan, ar.neg
     sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
 
     t, A, G, L = [], [], [], []
@@ -147,7 +163,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     # overwritten with X(l-k, k) while sample l extends it, for X in M, N, H, K
     M, N, H, K = [], [], [], []
     # the sign runs of H against N and of K against M: (first index, signs mask)
-    h_run = k_run = (0, _BOTH)
+    h_run = k_run = None if neg is None else (0, _BOTH)
     for l, (r, sample) in enumerate(zip(R, samples)):
         a = terms[r]
         if a == 0:
@@ -168,42 +184,26 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         kx = lift(sign * ctx.convert(abs(mx)))
         mx = lift(mx)
         nx = lift(nx)
-        # X(l-n, n) with n <= span (k < span below) lies in its run: it is c*N or c*M there
-        if neg is None:
-            h_span = k_span = 0
-        else:
+        if neg is not None:  # complex values have no sign runs
             h_run = _extend_run(h_run, l, hx, nx, neg)
             k_run = _extend_run(k_run, l, kx, mx, neg)
-            h_span, h_flip = l - h_run[0], h_run[1] == _MINUS
-            k_span, k_flip = l - k_run[0], k_run[1] == _MINUS
-        for k, tj in enumerate(reversed(t)):  # n = k + 1, tj = t[l - n]
-            den = sub(tl, tj)
-            mo, no, ho, ko = M[k], N[k], H[k], K[k]
-            M[k], N[k], H[k], K[k] = mx, nx, hx, kx
-            mx = divdiff(mx, mo, den)
-            nx = divdiff(nx, no, den)
-            if not in_range(mx):
-                check_range(lower(mx), ctx, "M(%d,%d)", l - 1 - k, k + 1)
-            if not in_range(nx):
-                check_range(lower(nx), ctx, "N(%d,%d)", l - 1 - k, k + 1)
-            if k >= h_span:
-                hx = divdiff(hx, ho, den)
-                if not in_range(hx):
-                    check_range(lower(hx), ctx, "H(%d,%d)", l - 1 - k, k + 1)
-            else:
-                hx = neg(nx) if h_flip else nx
-            if k >= k_span:
-                kx = divdiff(kx, ko, den)
-                if not in_range(kx):
-                    check_range(lower(kx), ctx, "K(%d,%d)", l - 1 - k, k + 1)
-            else:
-                kx = neg(mx) if k_flip else mx
+        # dens[k] = t_l - t_{l-n} for n = k + 1: scanning X from k fills X[k + 1] = X(l-1-k, k+1)
+        dens = [sub(tl, tj) for tj in reversed(t)]
         t.append(tl)
-        M.append(mx)
-        N.append(nx)
-        H.append(hx)
-        K.append(kx)
-        mx, nx, hx, kx = lower(mx), lower(nx), lower(hx), lower(kx)
+        bad = []
+        for X, x, source, run in ((M, mx, None, None), (N, nx, None, None),
+                                  (H, hx, N, h_run), (K, kx, M, k_run)):
+            x, start = _mirror(X, x, source, l, run, neg)
+            x, b = scan(X, x, dens, start)
+            X.append(x)
+            bad.append(b)
+        if bad != [None] * 4:
+            # the first entry check_range refuses, in the order n, then M, N, H, K
+            for k in range(min(b for b in bad if b is not None), l):
+                for name, X, b in zip("MNHK", (M, N, H, K), bad):
+                    if b is not None and k >= b:
+                        check_range(lower(X[k + 1]), ctx, "%s(%d,%d)", name, l - 1 - k, k + 1)
+        mx, nx, hx, kx = lower(M[l]), lower(N[l]), lower(H[l]), lower(K[l])
         if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
             A.append(sample)
             G.append(ctx.one)

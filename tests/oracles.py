@@ -7,6 +7,7 @@ library results are checked against.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,6 +258,32 @@ def predicted_gamma(family) -> Fraction:
     if family.kind == 2 or family.s > 0 or family.theta[0] != 0:
         return Fraction(0)
     return Fraction(-first_theta_index(family), family.m)
+
+
+# The class corpus: telescoping families drawn over the paper's class, each
+# with the sum (or antilimit) -1, on the three schedule kinds and four depths.
+CORPUS_THETA_0 = (Fraction(-1, 2), Fraction(-1, 5), Fraction(0), Fraction(1, 5))
+CORPUS_THETA_I = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+CORPUS_SCHEDULES = ("aps:1,1", "aps:2,1", "gps:1.3")
+CORPUS_DEPTHS = (12, 16, 24, 32)
+
+
+def telescoping_corpus(seed, count):
+    """*count* draws (kind, s, m, theta, schedule, depth) of telescoping families, fixed by *seed*.
+
+    kind 1 or 2, m = 1 to 3, s in {-1, 0, 1}, theta_0 from CORPUS_THETA_0
+    and theta_1..theta_{m-1} from CORPUS_THETA_I.  A kind 1 family with
+    s = 0 and every theta zero has no terms and is drawn again.
+    """
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        kind, m, s = rng.choice((1, 2)), rng.randint(1, 3), rng.choice((-1, 0, 1))
+        theta = (rng.choice(CORPUS_THETA_0),) + tuple(rng.choice(CORPUS_THETA_I) for _ in range(m - 1))
+        if kind == 1 and s == 0 and not any(theta):
+            continue
+        draws.append((kind, s, m, theta, rng.choice(CORPUS_SCHEDULES), rng.choice(CORPUS_DEPTHS)))
+    return draws
 
 
 class SingularSystemError(ArithmeticError):

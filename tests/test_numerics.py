@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -31,6 +32,7 @@ from fracsum.numerics import (
     NotANumberError,
     Precision,
     RangeOverflowError,
+    _mpf_kernels,
     _mpmath_context,
     _nearest_kernels,
     _raw_arithmetic,
@@ -222,13 +224,24 @@ def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
         assert same(ar.sub(lx, ly), x - y)
         assert same(ar.mul(lx, ly), x * y)
         assert same(ar.div(lx, ly), x / y)
-        assert same(ar.divdiff(lx, ly, lk), (x - y) / k)
-        assert same(ar.divdiff(ly, lx, ly), (y - x) / y)
+        assert same(_divdiff(ar.scan, lx, ly, lk), (x - y) / k)
+        assert same(_divdiff(ar.scan, ly, lx, ly), (y - x) / y)
         assert same(ar.mul(lx, lk), x * k)
         assert same(ar.exp(lx), ctx.exp(x))
         assert same(ar.pow(lk, lx), ctx.power(k, x))
         assert same(ar.sqrt(lk), ctx.sqrt(k))
         assert same(ar.loggamma(ar.from_int(k + 1)), ctx.loggamma(k + 1))
+    # one antidiagonal of five entries, scanned from 2: entries below start are not touched
+    old = [ctx.convert(k) / 7 * unit for k in (3, 5, 11, 13, 17)]
+    dens = [ctx.sqrt(k) - 1 for k in (2, 3, 5, 6, 7)]
+    X, x = [ar.lift(v) for v in old], ar.lift(ctx.sqrt(19) * unit)
+    want, y = old[:2], ctx.sqrt(19) * unit
+    for k in range(2, 5):
+        want.append(y)
+        y = (y - old[k]) / dens[k]
+    got, bad = ar.scan(X, x, [ar.lift(d) for d in dens], 2)
+    assert same(got, y) and all(same(a, b) for a, b in zip(X, want))
+    assert bad == (None if ar.neg else 2)  # the native arithmetic has every entry checked
 
 
 _MPMATH = {"add": mpf_add, "sub": mpf_sub, "mul": mpf_mul, "div": mpf_div}
@@ -308,6 +321,14 @@ def _mpmath_divdiff(s, t, d, prec, rnd):
     return mpf_div(mpf_sub(s, t, prec, rnd), d, prec, rnd)
 
 
+def _divdiff(scan, s, t, d, **top):
+    """(s - t) / d as a one-entry scan, which stores s in place of t."""
+    X = [t]
+    x, _ = scan(X, s, [d], 0, **top)
+    assert X[0] is s
+    return x
+
+
 def _outcome(f, *args):
     """f's raw result, or the type of the exception it raises."""
     try:
@@ -332,7 +353,7 @@ def test_nearest_kernels_are_mpmaths_bit_for_bit(data, prec):
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), prec=st.sampled_from([53, 113, 200]))
 def test_divdiff_kernel_is_mpmaths_sub_then_div(data, prec):
-    divdiff = _nearest_kernels(prec)["divdiff"]
+    divdiff = partial(_divdiff, _nearest_kernels(prec)["scan"], top=1 << 20)
     s, t, d = data.draw(_divdiff_triples(prec))
     want = _outcome(_mpmath_divdiff, s, t, d, prec, round_nearest)
     assert _outcome(divdiff, s, t, d) == want, (s, t, d, prec)
@@ -340,7 +361,7 @@ def test_divdiff_kernel_is_mpmaths_sub_then_div(data, prec):
 
 @pytest.mark.parametrize("prec", [53, 113, 200])
 def test_divdiff_kernel_edge_cases(prec):
-    divdiff = _nearest_kernels(prec)["divdiff"]
+    divdiff = partial(_divdiff, _nearest_kernels(prec)["scan"], top=1 << 20)
     one, three = from_man_exp(1, 0), from_man_exp(3, -7)
     x = from_man_exp((1 << prec) - 1, 1)  # x + 1 has prec + 1 bits and rounds up to 2^(prec+1)
     cases = [(x, x, three), (x, from_man_exp(-1, 0), three), (x, from_man_exp(-1, 0), one),
@@ -357,6 +378,43 @@ def test_divdiff_kernel_edge_cases(prec):
     assert divdiff(x, x, three) == fzero
 
 
+@st.composite
+def _antidiagonals(draw, prec):
+    """(X, x, dens, start, top) for a scan of 1 to 12 entries of ``_divdiff_triples``' operands."""
+    triples = draw(st.lists(_divdiff_triples(prec), min_size=1, max_size=12))
+    start = draw(st.integers(0, len(triples) - 1))
+    X, dens = [t for _, t, _ in triples], [d for _, _, d in triples]
+    return X, triples[start][0], dens, start, draw(st.integers(-900, 900))
+
+
+_MAG = MPContext()
+
+
+def _mpmath_scan(X, x, dens, start, top, prec):
+    """The left fold of mpf_sub then mpf_div, and the first k whose entry check_range refuses."""
+    bad = None
+    for k in range(start, len(dens)):
+        X[k], x = x, _mpmath_divdiff(x, X[k], dens[k], prec, round_nearest)
+        value = _MAG.make_mpf(x)
+        if bad is None and not (_MAG.mag(value) <= top and not _MAG.isnan(value)):
+            bad = k
+    return x, bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), prec=st.sampled_from([53, 113, 200]))
+def test_scan_is_the_fold_of_mpmaths_sub_then_div(data, prec):
+    X, x, dens, start, top = data.draw(_antidiagonals(prec))
+    want_X = list(X)
+    want = _outcome(_mpmath_scan, want_X, x, dens, start, top, prec)
+    for backend, kernels in (("python", _nearest_kernels(prec)), ("gmpy", _mpf_kernels(prec))):
+        got_X = list(X)
+        got = _outcome(kernels["scan"], got_X, x, dens, start, top)
+        assert got == want, (backend, X, x, dens, start, top, prec)
+        if type(want) is tuple:
+            assert got_X == want_X, backend
+
+
 @pytest.mark.parametrize("backend, nearest", [("python", True), ("gmpy", False)],
                          ids=["python-nearest", "gmpy-not-nearest"])
 def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
@@ -366,16 +424,18 @@ def test_raw_arithmetic_binds_the_nearest_kernels_on_the_python_backend_only(
     ar = _raw_arithmetic(_mpmath_context(QUAD), QUAD)
     # the int kernels are closures over prec: each shares its code with the factory's kernel
     for name, kernel in _nearest_kernels(113).items():
-        assert (getattr(ar, name).__code__ is kernel.__code__) is nearest, name
-    # either way the bits of mpmath's kernels (divdiff its subtraction, then its division)
+        bound = getattr(ar, name)  # scan with the range bound to it
+        assert (getattr(bound, "func", bound).__code__ is kernel.__code__) is nearest, name
+    # either way the bits of mpmath's kernels (a scan step its subtraction, then its division)
     s, t = from_rational(13, 3, 113, round_nearest), from_rational(7, 11, 113, round_nearest)
     d = from_man_exp(13, 0)
     mpmath_kernels = {"add": (mpf_add, s, t), "sub": (mpf_sub, s, t), "mul": (mpf_mul, s, t),
-                      "div": (mpf_div, s, t), "divdiff": (_mpmath_divdiff, s, t, d),
+                      "div": (mpf_div, s, t), "scan": (_mpmath_divdiff, s, t, d),
                       "pow": (mpf_pow, s, t), "sqrt": (mpf_sqrt, s), "exp": (mpf_exp, s),
                       "loggamma": (mpf_loggamma, s)}
     for name, (theirs, *args) in mpmath_kernels.items():
-        assert getattr(ar, name)(*args) == theirs(*args, 113, round_nearest), name
+        ours = partial(_divdiff, ar.scan) if name == "scan" else getattr(ar, name)
+        assert ours(*args) == theirs(*args, 113, round_nearest), name
 
 
 @pytest.mark.parametrize("rounding", ["f", "c", "d", "u"])
@@ -447,6 +507,22 @@ def test_recursion_range_edges_at_an_mpmath_preset(unit):
         _table_at(ctx, u, ctx.zero, ctx.ldexp(1, -135), -one)
     with pytest.raises(NotANumberError, match=r"^M\(0,1\) is NaN$"):
         _table_at(ctx, u, ctx.nan, one, two)
+
+
+@pytest.mark.parametrize("unit", sorted(_UNITS))
+def test_the_first_entry_out_of_range_in_entry_order_is_named(unit):
+    ctx = make_context(NARROW_QUAD)
+    u = _UNITS[unit](ctx)
+    big = ctx.ldexp(1, 134)
+    # R = [1, 2, 3], m = 1, sigma_hat = 0: t = [1, 1/2, 1/3], N = [1, 1/2, 2^134] and
+    # M = 3 * 2^133 * [0, 1, 1]; sample 1 stays in range (M(0,1) = -3 * 2^134)
+    sums = [ctx.zero, ctx.zero, 3 * big * u, ctx.mpf(1.5) * u]
+    terms = [None, u, 2 * u, u / big]
+    build_table(sums, terms, [1, 2], 1, 0, ctx)
+    # at sample 2, M(1,1) = 0 but M(0,2) = -9 * 2^133 leaves the range, and at n = 1
+    # before it N(1,1) = -6 (2^134 - 1/2), H(1,1) and K(1,1) do: N is first
+    with pytest.raises(RangeOverflowError, match=r"^N\(1,1\) exceeds the narrow-quad"):
+        build_table(sums, terms, [1, 2, 3], 1, 0, ctx)
 
 
 @pytest.mark.parametrize("prec", [53, 113])
