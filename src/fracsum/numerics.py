@@ -49,6 +49,7 @@ from mpmath.libmp import (
     from_int,
     fone,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_div,
     mpf_e,
@@ -322,14 +323,14 @@ class LoopArithmetic(NamedTuple):
     :func:`check_range` passes; for any other value the loop calls
     ``check_range`` on the lowered value, which raises the named error.
     ``zero`` and ``one`` are the loop's 0 and 1, and ``from_int(k)`` is its
-    form of the int k (on floats, exact for |k| <= 2^53).  ``neg(x)`` is
-    -x, exact: ``mpf_neg`` without rounding on raw tuples, unary minus on
-    floats.  Both roundings are sign-symmetric, so ``sub(-x, -y)`` is
-    ``neg(sub(x, y))`` and ``div(-x, d)`` is ``neg(div(x, d))`` bit for
-    bit, up to the sign of a binary64 zero.  ``neg`` is None for the
-    native arithmetic: its values may be complex, and an ``mpc`` with a
-    zero imaginary part compares equal to an ``mpf``, so no loop value
-    there is taken as the negation of another.
+    form of the int k (on floats, exact for |k| <= 2^53).  ``abs(x)`` is
+    the context's ``convert(abs(x))``; ``neg(xs)`` iterates over -x for x
+    in xs, exact.  Both roundings are sign-symmetric, so ``sub(-x, -y)`` is
+    -``sub(x, y)`` and ``div(-x, d)`` is -``div(x, d)`` bit for bit, up to
+    the sign of a binary64 zero.  ``neg`` is None for the native
+    arithmetic: its values may be complex, and an ``mpc`` with a zero
+    imaginary part compares equal to an ``mpf``, so no loop value there is
+    taken as the negation of another.
 
     The kernels take their operands only: the arithmetic is bound to the
     precision of its context, which rounds to nearest.  ``add(x, y)``,
@@ -339,10 +340,10 @@ class LoopArithmetic(NamedTuple):
     through :func:`_raw_kernels`.  ``scan(X, x, dens, start)`` extends a
     W-recursion antidiagonal: ``X[k], x = x, div(sub(x, X[k]), dens[k])``
     for k = start, ..., len(dens) - 1; it returns x and the first k whose x
-    ``in_range`` refuses, or None.  The real arithmetics take ``pow``,
-    ``sqrt`` and ``loggamma`` only where the result is real (terms call
-    them on positive integers): where the context would return a complex
-    value, they raise.
+    ``in_range`` refuses, or None (raw entries it stores may keep trailing
+    zeros).  The real arithmetics take ``pow``, ``sqrt`` and ``loggamma``
+    only where the result is real (terms call them on positive integers):
+    where the context would return a complex value, they raise.
     """
 
     lift: Callable
@@ -352,6 +353,7 @@ class LoopArithmetic(NamedTuple):
     one: object
     from_int: Callable
     neg: Callable | None
+    abs: Callable
     scan: Callable
     add: Callable
     sub: Callable
@@ -365,6 +367,22 @@ class LoopArithmetic(NamedTuple):
 
 def _same(x):
     return x
+
+
+def _from_int(n):
+    """``from_int(n)``'s raw tuple, with ``int.bit_length`` in place of mpmath's steps."""
+    if not n:
+        return fzero
+    sign = 0
+    if n < 0:
+        sign, n = 1, -n
+    exp = (n & -n).bit_length() - 1
+    n >>= exp
+    return sign, n, exp, n.bit_length()
+
+
+def _neg_raw(xs):
+    return [(s ^ 1, m, e, b) if m else mpf_neg((s, m, e, b)) for s, m, e, b in xs]
 
 
 def _never(x):
@@ -528,8 +546,10 @@ def _nearest_kernels(prec):
         mantissa of at least 2 bits and a difference of at most prec + 1,
         the shift ``extra`` is at least 6, above div's clamp at 5, so the
         dividend ``man << extra`` and the quotient's exponent are those of
-        the stripped mantissa.  Any other step is the composition of the
-        two kernels.  The range is |x| below 2^top, as ``_in_raw_range``.
+        the stripped mantissa.  Only the x returned is stripped: every step
+        here rounds operands of at most prec + 1 bits as their stripped
+        forms.  Any other step is the composition of the two kernels.  The
+        range is |x| below 2^top, as ``_in_raw_range``.
         """
         bad = None
         for k, d in enumerate(dens[start:], start):
@@ -572,14 +592,14 @@ def _nearest_kernels(prec):
             man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * dman != w)
                    else t >> 1)
             exp = xexp - dexp - extra + n
-            if not man & 1:
-                n = (man & -man).bit_length() - 1
-                man >>= n
-                exp += n
             bc = man.bit_length()
             x = xsign ^ dsign, man, exp, bc
             if exp + bc > top and bad is None:
                 bad = k
+        sign, man, exp, bc = x
+        if man and not man & 1:
+            n = (man & -man).bit_length() - 1
+            x = sign, man >> n, exp + n, bc - n
         return x, bad
 
     def sqrt(s):
@@ -769,7 +789,8 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
 
     kernels = _raw_kernels(ctx.prec)
     return LoopArithmetic(lift=lift, lower=ctx.make_mpf, in_range=in_range, zero=fzero, one=fone,
-                          from_int=from_int, neg=mpf_neg, scan=partial(kernels["scan"], top=max_exp2),
+                          from_int=_from_int if BACKEND == "python" else from_int, neg=_neg_raw,
+                          abs=mpf_abs, scan=partial(kernels["scan"], top=max_exp2),
                           **{name: kernels[name] for name in _KERNELS})
 
 
@@ -782,15 +803,16 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     # every finite float is in a range that reaches binary64's 2^1024
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift=lift, lower=_same, in_range=in_range, zero=0.0, one=1.0,
-                          from_int=float, neg=operator.neg, scan=_operator_scan(in_range),
-                          **_OPERATORS, pow=_float_pow, sqrt=_float_sqrt, exp=_float_exp,
-                          loggamma=_float_loggamma)
+                          from_int=float, neg=partial(map, operator.neg), abs=abs,
+                          scan=_operator_scan(in_range), **_OPERATORS, pow=_float_pow,
+                          sqrt=_float_sqrt, exp=_float_exp, loggamma=_float_loggamma)
 
 
 def _native_arithmetic(ctx) -> LoopArithmetic:
     """Any value on the context's own operators, every value range-checked by check_range."""
     return LoopArithmetic(lift=_same, lower=_same, in_range=_never, zero=ctx.zero, one=ctx.one,
-                          from_int=_same, neg=None, scan=_operator_scan(_never), **_OPERATORS,
+                          from_int=_same, neg=None, abs=lambda x: ctx.convert(abs(x)),
+                          scan=_operator_scan(_never), **_OPERATORS,
                           pow=ctx.power, sqrt=ctx.sqrt, exp=ctx.exp, loggamma=ctx.loggamma)
 
 

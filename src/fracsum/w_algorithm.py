@@ -5,33 +5,31 @@ sample l extends the antidiagonal j + n = l of the four auxiliary
 divided-difference arrays (M, N, H, K) and ends at the diagonal entry
 A(0,l) with its stability indicators Gamma(0,l) and Lambda(0,l).  Only
 the previous antidiagonal is kept, so the working state is O(depth) and
-the returned table holds the j = 0 diagonal alone.  The recursion's
-operations come from ``numerics.loop_arithmetic``: on real quad values
-they run on raw ``libmp`` tuples, and only the diagonal entries are made
-``mpf`` again, with the bits the ``mpf`` operators give.  Each of M, N,
-H and K extends its antidiagonal in one call of the arithmetic's
-``scan``: X(j,n) = (X(j+1,n-1) - X(j,n-1)) / (t_{j+n} - t_j) with the
-bits of the subtraction followed by the division, for n = 1..l, on
-denominators made by one ``sub`` per n and shared by the four.
+the returned table holds the j = 0 diagonal alone.  Every operation of a
+sample runs on ``numerics.loop_arithmetic`` (raw ``libmp`` tuples for
+real quad values) with the bits of the context's: the weight omega =
+r^sigma_hat * a_r, the node t_l = r^(-1/m), the starting values M(l,0) =
+A_R/omega, N(l,0) = 1/omega, H(l,0) = (-1)^l |N(l,0)| and K(l,0) =
+(-1)^l |M(l,0)|, and A = M/N, Gamma = |H/N| and Lambda = |K/N|, the only
+values made context scalars again.  Each of M, N, H and K extends its
+antidiagonal in one ``scan`` call: X(j,n) = (X(j+1,n-1) - X(j,n-1)) /
+(t_{j+n} - t_j) for n = 1..l, on denominators made by one ``sub`` per n;
+stored raw entries may keep trailing zero bits, the diagonal one not.
 
 On real values the loop also mirrors.  Sample l starts H(l,0) = c*N(l,0)
 and K(l,0) = c*M(l,0) for c = +1, -1 or, at a zero, both; the samples
 fall into runs with one c each, kept separately for H and K.  An entry
 H(l-n, n) whose window of samples l-n..l lies in one run is c*N(l-n, n),
-taken from N without a subtraction or division, and likewise K from M.
-By induction on n this is the recursion's own value: mpmath's
-round-to-nearest and binary64's round-to-nearest-even are symmetric in
-sign, so ``sub(-a, -b) = -sub(a, b)`` and ``div(-a, d) = -div(a, d)``,
-hence each step negates with its operands; only the sign of a binary64
-zero can differ, and |.| removes it.  So on sign-alternating terms, where
-H_l = (-1)^l |N_l| keeps one c, every H entry is mirrored: H is scanned
-from n = span only, below it a slice copy of N.  The stored value is
-always the entry itself, so an entry outside a run reads the operands
-the full recursion would.  Complex values run all four
+copied from N, and likewise K from M.  By induction on n this is the
+recursion's own value: both roundings are symmetric in sign (see
+``LoopArithmetic``), so each step negates with its operands; only the
+sign of a binary64 zero can differ, and |.| removes it.  So on
+sign-alternating terms every H entry is mirrored: H is scanned from
+n = span only, below it a slice copy of N.  An entry outside a run reads
+the operands the full recursion would.  Complex values run all four
 recursions: an ``mpc`` with a zero imaginary part compares equal to an
-``mpf``, so equality does not make one a copy.
-Every computed entry of M, N, H and K is range-checked; a mirrored entry
-has the magnitude of the checked N or M entry it copies.
+``mpf``, so equality does not make one a copy.  Every computed entry is
+range-checked; a mirrored one has the magnitude of the entry it copies.
 
 The recursion is cross-checked in the tests against a direct solve of
 the defining linear system and against the full triangle
@@ -106,14 +104,14 @@ class ExtrapolationTable:
 _PLUS, _MINUS, _BOTH = 1, 2, 3
 
 
-def _extend_run(run, l, x, base, neg):
+def _extend_run(run, l, x, base, minus_base):
     """The sign run of x = c*base after sample l: (first index, mask of the c it allows).
 
     A zero matches both signs; a value that matches neither (a binary64
     NaN) starts the run after it.
     """
     start, signs = run
-    own = (x == base and _PLUS) | (x == neg(base) and _MINUS)
+    own = (x == base and _PLUS) | (x == minus_base and _MINUS)
     if signs & own:
         return start, signs & own
     if own:
@@ -131,10 +129,12 @@ def _mirror(X, x, source, l, run, neg):
     span = 0 if run is None else l - run[0]
     if span <= 0:  # no run, or one that starts after sample l (a NaN)
         return x, 0
-    flip = run[1] == _MINUS
     X[0] = x
-    X[1:span] = map(neg, source[1:span]) if flip else source[1:span]
-    return (neg(source[span]) if flip else source[span]), span
+    if run[1] == _MINUS:
+        *X[1:span], x = neg(source[1:span + 1])
+    else:
+        X[1:span], x = source[1:span], source[span]
+    return x, span
 
 
 def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
@@ -155,8 +155,10 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
     ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
-    lift, lower, sub, scan, neg = ar.lift, ar.lower, ar.sub, ar.scan, ar.neg
+    lift, lower, zero, one, absolute, neg = ar.lift, ar.lower, ar.zero, ar.one, ar.abs, ar.neg
+    from_int, power, sub, mul, div, scan = ar.from_int, ar.pow, ar.sub, ar.mul, ar.div, ar.scan
     sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
+    minus_one = from_int(-1)
 
     t, A, G, L = [], [], [], []
     # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
@@ -165,28 +167,25 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     # the sign runs of H against N and of K against M: (first index, signs mask)
     h_run = k_run = None if neg is None else (0, _BOTH)
     for l, (r, sample) in enumerate(zip(R, samples)):
-        a = terms[r]
-        if a == 0:
+        a = lift(terms[r])
+        if a == zero:
             raise ZeroTermError(r, ctx)
-        # the weight r^sigma_hat and the node t_l = r^(-1/m), with the bits of ctx.power
-        x = ar.from_int(r)
-        omega = lower(ar.pow(x, sigma)) * a
-        if omega == 0:
+        # the weight omega = r^sigma_hat * a_r and the node t_l = r^(-1/m)
+        x = from_int(r)
+        omega = mul(power(x, sigma), a)
+        if omega == zero:
             raise WeightUnderflowError(
                 f"remainder weight omega_{r} = {r}^({sigma_hat}) * a_{r} underflowed to zero, "
-                f"with a_{r} = {ctx.nstr(a)}; --precision quad has the wider range")
-        tl = ar.pow(x, inv_m)
-        mx = sample / omega
-        nx = 1 / omega
-        sign = -1 if l % 2 else 1
-        # abs of a complex value is real: convert makes it the context's real
-        hx = lift(sign * ctx.convert(abs(nx)))
-        kx = lift(sign * ctx.convert(abs(mx)))
-        mx = lift(mx)
-        nx = lift(nx)
+                f"with a_{r} = {ctx.nstr(terms[r])}; --precision quad has the wider range")
+        tl, y = power(x, inv_m), lift(sample)
+        mx, nx = div(y, omega), div(one, omega)
+        hx, kx = absolute(nx), absolute(mx)
+        if l % 2:
+            hx, kx = mul(minus_one, hx), mul(minus_one, kx)
         if neg is not None:  # complex values have no sign runs
-            h_run = _extend_run(h_run, l, hx, nx, neg)
-            k_run = _extend_run(k_run, l, kx, mx, neg)
+            minus_nx, minus_mx = neg([nx, mx])
+            h_run = _extend_run(h_run, l, hx, nx, minus_nx)
+            k_run = _extend_run(k_run, l, kx, mx, minus_mx)
         # dens[k] = t_l - t_{l-n} for n = k + 1: scanning X from k fills X[k + 1] = X(l-1-k, k+1)
         dens = [sub(tl, tj) for tj in reversed(t)]
         t.append(tl)
@@ -198,21 +197,21 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             X.append(x)
             bad.append(b)
         if bad != [None] * 4:
-            # the first entry check_range refuses, in the order n, then M, N, H, K
+            # the first entry check_range refuses, in the order n, then M, N, H, K; div(x, 1) strips
             for k in range(min(b for b in bad if b is not None), l):
                 for name, X, b in zip("MNHK", (M, N, H, K), bad):
                     if b is not None and k >= b:
-                        check_range(lower(X[k + 1]), ctx, "%s(%d,%d)", name, l - 1 - k, k + 1)
-        mx, nx, hx, kx = lower(M[l]), lower(N[l]), lower(H[l]), lower(K[l])
+                        check_range(lower(div(X[k + 1], one)), ctx, "%s(%d,%d)", name, l - 1 - k, k + 1)
+        nx = N[l]
         if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
             A.append(sample)
             G.append(ctx.one)
-            L.append(ctx.convert(abs(sample)))
-        elif nx == 0:
+            L.append(lower(absolute(y)))
+        elif nx == zero:
             raise DegenerateDenominatorError(0, l)
         else:
-            A.append(mx / nx)
-            G.append(ctx.convert(abs(hx / nx)))
-            L.append(ctx.convert(abs(kx / nx)))
+            A.append(lower(div(M[l], nx)))
+            G.append(lower(absolute(div(H[l], nx))))
+            L.append(lower(absolute(div(K[l], nx))))
 
     return ExtrapolationTable(depth=len(R) - 1, ctx=ctx, R=R, samples=samples, A=A, gamma=G, lam=L)

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracsum.numerics import DOUBLE, QUAD, Precision, make_context
+from fracsum.numerics import DOUBLE, QUAD, Precision, RangeOverflowError, make_context
 from fracsum.reference_tables import REFERENCE_TABLES
 from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
 from fracsum.series_model import builtin_problem
-from fracsum.w_algorithm import DegenerateDenominatorError, ZeroTermError, build_table
+from fracsum.w_algorithm import (DegenerateDenominatorError, WeightUnderflowError, ZeroTermError,
+                                  build_table)
 
 from columns import columns, problem_arrays, problem_columns
 from oracles import (
@@ -368,6 +369,59 @@ def test_degenerate_denominator_names_entry(qctx):
     assert isinstance(info.value, ArithmeticError)
     # the same data with sigma_hat = 0 is well posed
     build_table(sums, terms, schedule.prefix(5), 1, Fraction(0), qctx)
+
+
+def _parts_canonical(x):
+    """Zero, or an odd mantissa whose bc is its bit length, for each part of an mpf or mpc."""
+    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,)
+    return all(man & 1 and bc == man.bit_length() if man else (sign, exp, bc) == (0, 0, 0)
+               for sign, man, exp, bc in parts)
+
+
+def test_every_value_build_table_returns_is_canonical(qctx):
+    # mpf == compares raw tuples, so a value with trailing zero bits would miscompare silently
+    deep = [(ident, "aps:1,1", 128) for ident in ("ex5_2", "ex5_8", "ex5_4", "ex5_12")]
+    for ident, spec, depth in [(r.problem, r.schedule, r.depth) for r in REFERENCE_TABLES] + deep:
+        table = _table(ident, parse_schedule(spec), depth, qctx)[0]
+        for name in ("A", "gamma", "lam", "samples"):
+            bad = [n for n, x in enumerate(getattr(table, name)) if not _parts_canonical(x)]
+            assert not bad, (ident, spec, name, bad)
+
+
+# a narrow range at each mantissa width: max_exp2 = int(40 log2 10) + 4 = 136
+_NARROW = {QUAD: Precision("narrow-quad", 113, 40), DOUBLE: Precision("narrow-double", 53, 40)}
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_each_sample_raises_its_named_errors_in_order(precision, kind):
+    ctx = make_context(precision)
+    u = ctx.one if kind == "real" else ctx.mpc(0, 1)
+    R = [1, 2, 3, 4, 5]
+    # a_k = u/k with sigma_hat = 1: omega = u at every sample, so N(0,1) = 0
+    terms = [None] + [u / k for k in range(1, 6)]
+    sums = [ctx.zero * u]
+    for a in terms[1:]:
+        sums.append(sums[-1] + a)
+    with pytest.raises(DegenerateDenominatorError, match=r"^W-algorithm denominator N\(0,1\) is"):
+        build_table(sums, terms, R, 1, 1, ctx)
+    # samples raise in order: N(0,1) of sample 1 before the zero a_3 of sample 2
+    zero_at_3 = terms[:3] + [ctx.zero * u] + terms[4:]
+    with pytest.raises(DegenerateDenominatorError):
+        build_table(sums, zero_at_3, R, 1, 1, ctx)
+    with pytest.raises(ZeroTermError, match=r"^term a_3 at a scheduled index is zero"):
+        build_table(sums, zero_at_3, R, 1, 0, ctx)
+    if kind == "real" and precision is DOUBLE:
+        # 2^-1 * 5e-324 underflows in binary64; the complex weight is an mpmath mpc, which does not
+        tiny = terms[:2] + [ctx.mpf(5e-324)] + terms[3:]
+        with pytest.raises(WeightUnderflowError, match=r"^remainder weight omega_2 = 2\^\(-1\) "):
+            build_table(sums, tiny, R, 1, -1, ctx)
+    # R = [1, 2], m = 1, sigma_hat = 0: M(0,1) = 2 (A_1 / a_1 - A_2 / a_2) = 2^136 has mag 137
+    narrow = make_context(_NARROW[precision])
+    v = narrow.one if kind == "real" else narrow.mpc(0, 1)
+    big = [narrow.zero, narrow.ldexp(1, 135) * v, narrow.zero * v]
+    with pytest.raises(RangeOverflowError, match=rf"^M\(0,1\) exceeds the narrow-{precision.name} "):
+        build_table(big, [None, v, 2 * v], [1, 2], 1, 0, narrow)
 
 
 # The dense oracle runs at three times the quad mantissa on the exact quad
