@@ -26,16 +26,18 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from mpmath.libmp import finf, fnan, fninf, from_float, fzero
+from mpmath.libmp import finf, fnan, fninf, fzero
 
 from .classify import RatioExpansion, convergence_verdict, structure_from_ratio
-from .numerics import PRESETS, QUAD, Precision, make_context
-from .reference_tables import REFERENCE_TABLES, ReferenceTable, parse_number
+from .numerics import PRESETS, QUAD, Precision, _raw, make_context
 from .sampling import _check_integer, parse_schedule
 from .series_model import builtin_ids, builtin_problem, load_problem, resolve_known_S
 from .transform import accelerate
+
+if TYPE_CHECKING:  # fracsum run leaves the reference tables unimported
+    from .reference_tables import ReferenceTable
 
 __all__ = ["RunConfig", "TableRow", "RunReport", "run", "reproduce_all", "ReproduceReport", "main"]
 
@@ -47,6 +49,8 @@ __all__ = ["RunConfig", "TableRow", "RunReport", "run", "reproduce_all", "Reprod
 
 # the raw mpf values with a zero mantissa, which have no decimal digits
 _SPECIAL = {fzero: "0.00e+00", finf: "inf", fninf: "-inf", fnan: "nan"}
+# 10^k for the scales of the values a run prints; _sci forms 10**k past the end
+_POW10 = [10**k for k in range(128)]
 
 
 def _sci(x, digits: int = 3) -> str:
@@ -62,7 +66,7 @@ def _sci(x, digits: int = 3) -> str:
         im = _sci(abs(x.imag), digits)
         return f"{_sci(x.real, digits)}{'-' if x.imag < 0 else '+'}{im}i"
     x = x.real if hasattr(x, "real") else x
-    v = x._mpf_ if hasattr(x, "_mpf_") else from_float(x)
+    v = x._mpf_ if hasattr(x, "_mpf_") else _raw(x)
     if v in _SPECIAL:
         return _SPECIAL[v]
     sign, num, exp, bc = v
@@ -74,10 +78,11 @@ def _sci(x, digits: int = 3) -> str:
         num <<= exp
     else:
         den <<= -exp
+    scale = _POW10[abs(shift)] if -128 < shift < 128 else 10 ** abs(shift)
     if shift >= 0:
-        num *= 10**shift
+        num *= scale
     else:
-        den *= 10**-shift
+        den *= scale
     if num >= top * den:
         den, e = den * 10, e + 1
     q, r = divmod(num, den)
@@ -265,6 +270,8 @@ def _ratio_ok(ours, fix, floor=0):
 
 
 def _compare_table(ref: ReferenceTable, precision: Precision) -> TableOutcome:
+    from .reference_tables import parse_number
+
     ctx = make_context(precision)
     u = ctx.eps
     problem = builtin_problem(ref.problem)
@@ -367,6 +374,8 @@ class ReproduceReport:
 
 def reproduce_all(precision: Precision = QUAD, only: Optional[str] = None) -> ReproduceReport:
     """Recompute every reference table and compare row by row."""
+    from .reference_tables import REFERENCE_TABLES
+
     outcomes = []
     for ref in REFERENCE_TABLES:
         if only and ref.problem != only:

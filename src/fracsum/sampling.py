@@ -110,8 +110,9 @@ class Schedule:
     def prefix(self, count: int) -> list:
         """First *count* values; deterministic and idempotent."""
         _check_integer(count, "count", 1)
-        if self.kind == "aps":
-            return [math.floor(self.kappa * l + self.eta) for l in range(count)]
+        if self.kind == "aps":  # floor(p/q * l + r/s) = (p*s*l + r*q) // (q*s), in ints
+            (p, q), (r, s) = self.kappa.as_integer_ratio(), self.eta.as_integer_ratio()
+            return [(p * s * l + r * q) // (q * s) for l in range(count)]
         if self.kind == "gps":
             R = [1]
             for l in range(1, count):

@@ -20,16 +20,19 @@ On real values the loop also mirrors.  Sample l starts H(l,0) = c*N(l,0)
 and K(l,0) = c*M(l,0) for c = +1, -1 or, at a zero, both; the samples
 fall into runs with one c each, kept separately for H and K.  An entry
 H(l-n, n) whose window of samples l-n..l lies in one run is c*N(l-n, n),
-copied from N, and likewise K from M.  By induction on n this is the
-recursion's own value: both roundings are symmetric in sign (see
-``LoopArithmetic``), so each step negates with its operands; only the
-sign of a binary64 zero can differ, and |.| removes it.  So on
-sign-alternating terms every H entry is mirrored: H is scanned from
-n = span only, below it a slice copy of N.  An entry outside a run reads
-the operands the full recursion would.  Complex values run all four
-recursions: an ``mpc`` with a zero imaginary part compares equal to an
-``mpf``, so equality does not make one a copy.  Every computed entry is
-range-checked; a mirrored one has the magnitude of the entry it copies.
+and likewise K of M.  By induction on n this is the recursion's own
+value: both roundings are symmetric in sign (see ``LoopArithmetic``), so
+each step negates with its operands; only the sign of a binary64 zero
+can differ, and |.| removes it.  Such an entry stays implied: H's scan
+starts at n = span from c*N(l-span, span) and stores nothing below it,
+and a run that spans the whole antidiagonal makes no scan.  A run's
+implied entries are written once, as c times its source, when a sample
+ends the run; from then on the recursion reads the operands the full one
+would.  So on sign-alternating terms no H entry is computed or copied,
+and Gamma(0,l) = 1.  Complex values run all four recursions: an ``mpc``
+with a zero imaginary part compares equal to an ``mpf``, so equality
+does not make one a copy.  Every computed entry is range-checked; an
+implied one has the magnitude of the entry it stands for.
 
 The recursion is cross-checked in the tests against a direct solve of
 the defining linear system and against the full triangle
@@ -104,36 +107,37 @@ class ExtrapolationTable:
 _PLUS, _MINUS, _BOTH = 1, 2, 3
 
 
-def _extend_run(run, l, x, base, minus_base):
+def _extend_run(run, l, x, base, minus_base, X, source, neg):
     """The sign run of x = c*base after sample l: (first index, mask of the c it allows).
 
     A zero matches both signs; a value that matches neither (a binary64
-    NaN) starts the run after it.
+    NaN) starts the run after it.  A run that sample l ends writes the
+    entries it left implied, X[k] = c*source[k] below its span at sample
+    l - 1, from source's antidiagonal before sample l scans it.
     """
     start, signs = run
     own = (x == base and _PLUS) | (x == minus_base and _MINUS)
     if signs & own:
         return start, signs & own
-    if own:
-        return l, own
-    return l + 1, _BOTH
+    span = l - 1 - start
+    if span > 0:
+        X[:span] = neg(source[:span]) if signs == _MINUS else source[:span]
+    return (l, own) if own else (l + 1, _BOTH)
 
 
-def _mirror(X, x, source, l, run, neg):
+def _mirror(x, source, l, run, neg):
     """Where X's scan starts at sample l: (X(l-span, span), span) in a sign run, else (x, 0).
 
     X(l-n, n) with n <= span lies in the run: it is c*source(l-n, n), which
-    source's scan has stored at source[n].  Below the span X takes X(l, 0)
-    = x and a slice copy of source; the scan overwrites X[span] only.
+    source's scan has stored at source[n].  X's entries below the span stay
+    implied until the run ends (see ``_extend_run``).
     """
     span = 0 if run is None else l - run[0]
     if span <= 0:  # no run, or one that starts after sample l (a NaN)
         return x, 0
-    X[0] = x
+    x = source[span]
     if run[1] == _MINUS:
-        *X[1:span], x = neg(source[1:span + 1])
-    else:
-        X[1:span], x = source[1:span], source[span]
+        x, = neg([x])
     return x, span
 
 
@@ -151,7 +155,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     sigma_hat = Fraction(sigma_hat)
     if R[-1] >= len(sums) or R[-1] >= len(terms):
         raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
-    use_prev = sigma_hat < 0
+    use_prev, unit_sigma = sigma_hat < 0, sigma_hat == 1
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
     ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
@@ -163,6 +167,7 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     t, A, G, L = [], [], [], []
     # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
     # overwritten with X(l-k, k) while sample l extends it, for X in M, N, H, K
+    # (in a sign run, H and K hold it from the run's span up only; see _mirror)
     M, N, H, K = [], [], [], []
     # the sign runs of H against N and of K against M: (first index, signs mask)
     h_run = k_run = None if neg is None else (0, _BOTH)
@@ -170,9 +175,9 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         a = lift(terms[r])
         if a == zero:
             raise ZeroTermError(r, ctx)
-        # the weight omega = r^sigma_hat * a_r and the node t_l = r^(-1/m)
+        # the weight omega = r^sigma_hat * a_r and the node t_l = r^(-1/m); r^1 = r is exact
         x = from_int(r)
-        omega = mul(power(x, sigma), a)
+        omega = mul(x if unit_sigma else power(x, sigma), a)
         if omega == zero:
             raise WeightUnderflowError(
                 f"remainder weight omega_{r} = {r}^({sigma_hat}) * a_{r} underflowed to zero, "
@@ -184,16 +189,16 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             hx, kx = mul(minus_one, hx), mul(minus_one, kx)
         if neg is not None:  # complex values have no sign runs
             minus_nx, minus_mx = neg([nx, mx])
-            h_run = _extend_run(h_run, l, hx, nx, minus_nx)
-            k_run = _extend_run(k_run, l, kx, mx, minus_mx)
+            h_run = _extend_run(h_run, l, hx, nx, minus_nx, H, N, neg)
+            k_run = _extend_run(k_run, l, kx, mx, minus_mx, K, M, neg)
         # dens[k] = t_l - t_{l-n} for n = k + 1: scanning X from k fills X[k + 1] = X(l-1-k, k+1)
         dens = [sub(tl, tj) for tj in reversed(t)]
         t.append(tl)
         bad = []
         for X, x, source, run in ((M, mx, None, None), (N, nx, None, None),
                                   (H, hx, N, h_run), (K, kx, M, k_run)):
-            x, start = _mirror(X, x, source, l, run, neg)
-            x, b = scan(X, x, dens, start)
+            x, start = _mirror(x, source, l, run, neg)
+            x, b = scan(X, x, dens, start) if start < l else (x, None)
             X.append(x)
             bad.append(b)
         if bad != [None] * 4:
@@ -209,9 +214,10 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
             L.append(lower(absolute(y)))
         elif nx == zero:
             raise DegenerateDenominatorError(0, l)
-        else:
-            A.append(lower(div(M[l], nx)))
-            G.append(lower(absolute(div(H[l], nx))))
-            L.append(lower(absolute(div(K[l], nx))))
+        else:  # in a run from sample 0, H(0,l) = c*N(0,l) and K(0,l) = c*M(0,l)
+            ax = div(M[l], nx)
+            A.append(lower(ax))
+            G.append(ctx.one if h_run and not h_run[0] else lower(absolute(div(H[l], nx))))
+            L.append(lower(absolute(ax if k_run and not k_run[0] else div(K[l], nx))))
 
     return ExtrapolationTable(depth=len(R) - 1, ctx=ctx, R=R, samples=samples, A=A, gamma=G, lam=L)

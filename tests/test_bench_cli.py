@@ -344,6 +344,19 @@ def test_python_dash_m_fracsum_lists_builtins(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+def test_run_leaves_the_reference_tables_unimported():
+    # only reproduce reads the frozen tables, so a run job does not pay for importing them
+    env = dict(os.environ)
+    src = str(Path(fracsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\nfrom fracsum import bench_cli\n"
+            "bench_cli.run(bench_cli.RunConfig('ex5_2', depth=8)).render('json')\n"
+            "print('fracsum.reference_tables' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 @pytest.mark.parametrize("flags", [["-u"], []], ids=["unbuffered", "buffered"])
 def test_closed_stdout_pipe_ends_quietly_with_sigpipe_status(flags):
     env = dict(os.environ)
@@ -452,7 +465,8 @@ def test_reproduce_fails_a_row_on_each_corrupted_cell(monkeypatch, capsys):
         (("ex7_2", "aps:1,1", 8, 3, "-1.57042116160622622722411746352944801D+01"),
          "value -15.704211616062262262 vs -1.57042116160622622722411746352944801D+01"),
     ]
-    monkeypatch.setattr(bench_cli, "REFERENCE_TABLES", tuple(_corrupted(*c) for c, _ in cases))
+    monkeypatch.setattr(fracsum.reference_tables, "REFERENCE_TABLES",
+                        tuple(_corrupted(*c) for c, _ in cases))
     assert main(["reproduce"]) == 1
     text = capsys.readouterr().out.splitlines()
     expected = ["# reference-table reproduction at precision=quad"]

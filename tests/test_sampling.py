@@ -2,9 +2,11 @@ import math
 import re
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracsum.sampling import Schedule, make_aps, make_explicit, make_gps, parse_schedule
 
@@ -132,6 +134,21 @@ def test_aps_difference_bound(kappa, eta):
     R = schedule.prefix(200)
     for a, b in zip(R, R[1:]):
         assert k - 1 < b - a < k + 1
+
+
+# a rational >= 1 as a Fraction, or as a decimal string such as "2.375" (up to 4 decimals)
+_AT_LEAST_ONE = st.one_of(
+    st.fractions(min_value=1, max_value=50, max_denominator=10**6),
+    st.integers(10**4, 50 * 10**4).map(lambda k: str(Decimal(k) / 10**4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_AT_LEAST_ONE, _AT_LEAST_ONE, st.integers(1, 300))
+def test_aps_prefix_is_the_floor_of_the_exact_line(kappa, eta, count):
+    exact_kappa, exact_eta = Fraction(kappa), Fraction(eta)
+    assert make_aps(kappa, eta).prefix(count) == [
+        math.floor(exact_kappa * l + exact_eta) for l in range(count)]
 
 
 def test_gps_ratio_approaches_tau():

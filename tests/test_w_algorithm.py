@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracsum.numerics import DOUBLE, QUAD, Precision, RangeOverflowError, make_context
 from fracsum.reference_tables import REFERENCE_TABLES
@@ -314,15 +315,23 @@ def _sign_runs(draw):
     samples, so H(l, 0) = c*N(l, 0) with one c per run; the ordinates keep
     a sign that also flips at random samples, so K runs against M the same
     way, and about one ordinate in six is zero, which matches either sign.
-    Entries the recursion does not read stay zero.
+    The runs have drawn lengths, so tables of up to 40 samples hold runs
+    of 20 or more, of either sign, that end mid-table.  Entries the
+    recursion does not read stay zero.
     """
-    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
-    R = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    size = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    R = [sum(gaps[: i + 1]) for i in range(size)]
     m = draw(st.sampled_from([1, 2, 3]))
     sigma_hat = Fraction(draw(st.sampled_from([m, 0, -1])), m)
     logs = st.floats(-3, 3, allow_nan=False)
-    samples = draw(st.lists(st.tuples(logs, logs, st.integers(0, 5), st.integers(0, 5),
-                                      st.integers(0, 5)), min_size=len(R), max_size=len(R)))
+    # the term sign and the ordinate sign flip at the ends of runs of drawn lengths
+    # (a first length of 0 flips the first sign)
+    runs = st.lists(st.integers(0, 40), max_size=4).map(lambda n: set(itertools.accumulate(n)))
+    flips = [draw(runs), draw(runs)]
+    parts = draw(st.lists(st.tuples(logs, logs, st.integers(0, 5)), min_size=size, max_size=size))
+    samples = [(x, y, int(l not in flips[0]), int(l not in flips[1]), zero)
+               for l, (x, y, zero) in enumerate(parts)]
     return R, m, sigma_hat, samples
 
 
@@ -341,9 +350,17 @@ def _arrays_from_runs(R, sigma_hat, samples, ctx):
     return sums, terms
 
 
+# 40 samples: the H run (c = -1) ends at sample 24, the K run (c = +1) at 25, since
+# the zero ordinate at 24 matches either sign
+_LONG_RUNS = ([sum(1 + k % 3 for k in range(l + 1)) for l in range(40)], 2, Fraction(1),
+              [((l * 7 % 11) / 4 - 1.3, (l * 5 % 13) / 5 - 1.1, int(l not in (0, 24)), int(l != 0),
+                l % 6) for l in range(40)])
+
+
 @pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
 @settings(max_examples=60, deadline=None)
 @given(_sign_runs())
+@example(case=_LONG_RUNS)
 def test_sign_runs_match_triangle_property(precision, case):
     R, m, sigma_hat, samples = case
     ctx = make_context(precision)
