@@ -62,11 +62,11 @@ def _sci(x, digits: int = 3) -> str:
     at any exponent.  A non-finite value renders as ``inf``, ``-inf`` or
     ``nan``.
     """
-    if hasattr(x, "imag") and x.imag != 0:
+    v = x._mpf_ if hasattr(x, "_mpf_") else _raw(x) if type(x) is float else None
+    if v is None and x.imag != 0:  # a complex, an mpc or an int
         im = _sci(abs(x.imag), digits)
         return f"{_sci(x.real, digits)}{'-' if x.imag < 0 else '+'}{im}i"
-    x = x.real if hasattr(x, "real") else x
-    v = x._mpf_ if hasattr(x, "_mpf_") else _raw(x)
+    v = v or getattr(x.real, "_mpf_", None) or _raw(x.real)
     if v in _SPECIAL:
         return _SPECIAL[v]
     sign, num, exp, bc = v
@@ -492,7 +492,6 @@ def _command(args) -> int:
         for ident in builtin_ids():
             sys.stdout.write(f"{ident:<8} {builtin_problem(ident).meta['describe']}\n")
         return 0
-    return 0
 
 
 if __name__ == "__main__":

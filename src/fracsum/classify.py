@@ -107,37 +107,22 @@ def _check_zero_tol(zero_tol) -> None:
 def epsilons_from_ratio(ratio: RatioExpansion) -> list:
     """Coefficients eps_1..eps_m of log(1 + sum(c_i/c_0 z^i)) + O(z^(m+1)).
 
-    Computed by truncated power-series composition: the alternating sum
-    sum_{s=1..m} (-1)^(s+1)/s * u(z)^s with u(z) = sum(c_i/c_0 z^i).
+    With u(z) = sum(u_i z^i), u_i = c_i/c_0, and L = log(1 + u), the
+    coefficients of (1 + u) L' = u' give the recurrence eps_k = u_k -
+    (1/k) sum_{j<k} j eps_j u_{k-j}.
     """
     m = ratio.m
     c0 = ratio.c[0]
     if c0 == 0:
         raise ValueError("c_0 must be nonzero")
-    u = [ratio.c[i] / c0 for i in range(1, m + 1)]  # coefficient of z^(i+1) is u[i]
+    u = [c / c0 or 0 for c in ratio.c]  # u[i] is the coefficient of z^i
 
-    eps = [0] * m
-    power = list(u)  # coefficients of u(z)^s, z^(i+1) at slot i
-    for s in range(1, m + 1):
-        for i in range(m):
-            if power[i] == 0:  # skip: int 0 / s would degrade to float
-                continue
-            term = power[i] / s
-            eps[i] = eps[i] + (term if s % 2 else -term)
-        if s == m:
-            break
-        # power <- truncated convolution power * u
-        nxt = [0] * m
-        for i in range(m):
-            if power[i] == 0:
-                continue
-            for k in range(m):
-                deg = (i + 1) + (k + 1)
-                if deg > m:
-                    break
-                nxt[deg - 1] = nxt[deg - 1] + power[i] * u[k]
-        power = nxt
-    return eps
+    # zeros are the int 0 and enter no product: a typed zero would change eps_k's type
+    eps = [0] * (m + 1)
+    for k in range(1, m + 1):
+        acc = sum(j * eps[j] * u[k - j] for j in range(1, k) if eps[j] and u[k - j])
+        eps[k] = u[k] - acc / k if acc else u[k]
+    return eps[1:]
 
 
 def structure_from_ratio(ratio: RatioExpansion, ctx=None, zero_tol=0) -> StructuralParameters:

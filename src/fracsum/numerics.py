@@ -57,7 +57,6 @@ from mpmath.libmp import (
     mpf_log,
     mpf_loggamma,
     mpf_mul,
-    mpf_neg,
     mpf_pi,
     mpf_pow,
     mpf_sqrt,
@@ -324,13 +323,13 @@ class LoopArithmetic(NamedTuple):
     ``check_range`` on the lowered value, which raises the named error.
     ``zero`` and ``one`` are the loop's 0 and 1, and ``from_int(k)`` is its
     form of the int k (on floats, exact for |k| <= 2^53).  ``abs(x)`` is
-    the context's ``convert(abs(x))``; ``neg(xs)`` iterates over -x for x
-    in xs, exact.  Both roundings are sign-symmetric, so ``sub(-x, -y)`` is
-    -``sub(x, y)`` and ``div(-x, d)`` is -``div(x, d)`` bit for bit, up to
-    the sign of a binary64 zero.  ``neg`` is None for the native
-    arithmetic: its values may be complex, and an ``mpc`` with a zero
-    imaginary part compares equal to an ``mpf``, so no loop value there is
-    taken as the negation of another.
+    the context's ``convert(abs(x))``.  ``build_table`` mirrors sign runs
+    on a ``real`` arithmetic: ``mul(from_int(-1), x)`` is -x, exact, and
+    both roundings are sign-symmetric, so ``sub(-x, -y)`` is -``sub(x, y)``
+    and ``div(-x, d)`` is -``div(x, d)`` bit for bit, up to the sign of a
+    binary64 zero.  The native arithmetic is not ``real``: its values may
+    be complex, and an ``mpc`` with a zero imaginary part compares equal to
+    an ``mpf``, so no loop value there is taken as another's negation.
 
     The kernels take their operands only: the arithmetic is bound to the
     precision of its context, which rounds to nearest.  ``add(x, y)``,
@@ -352,7 +351,7 @@ class LoopArithmetic(NamedTuple):
     zero: object
     one: object
     from_int: Callable
-    neg: Callable | None
+    real: bool
     abs: Callable
     scan: Callable
     add: Callable
@@ -379,10 +378,6 @@ def _from_int(n):
     exp = (n & -n).bit_length() - 1
     n >>= exp
     return sign, n, exp, n.bit_length()
-
-
-def _neg_raw(xs):
-    return [(s ^ 1, m, e, b) if m else mpf_neg((s, m, e, b)) for s, m, e, b in xs]
 
 
 def _never(x):
@@ -789,7 +784,7 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
 
     kernels = _raw_kernels(ctx.prec)
     return LoopArithmetic(lift=lift, lower=ctx.make_mpf, in_range=in_range, zero=fzero, one=fone,
-                          from_int=_from_int if BACKEND == "python" else from_int, neg=_neg_raw,
+                          from_int=_from_int if BACKEND == "python" else from_int, real=True,
                           abs=mpf_abs, scan=partial(kernels["scan"], top=max_exp2),
                           **{name: kernels[name] for name in _KERNELS})
 
@@ -803,7 +798,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     # every finite float is in a range that reaches binary64's 2^1024
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift=lift, lower=_same, in_range=in_range, zero=0.0, one=1.0,
-                          from_int=float, neg=partial(map, operator.neg), abs=abs,
+                          from_int=float, real=True, abs=abs,
                           scan=_operator_scan(in_range), **_OPERATORS, pow=_float_pow,
                           sqrt=_float_sqrt, exp=_float_exp, loggamma=_float_loggamma)
 
@@ -811,7 +806,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
 def _native_arithmetic(ctx) -> LoopArithmetic:
     """Any value on the context's own operators, every value range-checked by check_range."""
     return LoopArithmetic(lift=_same, lower=_same, in_range=_never, zero=ctx.zero, one=ctx.one,
-                          from_int=_same, neg=None, abs=lambda x: ctx.convert(abs(x)),
+                          from_int=_same, real=False, abs=lambda x: ctx.convert(abs(x)),
                           scan=_operator_scan(_never), **_OPERATORS,
                           pow=ctx.power, sqrt=ctx.sqrt, exp=ctx.exp, loggamma=ctx.loggamma)
 

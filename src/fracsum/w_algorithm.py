@@ -17,22 +17,24 @@ antidiagonal in one ``scan`` call: X(j,n) = (X(j+1,n-1) - X(j,n-1)) /
 stored raw entries may keep trailing zero bits, the diagonal one not.
 
 On real values the loop also mirrors.  Sample l starts H(l,0) = c*N(l,0)
-and K(l,0) = c*M(l,0) for c = +1, -1 or, at a zero, both; the samples
-fall into runs with one c each, kept separately for H and K.  An entry
+and K(l,0) = c*M(l,0); as H(l,0) = +-|N(l,0)|, c is 1 where the two are
+equal, -1 where not, and 0 (either sign) where N(l,0) is zero, and
+likewise for K.  The samples fall into runs (start, c), kept separately
+for H and K, whose c is 0 while they hold only zeros.  An entry
 H(l-n, n) whose window of samples l-n..l lies in one run is c*N(l-n, n),
 and likewise K of M.  By induction on n this is the recursion's own
 value: both roundings are symmetric in sign (see ``LoopArithmetic``), so
-each step negates with its operands; only the sign of a binary64 zero
-can differ, and |.| removes it.  Such an entry stays implied: H's scan
-starts at n = span from c*N(l-span, span) and stores nothing below it,
-and a run that spans the whole antidiagonal makes no scan.  A run's
-implied entries are written once, as c times its source, when a sample
-ends the run; from then on the recursion reads the operands the full one
-would.  So on sign-alternating terms no H entry is computed or copied,
-and Gamma(0,l) = 1.  Complex values run all four recursions: an ``mpc``
-with a zero imaginary part compares equal to an ``mpf``, so equality
-does not make one a copy.  Every computed entry is range-checked; an
-implied one has the magnitude of the entry it stands for.
+each step negates with its operands, and every negation is the exact
+``mul(-1, x)``; only the sign of a binary64 zero can differ, and |.|
+removes it.  Such an entry stays implied: H's scan starts at n = span
+from c*N(l-span, span) and stores nothing below it, and a run that spans
+the whole antidiagonal makes no scan; they are written once, as c times
+their source, when a sample ends the run.  So on sign-alternating terms
+no H entry is computed or copied, and Gamma(0,l) = 1.  Complex values
+run all four recursions (an ``mpc`` with a zero imaginary part compares
+equal to an ``mpf``).  Every computed entry is range-checked, M and N
+before H and K; an implied one has the magnitude of the entry it stands
+for.  At depth 0 the fit ordinate, the only entry, is checked itself.
 
 The recursion is cross-checked in the tests against a direct solve of
 the defining linear system and against the full triangle
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .numerics import Binary64Context, check_range, loop_arithmetic
 
@@ -103,29 +106,25 @@ class ExtrapolationTable:
     lam: list
 
 
-# the signs c = +1, -1 with which a sample's H or K value is c times its N or M value
-_PLUS, _MINUS, _BOTH = 1, 2, 3
+def _extend_run(run, l, c, X, source, negate):
+    """The sign run (first index, c) after sample l, whose own c is +1, -1 or 0 at a zero.
 
-
-def _extend_run(run, l, x, base, minus_base, X, source, neg):
-    """The sign run of x = c*base after sample l: (first index, mask of the c it allows).
-
-    A zero matches both signs; a value that matches neither (a binary64
-    NaN) starts the run after it.  A run that sample l ends writes the
-    entries it left implied, X[k] = c*source[k] below its span at sample
-    l - 1, from source's antidiagonal before sample l scans it.
+    A run that sample l ends writes the entries it left implied, X[k] =
+    c*source[k] below its span at sample l - 1, from source's antidiagonal
+    before sample l scans it.
     """
-    start, signs = run
-    own = (x == base and _PLUS) | (x == minus_base and _MINUS)
-    if signs & own:
-        return start, signs & own
+    start, run_c = run
+    if c == run_c or not c:
+        return run
+    if not run_c:
+        return start, c
     span = l - 1 - start
     if span > 0:
-        X[:span] = neg(source[:span]) if signs == _MINUS else source[:span]
-    return (l, own) if own else (l + 1, _BOTH)
+        X[:span] = map(negate, source[:span]) if run_c < 0 else source[:span]
+    return l, c
 
 
-def _mirror(x, source, l, run, neg):
+def _mirror(x, source, l, run, negate):
     """Where X's scan starts at sample l: (X(l-span, span), span) in a sign run, else (x, 0).
 
     X(l-n, n) with n <= span lies in the run: it is c*source(l-n, n), which
@@ -133,12 +132,9 @@ def _mirror(x, source, l, run, neg):
     implied until the run ends (see ``_extend_run``).
     """
     span = 0 if run is None else l - run[0]
-    if span <= 0:  # no run, or one that starts after sample l (a NaN)
+    if not span:  # no run (complex values), or one that sample l starts
         return x, 0
-    x = source[span]
-    if run[1] == _MINUS:
-        x, = neg([x])
-    return x, span
+    return (negate(source[span]) if run[1] < 0 else source[span]), span
 
 
 def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
@@ -159,18 +155,18 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     samples = [sums[r - 1] if use_prev else sums[r] for r in R]
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
     ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
-    lift, lower, zero, one, absolute, neg = ar.lift, ar.lower, ar.zero, ar.one, ar.abs, ar.neg
+    lift, lower, zero, one, absolute = ar.lift, ar.lower, ar.zero, ar.one, ar.abs
     from_int, power, sub, mul, div, scan = ar.from_int, ar.pow, ar.sub, ar.mul, ar.div, ar.scan
     sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
-    minus_one = from_int(-1)
+    negate = partial(mul, from_int(-1))  # exact: -x, bit for bit
 
     t, A, G, L = [], [], [], []
     # X[k] holds X(l-1-k, k) from the antidiagonal of sample l - 1 and is
     # overwritten with X(l-k, k) while sample l extends it, for X in M, N, H, K
     # (in a sign run, H and K hold it from the run's span up only; see _mirror)
     M, N, H, K = [], [], [], []
-    # the sign runs of H against N and of K against M: (first index, signs mask)
-    h_run = k_run = None if neg is None else (0, _BOTH)
+    # the sign runs of H against N and of K against M: (first index, c); complex values have none
+    h_run = k_run = (0, 0) if ar.real else None
     for l, (r, sample) in enumerate(zip(R, samples)):
         a = lift(terms[r])
         if a == zero:
@@ -186,18 +182,17 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         mx, nx = div(y, omega), div(one, omega)
         hx, kx = absolute(nx), absolute(mx)
         if l % 2:
-            hx, kx = mul(minus_one, hx), mul(minus_one, kx)
-        if neg is not None:  # complex values have no sign runs
-            minus_nx, minus_mx = neg([nx, mx])
-            h_run = _extend_run(h_run, l, hx, nx, minus_nx, H, N, neg)
-            k_run = _extend_run(k_run, l, kx, mx, minus_mx, K, M, neg)
+            hx, kx = negate(hx), negate(kx)
+        if h_run:  # hx = +-|nx|: c is 1 where they are equal, -1 where not, 0 at a zero
+            h_run = _extend_run(h_run, l, 0 if nx == zero else 1 if hx == nx else -1, H, N, negate)
+            k_run = _extend_run(k_run, l, 0 if mx == zero else 1 if kx == mx else -1, K, M, negate)
         # dens[k] = t_l - t_{l-n} for n = k + 1: scanning X from k fills X[k + 1] = X(l-1-k, k+1)
         dens = [sub(tl, tj) for tj in reversed(t)]
         t.append(tl)
         bad = []
         for X, x, source, run in ((M, mx, None, None), (N, nx, None, None),
                                   (H, hx, N, h_run), (K, kx, M, k_run)):
-            x, start = _mirror(x, source, l, run, neg)
+            x, start = _mirror(x, source, l, run, negate)
             x, b = scan(X, x, dens, start) if start < l else (x, None)
             X.append(x)
             bad.append(b)
@@ -209,6 +204,8 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
                         check_range(lower(div(X[k + 1], one)), ctx, "%s(%d,%d)", name, l - 1 - k, k + 1)
         nx = N[l]
         if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
+            if len(R) == 1:  # past depth 0, the M(0,n) made from it are range-checked
+                check_range(sample, ctx, "partial sum A_%d", r - use_prev)
             A.append(sample)
             G.append(ctx.one)
             L.append(lower(absolute(y)))

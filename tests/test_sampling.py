@@ -212,6 +212,11 @@ def test_parse_schedule():
 
 
 def test_spec_string_round_trip():
-    for text in ("aps:5,5", "gps:1.3", "list:1,2,4,8", "aps:1.5,1"):
+    # int, decimal and repeating (fraction) forms of the parameters
+    for text in ("aps:5,5", "gps:1.3", "list:1,2,4,8", "aps:1.5,1", "aps:4/3,1", "gps:5/3"):
         schedule = parse_schedule(text)
-        assert parse_schedule(schedule.spec_string()).prefix(4) == schedule.prefix(4)
+        again = parse_schedule(schedule.spec_string())
+        assert again.prefix(4) == schedule.prefix(4)
+        assert vars(again) == vars(schedule), text
+    assert parse_schedule("aps:4/3,1").spec_string() == "aps:4/3,1"
+    assert parse_schedule("gps:1.30").spec_string() == "gps:1.3"

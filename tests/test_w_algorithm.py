@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fracsum.numerics import DOUBLE, QUAD, Precision, RangeOverflowError, make_context
+from fracsum.numerics import (DOUBLE, QUAD, NotANumberError, Precision, RangeOverflowError,
+                              make_context)
 from fracsum.reference_tables import REFERENCE_TABLES
 from fracsum.sampling import make_aps, make_explicit, make_gps, parse_schedule
 from fracsum.series_model import builtin_problem
@@ -439,6 +440,23 @@ def test_each_sample_raises_its_named_errors_in_order(precision, kind):
     big = [narrow.zero, narrow.ldexp(1, 135) * v, narrow.zero * v]
     with pytest.raises(RangeOverflowError, match=rf"^M\(0,1\) exceeds the narrow-{precision.name} "):
         build_table(big, [None, v, 2 * v], [1, 2], 1, 0, narrow)
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+def test_a_depth_zero_table_range_checks_its_ordinate(precision):
+    # past depth 0 the ordinate reaches M(0,1); at depth 0 it is the table's only entry
+    ctx = make_context(precision)
+    terms = [None, ctx.one, ctx.one]
+    with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
+        build_table([ctx.zero, ctx.nan], terms, [1], 1, 1, ctx)
+    with pytest.raises(RangeOverflowError, match=rf"^partial sum A_1 exceeds the {precision.name} "):
+        build_table([ctx.zero, -ctx.inf], terms, [1], 1, 1, ctx)
+    # with sigma_hat < 0 the ordinate at R_0 = 2 is A_1
+    with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
+        build_table([ctx.zero, ctx.nan, ctx.one], terms, [2], 1, -1, ctx)
+    with pytest.raises(NotANumberError, match=r"^M\(0,1\) is NaN$"):
+        build_table([ctx.zero, ctx.nan, ctx.one], terms, [1, 2], 1, 1, ctx)
+    assert build_table([ctx.zero, ctx.one], terms, [1], 1, 1, ctx).A == [ctx.one]
 
 
 # The dense oracle runs at three times the quad mantissa on the exact quad
