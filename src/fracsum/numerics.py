@@ -14,9 +14,10 @@ a context through the context's own ``convert``.  Nothing in this
 package reads or mutates the global ``mpmath.mp`` state, so computations
 at different precisions can run side by side (and concurrently).
 
-The hot loops (the W-recursion of ``build_table``, the partial sums of
-``sums_and_terms``) and the builtin terms take their scalar operations
-from :func:`loop_arithmetic`, bound to the context's precision, which
+The hot loops (the W-recursion of ``build_table``, the running partial
+sum of ``sums_and_terms``, which lowers to a context scalar only the sums
+it keeps) and the builtin terms take their scalar operations from
+:func:`loop_arithmetic`, bound to the context's precision, which
 must round to nearest.  Under an ``MPContext`` real values run as raw
 ``libmp`` tuples on the precision's kernel table, :func:`_raw_kernels`,
 with the bits of the ``mpf`` operators and functions.  On mpmath's

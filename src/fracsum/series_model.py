@@ -1,11 +1,12 @@
 """Series and product models.
 
-Defines term generators and partial-sum accumulation, the telescoping
-difference families used as benchmark problems, the product-to-series
-adapter for infinite products, trigonometric series pairs, and the
-registry of builtin problems (``ex5_1`` ... ``ex5_14``, and the products
-``ex7_1``, ``ex7_2`` as the series of their partial products) consumed
-by the CLI and the reference-table harness.
+Defines term generators and partial-sum accumulation (one pass that
+keeps the sums and terms at the indices its caller asks for), the
+telescoping difference families used as benchmark problems, the
+product-to-series adapter for infinite products, trigonometric series
+pairs, and the registry of builtin problems (``ex5_1`` ... ``ex5_14``,
+and the products ``ex7_1``, ``ex7_2`` as the series of their partial
+products) consumed by the CLI and the reference-table harness.
 
 Term generators are pure functions of ``(n, ctx)`` to their callers:
 repeated evaluation, in any order and from any thread, is bit-exact.
@@ -131,39 +132,48 @@ class SeriesProblem:
         self.known_S = _known_S_spec(self.known_S)
 
 
-def sums_and_terms(problem: SeriesProblem, upto: int, ctx):
-    """Partial sums A_1..A_N and terms a_1..a_N in one left-to-right pass.
+def sums_and_terms(problem: SeriesProblem, indices, ctx):
+    """Partial sums A_n and terms a_n at the *indices* n, in one left-to-right pass.
 
-    The sum runs on ``numerics.loop_arithmetic``: raw ``libmp`` tuples for
+    *indices* is a nonempty, strictly increasing sequence of ints >= 1,
+    such as ``range(1, N + 1)`` for every A_n and a_n up to N; the two
+    returned lists are aligned with it.  The pass calls
+    ``problem.term(n, ctx)`` once for each n = 1..indices[-1] and adds
+    every term on ``numerics.loop_arithmetic``: raw ``libmp`` tuples for
     real quad terms, until a complex term, from which on it uses the
-    context's own operators; every A_n is returned as a context scalar.
+    context's own operators.  Every running sum is range- and NaN-checked
+    as it forms; only the kept ones are made context scalars, so the
+    memory grows with ``len(indices)``, not with indices[-1].
     Raises :class:`~fracsum.numerics.RangeOverflowError` naming the first
     index whose sum leaves the exponent range (and its term, if infinite),
     and :class:`~fracsum.numerics.NotANumberError` naming the first NaN sum.
     """
-    if upto < 1:
-        raise ValueError("upto must be >= 1")
+    if not indices or indices[0] < 1 or any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError("indices must be nonempty, positive and strictly increasing")
     terms = []
     sums = []
     ar = loop_arithmetic(ctx)
     lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
     total = ar.zero
-    for n in range(1, upto + 1):
-        a = ctx.convert(problem.term(n, ctx))
-        x = lift(a)
-        if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
-            total = lower(total)
-            ar = loop_arithmetic(ctx, [a])
-            lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
+    start = 1
+    for stop in indices:
+        for n in range(start, stop + 1):
+            a = ctx.convert(problem.term(n, ctx))
             x = lift(a)
-        total = add(total, x)
-        if not in_range(total):
-            try:
-                check_range(lower(total), ctx, "partial sum A_%d", n)
-            except ArithmeticError as exc:  # an infinite term is the cause: name it
-                raise type(exc)(f"{exc}: its term a_{n} is infinite") if ctx.isinf(a) else exc from None
+            if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
+                total = lower(total)
+                ar = loop_arithmetic(ctx, [a])
+                lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
+                x = lift(a)
+            total = add(total, x)
+            if not in_range(total):
+                try:
+                    check_range(lower(total), ctx, "partial sum A_%d", n)
+                except ArithmeticError as exc:  # an infinite term is the cause: name it
+                    raise type(exc)(f"{exc}: its term a_{n} is infinite") if ctx.isinf(a) else exc from None
         terms.append(a)
         sums.append(lower(total))
+        start = stop + 1
     return sums, terms
 
 

@@ -1,10 +1,12 @@
 """User-facing acceleration driver.
 
 ``accelerate`` takes the schedule prefix R once, accumulates the partial
-sums, runs the W-algorithm and answers with the deepest j = 0 diagonal
-entry of least ``score``.  ``estimate_errors`` is the one pass that makes
-the diagonal's rows (Gamma*u, Lambda*u, Lambda*u/|A| with u = ``ctx.eps``,
-and the score); builtin products arrive as the series of
+sums, keeping A_k and a_k at k = R_l and R_l - 1 only (so its memory
+grows with the depth, not with R_depth), runs the W-algorithm and
+answers with the deepest j = 0 diagonal entry of least ``score``.
+``estimate_errors`` is the one pass that makes the diagonal's rows
+(Gamma*u, Lambda*u, Lambda*u/|A| with u = ``ctx.eps``, and the score);
+builtin products arrive as the series of
 ``series_model.product_to_series``.
 """
 
@@ -47,12 +49,18 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
     """Accelerate a series up to diagonal entry A(0, depth), depth >= 0.
 
     ``problem.known_S`` is resolved, and so may raise, before any term is evaluated.
+    Every term a_1..a_{R_depth} is evaluated and summed once, but only the
+    partial sums and terms at R_l and R_l - 1 are kept, so that the fit
+    ordinates are there for either sign of sigma_hat; ``build_table``
+    reads them from mappings by index, with A_0 = 0.
     """
     _check_integer(depth, "depth", 0)
     known_S = resolve_known_S(problem.known_S, ctx)
     R = schedule.prefix(depth + 1)
-    sums, terms = sums_and_terms(problem, R[-1], ctx)
-    table = build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
+    kept = sorted({k for r in R for k in (r - 1, r) if k})
+    sums, terms = sums_and_terms(problem, kept, ctx)
+    table = build_table(dict(zip([0, *kept], [ctx.zero, *sums])), dict(zip(kept, terms)), R,
+                        problem.m, problem.sigma_hat, ctx)
     rows = estimate_errors(table, known_S)
     best = min(reversed(rows), key=lambda row: row.score)  # ties resolve to the deeper entry
     return AccelerationResult(

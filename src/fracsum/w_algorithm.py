@@ -34,7 +34,8 @@ no H entry is computed or copied, and Gamma(0,l) = 1.  Complex values
 run all four recursions (an ``mpc`` with a zero imaginary part compares
 equal to an ``mpf``).  Every computed entry is range-checked, M and N
 before H and K; an implied one has the magnitude of the entry it stands
-for.  At depth 0 the fit ordinate, the only entry, is checked itself.
+for.  Each fit ordinate is checked at its own sample and named as the
+partial sum it is, before the recursion makes any entry from it.
 
 The recursion is cross-checked in the tests against a direct solve of
 the defining linear system and against the full triangle
@@ -141,21 +142,27 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     """Run the W-algorithm recursion over the samples at R = [R_0, ..., R_depth].
 
     ``R`` is a schedule prefix: nonempty, positive, strictly increasing.
-    ``sums[k]`` must hold A_k for 0 <= k <= R_depth (A_0 = 0) and
-    ``terms[k]`` must hold a_k for 1 <= k <= R_depth.  The recursion
-    implements the alpha = 0 fit only; sigma_hat < 0 switches the fit
-    ordinates from A_{R_l} to A_{R_l - 1}.
+    ``sums`` and ``terms`` are lists or mappings by index: ``sums[k]``
+    must hold the partial sum A_k (A_0 = 0) at each fit ordinate's index
+    k, and ``terms[r]`` the term a_r at each r in R.  A list holding every
+    A_k and a_k up to R_depth serves, and so does a mapping of the samples
+    only, as ``accelerate`` passes.  The recursion implements the
+    alpha = 0 fit only; sigma_hat < 0 switches the fit ordinates from
+    A_{R_l} to A_{R_l - 1}.
     """
     if not R or R[0] < 1 or any(b <= a for a, b in zip(R, R[1:])):
         raise ValueError("R must be nonempty, positive and strictly increasing")
     sigma_hat = Fraction(sigma_hat)
-    if R[-1] >= len(sums) or R[-1] >= len(terms):
-        raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}")
     use_prev, unit_sigma = sigma_hat < 0, sigma_hat == 1
-    samples = [sums[r - 1] if use_prev else sums[r] for r in R]
+    try:
+        samples = [sums[r - use_prev] for r in R]
+        sampled_terms = [terms[r] for r in R]
+    except LookupError:
+        raise ValueError(f"need sums and terms up to index R_depth = {R[-1]}") from None
     # real inputs keep every t, M, N, H and K real: the loop runs on the context's real arithmetic
-    ar = loop_arithmetic(ctx, samples + [terms[r] for r in R])
-    lift, lower, zero, one, absolute = ar.lift, ar.lower, ar.zero, ar.one, ar.abs
+    ar = loop_arithmetic(ctx, samples + sampled_terms)
+    lift, lower, in_range, zero, one = ar.lift, ar.lower, ar.in_range, ar.zero, ar.one
+    absolute = ar.abs
     from_int, power, sub, mul, div, scan = ar.from_int, ar.pow, ar.sub, ar.mul, ar.div, ar.scan
     sigma, inv_m = lift(ctx.convert(sigma_hat)), lift(ctx.convert(Fraction(-1, m)))
     negate = partial(mul, from_int(-1))  # exact: -x, bit for bit
@@ -167,8 +174,8 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
     M, N, H, K = [], [], [], []
     # the sign runs of H against N and of K against M: (first index, c); complex values have none
     h_run = k_run = (0, 0) if ar.real else None
-    for l, (r, sample) in enumerate(zip(R, samples)):
-        a = lift(terms[r])
+    for l, (r, sample, term) in enumerate(zip(R, samples, sampled_terms)):
+        a = lift(term)
         if a == zero:
             raise ZeroTermError(r, ctx)
         # the weight omega = r^sigma_hat * a_r and the node t_l = r^(-1/m); r^1 = r is exact
@@ -177,8 +184,10 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
         if omega == zero:
             raise WeightUnderflowError(
                 f"remainder weight omega_{r} = {r}^({sigma_hat}) * a_{r} underflowed to zero, "
-                f"with a_{r} = {ctx.nstr(terms[r])}; --precision quad has the wider range")
+                f"with a_{r} = {ctx.nstr(term)}; --precision quad has the wider range")
         tl, y = power(x, inv_m), lift(sample)
+        if not in_range(y):
+            check_range(sample, ctx, "partial sum A_%d", r - use_prev)
         mx, nx = div(y, omega), div(one, omega)
         hx, kx = absolute(nx), absolute(mx)
         if l % 2:
@@ -204,8 +213,6 @@ def build_table(sums, terms, R, m, sigma_hat, ctx) -> ExtrapolationTable:
                         check_range(lower(div(X[k + 1], one)), ctx, "%s(%d,%d)", name, l - 1 - k, k + 1)
         nx = N[l]
         if l == 0:  # exact: the n = 0 entry is the fit ordinate itself
-            if len(R) == 1:  # past depth 0, the M(0,n) made from it are range-checked
-                check_range(sample, ctx, "partial sum A_%d", r - use_prev)
             A.append(sample)
             G.append(ctx.one)
             L.append(lower(absolute(y)))

@@ -15,7 +15,7 @@ from fracsum.w_algorithm import build_table
 def problem_arrays(problem, schedule, depth, ctx):
     """``sums`` and ``terms`` indexed from 0 (A_0 = 0, a_0 unused) up to R_depth."""
     R = schedule.prefix(depth + 1)
-    sums, terms = sums_and_terms(problem, R[-1], ctx)
+    sums, terms = sums_and_terms(problem, range(1, R[-1] + 1), ctx)
     return [ctx.zero] + sums, [None] + terms
 
 

@@ -107,7 +107,7 @@ def test_criterion_8_oracle_equivalence():
             schedule = parse_schedule(sched)
             depth = 10
             R = schedule.prefix(depth + 1)
-            sums, terms = sums_and_terms(problem, R[-1], CTX)
+            sums, terms = sums_and_terms(problem, range(1, R[-1] + 1), CTX)
             sums = [CTX.zero] + sums
             terms = [None] + terms
             cols = columns(sums, terms, schedule, problem.m, problem.sigma_hat, depth, CTX)
@@ -150,7 +150,7 @@ def test_criterion_9_telescoping_identity():
     ]
     for family in families:
         problem = telescoping_terms(family)
-        sums = sums_and_terms(problem, 200, CTX)[0]
+        sums = sums_and_terms(problem, range(1, 201), CTX)[0]
         peak = CTX.zero
         for n, total in enumerate(sums, start=1):
             peak = max(peak, abs(total))

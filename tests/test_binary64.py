@@ -341,7 +341,7 @@ def test_no_term_or_entry_resolves_through_the_fallback(monkeypatch):
     R = make_gps(1.3).prefix(21)
 
     def run(problem):
-        sums, terms = sums_and_terms(problem, R[-1], ctx)
+        sums, terms = sums_and_terms(problem, range(1, R[-1] + 1), ctx)
         build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
 
     for ident in builtin_ids():
@@ -368,8 +368,8 @@ def test_ieee_inf_and_nan_raise_named_errors():
     # exp(800) - exp(800) is inf - inf in binary64 but 0 at 53 mpmath bits
     problem = SeriesProblem("cancel", lambda n, ctx: ctx.exp(800 * n) - ctx.exp(800 * n), m=1)
     with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
-        sums_and_terms(problem, 3, FP)
-    assert sums_and_terms(problem, 3, MP)[0] == [0, 0, 0]
+        sums_and_terms(problem, range(1, 4), FP)
+    assert sums_and_terms(problem, range(1, 4), MP)[0] == [0, 0, 0]
 
 
 def test_a_narrower_binary64_range_is_still_checked():
@@ -381,8 +381,8 @@ def test_a_narrower_binary64_range_is_still_checked():
         check_range(-1e102, ctx, "A_%d", 1)
     # and so in both loops, where finite floats are not all in range
     with pytest.raises(RangeOverflowError, match=r"^partial sum A_1 exceeds the narrow"):
-        sums_and_terms(SeriesProblem("big", lambda n, c: 1e102, m=1), 2, ctx)
-    with pytest.raises(RangeOverflowError, match=r"^M\(0,1\) exceeds the narrow"):
+        sums_and_terms(SeriesProblem("big", lambda n, c: 1e102, m=1), range(1, 3), ctx)
+    with pytest.raises(RangeOverflowError, match=r"^partial sum A_1 exceeds the narrow"):
         build_table([0.0, 1e102, 0.0], [None, 1.0, 2.0], [1, 2], 1, 0, ctx)
 
 

@@ -166,7 +166,7 @@ def test_contexts_not_made_by_make_context_are_refused(ctx):
     qctx = make_context(QUAD)
     sums, terms = [qctx.zero, qctx.one], [qctx.zero, qctx.one]
     for call in (lambda: accelerate(problem, make_aps(1, 1), 8, ctx),
-                 lambda: sums_and_terms(problem, 8, ctx),
+                 lambda: sums_and_terms(problem, range(1, 9), ctx),
                  lambda: build_table(sums, terms, [1], 1, 1, ctx)):
         with pytest.raises(TypeError, match="make_context"):
             call()
@@ -481,13 +481,13 @@ def test_partial_sum_range_edge_at_an_mpmath_preset(unit):
     # A_1 = 2^134 is real; A_2 = A_1 + 2^134 u has mag 136, and A_3 one bit more
     terms = [ctx.ldexp(1, 134), ctx.ldexp(1, 134) * u, ctx.ldexp(1, 135) * u]
     problem = SeriesProblem("edge", lambda n, c: terms[n - 1], m=1)
-    sums = sums_and_terms(problem, 2, ctx)[0]
+    sums = sums_and_terms(problem, range(1, 3), ctx)[0]
     assert ctx.mag(sums[1]) == NARROW_QUAD.max_exp2
     with pytest.raises(RangeOverflowError, match=r"^partial sum A_3 exceeds the narrow-quad"):
-        sums_and_terms(problem, 3, ctx)
+        sums_and_terms(problem, range(1, 4), ctx)
     nan = SeriesProblem("nan", lambda n, c: ctx.one if n == 1 else ctx.nan * u, m=1)
     with pytest.raises(NotANumberError, match=r"^partial sum A_2 is NaN$"):
-        sums_and_terms(nan, 3, ctx)
+        sums_and_terms(nan, range(1, 4), ctx)
 
 
 def _table_at(ctx, u, s1, a1, a2):
@@ -525,7 +525,8 @@ def test_recursion_range_edges_at_an_mpmath_preset(unit):
     _table_at(ctx, u, ctx.zero, ctx.ldexp(1, -134), -one)
     with pytest.raises(RangeOverflowError, match=r"^N\(0,1\) exceeds the narrow-quad"):
         _table_at(ctx, u, ctx.zero, ctx.ldexp(1, -135), -one)
-    with pytest.raises(NotANumberError, match=r"^M\(0,1\) is NaN$"):
+    # a NaN ordinate is named as the partial sum it is
+    with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
         _table_at(ctx, u, ctx.nan, one, two)
 
 

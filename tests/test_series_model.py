@@ -38,25 +38,25 @@ EX7_2 = ProductProblem("ex7_2", lambda n, ctx: ctx.power(n, ctx.mpf(-3) / 2), m=
 
 def test_partial_sums_first_term_ex5_1(qctx):
     p = builtin_problem("ex5_1")
-    sums = sums_and_terms(p, 3, qctx)[0]
+    sums = sums_and_terms(p, range(1, 4), qctx)[0]
     assert sums[0] == qctx.exp(-1) - 1  # a_1 = e^-1 - e^0
     assert abs(abs(sums[0] + 1) - qctx.mpf("0.368")) < 5e-4
 
 
 def test_partial_sums_zero_series(qctx):
     p = SeriesProblem("zeros", lambda n, ctx: ctx.zero, m=1)
-    assert all(s == 0 for s in sums_and_terms(p, 10, qctx)[0])
+    assert all(s == 0 for s in sums_and_terms(p, range(1, 11), qctx)[0])
 
 
 def test_partial_sums_ex5_5_row(qctx):
-    sums = sums_and_terms(builtin_problem("ex5_5"), 5, qctx)[0]
+    sums = sums_and_terms(builtin_problem("ex5_5"), range(1, 6), qctx)[0]
     assert abs(sums[4] - qctx.mpf("29.2")) <= 0.007 * qctx.mpf("29.2")
 
 
 def test_partial_sums_overflow_names_index(dctx):
     p = SeriesProblem("grower", lambda n, ctx: ctx.exp(n), m=1)
     with pytest.raises(RangeOverflowError, match=r"A_7\d\d"):
-        sums_and_terms(p, 740, dctx)
+        sums_and_terms(p, range(1, 741), dctx)
 
 
 def test_partial_sums_overflow_names_an_infinite_term(qctx, dctx):
@@ -64,17 +64,41 @@ def test_partial_sums_overflow_names_an_infinite_term(qctx, dctx):
     big = SeriesProblem("big", lambda n, ctx: ctx.mpf("1e5000"), m=1)
     with pytest.raises(RangeOverflowError, match=r"^partial sum A_1 exceeds the quad exponent "
                                                  r"range \(\|value\| > 1e4932\)$"):
-        sums_and_terms(big, 2, qctx)
+        sums_and_terms(big, range(1, 3), qctx)
     for ctx in (qctx, dctx):
         infinite = SeriesProblem("inf", lambda n, ctx: -ctx.inf if n == 3 else ctx.one, m=1)
         with pytest.raises(RangeOverflowError, match=r"^partial sum A_3 exceeds the .*: its term a_3 "
                                                      r"is infinite$"):
-            sums_and_terms(infinite, 4, ctx)
+            sums_and_terms(infinite, range(1, 5), ctx)
 
 
-def test_partial_sums_rejects_bad_upto(qctx):
-    with pytest.raises(ValueError):
-        sums_and_terms(builtin_problem("ex5_1"), 0, qctx)
+def test_partial_sums_rejects_bad_indices(qctx):
+    calls = []
+    counted = SeriesProblem("counted", lambda n, ctx: calls.append(n) or ctx.one, m=1)
+    for indices in (range(1, 1), [], [0, 1], [-2, 3], [2, 2], [1, 3, 2]):
+        with pytest.raises(ValueError, match=r"^indices must be nonempty, positive and strictly "):
+            sums_and_terms(counted, indices, qctx)
+    assert calls == []
+
+
+def test_partial_sums_at_indices_are_those_of_the_full_pass(qctx, dctx):
+    # the kept sums and terms, bit for bit, with every term evaluated once and in order;
+    # the terms turn complex at n = 5, between two kept indices
+    for ctx in (qctx, dctx):
+        calls = []
+
+        def term(n, ctx):
+            calls.append(n)
+            return ctx.one / n if n < 5 else ctx.mpc(1, n) / n ** 3
+
+        problem = SeriesProblem("counted", term, m=1)
+        full = sums_and_terms(problem, range(1, 10), ctx)
+        del calls[:]
+        kept = [2, 3, 7, 9]
+        sums, terms = sums_and_terms(problem, kept, ctx)
+        assert calls == list(range(1, 10))
+        assert (sums, terms) == tuple([values[k - 1] for k in kept] for values in full)
+        assert [type(s) for s in sums] == [type(full[0][k - 1]) for k in kept]
 
 
 def test_telescoping_example_terms(qctx):
@@ -122,7 +146,7 @@ FAMILIES = [
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"k{f.kind}s{f.s}m{f.m}")
 def test_telescoping_identity_short(qctx, family):
     p = telescoping_terms(family)
-    sums = sums_and_terms(p, 60, qctx)[0]
+    sums = sums_and_terms(p, range(1, 61), qctx)[0]
     peak = qctx.zero
     for n, total in enumerate(sums, start=1):
         peak = max(peak, abs(total))
@@ -144,7 +168,7 @@ def test_product_empty(qctx):
 
 
 def test_product_ex7_2_row(qctx):
-    sums = sums_and_terms(builtin_problem("ex7_2"), 5, qctx)[0]
+    sums = sums_and_terms(builtin_problem("ex7_2"), range(1, 6), qctx)[0]
     assert abs(sums[4] - qctx.mpf("3.96")) <= 0.007 * qctx.mpf("3.96")
 
 
@@ -163,7 +187,7 @@ def test_builtin_products_are_the_series_of_their_factors(qctx, dctx):
 
 def test_product_round_trip(qctx):
     for ident, problem in (("ex7_1", EX7_1), ("ex7_2", EX7_2)):
-        sums = sums_and_terms(builtin_problem(ident), 120, qctx)[0]
+        sums = sums_and_terms(builtin_problem(ident), range(1, 121), qctx)[0]
         prod = qctx.one
         for n in range(1, 121):
             prod *= 1 + problem.v(n, qctx)
@@ -174,7 +198,7 @@ def test_product_zero_partial_product(qctx):
     bad = ProductProblem("dies", lambda n, ctx: ctx.mpf(-1) if n == 3 else ctx.zero, m=1, t=2)
     series = product_to_series(bad)
     with pytest.raises(ZeroPartialProductError, match="A_3"):
-        sums_and_terms(series, 5, qctx)
+        sums_and_terms(series, range(1, 6), qctx)
     # the stream that raised is not resumed: every later term restarts and raises or returns
     for n in (4, 5):
         with pytest.raises(ZeroPartialProductError, match="A_3"):
@@ -492,8 +516,8 @@ def test_integer_parameters_refuse_non_integers(taker, k):
 
 def test_generator_determinism(qctx):
     for ident in ("ex5_11", "ex7_2", "ex5_14"):
-        a = sums_and_terms(builtin_problem(ident), 40, qctx)[0]
-        b = sums_and_terms(builtin_problem(ident), 40, qctx)[0]
+        a = sums_and_terms(builtin_problem(ident), range(1, 41), qctx)[0]
+        b = sums_and_terms(builtin_problem(ident), range(1, 41), qctx)[0]
         assert a == b  # bit-exact
 
 
@@ -715,7 +739,7 @@ def test_partial_sums_equal_a_plain_fold_property(qctx, parts):
         total = total + a
         fold.append(total)
     sums, got = sums_and_terms(SeriesProblem("fold", lambda n, c: terms[n - 1], m=1),
-                               len(terms), qctx)
+                               range(1, len(terms) + 1), qctx)
     assert got == terms
     assert [type(s) for s in sums] == [type(s) for s in fold]
     assert [getattr(s, "_mpf_", None) or s._mpc_ for s in sums] == \

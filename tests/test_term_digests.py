@@ -96,7 +96,7 @@ def _tuple(raw):
 
 
 def term_digest(make, upto, ctx):
-    sums, terms = sums_and_terms(make(), upto, ctx)
+    sums, terms = sums_and_terms(make(), range(1, upto + 1), ctx)
     h = hashlib.sha256()
     for values in (sums, terms):
         for x in values:

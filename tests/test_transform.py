@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from fracsum.series_model import (
     builtin_problem,
     load_problem,
     product_to_series,
+    sums_and_terms,
     trig_series_pair,
 )
 from fracsum.transform import (
@@ -19,7 +21,7 @@ from fracsum.transform import (
     sum_trig,
 )
 from fracsum.numerics import DOUBLE, QUAD, NotANumberError, make_context
-from fracsum.w_algorithm import ExtrapolationTable, ZeroTermError
+from fracsum.w_algorithm import ExtrapolationTable, ZeroTermError, build_table
 
 from columns import problem_columns
 from oracles import cos_sqrt_reference
@@ -305,3 +307,56 @@ def test_nan_term_names_first_index(qctx, bad):
 
     with pytest.raises(NotANumberError, match=r"A_5\b"):
         accelerate(SeriesProblem("nan5", term, m=1), make_aps(1, 1), 8, qctx)
+
+
+def _bits(x):
+    """A float's hex form or an mpf's or mpc's raw tuple, so that equal bits compare equal."""
+    if type(x) is float:
+        return x.hex()
+    return getattr(x, "_mpf_", None) or x._mpc_
+
+
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+@pytest.mark.parametrize("sigma_hat", ["1", "0", "-1/2"])
+def test_a_gps_table_is_the_table_of_the_full_sums(precision, sigma_hat):
+    # accelerate keeps the sums at R_l and R_l - 1 only; on gps:1.3 the
+    # R_l - 1 past R_7 = 7 lie outside R, and sigma_hat < 0 fits on them
+    ctx = make_context(precision)
+    problem, _ = load_problem({"expression": "power(-1,n)/sqrt(n)", "m": 2, "sigma_hat": sigma_hat})
+    schedule, depth = parse_schedule("gps:1.3"), 24
+    R = schedule.prefix(depth + 1)
+    sums, terms = sums_and_terms(problem, range(1, R[-1] + 1), ctx)
+    full = build_table([ctx.zero] + sums, [None] + terms, R, problem.m, problem.sigma_hat, ctx)
+    table = accelerate(problem, schedule, depth, ctx).table
+    assert table.R == R
+    for name in ("samples", "A", "gamma", "lam"):
+        assert list(map(_bits, getattr(table, name))) == list(map(_bits, getattr(full, name))), name
+
+
+@pytest.mark.parametrize("bad", [lambda ctx: ctx.nan, lambda ctx: -ctx.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
+def test_a_bad_term_between_two_samples_is_named(precision, bad):
+    # on gps:1.3, R = 1, ..., 7, 9, 11, 14, 18, ...: a_16 is neither a sample nor the term before one
+    ctx = make_context(precision)
+
+    def term(n, ctx):
+        return bad(ctx) if n == 16 else 1 / ctx.convert(n) ** 2
+
+    named = r"^partial sum A_16 (is NaN|exceeds the .*: its term a_16 is infinite)$"
+    with pytest.raises(ArithmeticError, match=named):
+        accelerate(SeriesProblem("bad16", term, m=1), parse_schedule("gps:1.3"), 12, ctx)
+
+
+@pytest.mark.parametrize("precision, depth", [(QUAD, 32), (DOUBLE, 36)], ids=["quad", "double"])
+def test_accelerate_holds_the_samples_only(precision, depth):
+    # gps:1.3 reaches R_32 = 5,258 and R_36 = 15,015 terms; a table keeps 2 * (depth + 1) sums
+    ctx = make_context(precision)
+    problem, schedule = builtin_problem("ex5_1"), parse_schedule("gps:1.3")
+    accelerate(problem, schedule, depth, ctx)  # the warm-up builds the kernel tables
+    tracemalloc.start()
+    try:
+        accelerate(problem, schedule, depth, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak

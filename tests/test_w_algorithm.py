@@ -444,7 +444,7 @@ def test_each_sample_raises_its_named_errors_in_order(precision, kind):
 
 @pytest.mark.parametrize("precision", [QUAD, DOUBLE], ids=["quad", "double"])
 def test_a_depth_zero_table_range_checks_its_ordinate(precision):
-    # past depth 0 the ordinate reaches M(0,1); at depth 0 it is the table's only entry
+    # each ordinate is checked at its own sample, at depth 0 and past it alike
     ctx = make_context(precision)
     terms = [None, ctx.one, ctx.one]
     with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
@@ -454,7 +454,7 @@ def test_a_depth_zero_table_range_checks_its_ordinate(precision):
     # with sigma_hat < 0 the ordinate at R_0 = 2 is A_1
     with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
         build_table([ctx.zero, ctx.nan, ctx.one], terms, [2], 1, -1, ctx)
-    with pytest.raises(NotANumberError, match=r"^M\(0,1\) is NaN$"):
+    with pytest.raises(NotANumberError, match=r"^partial sum A_1 is NaN$"):
         build_table([ctx.zero, ctx.nan, ctx.one], terms, [1, 2], 1, 1, ctx)
     assert build_table([ctx.zero, ctx.one], terms, [1], 1, 1, ctx).A == [ctx.one]
 
