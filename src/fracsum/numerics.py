@@ -24,12 +24,14 @@ with the bits of the ``mpf`` operators and functions.  On mpmath's
 pure-Python backend ``+``, ``-``, ``*``, ``/``, ``sqrt`` and the
 W-recursion's scan of ``(x - y) / d`` along an antidiagonal take
 mpmath's integer steps and round once, half to even, as mpmath does;
-``exp`` rounds a closer, table-driven value outside a narrow band around
-each rounding midpoint, and ``pow`` takes ``mpf_pow``'s steps on these
-kernels.  Every other case is mpmath's own function, as are all kernels
-under gmpy2 and ``loggamma`` always.  Binary64 floats keep their native
-operators and ``math.sqrt`` and take ``pow``, ``exp`` and ``loggamma``
-from the table at 53 bits, as does the binary64 context.  Complex values
+``exp`` and the ``log`` inside ``pow`` round a closer, table-driven value
+outside a narrow band around each rounding midpoint, and ``pow`` takes
+``mpf_pow``'s steps on these kernels.  Every other case is mpmath's own
+function, as are all kernels under gmpy2 and ``loggamma`` always.
+Binary64 floats keep their native operators and ``math.sqrt`` and take
+``pow``, ``exp`` and ``loggamma`` from the table at 53 bits, as does the
+binary64 context; a float arithmetic converts the exponent of ``pow``
+once while its loop passes the same one.  Complex values
 keep their native operators and functions.
 """
 
@@ -187,6 +189,25 @@ _kernels53 = _Kernels53()
 
 def _float_pow(x, y):
     return to_float(_kernels53["pow"](_raw(x), _raw(y)))
+
+
+def _lifting_float_pow():
+    """``_float_pow`` for one float arithmetic, keeping the raw form of the last exponent.
+
+    A loop raises its values to one exponent, so each exponent object is
+    converted once while it stays the last one passed.
+    """
+    last = None, None
+
+    def pow(x, y):
+        nonlocal last
+        exponent, t = last
+        if y is not exponent:
+            t = _raw(y)
+            last = y, t
+        return to_float(_kernels53["pow"](_raw(x), t))
+
+    return pow
 
 
 def _float_sqrt(x):
@@ -410,7 +431,7 @@ _OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 
 
 def _mpf_kernels(prec):
-    """mpmath's kernels at prec bits, rounding to nearest, by field name."""
+    """mpmath's kernels at prec bits, rounding to nearest, by field name (pow's log at prec + 10)."""
     rnd = round_nearest
 
     def scan(X, x, dens, start, top):
@@ -430,6 +451,7 @@ def _mpf_kernels(prec):
         "pow": lambda x, y: mpf_pow(x, y, prec, rnd),
         "sqrt": lambda x: mpf_sqrt(x, prec, rnd),
         "exp": lambda x: mpf_exp(x, prec, rnd),
+        "log": lambda x: mpf_log(x, prec + 10, rnd),
         "loggamma": lambda x: mpf_loggamma(x, prec, rnd),
     }
 
@@ -638,60 +660,118 @@ def _rounded(man, exp, prec):
     return 0, man, exp, man.bit_length()
 
 
-_EXP_BAND = 2  # E within _EXP_BAND * 2^-8 ulp of a rounding midpoint falls back to mpf_exp
+_BAND = 2  # a value within _BAND * 2^-8 ulp of a rounding midpoint falls back to mpmath's function
 _EXP_MAX_MAG = 20  # the fast range of exp: |x| < 2^20
+_LOG_MAX_MAG = 1 << 20  # the fast range of log: s = y * 2^mag, y in [1, 2), |mag| <= 2^20
+_BINARY64_MAX_F = 1000  # a binary64 tail at more fraction bits could underflow
 _KERNELS = LoopArithmetic._fields[LoopArithmetic._fields.index("add"):]  # add to loggamma
+
+
+def _series_split(F, bits, power, most):
+    """(terms, j) for a series at F fraction bits whose term i is at most 2^-bits(i).
+
+    terms is the first count whose next term is below 2^-(F-1).  The terms
+    from j on, at most *most* of them, are summed in binary64: their sum is
+    about term j, a power x^power(j) of the series' variable x times a
+    polynomial, whose relative error there is at most (power(j) + 3) *
+    2^-53 (x's rounding, raised to the power, and the steps after it), and
+    j is the first index from terms - most on at which the product of the
+    two is below 2^-(F+1).  Past ``_BINARY64_MAX_F`` fraction bits j is
+    terms: no term is binary64.
+    """
+    terms = 1
+    while bits(terms) <= F - 1:
+        terms += 1
+    j = max(1, terms - most)
+    while j < terms and (F > _BINARY64_MAX_F or bits(j) + 53 - math.log2(power(j) + 3) < F + 1):
+        j += 1
+    return terms, j
 
 
 def _raw_kernels(prec) -> dict:
     """The round-to-nearest raw kernels at prec >= 53 bits, by name, with the bits of mpmath's.
 
     The nine of :class:`LoopArithmetic`, ``scan`` with a fifth operand top,
-    the largest mag in range, and ``exp_fixed`` for the float ``exp``.  On
-    mpmath's python backend the basic ones are
-    :func:`_nearest_kernels`' and exp and pow those below; under gmpy2,
-    whose kernels run in C, the nine are mpmath's.  ``loggamma`` is
-    ``mpf_loggamma`` under both.
+    the largest mag in range, ``log``, the ``mpf_log(s, prec + 10)`` inside
+    ``pow``, and ``exp_fixed`` for the float ``exp``.  On mpmath's python
+    backend the basic ones are :func:`_nearest_kernels`' and exp, log and
+    pow those below; under gmpy2, whose kernels run in C, the nine and
+    ``log`` are mpmath's.  ``loggamma`` is ``mpf_loggamma`` under both.
 
     ``exp_fixed(X)`` takes x = X * 2^-F at F = prec + 22 fraction bits
     and |x| < 2^20.  It reduces x = k ln2 / 4096 + r with |r| < 2^-13.5,
     takes 2^(k/4096) from two 64-entry tables, 2^(j/64) and 2^(j/4096),
-    and exp(r) from a Taylor polynomial whose first omitted term is below
-    2^-(F-1) (5 terms at 53 bits, 9 at 113).  The product E has a
-    relative error below 2^-(prec+17): every table entry and Taylor
-    coefficient is rounded at F bits, ln2 at F + 24, and each truncating
-    step adds at most 2^-F.  ``exp_fixed`` returns (man, exp) of E rounded
-    to prec bits, or None when E lies within 2^-7 ulp of a rounding
-    midpoint.  mpmath's ``mpf_exp`` rounds its own fixed-point value once,
-    and that value's relative error measured at most 2^-(prec+10.5) at
-    53, 113, 200, 400 and 700 bits against a reference 400 bits wider,
-    below 2^-9.5 ulp.  Outside the band E, mpmath's value and exp(x) are
-    on the same side of every midpoint, so the bits are mpmath's.
-    ``exp(s)`` is the raw adapter: a zero, inf or nan, |s| below
-    2^-(prec+8) (where mpmath rounds 1 plus a perturbation), |s| past the
-    fast range, an integer s at a precision above 600 bits (where mpmath
-    raises e to an integer power) and every None are ``mpf_exp`` itself.
+    and exp(r) from its Taylor series to a first omitted term below
+    2^-(F-1) (r^5/5! at 53 bits, r^9/9! at 113).  1 + r and the terms up
+    to r^(j-1)/(j-1)! run in ints at F bits; the terms from r^j/j! on (j
+    from :func:`_series_split`: 2 at 53 bits, 6 at 113) are summed in
+    binary64 within 2^-(F+1) and truncated to F bits.  The product E has a
+    relative error below 2^-(prec+17), at most about 8 units of 2^-F: the
+    table entries and the Taylor coefficients are rounded at F bits (1),
+    ln2 at F + 24 (the reduction's error below 1.2 with its truncation),
+    the int steps truncate (2), the binary64 tail and its truncation (1.5)
+    and the omitted terms (2); measured at most 2^-(prec+20.6) at 53, 113,
+    200, 400 and 700 bits.  ``exp_fixed`` returns (man, exp) of E
+    rounded to prec bits, man not stripped, or None when E lies within
+    2^-7 ulp of a rounding midpoint (the band).  mpmath's ``mpf_exp``
+    rounds its own fixed-point value once, and that value's relative error
+    measured at most 2^-(prec+10.5) at 53, 113, 200, 400 and 700 bits
+    against a reference 400 bits wider, below 2^-9.5 ulp.  Outside the
+    band E, mpmath's value and exp(x) are on the same side of every
+    midpoint, so the bits are mpmath's.  ``exp(s)`` is the raw adapter: a
+    zero, inf or nan, |s| below 2^-(prec+8) (where mpmath rounds 1 plus a
+    perturbation), |s| past the fast range, an integer s at a precision
+    above 600 bits (where mpmath raises e to an integer power) and every
+    None are ``mpf_exp`` itself.
+
+    ``log(s)`` rounds to w = prec + 10 bits a value L at G = w + 14
+    fraction bits.  It writes s = y * 2^mag with y in [1, 2) and takes
+    log s = mag ln2 + log(y c) - log c, where c = g / 2^16 is the 16-bit
+    inverse of the midpoint of y's 1/256 interval (a 256-entry table of g
+    and -log c at G bits), so y c = 1 + z is exact and |z| <= 2^-9.
+    log(1 + z) = 2 atanh(v/2) with v = 2z / (2 + z), the series of
+    v^(2i+1) / ((2i+1) 4^i), to a first omitted term below 2^-(G-1), split
+    as exp's: at 63 bits v in ints and v^3 to v^7 in binary64, at 123 bits
+    v to v^7 and v^9 to v^13.  Apart from mag ln2, L's error is at most
+    about 8 units of 2^-G: the truncations of y and v (2), the int steps
+    (2), the table entry (1/2), the binary64 tail and its truncation (1.5)
+    and the omitted terms (2); as |L| >= ln2, that is below 2^-11 ulp of L
+    at w bits.  ln2 is rounded at G bits, so mag ln2 is off by at most
+    |mag| / 2 units, below 2^-13.4 ulp of L, whose ulp grows with |mag|.
+    Measured, L's error is at most 2^-12.4 ulp at 63, 123 and 210 bits
+    against a reference at 600.  mpmath's ``mpf_log`` rounds once a
+    fixed-point value at w + 20 bits whose error, some units of its last
+    place plus |mag| units from its ln2, is below 2^-16 ulp of L (measured
+    at most 2^-16.5).  Outside the band of ``exp``, 2^-7 ulp around a
+    midpoint, L, mpmath's value and log s are on the same side of every
+    midpoint, so the bits are mpmath's.  A zero, inf, nan, negative or
+    power-of-two s, s in (1/2, 2) (where mpmath adds bits for the
+    cancellation), |mag| past 2^20 and every L in the band are ``mpf_log``
+    itself.
 
     ``pow(s, t)`` takes the steps of ``mpf_pow``: for a half-integer t the
     square root at prec + 10 bits and the exact odd power of it rounded
     once, at prec + 5 bits for a negative t (then 1 divided by it) and at
     prec bits otherwise, on :func:`_nearest_kernels`; for any other
-    fractional t, ``exp`` of t times mpmath's ``mpf_log(s, prec + 10)``.
-    An integer t, a zero, inf or nan, a power of two, a negative base
-    (mpmath raises ``ComplexResult``) and a power of at least 1000 bits
-    are ``mpf_pow`` itself.
+    fractional t, ``exp`` of t times ``log(s)``.  An integer t, a zero,
+    inf or nan, a power of two, a negative base (mpmath raises
+    ``ComplexResult``) and a power of at least 1000 bits are ``mpf_pow``
+    itself.
 
-    Built once per precision by :func:`_once`; the tables come from a
-    private ``MPContext``.
+    Built once per precision by :func:`_once`, with its tables; they come
+    from a private ``MPContext``.
     """
     return _once(_kernel_cache, prec, _build_raw_kernels)
 
 
 def _build_raw_kernels(prec) -> dict:
+    floor, trunc = math.floor, math.trunc
     F = prec + 22
     one = 1 << F
+    w = prec + 10  # the precision of log
+    G = w + 14
     mp = MPContext()
-    mp.prec = F + 40
+    mp.prec = G + 40
 
     def fixed(x, bits):
         return int(mp.nint(mp.ldexp(x, bits)))
@@ -699,34 +779,40 @@ def _build_raw_kernels(prec) -> dict:
     ln2 = fixed(mp.ln2, F + 24)
     coarse = [fixed(mp.power(2, mp.mpf(j) / 64), F) for j in range(64)]
     fine = [fixed(mp.power(2, mp.mpf(j) / 4096), F) for j in range(64)]
-    # 1/i! at F bits for i = terms - 1, ..., 1, with terms the first count whose
-    # next term, at most 2^-13.5^terms / terms!, is below 2^-(F-1)
-    terms = 1
-    while 13.5 * terms + math.log2(math.factorial(terms)) <= F - 1:
-        terms += 1
-    taylor = [((one << 1) // math.factorial(i) + 1) >> 1 for i in range(terms - 1, 0, -1)]
-    top, taylor = taylor[0], taylor[1:] + [one]
+    # exp(r) = 1 + r + the terms r^i/i! for i = 2, ..., j - 1 in ints at F bits (Horner, from
+    # 1/(j-1)!) + the rest in binary64, scaled by 2^F, for i = j, ..., j + 3: the terms past
+    # the first omitted one only add accuracy (j >= 2: binary64 is too coarse for r itself)
+    terms, j = _series_split(F, lambda i: 13.5 * i + math.log2(math.factorial(i)), _same, 4)
+    taylor = [((one << 1) // math.factorial(i) + 1) >> 1 for i in range(j - 1, 1, -1)]
+    top, taylor = taylor[:1], taylor[1:]  # no top at j = 2
+    binary64 = j < terms
+    if binary64:  # else past _BINARY64_MAX_F, where these stay unused
+        unit = 2.0 ** -F
+        b0, b1, b2, b3 = (math.ldexp(1 / math.factorial(i), F) for i in range(j, j + 4))
+    cut = F - 40
     to_k = 4096 / math.log(2) / 2.0 ** 40  # k from x's top 40 fraction bits
-    scale = 3 * F  # E is the product of three values at F bits
+    width, edge = 2 * _BAND, 128 - _BAND  # the band is [edge, edge + width) mod 256
+    top_bits = prec + 8
+    scale = 3 * F - 8  # E is the product of three values at F bits
 
     def exp_fixed(X):
-        k = round((X >> (F - 40)) * to_k)
+        k = floor((X >> cut) * to_k + 0.5)
         r = X - (k * ln2 >> 36)
-        p = top
-        for c in taylor:
-            p = c + (p * r >> F)
+        p = one + r
+        if top:
+            q = top[0]
+            for c in taylor:
+                q = c + (q * r >> F)
+            p += (q * r >> F) * r >> F
+        if binary64:
+            y = r * unit
+            p += trunc((b0 + y * (b1 + y * (b2 + y * b3))) * y ** j)
         E = coarse[k >> 6 & 63] * fine[k & 63] * p
-        n = E.bit_length() - prec - 8
+        n = E.bit_length() - top_bits
         h = E >> n  # prec + 8 bits: the low 8 are E's position within an ulp
-        if (h - 128 + _EXP_BAND) & 255 < 2 * _EXP_BAND:
+        if (h - edge) & 255 < width:
             return None
-        man = (h + 128) >> 8
-        exp = (k >> 12) - scale + n + 8
-        if not man & 1:
-            n = (man & -man).bit_length() - 1
-            man >>= n
-            exp += n
-        return man, exp
+        return (h + 128) >> 8, (k >> 12) - scale + n
 
     low = -(prec + 8)
     integral_wide = prec > 600
@@ -742,7 +828,70 @@ def _build_raw_kernels(prec) -> dict:
         if result is None:
             return mpf_exp(s, prec, round_nearest)
         man, e = result
-        return 0, man, e, man.bit_length()
+        if man & 1:  # then of prec bits: only 2^prec, which is even, has more
+            return 0, man, e, prec
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        return 0, man, e + n, man.bit_length()
+
+    # log: y in [1 + i/256, 1 + (i+1)/256) times c_i = g_i / 2^16, g_i the int nearest to
+    # 2^16 / (1 + (i + 1/2)/256), is 1 + z; the table holds (g_i, -log c_i at G bits)
+    inverses = [((1 << 26) // (513 + 2 * i) + 1) >> 1 for i in range(256)]
+    reduce = [None] * 256 + [(g, fixed(16 * mp.ln2 - mp.log(g), G)) for g in inverses]
+    z_max = max(abs((256 + i + d) * g - (1 << 24)) for i, g in enumerate(inverses) for d in (0, 1))
+    v_bits = -math.log2(z_max / ((1 << 24) - z_max / 2))  # |v| = |2z / (2 + z)| <= 2^-v_bits
+    ln2_log = fixed(mp.ln2, G)
+    # log(1 + z) = 2 atanh(v/2), the sum of v^(2i+1) / ((2i+1) 4^i): v (1 + v^2 (1/12 + ...
+    # + v^(2i-2) / ((2i+1) 4^i))) for i < log_j in ints at G bits (Horner, from i = log_j - 1)
+    # + the terms for i = log_j, log_j + 1, log_j + 2 in binary64, scaled by 2^G, as in exp_fixed
+    log_terms, log_j = _series_split(
+        G, lambda i: v_bits * (2 * i + 1) + math.log2((2 * i + 1) * 4 ** i), lambda i: 2 * i + 1, 3)
+    series = [((1 << (G + 1)) // ((2 * i + 1) * 4 ** i) + 1) >> 1 for i in range(log_j - 1, 0, -1)]
+    log_top, series = series[:1], series[1:]  # no top at log_j = 1
+    log_binary64, power = log_j < log_terms, 2 * log_j + 1
+    if log_binary64:
+        log_unit = 2.0 ** -G
+        d0, d1, d2 = (math.ldexp(1 / ((2 * i + 1) * 4 ** i), G) for i in range(log_j, log_j + 3))
+    y_bits, index_cut, log_top_bits, log_scale = G + 1, G - 8, w + 8, G - 8
+    z_one, two, mag_max = 1 << (G + 16), 1 << (G + 17), _LOG_MAX_MAG
+
+    def log(s):
+        sign, man, e, bc = s
+        mag = e + bc - 1  # s = y * 2^mag with y in [1, 2)
+        # a negative, zero, inf, nan or power-of-two s, s in (1/2, 2), or |mag| past 2^20
+        if sign or man < 2 or not (1 <= mag <= mag_max or -mag_max <= mag <= -2):
+            return mpf_log(s, w, round_nearest)
+        shift = y_bits - bc
+        Y = man << shift if shift >= 0 else man >> -shift  # y at G bits
+        inverse, L = reduce[Y >> index_cut]  # by y's top 9 bits
+        Z = Y * inverse - z_one  # z at G + 16 bits, exact
+        V = (Z << y_bits) // (two + Z)  # v at G bits
+        if log_top:
+            W = V * V >> G
+            p = log_top[0]
+            for c in series:
+                p = c + (p * W >> G)
+            L += (p * W >> G) * V >> G
+        L += mag * ln2_log + V
+        if log_binary64:
+            v = V * log_unit
+            u = v * v
+            L += trunc((d0 + u * (d1 + u * d2)) * v ** power)
+        sign = 0
+        if mag < 0:  # then L < -ln2
+            sign = 1
+            L = -L
+        n = L.bit_length() - log_top_bits
+        h = L >> n  # w + 8 bits, as in exp_fixed
+        if (h - edge) & 255 < width:
+            return mpf_log(s, w, round_nearest)
+        man = (h + 128) >> 8
+        if man & 1:  # then of w bits: only 2^w, which is even, has more
+            return sign, man, n - log_scale, w
+        n -= log_scale
+        e = (man & -man).bit_length() - 1
+        man >>= e
+        return sign, man, n + e, man.bit_length()
 
     nearest = _nearest_kernels(prec)
     div, sqrt, root = nearest["div"], nearest["sqrt"], _nearest_kernels(prec + 10)["sqrt"]
@@ -762,13 +911,13 @@ def _build_raw_kernels(prec) -> dict:
             if tsign:
                 return div(fone, _rounded(rman ** tman, rexp * tman, prec + 5))
             return _rounded(rman ** tman, rexp * tman, prec)
-        csign, cman, cexp, _ = mpf_log(s, prec + 10, round_nearest)
+        csign, cman, cexp, _ = log(s)
         man = tman * cman  # the exact product, which mpf_pow hands to mpf_exp
         return exp((tsign ^ csign, man, texp + cexp, man.bit_length()))
 
     kernels = _mpf_kernels(prec)
     if BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
-        kernels.update(nearest, exp=exp, pow=pow)
+        kernels.update(nearest, exp=exp, log=log, pow=pow)
     kernels["exp_fixed"] = exp_fixed
     return kernels
 
@@ -800,7 +949,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift=lift, lower=_same, in_range=in_range, zero=0.0, one=1.0,
                           from_int=float, real=True, abs=abs,
-                          scan=_operator_scan(in_range), **_OPERATORS, pow=_float_pow,
+                          scan=_operator_scan(in_range), **_OPERATORS, pow=_lifting_float_pow(),
                           sqrt=_float_sqrt, exp=_float_exp, loggamma=_float_loggamma)
 
 

@@ -132,6 +132,11 @@ class SeriesProblem:
         self.known_S = _known_S_spec(self.known_S)
 
 
+def _refused(x):
+    """The lift of a pass on the context's own operators: each term is converted first."""
+    return None
+
+
 def sums_and_terms(problem: SeriesProblem, indices, ctx):
     """Partial sums A_n and terms a_n at the *indices* n, in one left-to-right pass.
 
@@ -155,25 +160,30 @@ def sums_and_terms(problem: SeriesProblem, indices, ctx):
     ar = loop_arithmetic(ctx)
     lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
     total = ar.zero
-    start = 1
-    for stop in indices:
-        for n in range(start, stop + 1):
-            a = ctx.convert(problem.term(n, ctx))
-            x = lift(a)
+    keep = iter(indices)
+    stop = next(keep)
+    for n in range(1, indices[-1] + 1):
+        a = problem.term(n, ctx)
+        x = lift(a)
+        if x is None:  # not a loop value as it came: convert it
+            a = ctx.convert(a)
+            x = ar.lift(a)
             if x is None:  # not a real of ctx, e.g. complex: go on with the context's own operators
                 total = lower(total)
                 ar = loop_arithmetic(ctx, [a])
-                lift, lower, add, in_range = ar.lift, ar.lower, ar.add, ar.in_range
-                x = lift(a)
-            total = add(total, x)
-            if not in_range(total):
-                try:
-                    check_range(lower(total), ctx, "partial sum A_%d", n)
-                except ArithmeticError as exc:  # an infinite term is the cause: name it
-                    raise type(exc)(f"{exc}: its term a_{n} is infinite") if ctx.isinf(a) else exc from None
-        terms.append(a)
-        sums.append(lower(total))
-        start = stop + 1
+                lower, add, in_range = ar.lower, ar.add, ar.in_range
+                lift = _refused
+                x = a
+        total = add(total, x)
+        if not in_range(total):
+            try:
+                check_range(lower(total), ctx, "partial sum A_%d", n)
+            except ArithmeticError as exc:  # an infinite term is the cause: name it
+                raise type(exc)(f"{exc}: its term a_{n} is infinite") if ctx.isinf(a) else exc from None
+        if n == stop:
+            terms.append(a)
+            sums.append(lower(total))
+            stop = next(keep, None)
     return sums, terms
 
 

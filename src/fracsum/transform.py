@@ -57,7 +57,12 @@ def accelerate(problem: SeriesProblem, schedule: Schedule, depth: int, ctx) -> A
     _check_integer(depth, "depth", 0)
     known_S = resolve_known_S(problem.known_S, ctx)
     R = schedule.prefix(depth + 1)
-    kept = sorted({k for r in R for k in (r - 1, r) if k})
+    kept, last = [], 0  # R_l - 1 and R_l in one pass over the increasing R
+    for r in R:
+        if r - 1 > last:
+            kept.append(r - 1)
+        kept.append(r)
+        last = r
     sums, terms = sums_and_terms(problem, kept, ctx)
     table = build_table(dict(zip([0, *kept], [ctx.zero, *sums])), dict(zip(kept, terms)), R,
                         problem.m, problem.sigma_hat, ctx)

@@ -1,10 +1,10 @@
-"""The exp and pow kernels against mpmath's ``mpf_exp`` and ``mpf_pow``, bit for bit.
+"""The exp, log and pow kernels against mpmath's ``mpf_exp``, ``mpf_log`` and ``mpf_pow``.
 
-``numerics._raw_kernels(prec)`` holds a table-driven ``exp`` with a
-rounding test and a ``pow`` that takes ``mpf_pow``'s steps on the
-round-to-nearest kernels; the float arithmetic's ``_float_exp`` and
-``_float_pow`` run them at 53 bits.  Every result, or the exception
-raised, must be mpmath's.
+``numerics._raw_kernels(prec)`` holds a table-driven ``exp`` and ``log``
+(the ``mpf_log(s, prec + 10)`` inside ``pow``), each with a rounding
+test, and a ``pow`` that takes ``mpf_pow``'s steps on the round-to-nearest
+kernels; the float arithmetic's ``_float_exp`` and ``pow`` run them at 53
+bits.  Every result, or the exception raised, must be mpmath's.
 """
 
 import math
@@ -15,6 +15,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
+    MPZ,
     finf,
     fnan,
     fninf,
@@ -23,8 +24,10 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     fzero,
+    mpf_add,
     mpf_exp,
     mpf_log,
+    mpf_mul,
     mpf_pow,
     mpf_sqrt,
     round_nearest,
@@ -71,6 +74,87 @@ def test_exp_at_the_edges_of_its_fast_range(prec):
             for sign in (1, -1):
                 x = from_man_exp(sign * man, mag - man.bit_length())
                 assert exp(x) == mpf_exp(x, prec, round_nearest), x
+
+
+def _reduction_edges(prec):
+    """Arguments x = (k + 1/2) ln2 / 4096, a few ulps apart: exp's reduced |r| at 2^-13.5."""
+    ln2_step = mpf_log(from_int(2), 2 * prec + 40, round_nearest)
+    for k in (-4096 * 13, -4097, -3, -1, 0, 1, 2, 63, 64, 4095, 4096 * 11 + 7):
+        edge = mpf_mul(from_rational(2 * k + 1, 8192, 2 * prec + 40, round_nearest), ln2_step,
+                       prec, round_nearest)
+        for ulps in (-2, -1, 0, 1, 2):
+            sign, man, exp, bc = edge
+            yield from_man_exp((-1) ** sign * (MPZ(man) + ulps), exp)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_exp_at_the_edge_of_its_reduction(prec):
+    exp = _raw_kernels(prec)["exp"]
+    for x in _reduction_edges(prec):
+        assert exp(x) == mpf_exp(x, prec, round_nearest), x
+    for x in _reduction_edges(53):
+        y = to_float(x)
+        assert numerics._float_exp(y) == _float_exp_of_mpmath(y), y
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), prec=st.sampled_from(PRECS))
+def test_log_is_mpmaths_bit_for_bit(data, prec):
+    s = data.draw(st.one_of(st.builds(from_int, st.integers(1, 6000)), st.sampled_from(_SPECIALS),
+                            _arguments(prec)))
+    want = _outcome(mpf_log, s, prec + 10, round_nearest)
+    assert _outcome(_raw_kernels(prec)["log"], s) == want, (s, prec)
+
+
+def _log_grid(prec):
+    """Values near 1, powers of two and their neighbours, and huge and tiny magnitudes."""
+    for k in (0, 1, -1, 2, -2, 3, 20, -20, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, (1 << 20) + 2,
+              -(1 << 20), -(1 << 20) - 1, 10 ** 6, -10 ** 9):
+        yield from_man_exp(1, k)
+        for e in (-prec, -prec - 1):
+            for sign in (1, -1):  # 2^k (1 +- 2^e), exact
+                yield mpf_mul(from_man_exp(1, k), mpf_add(fone, from_man_exp(sign, e), 2 * prec),
+                              2 * prec)
+    for m in range(1, 40):
+        for sign in (1, -1):
+            yield from_man_exp((1 << prec) + sign * m, -prec)  # near 1
+            yield from_man_exp((1 << prec) + sign * m * 7919, -prec + 1)  # near 2
+    for mag in (2, 3, 600, 5000, 10 ** 5, 10 ** 8, -2, -600, -10 ** 5, -10 ** 8):
+        for man in (3, 12345, (1 << prec) - 1, (1 << (2 * prec + 10)) - 3):
+            yield from_man_exp(man, mag - man.bit_length())
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_log_on_a_grid_of_edges(prec):
+    log = _raw_kernels(prec)["log"]
+    for s in _log_grid(prec):
+        assert _outcome(log, s) == _outcome(mpf_log, s, prec + 10, round_nearest), s
+
+
+def _log_midpoints(prec, count):
+    """Arguments s outside (1/2, 2) whose log is within 2^-(2 prec) of a (prec + 10)-bit midpoint."""
+    w = prec + 10
+    for i in range(count):
+        mag = 1 + i % 12  # the midpoint's magnitude: |log s| in [2^(mag-1), 2^mag)
+        man = ((1 << w) + 7919 * i * i + 3) | 1  # w + 1 bits: a midpoint at w bits
+        mid = from_man_exp(man if i % 3 else -man, mag - w - 1)
+        yield mpf_exp(mid, 3 * prec + mag, round_nearest)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_log_near_a_midpoint_falls_back_and_still_matches(monkeypatch, prec):
+    calls = []
+
+    def counting(x, p, rnd):
+        calls.append(x)
+        return mpf_log(x, p, rnd)
+
+    monkeypatch.setattr(numerics, "mpf_log", counting)
+    log = _raw_kernels(prec)["log"]
+    ss = list(_log_midpoints(prec, 60))
+    for s in ss:
+        assert log(s) == mpf_log(s, prec + 10, round_nearest), s
+    assert calls == ss  # each took the fallback
 
 
 def _exponents(prec):
@@ -125,33 +209,49 @@ def test_exp_near_a_midpoint_falls_back_and_still_matches(monkeypatch, prec):
     assert calls == xs  # each took the fallback
 
 
-def test_the_builtin_terms_rarely_fall_back(monkeypatch):
-    # a kernel that always deferred to mpf_exp would count every call
-    calls, fallbacks = [0], [0]
-    mpmath_exp, loop_arithmetic = numerics.mpf_exp, series_model.loop_arithmetic
+def _takes_log(x, y):
+    """Whether pow takes the log of x: x is no power of two and y no integer or half-integer."""
+    s, t = (v if type(v) is tuple else numerics._raw(v) for v in (x, y))
+    return s[1] > 1 and t[1] and t[2] < -1
 
-    def counting_fallback(*args):
-        fallbacks[0] += 1
-        return mpmath_exp(*args)
+
+def test_the_builtin_terms_rarely_fall_back(monkeypatch):
+    # a kernel that always deferred to mpf_exp or mpf_log would count every call
+    calls, fallbacks = {"exp": 0, "log": 0}, {"exp": 0, "log": 0}
+    mpmath_kernels = {"exp": numerics.mpf_exp, "log": numerics.mpf_log}
+    loop_arithmetic = series_model.loop_arithmetic
+
+    def counting_fallback(name):
+        def fallback(*args):
+            fallbacks[name] += 1
+            return mpmath_kernels[name](*args)
+
+        return fallback
 
     def counting_arithmetic(*args):
         ar = loop_arithmetic(*args)
-        exp = ar.exp
+        exp, pow = ar.exp, ar.pow
 
-        def counted(x):
-            calls[0] += 1
+        def counted_exp(x):
+            calls["exp"] += 1
             return exp(x)
 
-        return ar._replace(exp=counted)
+        def counted_pow(x, y):
+            calls["log"] += _takes_log(x, y)
+            return pow(x, y)
 
-    monkeypatch.setattr(numerics, "mpf_exp", counting_fallback)
+        return ar._replace(exp=counted_exp, pow=counted_pow)
+
+    monkeypatch.setattr(numerics, "mpf_exp", counting_fallback("exp"))
+    monkeypatch.setattr(numerics, "mpf_log", counting_fallback("log"))
     monkeypatch.setattr(series_model, "loop_arithmetic", counting_arithmetic)
     for precision in (QUAD, DOUBLE):
         ctx = make_context(precision)
         for ident in builtin_ids():
             sums_and_terms(builtin_problem(ident), range(1, 151), ctx)
-    assert calls[0] > 2000
-    assert fallbacks[0] <= 0.05 * calls[0], (fallbacks[0], calls[0])
+    assert calls["exp"] > 2000 and calls["log"] > 200, calls
+    for name in calls:
+        assert fallbacks[name] <= 0.05 * calls[name], (name, fallbacks, calls)
 
 
 def _float_exp_of_mpmath(x):
@@ -193,6 +293,18 @@ def test_float_pow_is_mpmaths_at_53_bits(x, y):
         return to_float(mpf_pow(numerics._raw(a), numerics._raw(b), 53, round_nearest))
 
     assert _outcome(numerics._float_pow, x, y) == _outcome(mpmath_pow, x, y), (x, y)
+
+
+def test_float_pow_of_one_arithmetic_keeps_each_exponent_apart():
+    def mpmath_pow(a, b):
+        return to_float(mpf_pow(numerics._raw(a), numerics._raw(b), 53, round_nearest))
+
+    pow = numerics.loop_arithmetic(make_context(DOUBLE)).pow
+    a, b = 3 ** 0.5, -1.5
+    # a, then b, then a, with the same objects, equal copies and a value a loop never passes
+    for x, y in [(7.0, a), (7.0, b), (7.0, a), (7.0, float(a * 1.0)), (11.0, b), (11.0, b),
+                 (13.0, a), (13.0, 0.5), (13.0, a), (2.0, -b), (5.0, 3)]:
+        assert pow(x, y) == mpmath_pow(x, y), (x, y)
 
 
 def test_kernels_are_built_once_for_threads_that_share_a_fresh_precision(monkeypatch):

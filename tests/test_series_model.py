@@ -101,6 +101,19 @@ def test_partial_sums_at_indices_are_those_of_the_full_pass(qctx, dctx):
         assert [type(s) for s in sums] == [type(full[0][k - 1]) for k in kept]
 
 
+def test_terms_are_converted_only_where_the_loop_refuses_them(qctx, dctx):
+    # Python numbers are converted on both sides of the switch to complex at n = 4;
+    # a term that is already a real of the context is kept as the very object returned
+    for ctx in (qctx, dctx):
+        returned = [ctx.convert(1) / 7, 2, 0.5, 1j, 4, 2.5, ctx.convert(3) / 7]
+        sums, terms = sums_and_terms(SeriesProblem("mixed", lambda n, c: returned[n - 1], m=1),
+                                     range(1, 8), ctx)
+        want = [ctx.convert(v) for v in returned]
+        assert terms == want and [type(t) for t in terms] == [type(t) for t in want]
+        assert terms[0] is returned[0]
+        assert sums[-1] == sum(want[1:], want[0])
+
+
 def test_telescoping_example_terms(qctx):
     # kind 1, s=0, Q = -sqrt(n) reproduces the e^(-sqrt n) difference terms
     p = telescoping_terms(TelescopingFamily(1, 0, 2, (0, -1)))
