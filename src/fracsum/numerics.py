@@ -5,8 +5,9 @@ preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
 scalars are Python floats and whose every function is mpmath's at 53
 bits: ``convert`` and ``mpf`` as float fast paths, ``sqrt``, ``power``,
-``exp`` and ``loggamma`` through float kernels where they can, and all
-others (``log``, ``gamma``, ...) through a private 53-bit ``MPContext``.
+``exp`` and ``loggamma`` through the kernels of its float arithmetic
+where they can, and all others (``log``, ``gamma``, ...) through a
+private 53-bit ``MPContext``.
 Every other preset gets an mpmath ``MPContext`` with ``mpf`` reals.
 Complex scalars are mpmath ``mpc`` values under both, and the roundoff
 unit u = 2^(1 - mantissa_bits) is ``ctx.eps``.  Any other number enters
@@ -29,10 +30,10 @@ outside a narrow band around each rounding midpoint, and ``pow`` takes
 ``mpf_pow``'s steps on these kernels.  Every other case is mpmath's own
 function, as are all kernels under gmpy2 and ``loggamma`` always.
 Binary64 floats keep their native operators and ``math.sqrt`` and take
-``pow``, ``exp`` and ``loggamma`` from the table at 53 bits, as does the
-binary64 context; a float arithmetic converts the exponent of ``pow``
-once while its loop passes the same one.  Complex values
-keep their native operators and functions.
+``pow``, ``exp`` and ``loggamma`` from the table at 53 bits, in the one
+float arithmetic per precision that the binary64 context's functions
+run too; its ``pow`` converts an exponent once while the calls pass the
+same one.  Complex values keep their native operators and functions.
 """
 
 from __future__ import annotations
@@ -123,11 +124,12 @@ PRESETS = {"double": DOUBLE, "quad": QUAD}
 
 _context_cache: dict[Precision, object] = {}
 _kernel_cache: dict[int, dict] = {}
-_build_lock = threading.Lock()
+_float_cache: dict[Precision, LoopArithmetic] = {}
+_build_lock = threading.RLock()
 
 
 def _once(cache: dict, key, build):
-    """``cache[key]``, made by ``build(key)`` once for all threads; no build may call ``_once``."""
+    """``cache[key]``, made by ``build(key)`` once for all threads; a build may call ``_once``."""
     value = cache.get(key)
     if value is None:
         with _build_lock:
@@ -172,67 +174,12 @@ def _raw(x):
     return sign, MPZ(man), exp, man.bit_length()
 
 
-class _Kernels53(dict):
-    """The raw kernel table at 53 bits, copied from :func:`_raw_kernels` at its first lookup."""
-
-    def __missing__(self, name):
-        kernels = _raw_kernels(53)
-        self.update(kernels)
-        return kernels[name]
-
-
-# The functions of the float arithmetic and of Binary64Context: the raw kernels at 53
-# bits on floats (and on ints, which expressions pass), from the table bound at the
-# first call: importing fracsum or making a context builds none.
-_kernels53 = _Kernels53()
-
-
-def _float_pow(x, y):
-    return to_float(_kernels53["pow"](_raw(x), _raw(y)))
-
-
-def _lifting_float_pow():
-    """``_float_pow`` for one float arithmetic, keeping the raw form of the last exponent.
-
-    A loop raises its values to one exponent, so each exponent object is
-    converted once while it stays the last one passed.
-    """
-    last = None, None
-
-    def pow(x, y):
-        nonlocal last
-        exponent, t = last
-        if y is not exponent:
-            t = _raw(y)
-            last = y, t
-        return to_float(_kernels53["pow"](_raw(x), t))
-
-    return pow
-
-
 def _float_sqrt(x):
     return math.sqrt(x) + 0.0  # sqrt(-0.0) is -0.0, and mpmath's is its one zero
 
 
-def _float_exp(x):
-    # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
-    if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
-        n, d = x.as_integer_ratio()
-        result = _kernels53["exp_fixed"]((n << 75) >> (d.bit_length() - 1))
-        if result is not None:
-            try:
-                return math.ldexp(*result)  # to_float's step, subnormals included
-            except OverflowError:
-                return math.inf
-    return to_float(_kernels53["exp"](_raw(x)))
-
-
-def _float_loggamma(x):
-    return to_float(_kernels53["loggamma"](_raw(x)))
-
-
-def _kernel_function(name, kernel, types):
-    """Binary64Context's *name*: *kernel* where every argument's type is one of *types*.
+def _kernel_function(name, field, types):
+    """Binary64Context's *name*: its float arithmetic's *field* on arguments of the *types*.
 
     A keyword, another type, or a kernel that raises (a complex result, a
     pole) calls mpmath's function at 53 bits, its real result demoted.
@@ -241,7 +188,7 @@ def _kernel_function(name, kernel, types):
     def function(self, *args, **kwargs):
         if not kwargs and all(type(x) in types for x in args):
             try:
-                return kernel(*args)
+                return getattr(self._float, field)(*args)
             except (ArithmeticError, ValueError):
                 pass
         return self._demote(getattr(self._mp, name)(*args, **kwargs))
@@ -255,20 +202,20 @@ class Binary64Context:
 
     Real scalars are Python floats.  ``+ - * /``, ``abs`` and comparisons
     run natively: IEEE round-to-nearest-even is mpmath's 53-bit rounding
-    ``"n"``.  ``convert`` and ``mpf``, which ``sums_and_terms`` calls once
-    per term, return a float or int as a float without mpmath.  ``power``,
-    ``exp``, ``loggamma`` and ``sqrt`` are :func:`_kernel_function`'s: the
-    float kernels on floats and ints (floats only for ``sqrt``), for every
-    caller: a term expression, a user's term function, ``h`` of a
-    trigonometric pair and the native loop arithmetic.  Where a kernel
-    raises (a complex result, a pole) or does not take the arguments, and
-    for every other function and constant (``log``, ``mag``, ``isnan``,
-    ``dps``, ..., through ``__getattr__``), the context is a private 53-bit
-    ``MPContext``, with a real result turned into its float.  Per term, the
-    hot loops and the builtin terms call none of them: their kernels are
-    :func:`loop_arithmetic`'s.  Complex scalars are that context's ``mpc``
-    values, and it renders ``nstr``.  Unlike that context, values end at
-    2^1024 (overflow gives ``inf``) and lose bits below 2^-1022.
+    ``"n"``.  ``convert`` and ``mpf`` return a float or int as a float
+    without mpmath.  ``power``, ``exp``, ``loggamma`` and ``sqrt`` run the
+    kernels of :func:`loop_arithmetic`'s float arithmetic, built once at
+    the first loop or kernel call, on floats and ints (floats only for
+    ``sqrt``).  They serve a term expression, a user's term function,
+    ``h`` of a trigonometric pair and the native loop arithmetic; the hot
+    loops and the builtin terms call that arithmetic's kernels directly.
+    Where a kernel raises (a complex result, a pole) or does not take the
+    arguments, and for every other function and constant (``log``,
+    ``mag``, ``isnan``, ``dps``, ..., through ``__getattr__``), the context
+    is a private 53-bit ``MPContext``, with a real result turned into its
+    float.  Complex scalars are that context's ``mpc`` values, and it
+    renders ``nstr``.  Unlike that context, values end at 2^1024 (overflow
+    gives ``inf``) and lose bits below 2^-1022.
     """
 
     zero = 0.0
@@ -281,14 +228,19 @@ class Binary64Context:
     e = to_float(mpf_e(53, round_nearest))
 
     # math.sqrt rounds an int past 2^53 before its root, so sqrt's kernel takes floats only
-    power = _kernel_function("power", _float_pow, (float, int))
-    sqrt = _kernel_function("sqrt", _float_sqrt, (float,))
-    exp = _kernel_function("exp", _float_exp, (float, int))
-    loggamma = _kernel_function("loggamma", _float_loggamma, (float, int))
+    power = _kernel_function("power", "pow", (float, int))
+    sqrt = _kernel_function("sqrt", "sqrt", (float,))
+    exp = _kernel_function("exp", "exp", (float, int))
+    loggamma = _kernel_function("loggamma", "loggamma", (float, int))
 
     def __init__(self, precision: Precision):
         self._mp = _mpmath_context(precision)
         self._fracsum_precision = precision
+
+    @property
+    def _float(self) -> LoopArithmetic:
+        """The float arithmetic of the context's precision, built at its first use."""
+        return _once(_float_cache, self._fracsum_precision, _float_arithmetic)
 
     def __getattr__(self, name):
         # only names not found on the instance or the class get here
@@ -940,7 +892,40 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
-    """Binary64 floats on their native operators and the float kernels at 53 bits."""
+    """Binary64 floats on their native operators and ``_raw_kernels(53)``, bound once.
+
+    ``pow``, ``exp`` and ``loggamma`` take floats and ints.  ``pow`` keeps
+    the raw form of the last exponent, read and replaced as one tuple by
+    every thread: a loop raises its values to one exponent, so each
+    exponent object is converted once while it stays the last one passed.
+    """
+    kernels = _raw_kernels(53)
+    raw_pow, raw_exp, exp_fixed, raw_loggamma = (
+        kernels["pow"], kernels["exp"], kernels["exp_fixed"], kernels["loggamma"])
+    last = None, None
+
+    def pow(x, y):
+        nonlocal last
+        exponent, t = last
+        if y is not exponent:
+            t = _raw(y)
+            last = y, t
+        return to_float(raw_pow(_raw(x), t))
+
+    def exp(x):
+        # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
+        if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
+            n, d = x.as_integer_ratio()
+            result = exp_fixed((n << 75) >> (d.bit_length() - 1))
+            if result is not None:
+                try:
+                    return math.ldexp(*result)  # to_float's step, subnormals included
+                except OverflowError:
+                    return math.inf
+        return to_float(raw_exp(_raw(x)))
+
+    def loggamma(x):
+        return to_float(raw_loggamma(_raw(x)))
 
     def lift(x):
         return x if type(x) is float else None
@@ -949,8 +934,8 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     in_range = math.isfinite if precision.max_exp2 >= 1024 else _never
     return LoopArithmetic(lift=lift, lower=_same, in_range=in_range, zero=0.0, one=1.0,
                           from_int=float, real=True, abs=abs,
-                          scan=_operator_scan(in_range), **_OPERATORS, pow=_lifting_float_pow(),
-                          sqrt=_float_sqrt, exp=_float_exp, loggamma=_float_loggamma)
+                          scan=_operator_scan(in_range), **_OPERATORS, pow=pow,
+                          sqrt=_float_sqrt, exp=exp, loggamma=loggamma)
 
 
 def _native_arithmetic(ctx) -> LoopArithmetic:
@@ -985,7 +970,7 @@ def loop_arithmetic(ctx, values=()) -> LoopArithmetic:
             return _raw_arithmetic(ctx, precision)
     elif isinstance(ctx, Binary64Context):
         if all(type(v) is float for v in values):
-            return _float_arithmetic(precision)
+            return ctx._float
     return _native_arithmetic(ctx)
 
 

@@ -3,13 +3,17 @@
 ``numerics._raw_kernels(prec)`` holds a table-driven ``exp`` and ``log``
 (the ``mpf_log(s, prec + 10)`` inside ``pow``), each with a rounding
 test, and a ``pow`` that takes ``mpf_pow``'s steps on the round-to-nearest
-kernels; the float arithmetic's ``_float_exp`` and ``pow`` run them at 53
-bits.  Every result, or the exception raised, must be mpmath's.
+kernels; the float arithmetic's ``exp`` and ``pow`` run them at 53 bits,
+for the double loops and for the binary64 context's ``exp`` and ``power``.
+Every result, or the exception raised, must be mpmath's.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -40,6 +44,8 @@ from fracsum.series_model import builtin_ids, builtin_problem, sums_and_terms
 
 PRECS = [53, 113, 200]
 _SPECIALS = [fzero, finf, fninf, fnan]
+FP = make_context(DOUBLE)
+FLOAT = numerics.loop_arithmetic(FP)  # the one float arithmetic, whose kernels FP's functions run
 
 
 def _outcome(f, *args):
@@ -94,7 +100,7 @@ def test_exp_at_the_edge_of_its_reduction(prec):
         assert exp(x) == mpf_exp(x, prec, round_nearest), x
     for x in _reduction_edges(53):
         y = to_float(x)
-        assert numerics._float_exp(y) == _float_exp_of_mpmath(y), y
+        assert FLOAT.exp(y) == FP.exp(y) == _float_exp_of_mpmath(y), y
 
 
 @settings(max_examples=400, deadline=None)
@@ -258,6 +264,10 @@ def _float_exp_of_mpmath(x):
     return to_float(mpf_exp(numerics._raw(x), 53, round_nearest))
 
 
+def _mpmath_pow(a, b):
+    return to_float(mpf_pow(numerics._raw(a), numerics._raw(b), 53, round_nearest))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.floats(-800, 800), st.floats(allow_nan=True, allow_infinity=True),
                  st.integers(-800, 800)))
@@ -270,18 +280,21 @@ def _float_exp_of_mpmath(x):
 @example(2.0 ** -62)
 @example(5e-324)
 def test_float_exp_is_mpmaths_at_53_bits(x):
-    got, want = numerics._float_exp(x), _float_exp_of_mpmath(x)
-    assert got == want or (math.isnan(got) and math.isnan(want)), x
-    assert type(got) is float
+    want = _float_exp_of_mpmath(x)
+    for exp in (FLOAT.exp, FP.exp):
+        got = exp(x)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (exp, x)
+        assert type(got) is float
 
 
 def test_float_exp_edges():
-    assert numerics._float_exp(0.0) == numerics._float_exp(-0.0) == 1.0
-    assert numerics._float_exp(709.79) == numerics._float_exp(1e6) == math.inf
-    assert 0.0 < numerics._float_exp(-708.5) < 2.0 ** -1022  # subnormal
-    assert numerics._float_exp(-745.2) == 0.0
-    assert math.isnan(numerics._float_exp(math.nan))
-    assert numerics._float_exp(3) == _float_exp_of_mpmath(3)
+    for exp in (FLOAT.exp, FP.exp):
+        assert exp(0.0) == exp(-0.0) == 1.0
+        assert exp(709.79) == exp(1e6) == math.inf
+        assert 0.0 < exp(-708.5) < 2.0 ** -1022  # subnormal
+        assert exp(-745.2) == 0.0
+        assert math.isnan(exp(math.nan))
+        assert exp(3) == _float_exp_of_mpmath(3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,22 +302,51 @@ def test_float_exp_edges():
        st.one_of(st.sampled_from([0.5, -0.5, 1.5, -1.5, 2.5, 1 / 3, 3 ** 0.5, 2.0]),
                  st.floats(-12, 12)))
 def test_float_pow_is_mpmaths_at_53_bits(x, y):
-    def mpmath_pow(a, b):
-        return to_float(mpf_pow(numerics._raw(a), numerics._raw(b), 53, round_nearest))
-
-    assert _outcome(numerics._float_pow, x, y) == _outcome(mpmath_pow, x, y), (x, y)
+    want = _outcome(_mpmath_pow, x, y)
+    assert _outcome(FLOAT.pow, x, y) == want, (x, y)
+    if type(want) is float:  # else the context's power is mpmath's, a complex result or error
+        assert FP.power(x, y) == want, (x, y)
 
 
 def test_float_pow_of_one_arithmetic_keeps_each_exponent_apart():
-    def mpmath_pow(a, b):
-        return to_float(mpf_pow(numerics._raw(a), numerics._raw(b), 53, round_nearest))
-
-    pow = numerics.loop_arithmetic(make_context(DOUBLE)).pow
+    pow = FLOAT.pow
+    assert numerics.loop_arithmetic(FP) is FLOAT
     a, b = 3 ** 0.5, -1.5
     # a, then b, then a, with the same objects, equal copies and a value a loop never passes
     for x, y in [(7.0, a), (7.0, b), (7.0, a), (7.0, float(a * 1.0)), (11.0, b), (11.0, b),
                  (13.0, a), (13.0, 0.5), (13.0, a), (2.0, -b), (5.0, 3)]:
-        assert pow(x, y) == mpmath_pow(x, y), (x, y)
+        assert pow(x, y) == _mpmath_pow(x, y), (x, y)
+    # the context's power and the loop's pow share one memo: a, b, a through both in turn
+    for x, y, power in [(7.0, a, FP.power), (7.0, b, pow), (11.0, a, FP.power), (11.0, a, pow),
+                        (13.0, b, FP.power), (13.0, b, pow), (17.0, a, pow), (17.0, b, FP.power),
+                        (19.0, a, FP.power), (19, b, FP.power), (23.0, a, pow)]:
+        assert power(x, y) == _mpmath_pow(x, y), (x, y, power)
+
+
+def test_threads_on_one_double_context_keep_their_exponents_apart():
+    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2, both through the one memo of FP's arithmetic;
+    # a memo that stored its exponent and raw form apart failed here in about 7 of 10 runs
+    problems = [builtin_problem("ex5_14"), builtin_problem("ex7_2")]
+    indices = range(1, 5001)
+    serial = [sums_and_terms(problem, indices, FP) for problem in problems]
+    barrier, got = threading.Barrier(len(problems)), {}
+
+    def run(i):
+        barrier.wait(timeout=60)
+        got[i] = sums_and_terms(problems[i], indices, FP)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(problems))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [got[i] for i in range(len(problems))] == serial
 
 
 def test_kernels_are_built_once_for_threads_that_share_a_fresh_precision(monkeypatch):
@@ -341,6 +383,31 @@ def test_kernels_are_built_once_for_threads_that_share_a_fresh_precision(monkeyp
                                             mpf_pow(from_int(5), from_rational(-3, 2, 171, round_nearest),
                                                     171, round_nearest))}
     assert (mpmath.mp.prec, mpmath.mp.pretty, mpmath.mp._prec_rounding[1]) == before
+
+
+def test_kernels_are_built_at_their_first_use_not_at_import():
+    env = dict(os.environ)
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """
+import fracsum
+from fracsum import numerics
+ctx = fracsum.make_context(fracsum.DOUBLE)
+fracsum.make_context(fracsum.QUAD)
+print(numerics._kernel_cache, numerics._float_cache)
+builds, build = [], numerics._build_raw_kernels
+numerics._build_raw_kernels = lambda prec: builds.append(prec) or build(prec)
+made, make = [], numerics._float_arithmetic
+numerics._float_arithmetic = lambda precision: made.append(precision.name) or make(precision)
+ctx.exp(1.0)
+print(builds, made)
+ctx.exp(2.0), ctx.power(2.0, 0.5), ctx.loggamma(3.0), ctx.sqrt(2.0)
+print(builds, made, numerics.loop_arithmetic(ctx) is numerics.loop_arithmetic(ctx))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["{} {}", "[53] ['double']", "[53] ['double'] True"]
 
 
 def test_raw_arithmetic_runs_the_kernels_of_its_precision():
