@@ -32,8 +32,10 @@ function, as are all kernels under gmpy2 and ``loggamma`` always.
 Binary64 floats keep their native operators and ``math.sqrt`` and take
 ``pow``, ``exp`` and ``loggamma`` from the table at 53 bits, in the one
 float arithmetic per precision that the binary64 context's functions
-run too; its ``pow`` converts an exponent once while the calls pass the
-same one.  Complex values keep their native operators and functions.
+run too; its ``pow`` converts an exponent and picks its kernel once
+while the calls pass the same one, and takes an integral base from its
+int to the float.  Complex values keep their native operators and
+functions.
 """
 
 from __future__ import annotations
@@ -126,6 +128,7 @@ _context_cache: dict[Precision, object] = {}
 _kernel_cache: dict[int, dict] = {}
 _float_cache: dict[Precision, LoopArithmetic] = {}
 _build_lock = threading.RLock()
+_MPZ_IS_INT = MPZ is int  # on mpmath's python backend; under gmpy2 MPZ is mpz
 
 
 def _once(cache: dict, key, build):
@@ -154,7 +157,8 @@ def _raw(x):
     ``as_integer_ratio`` is already in lowest terms, so only an integral
     float needs its trailing zero bits stripped; from_float normalises
     every mantissa, which makes it the slower path.  An int is exact
-    through ``from_int``, which has its small values at hand.
+    through ``from_int``, which has its small values at hand.  On mpmath's
+    python backend a mantissa is an int as it is; under gmpy2 it is an mpz.
     """
     if type(x) is int:
         return from_int(x)
@@ -171,7 +175,7 @@ def _raw(x):
         man >>= exp
     else:
         exp = 1 - den.bit_length()
-    return sign, MPZ(man), exp, man.bit_length()
+    return sign, man if _MPZ_IS_INT else MPZ(man), exp, man.bit_length()
 
 
 def _float_sqrt(x):
@@ -645,7 +649,8 @@ def _raw_kernels(prec) -> dict:
 
     The nine of :class:`LoopArithmetic`, ``scan`` with a fifth operand top,
     the largest mag in range, ``log``, the ``mpf_log(s, prec + 10)`` inside
-    ``pow``, and ``exp_fixed`` for the float ``exp``.  On mpmath's python
+    ``pow``, ``half_pow``, the half-integer core of ``pow``, and
+    ``exp_fixed`` for the float ``exp`` and ``pow``.  On mpmath's python
     backend the basic ones are :func:`_nearest_kernels`' and exp, log and
     pow those below; under gmpy2, whose kernels run in C, the nine and
     ``log`` are mpmath's.  ``loggamma`` is ``mpf_loggamma`` under both.
@@ -701,14 +706,18 @@ def _raw_kernels(prec) -> dict:
     cancellation), |mag| past 2^20 and every L in the band are ``mpf_log``
     itself.
 
-    ``pow(s, t)`` takes the steps of ``mpf_pow``: for a half-integer t the
-    square root at prec + 10 bits and the exact odd power of it rounded
-    once, at prec + 5 bits for a negative t (then 1 divided by it) and at
-    prec bits otherwise, on :func:`_nearest_kernels`; for any other
+    ``pow(s, t)`` takes the steps of ``mpf_pow``: for t = +1/2 the
+    ``sqrt`` kernel at prec bits; for any other half-integer t = +-k/2
+    ``half_pow(man, exp, k, negative)``, the one int-level core of those
+    steps, which takes s as man * 2^exp at any precision (the float
+    ``pow`` hands it an integral base as it is): the square root at
+    prec + 10 bits and the exact k-th power of it rounded once, at
+    prec + 5 bits for a negative t (then 1 divided by it) and at prec
+    bits otherwise, or for t = -1/2 1 divided by the root; for any other
     fractional t, ``exp`` of t times ``log(s)``.  An integer t, a zero,
     inf or nan, a power of two, a negative base (mpmath raises
-    ``ComplexResult``) and a power of at least 1000 bits are ``mpf_pow``
-    itself.
+    ``ComplexResult``) and a root whose power could reach 1000 bits are
+    ``mpf_pow`` itself.
 
     Built once per precision by :func:`_once`, with its tables; they come
     from a private ``MPContext``.
@@ -846,7 +855,58 @@ def _build_raw_kernels(prec) -> dict:
         return sign, man, n + e, man.bit_length()
 
     nearest = _nearest_kernels(prec)
-    div, sqrt, root = nearest["div"], nearest["sqrt"], _nearest_kernels(prec + 10)["sqrt"]
+    sqrt, isqrt, root_prec = nearest["sqrt"], math.isqrt, prec + 10
+    root_bits = 2 * root_prec + 4  # sqrt's radicand: a root of at least root_prec + 2 bits
+
+    def half_pow(man, e, k, negative):
+        """(man, e) of (man * 2^e)^(k/2), or ^(-k/2) when *negative*, by mpf_pow's steps.
+
+        man >= 2 is any int, k an odd power (k = 1 only when negative).
+        The root is rounded at prec + 10 bits, as the ``sqrt`` kernel
+        rounds it (the floor root and a remainder test, exact at every
+        size, as mpmath's ``sqrtrem``); its exact k-th power is rounded at
+        prec + 5 bits when negative, else at prec; a negative power is then
+        1 divided by it at prec bits, as the ``div`` kernel divides fone.
+        Each value is rounded once, half to even, from an exact one, so the
+        bits are mpmath's whatever trailing zeros man keeps.  The result's
+        man has prec or prec + 1 bits (2^prec) and may be even.  None, for
+        the caller's ``mpf_pow``, is a root whose power could reach 1000
+        bits, where mpf_pow stops taking it exactly: the root is not
+        stripped, so from k = 17 at 53 bits.
+        """
+        if e & 1:
+            e -= 1
+            man <<= 1
+        shift = root_bits - man.bit_length()
+        if shift < 4:
+            shift = 4
+        shift += shift & 1
+        x = man << shift
+        man = isqrt(x)
+        n = man.bit_length() - root_prec  # at least 2, as in sqrt
+        t = man >> (n - 1)
+        man = ((t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1) or man * man != x)
+               else t >> 1)
+        e = ((e - shift) >> 1) + n
+        if k > 1:
+            if man.bit_length() * k >= 1000:
+                return None
+            man **= k
+            e *= k
+            n = man.bit_length() - (prec + 5 if negative else prec)
+            if n > 0:
+                t = man >> (n - 1)
+                man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+                e += n
+            if not negative:
+                return man, e
+        extra = prec + 4 + man.bit_length()  # div's shift for a one-bit dividend
+        x = 1 << extra
+        q = x // man
+        n = q.bit_length() - prec  # at least 5
+        t = q >> (n - 1)
+        q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1) or q * man != x) else t >> 1
+        return q, n - extra - e
 
     def pow(s, t):
         ssign, sman, sexp, sbc = s
@@ -855,14 +915,12 @@ def _build_raw_kernels(prec) -> dict:
         if texp >= 0 or sman < 2 or not tman or ssign:
             return mpf_pow(s, t, prec, round_nearest)
         if texp == -1:
-            if tman == 1:
-                return div(fone, root(s)) if tsign else sqrt(s)
-            _, rman, rexp, rbc = root(s)
-            if rbc * tman >= 1000:
+            if tman == 1 and not tsign:
+                return sqrt(s)
+            result = half_pow(sman, sexp, tman, tsign)
+            if result is None:
                 return mpf_pow(s, t, prec, round_nearest)
-            if tsign:
-                return div(fone, _rounded(rman ** tman, rexp * tman, prec + 5))
-            return _rounded(rman ** tman, rexp * tman, prec)
+            return _rounded(*result, prec)
         csign, cman, cexp, _ = log(s)
         man = tman * cman  # the exact product, which mpf_pow hands to mpf_exp
         return exp((tsign ^ csign, man, texp + cexp, man.bit_length()))
@@ -870,7 +928,7 @@ def _build_raw_kernels(prec) -> dict:
     kernels = _mpf_kernels(prec)
     if BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
         kernels.update(nearest, exp=exp, log=log, pow=pow)
-    kernels["exp_fixed"] = exp_fixed
+    kernels.update(exp_fixed=exp_fixed, half_pow=half_pow)
     return kernels
 
 
@@ -895,22 +953,76 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     """Binary64 floats on their native operators and ``_raw_kernels(53)``, bound once.
 
     ``pow``, ``exp`` and ``loggamma`` take floats and ints.  ``pow`` keeps
-    the raw form of the last exponent, read and replaced as one tuple by
+    the last exponent and its kernel, read and replaced as one tuple by
     every thread: a loop raises its values to one exponent, so each
-    exponent object is converted once while it stays the last one passed.
+    exponent object is converted, and its kernel picked, once while it
+    stays the last one passed.  On mpmath's python backend the kernel of a
+    fractional exponent other than +1/2 takes an integral float base n in
+    [3, 2^53) that is no power of two from its int to the float: a
+    half-integer exponent through ``half_pow`` at 53 bits, any other
+    through the table's ``log`` of n, its exact product with the exponent
+    and ``exp_fixed``.  These are the raw ``pow``'s steps and the ``exp``
+    adapter's without ``_raw`` of the base, their tuples and ``to_float``:
+    ``math.ldexp`` rounds the result as ``to_float`` does, overflow giving
+    inf.  Every other base, exponent or backend, a power that ``half_pow``
+    leaves to ``mpf_pow`` and a product outside ``exp_fixed``'s range or
+    in its band run the raw ``pow`` on ``_raw`` of the base.
     """
     kernels = _raw_kernels(53)
-    raw_pow, raw_exp, exp_fixed, raw_loggamma = (
-        kernels["pow"], kernels["exp"], kernels["exp_fixed"], kernels["loggamma"])
+    raw_pow, raw_exp, exp_fixed, raw_loggamma, log, half_pow = (
+        kernels["pow"], kernels["exp"], kernels["exp_fixed"], kernels["loggamma"],
+        kernels["log"], kernels["half_pow"])
+    ldexp = math.ldexp
+
+    def kernel_of(y):
+        """x -> x ** y with mpmath's bits at 53 bits, for the one exponent y."""
+        t = _raw(y)
+        tsign, tman, texp, _ = t
+
+        def fallback(x):
+            return to_float(raw_pow(_raw(x), t))
+
+        # an integer, zero, inf or nan exponent, +1/2 (sqrt at 53 bits), or gmpy2's mpf_pow
+        if texp >= 0 or not tman or (texp == -1 and tman == 1 and not tsign) or BACKEND != "python":
+            return fallback
+        half, shift = texp == -1, texp + 75  # exp_fixed takes 75 = 53 + 22 fraction bits
+
+        def kernel(x):
+            if type(x) is float and 2.0 < x < 9007199254740992.0 and x.is_integer():  # 2^53
+                n = int(x)
+                if n & (n - 1):
+                    if half:
+                        result = half_pow(n, 0, tman, tsign)
+                        if result is not None:
+                            return ldexp(*result)
+                    else:
+                        # log n > 1; the table's log and mpf_log read only n's value, so
+                        # its tuple may keep trailing zeros
+                        _, man, e, _ = log((0, n, 0, n.bit_length()))
+                        man *= tman
+                        e += shift
+                        # exp's fast range: -(53 + 8) < mag <= 20, mag = e - 75 + bit length
+                        if 14 < e + man.bit_length() <= 95:
+                            X = man << e if e >= 0 else man >> -e
+                            result = exp_fixed(-X if tsign else X)
+                            if result is not None:
+                                try:
+                                    return ldexp(*result)
+                                except OverflowError:
+                                    return math.inf
+            return fallback(x)
+
+        return kernel
+
     last = None, None
 
     def pow(x, y):
         nonlocal last
-        exponent, t = last
+        exponent, kernel = last
         if y is not exponent:
-            t = _raw(y)
-            last = y, t
-        return to_float(raw_pow(_raw(x), t))
+            kernel = kernel_of(y)
+            last = y, kernel
+        return kernel(x)
 
     def exp(x):
         # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits

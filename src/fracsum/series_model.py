@@ -49,6 +49,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
+from operator import attrgetter
 from typing import Callable
 
 from .numerics import check_range, loop_arithmetic
@@ -338,6 +339,10 @@ class ProductProblem:
         self.known_S = _known_S_spec(self.known_S)
 
 
+# the loop kernels a product stream binds, again where it switches to complex values
+_PRODUCT_KERNELS = attrgetter("lower", "add", "mul", "one", "zero")
+
+
 def product_to_series(problem: ProductProblem) -> SeriesProblem:
     """Series whose partial sums are the partial products of *problem*.
 
@@ -354,29 +359,40 @@ def _product_series(name, factors, m, known_S=None) -> SeriesProblem:
 
     The stream hands A_n on to the next term, so in-order terms read one
     factor each; any other index restarts from A_0 = 1 on fresh factors
-    and gets the same bits.  The products run on the context's real
-    arithmetic until a v_n is complex, then on its own operators.
+    and gets the same bits.  A_n is formed after a_n is handed out, so a
+    zero A_n raises when a_(n+1) is asked for (A_1 before a_1).  The
+    products run on the context's real arithmetic, whose kernels a run
+    binds once, until a v_n is complex, then on the context's own
+    operators.  As in :func:`sums_and_terms`, a factor is converted only
+    where the real arithmetic refuses it (``convert`` returns the values it
+    lifts as they are), and every factor after the switch.
     """
-
-    def grow(ar, prev, v, k):
-        value = ar.mul(prev, ar.add(ar.one, v))
-        if value == ar.zero:
-            raise ZeroPartialProductError(f"partial product A_{k} of {name!r} is zero")
-        return value
 
     def stream(ctx, start):
         vs = factors(ctx)
         ar = loop_arithmetic(ctx)
+        lift = ar.lift
+        lower, add, mul, one, zero = _PRODUCT_KERNELS(ar)
+        prev = one  # A_{k-1}
         for k in count(1):
-            prev = ar.one if k == 1 else grow(ar, prev, v, k - 1)  # A_{k-1}
-            value = ctx.convert(next(vs))
-            v = ar.lift(value)
-            if v is None:  # complex: go on with the context's own operators
-                prev = ar.lower(prev)
-                ar = loop_arithmetic(ctx, [value])
-                prev, v = ar.lift(prev), ar.lift(value)
-            if k >= start:
-                yield ar.lower(grow(ar, prev, v, 1) if k == 1 else ar.mul(v, prev))
+            value = next(vs)
+            v = lift(value)
+            if v is None:  # not a loop value as it came: convert it
+                value = ctx.convert(value)
+                v = ar.lift(value)
+                if v is None:  # complex: go on with the context's own operators
+                    prev = lower(prev)
+                    ar = loop_arithmetic(ctx, [value])
+                    lower, add, mul, one, zero = _PRODUCT_KERNELS(ar)
+                    lift = _refused
+                    prev, v = ar.lift(prev), ar.lift(value)
+            if k > 1 and k >= start:
+                yield lower(mul(v, prev))
+            prev = mul(prev, add(one, v))  # A_k
+            if prev == zero:
+                raise ZeroPartialProductError(f"partial product A_{k} of {name!r} is zero")
+            if k == start == 1:
+                yield lower(prev)  # a_1 = A_1
 
     return SeriesProblem(name=name, term=_term(stream), m=m, known_S=known_S)
 

@@ -28,6 +28,7 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_exp,
     mpf_log,
@@ -306,6 +307,104 @@ def test_float_pow_is_mpmaths_at_53_bits(x, y):
     assert _outcome(FLOAT.pow, x, y) == want, (x, y)
     if type(want) is float:  # else the context's power is mpmath's, a complex result or error
         assert FP.power(x, y) == want, (x, y)
+
+
+# the exponents of the float pow's integral-base kernels: half-integers up to past the 1000-bit
+# fallback (a 63-bit root to the 17th power), +1/2 (sqrt), the general ones of the builtins and
+# 20.3, whose powers of bases near 2^53 overflow binary64 (and underflow to subnormals when negative)
+_HALVES = [sign * k / 2 for k in range(1, 44, 2) for sign in (1, -1)]
+_INTEGRAL_BASE_EXPONENTS = _HALVES + [1 / 3, 3 ** 0.5, -0.2, 20.3, -20.3]
+_POWERS_OF_TWO_AND_NEIGHBOURS = [2 ** k + d for k in (1, 2, 10, 26, 51, 52) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(2, 2 ** 53 - 1), st.sampled_from(_POWERS_OF_TWO_AND_NEIGHBOURS),
+                          st.integers(2, 6000)), min_size=1, max_size=4),
+       st.sampled_from(_INTEGRAL_BASE_EXPONENTS))
+@example([2 ** 52 + 1, 2 ** 53 - 1, 2 ** 52, 9, 2 ** 51 - 1], 20.3)  # inf, inf, inf, finite
+@example([2 ** 52 + 1, 2 ** 53 - 1, 3 ** 33], -20.3)  # subnormal results
+@example([2 ** 52 + 1, 2 ** 53 - 1, 12345], 41.5)  # past the 1000-bit fallback, inf
+@example([2 ** 52 + 1, 2 ** 53 - 1, 12345], -41.5)  # subnormal and zero
+# 63-bit roots to the 17th power, past the core's 1000 bits: mpf_pow raises the roots of 130, 165
+# and 2^40 + 1 exactly (58, 57 and 42 bits stripped) and 131's (62 bits) by repeated squaring
+@example([130, 131, 165, 2 ** 40 + 1, 9], 8.5)
+@example([130, 131, 165, 2 ** 40 + 1, 9], -8.5)
+def test_float_pow_of_integral_bases_is_mpmaths_at_53_bits(bases, y):
+    # the bases raised in turn to one exponent object, as a loop does: its kernel is picked once
+    for n in bases:
+        x = float(n)
+        want = _mpmath_pow(x, y)
+        assert FLOAT.pow(x, y) == want and FP.power(x, y) == want, (n, y)
+
+
+def test_float_pow_of_even_bases_in_the_log_band_is_mpmaths(monkeypatch):
+    # the general kernel hands log an integral base with its trailing zeros; where log falls back
+    # to mpf_log (within its band of a midpoint), mpf_log must read that tuple as its value
+    fallbacks = []
+
+    def counting(s, prec, rnd):
+        fallbacks.append(s)
+        return mpf_log(s, prec, rnd)
+
+    monkeypatch.setattr(numerics, "mpf_log", counting)
+    for y in (3 ** 0.5, 1 / 3, -0.2):
+        for n in range(3, 3001):
+            x = float(n)
+            assert FLOAT.pow(x, y) == to_float(mpf_pow(numerics._raw(x), numerics._raw(y), 53,
+                                                       round_nearest)), (n, y)
+    assert any(s[1] % 2 == 0 for s in fallbacks), len(fallbacks)
+
+
+@pytest.mark.parametrize("prec", [113, 200])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_half_integer_pow_is_mpmaths_bit_for_bit(prec, data):
+    # the core of the raw pow's half-integer branch: the root at prec + 10 bits, its odd power
+    # rounded once and, for a negative t, 1 over it; the odd powers reach past its 1000-bit fallback
+    pow = _raw_kernels(prec)["pow"]
+    s = data.draw(st.one_of(st.builds(from_int, st.integers(2, 2 ** 53 - 1)),
+                            st.builds(from_int, st.sampled_from(_POWERS_OF_TWO_AND_NEIGHBOURS)),
+                            _arguments(prec).map(mpf_abs)))
+    k = data.draw(st.integers(0, 20).map(lambda i: 2 * i + 1))
+    t = from_rational(data.draw(st.sampled_from([k, -k])), 2, prec, round_nearest)
+    assert _outcome(pow, s, t) == _outcome(mpf_pow, s, t, prec, round_nearest), (s, t, prec)
+
+
+def test_double_power_loops_take_the_integral_base_kernels(monkeypatch):
+    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2 on the float arithmetic; a kernel that stopped
+    # taking the integral bases would still have mpmath's bits, through the raw pow it falls back to
+    entries, build = [0], numerics._build_raw_kernels
+
+    def counting_build(prec):
+        kernels = build(prec)
+        raw_pow = kernels["pow"]
+
+        def counted(s, t):
+            entries[0] += 1
+            return raw_pow(s, t)
+
+        return dict(kernels, pow=counted)
+
+    monkeypatch.setattr(numerics, "_kernel_cache", {})
+    monkeypatch.setattr(numerics, "_float_cache", {})
+    monkeypatch.setattr(numerics, "_build_raw_kernels", counting_build)
+    calls, loop_arithmetic = [0], series_model.loop_arithmetic
+
+    def counting_arithmetic(*args):
+        ar = loop_arithmetic(*args)
+        pow = ar.pow
+
+        def counted_pow(x, y):
+            calls[0] += 1
+            return pow(x, y)
+
+        return ar._replace(pow=counted_pow)
+
+    monkeypatch.setattr(series_model, "loop_arithmetic", counting_arithmetic)
+    for ident in ("ex5_14", "ex7_2"):
+        calls[0] = entries[0] = 0
+        sums_and_terms(builtin_problem(ident), range(1, 2001), FP)
+        assert calls[0] == 2000 and entries[0] <= 0.05 * calls[0], (ident, entries, calls)
 
 
 def test_float_pow_of_one_arithmetic_keeps_each_exponent_apart():
