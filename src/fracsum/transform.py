@@ -5,7 +5,8 @@ sums, keeping A_k and a_k at k = R_l and R_l - 1 only (so its memory
 grows with the depth, not with R_depth), runs the W-algorithm and
 answers with the deepest j = 0 diagonal entry of least ``score``.
 ``estimate_errors`` is the one pass that makes the diagonal's rows
-(Gamma*u, Lambda*u, Lambda*u/|A| with u = ``ctx.eps``, and the score);
+(the score from Gamma*u, Lambda*u/|A| with u = ``ctx.eps`` and the
+convergence signal, and the estimates it gives);
 builtin products arrive as the series of
 ``series_model.product_to_series``.
 """
@@ -105,8 +106,8 @@ class DiagnosticsRow:
     value: object
     gamma: object
     lam: object
-    est_abs: object  # Lambda * u
-    est_rel: object  # Lambda * u / |value|
+    est_abs: object  # score * |value|, or Lambda * u where value = 0
+    est_rel: object  # score, or inf where value = 0
     score: object  # max(stability part, convergence signal); see estimate_errors
     sample_error: Optional[object] = None  # |A_{R_n} - S|, when S is known
     true_error: Optional[object] = None  # |A(0,n) - S|, when S is known
@@ -123,6 +124,9 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
     convergence signal |A(0,n) - A(0,n-1)|/|A(0,n)| (1 at n = 0, claiming
     no digits; inf at A = 0), and it bottoms out at the instability onset.
     This rule is a heuristic of this implementation, not of the algorithm.
+    The score is also the row's reported estimate: ``est_rel`` is the score
+    and ``est_abs`` the score times |A|; where A = 0 they stay Lambda*u and
+    inf.
     ``known_S`` is read by ``series_model.resolve_known_S``; the true
     errors it gives are reporting-only and never feed the score.
     """
@@ -139,7 +143,10 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
         if n == 0:
             conv = ctx.one
         else:
-            conv = abs(value - table.A[n - 1]) / absv if absv > 0 else ctx.inf
+            conv = ctx.convert(abs(value - table.A[n - 1])) / absv if absv > 0 else ctx.inf
+        score = max(stab, conv)
+        if absv > 0:  # the score is the estimate; at A = 0 it stays Lambda*u, relative inf
+            est_abs, est_rel = score * absv, score
         rows.append(
             DiagnosticsRow(
                 n=n,
@@ -150,7 +157,7 @@ def estimate_errors(table: ExtrapolationTable, known_S=None) -> list:
                 lam=lam,
                 est_abs=est_abs,
                 est_rel=est_rel,
-                score=max(stab, conv),
+                score=score,
                 sample_error=ctx.convert(abs(sample - S)) if S is not None else None,
                 true_error=ctx.convert(abs(value - S)) if S is not None else None,
             )

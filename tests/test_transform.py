@@ -56,7 +56,8 @@ def test_depth_validation(qctx):
 
 def test_negative_sigma_hat_with_zero_first_ordinate(qctx):
     # sigma_hat < 0 and R_0 = 1 make A(0,0) = A_0 = 0 with Lambda(0,0) = 0: the
-    # stability part of that entry's score is Gamma*u, so its score is 1, not inf
+    # stability part of that entry's score is Gamma*u, so its score is 1, not inf;
+    # at A = 0 the estimate is not the score: est_abs is Lambda*u = 0 and est_rel inf
     problem, _ = load_problem({"expression": "power(-1,n)/n", "m": 1, "sigma_hat": -1})
     res = accelerate(problem, make_aps(1, 1), 0, qctx)
     assert (res.best, res.value, res.est_abs_error) == ((0, 0), 0, 0)
@@ -65,8 +66,9 @@ def test_negative_sigma_hat_with_zero_first_ordinate(qctx):
     res = accelerate(problem, make_aps(1, 1), 20, qctx)
     assert (res.best, [r.score for r in res.rows[:2]]) == ((0, 20), [1, 1])
     assert (res.value, res.est_abs_error, res.est_rel_error) == tuple(map(qctx.mpf, (
-        "-0.693147180559079048041782649636964154", "1.33495291090631643944382471321461805e-34",
-        "1.92592994438723585305597794258492732e-34")))
+        "-0.693147180559079048041782649636964154", "4.05411001894759940114792062851729226e-12",
+        "5.84884441956127273130522073979608225e-12")))
+    assert abs(res.value + qctx.ln2) <= res.est_abs_error
 
 
 @pytest.mark.parametrize("ident", ["ex5_2", "ex5_6", "ex7_1"])
@@ -98,17 +100,19 @@ def test_the_answer_is_the_deepest_row_of_least_score(precision):
 
 def test_hand_built_table_scores(qctx, monkeypatch):
     # A(0,0) = 0 with Lambda = 0 scores max(Gamma*u, 1), not inf; A = 0 with
-    # Lambda > 0 scores inf; rows 2 and 3 tie at 1/2, and the deeper one wins
+    # Lambda > 0 scores inf; rows 2 and 3 tie at 1/2, and the deeper one wins;
+    # est_rel is the score and est_abs the score times |A|; at A = 0 they are Lambda*u and inf
     u, mpf = qctx.eps, qctx.mpf
     A = [mpf(0), mpf(1), mpf(2), mpf(4), mpf(0)]
     table = ExtrapolationTable(depth=4, ctx=qctx, R=[1, 2, 3, 4, 5], samples=A, A=A,
                                gamma=[mpf(3)] * 5, lam=[mpf(0)] + [mpf(1)] * 4)
     rows = estimate_errors(table)
     assert [r.score for r in rows] == [1, 1, 0.5, 0.5, qctx.inf]
-    assert (rows[0].est_abs, rows[0].est_rel, rows[3].est_rel) == (0, qctx.inf, u / 4)
+    assert [r.est_rel for r in rows] == [qctx.inf, 1, 0.5, 0.5, qctx.inf]
+    assert [r.est_abs for r in rows] == [0, 1, 1, 2, u]
     monkeypatch.setattr(transform, "build_table", lambda *args: table)
     res = accelerate(SeriesProblem("ones", lambda n, ctx: ctx.one, m=1), make_aps(1, 1), 4, qctx)
-    assert (res.best, res.value, res.est_rel_error) == ((0, 3), 4, u / 4)
+    assert (res.best, res.value, res.est_abs_error, res.est_rel_error) == ((0, 3), 4, 2, 0.5)
     assert [vars(r) for r in res.rows] == [vars(r) for r in rows]
 
 
