@@ -3,11 +3,13 @@
 Scalars are created through a context tied to a :class:`Precision`.  A
 preset that fits IEEE binary64 (53 mantissa bits, decimal range at most
 1e308, i.e. ``DOUBLE``) gets a :class:`Binary64Context`, whose real
-scalars are Python floats and whose every function is mpmath's at 53
-bits: ``convert`` and ``mpf`` as float fast paths, ``sqrt``, ``power``,
-``exp`` and ``loggamma`` through the kernels of its float arithmetic
-where they can, and all others (``log``, ``gamma``, ...) through a
-private 53-bit ``MPContext``.
+scalars are Python floats: IEEE binary64 with the platform's libm for
+``power``, ``exp`` and ``loggamma`` on floats, and mpmath at 53 bits for
+the rest (``convert`` and ``mpf`` as float fast paths, ``sqrt`` as
+``math.sqrt``, whose bits are mpmath's, and ``log``, ``gamma``, ... through
+a private 53-bit ``MPContext``).  So double's last bits of those three
+functions may differ from one platform to another; every other preset's
+do not.
 Every other preset gets an mpmath ``MPContext`` with ``mpf`` reals.
 Complex scalars are mpmath ``mpc`` values under both, and the roundoff
 unit u = 2^(1 - mantissa_bits) is ``ctx.eps``.  Any other number enters
@@ -30,12 +32,9 @@ outside a narrow band around each rounding midpoint, and ``pow`` takes
 ``mpf_pow``'s steps on these kernels.  Every other case is mpmath's own
 function, as are all kernels under gmpy2 and ``loggamma`` always.
 Binary64 floats keep their native operators and ``math.sqrt`` and take
-``pow``, ``exp`` and ``loggamma`` from the table at 53 bits, in the one
-float arithmetic per precision that the binary64 context's functions
-run too; its ``pow`` converts an exponent and picks its kernel once
-while the calls pass the same one, and takes an integral base from its
-int to the float.  Complex values keep their native operators and
-functions.
+``pow``, ``exp`` and ``loggamma`` from libm, in the one float arithmetic
+per precision that the binary64 context's functions run too.  Complex
+values keep their native operators and functions.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def _kernel_function(name, field, types):
 
 
 class Binary64Context:
-    """IEEE binary64 arithmetic that gives the same bits as mpmath at 53 bits.
+    """IEEE binary64 arithmetic: libm's ``power``, ``exp`` and ``loggamma``, mpmath's at 53 bits else.
 
     Real scalars are Python floats.  ``+ - * /``, ``abs`` and comparisons
     run natively: IEEE round-to-nearest-even is mpmath's 53-bit rounding
@@ -210,9 +209,12 @@ class Binary64Context:
     without mpmath.  ``power``, ``exp``, ``loggamma`` and ``sqrt`` run the
     kernels of :func:`loop_arithmetic`'s float arithmetic, built once at
     the first loop or kernel call, on floats and ints (floats only for
-    ``sqrt``).  They serve a term expression, a user's term function,
-    ``h`` of a trigonometric pair and the native loop arithmetic; the hot
-    loops and the builtin terms call that arithmetic's kernels directly.
+    ``sqrt``): libm's ``**``, ``exp`` and ``lgamma`` on floats, whose last
+    bits may differ from mpmath's and between platforms, and mpmath's bits
+    on every other argument and for ``sqrt``.  They serve a term
+    expression, a user's term function, ``h`` of a trigonometric pair and
+    the native loop arithmetic; the hot loops and the builtin terms call
+    that arithmetic's kernels directly.
     Where a kernel raises (a complex result, a pole) or does not take the
     arguments, and for every other function and constant (``log``,
     ``mag``, ``isnan``, ``dps``, ..., through ``__getattr__``), the context
@@ -648,12 +650,11 @@ def _raw_kernels(prec) -> dict:
     """The round-to-nearest raw kernels at prec >= 53 bits, by name, with the bits of mpmath's.
 
     The nine of :class:`LoopArithmetic`, ``scan`` with a fifth operand top,
-    the largest mag in range, ``log``, the ``mpf_log(s, prec + 10)`` inside
-    ``pow``, ``half_pow``, the half-integer core of ``pow``, and
-    ``exp_fixed`` for the float ``exp`` and ``pow``.  On mpmath's python
-    backend the basic ones are :func:`_nearest_kernels`' and exp, log and
-    pow those below; under gmpy2, whose kernels run in C, the nine and
-    ``log`` are mpmath's.  ``loggamma`` is ``mpf_loggamma`` under both.
+    the largest mag in range, and ``log``, the ``mpf_log(s, prec + 10)``
+    inside ``pow``.  On mpmath's python backend the basic ones are
+    :func:`_nearest_kernels`' and exp, log and pow those below; under
+    gmpy2, whose kernels run in C, the nine and ``log`` are mpmath's.
+    ``loggamma`` is ``mpf_loggamma`` under both.
 
     ``exp_fixed(X)`` takes x = X * 2^-F at F = prec + 22 fraction bits
     and |x| < 2^20.  It reduces x = k ln2 / 4096 + r with |r| < 2^-13.5,
@@ -708,10 +709,9 @@ def _raw_kernels(prec) -> dict:
 
     ``pow(s, t)`` takes the steps of ``mpf_pow``: for t = +1/2 the
     ``sqrt`` kernel at prec bits; for any other half-integer t = +-k/2
-    ``half_pow(man, exp, k, negative)``, the one int-level core of those
-    steps, which takes s as man * 2^exp at any precision (the float
-    ``pow`` hands it an integral base as it is): the square root at
-    prec + 10 bits and the exact k-th power of it rounded once, at
+    ``half_pow(man, exp, k, negative)``, the int-level core of those
+    steps, which takes s as man * 2^exp: the square root at prec + 10
+    bits and the exact k-th power of it rounded once, at
     prec + 5 bits for a negative t (then 1 divided by it) and at prec
     bits otherwise, or for t = -1/2 1 divided by the root; for any other
     fractional t, ``exp`` of t times ``log(s)``.  An integer t, a zero,
@@ -928,7 +928,6 @@ def _build_raw_kernels(prec) -> dict:
     kernels = _mpf_kernels(prec)
     if BACKEND == "python":  # under gmpy2 mpmath's own kernels run in C
         kernels.update(nearest, exp=exp, log=log, pow=pow)
-    kernels.update(exp_fixed=exp_fixed, half_pow=half_pow)
     return kernels
 
 
@@ -950,94 +949,42 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
 
 
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
-    """Binary64 floats on their native operators and ``_raw_kernels(53)``, bound once.
+    """Binary64 floats on their native operators and the platform's libm, bound once.
 
-    ``pow``, ``exp`` and ``loggamma`` take floats and ints.  ``pow`` keeps
-    the last exponent and its kernel, read and replaced as one tuple by
-    every thread: a loop raises its values to one exponent, so each
-    exponent object is converted, and its kernel picked, once while it
-    stays the last one passed.  On mpmath's python backend the kernel of a
-    fractional exponent other than +1/2 takes an integral float base n in
-    [3, 2^53) that is no power of two from its int to the float: a
-    half-integer exponent through ``half_pow`` at 53 bits, any other
-    through the table's ``log`` of n, its exact product with the exponent
-    and ``exp_fixed``.  These are the raw ``pow``'s steps and the ``exp``
-    adapter's without ``_raw`` of the base, their tuples and ``to_float``:
-    ``math.ldexp`` rounds the result as ``to_float`` does, overflow giving
-    inf.  Every other base, exponent or backend, a power that ``half_pow``
-    leaves to ``mpf_pow`` and a product outside ``exp_fixed``'s range or
-    in its band run the raw ``pow`` on ``_raw`` of the base.
+    ``pow`` is ``x ** y`` for a float x > 0 and a finite float or an int
+    y, ``exp`` is ``math.exp`` of a float and ``loggamma`` ``math.lgamma``
+    of a float x > 0, an overflow giving inf.  Every other argument (an
+    int base or argument, a zero, negative or NaN one, an infinite or NaN
+    exponent, an exponent too large for a float) is mpmath's
+    ``mpf_pow``, ``mpf_exp`` or ``mpf_loggamma`` at 53 bits, rounding to
+    nearest, whose result is the float nearest to it or an exception (a
+    complex result, a pole).
     """
-    kernels = _raw_kernels(53)
-    raw_pow, raw_exp, exp_fixed, raw_loggamma, log, half_pow = (
-        kernels["pow"], kernels["exp"], kernels["exp_fixed"], kernels["loggamma"],
-        kernels["log"], kernels["half_pow"])
-    ldexp = math.ldexp
-
-    def kernel_of(y):
-        """x -> x ** y with mpmath's bits at 53 bits, for the one exponent y."""
-        t = _raw(y)
-        tsign, tman, texp, _ = t
-
-        def fallback(x):
-            return to_float(raw_pow(_raw(x), t))
-
-        # an integer, zero, inf or nan exponent, +1/2 (sqrt at 53 bits), or gmpy2's mpf_pow
-        if texp >= 0 or not tman or (texp == -1 and tman == 1 and not tsign) or BACKEND != "python":
-            return fallback
-        half, shift = texp == -1, texp + 75  # exp_fixed takes 75 = 53 + 22 fraction bits
-
-        def kernel(x):
-            if type(x) is float and 2.0 < x < 9007199254740992.0 and x.is_integer():  # 2^53
-                n = int(x)
-                if n & (n - 1):
-                    if half:
-                        result = half_pow(n, 0, tman, tsign)
-                        if result is not None:
-                            return ldexp(*result)
-                    else:
-                        # log n > 1; the table's log and mpf_log read only n's value, so
-                        # its tuple may keep trailing zeros
-                        _, man, e, _ = log((0, n, 0, n.bit_length()))
-                        man *= tman
-                        e += shift
-                        # exp's fast range: -(53 + 8) < mag <= 20, mag = e - 75 + bit length
-                        if 14 < e + man.bit_length() <= 95:
-                            X = man << e if e >= 0 else man >> -e
-                            result = exp_fixed(-X if tsign else X)
-                            if result is not None:
-                                try:
-                                    return ldexp(*result)
-                                except OverflowError:
-                                    return math.inf
-            return fallback(x)
-
-        return kernel
-
-    last = None, None
+    rnd = round_nearest
 
     def pow(x, y):
-        nonlocal last
-        exponent, kernel = last
-        if y is not exponent:
-            kernel = kernel_of(y)
-            last = y, kernel
-        return kernel(x)
+        if type(x) is float and x > 0.0 and (type(y) is float and y - y == 0.0 or type(y) is int):
+            try:
+                return x ** y
+            except OverflowError:  # a result past 2^1024 or an int past the floats: mpmath's
+                pass
+        return to_float(mpf_pow(_raw(x), _raw(y), 53, rnd))
 
     def exp(x):
-        # a float in exp's fast range enters its core at 75 = 53 + 22 fraction bits
-        if type(x) is float and 2.0 ** -61 <= abs(x) < 1048576.0:  # 2^_EXP_MAX_MAG
-            n, d = x.as_integer_ratio()
-            result = exp_fixed((n << 75) >> (d.bit_length() - 1))
-            if result is not None:
-                try:
-                    return math.ldexp(*result)  # to_float's step, subnormals included
-                except OverflowError:
-                    return math.inf
-        return to_float(raw_exp(_raw(x)))
+        if type(x) is float:
+            try:
+                return math.exp(x)
+            except OverflowError:
+                return math.inf
+        return to_float(mpf_exp(_raw(x), 53, rnd))
 
     def loggamma(x):
-        return to_float(raw_loggamma(_raw(x)))
+        if type(x) is float and x > 0.0:
+            try:
+                return math.lgamma(x)
+            except OverflowError:
+                return math.inf
+        return to_float(mpf_loggamma(_raw(x), 53, rnd))
 
     def lift(x):
         return x if type(x) is float else None

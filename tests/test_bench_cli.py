@@ -438,6 +438,17 @@ def test_reproduce_double_marks_precision_limited():
     assert all(o.count("fail") == 0 for o in report.outcomes)
 
 
+def test_reproduce_double_checks_rows_below_a_wider_cutoff(monkeypatch):
+    # _CUTOFF = 1e-13 leaves 146 rows unchecked at double; skipping only rows whose reference
+    # estimate is at least 1e-3, as reproduce does not, checks double's bits on 88 rows more:
+    # each passes its Gamma and Lambda ratios and its error or value check
+    monkeypatch.setattr(bench_cli, "_CUTOFF", 1e-3)
+    report = reproduce_all(DOUBLE)
+    counts = [sum(o.count(status) for o in report.outcomes)
+              for status in ("pass", "fail", "precision-limited")]
+    assert counts == [181, 0, 58], report.text()
+
+
 def test_reproduce_json_format():
     report = reproduce_all(QUAD, only="ex5_2")
     doc = json.loads(report.to_json())

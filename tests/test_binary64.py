@@ -2,8 +2,11 @@
 
 ``make_context(DOUBLE)`` computes with Python floats.  Every result it
 gives must carry the same bits as an mpmath ``MPContext`` at 53 bits
-(what ``DOUBLE`` ran on before), except where binary64's exponent range
-ends, which the range tests at the bottom pin down.
+(what ``DOUBLE`` ran on before), except for two things.  ``power``,
+``exp`` and ``loggamma`` of floats are the platform's libm, within
+``oracles.LIBM_ULPS`` of mpmath's, and a table built on them stays within
+roundoff of mpmath's; and binary64's exponent range ends where the range
+tests at the bottom pin it down.
 """
 
 import math
@@ -38,6 +41,8 @@ from fracsum.series_model import (
 )
 from fracsum.transform import accelerate, estimate_errors, sum_trig
 from fracsum.w_algorithm import ZeroTermError, build_table
+
+from oracles import within_libm_bound
 
 
 def _mp53():
@@ -87,13 +92,23 @@ def test_double_gets_the_binary64_context_and_quad_does_not():
     _same(FP.pi, +MP.pi)
 
 
-def test_reference_tables_are_bit_identical_to_mpmath_53():
+def test_reference_tables_agree_with_mpmath_53_within_roundoff():
+    # libm's last bits move the terms of ex5_11, ex5_12 and ex5_13 (the others are bit for bit
+    # mpmath's); every entry stays within reproduce's noise floor of 1000 Lambda*u of mpmath's
+    # (3.6 Lambda*u measured), Gamma and Lambda within a relative 1000 Gamma*u (6.5 measured),
+    # and every selection is mpmath's
+    noise, u = bench_cli._NOISE, FP.eps
     for ref in REFERENCE_TABLES:
         problem = builtin_problem(ref.problem)
         schedule = parse_schedule(ref.schedule)
         ours = accelerate(problem, schedule, ref.depth, FP)
+        theirs = accelerate(problem, schedule, ref.depth, MP)
         assert all(type(x) is float for x in ours.table.A + ours.table.gamma), ref
-        _same_result(ours, accelerate(problem, schedule, ref.depth, MP))
+        assert (ours.table.R, ours.best) == (theirs.table.R, theirs.best), ref
+        for n, (A, G, L) in enumerate(zip(ours.table.A, ours.table.gamma, ours.table.lam)):
+            B, H, K = theirs.table.A[n], theirs.table.gamma[n], theirs.table.lam[n]
+            assert abs(A - B) <= noise * K * u, (ref, n)
+            assert abs(G - H) <= noise * H * H * u and abs(L - K) <= noise * H * K * u, (ref, n)
 
 
 def test_rendering_matches_mpmath_53():
@@ -164,21 +179,31 @@ def _outcome(f, *args):
         return type(exc)
 
 
-def _matches(ours, ref):
-    """An outcome against MP's: the same error, the same complex value, or float(MP's value)."""
+def _matches(ours, ref, libm=None):
+    """An outcome against MP's: the same error, the same complex value, or float(MP's value).
+
+    For *libm*, the name of one of the float arithmetic's libm functions,
+    a float within that function's ``LIBM_ULPS`` of MP's value.
+    """
     if isinstance(ref, type):
         assert ours is ref
     elif hasattr(ref, "_mpc_"):
         assert hasattr(ours, "_mpc_") and ours == ref
+    elif libm:
+        assert type(ours) is float and within_libm_bound(libm, ours, ref), (ours, ref)
     else:
         # the sign too: mpmath has no -0.0
         assert type(ours) is float and ours == float(ref), (ours, ref)
         assert math.copysign(1.0, ours) == math.copysign(1.0, float(ref)), (ours, ref)
 
 
+# the context's functions whose floats are libm's, by the name of their LIBM_ULPS bound
+_LIBM = {"power": "pow", "pow": "pow", "exp": "exp", "loggamma": "loggamma"}
+
+
 def _same_kernel(name, *args):
-    """FP.name(*args) is float(MP.name(*args)), or both raise the same error."""
-    _matches(_outcome(getattr(FP, name), *args), _outcome(getattr(MP, name), *args))
+    """FP.name(*args) is float(MP.name(*args)) (libm's within its bound), or both raise the same error."""
+    _matches(_outcome(getattr(FP, name), *args), _outcome(getattr(MP, name), *args), _LIBM.get(name))
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,9 +232,10 @@ def test_convert_strings_match(mantissa, exponent):
 # The float loop arithmetic's transcendental kernels, those of the hot loops
 # and the builtin terms at DOUBLE, and the functions of the same names of the
 # DOUBLE context, which take those kernels on floats and ints, as called
-# from an expression and directly.  Each gives float(MP's value) or MP's
-# error.  Where MP's value is complex, the loop kernel raises and the
-# context's function gives that complex value.
+# from an expression and directly.  Each gives float(MP's value), within
+# libm's bound where libm computes it, or MP's error.  Where MP's value is
+# complex, the loop kernel raises and the context's function gives that
+# complex value.
 _LOOP = loop_arithmetic(FP)
 
 
@@ -221,7 +247,7 @@ def _same_loop_kernel(name, *args):
     if hasattr(ref, "_mpc_"):
         assert isinstance(ours, type), (ours, ref)
     else:
-        _matches(ours, ref)
+        _matches(ours, ref, _LIBM.get(name))
 
 
 def _same_expression_function(name, *args):
@@ -242,7 +268,7 @@ def _same_expression_function(name, *args):
             problem.term(1, FP)
         assert str(failure.value) == f"expression {expr!r} fails at n = 1: {ref}"
     else:
-        _matches(_outcome(problem.term, 1, FP), ref)
+        _matches(_outcome(problem.term, 1, FP), ref, _LIBM.get(name))
 
 
 def _same_function(name, *args):
@@ -299,7 +325,7 @@ def test_log_matches(x, base):
 
 
 def test_loggamma_is_mpmaths_not_libms():
-    # FPContext binds libm's loggamma per instance; DOUBLE must not use it
+    # an int argument takes mpmath's loggamma at 53 bits, and on these ints libm's differs
     ours = [FP.loggamma(n) for n in range(2, 200)]
     assert ours == [float(MP.loggamma(n)) for n in range(2, 200)]
     assert ours != [math.lgamma(n) for n in range(2, 200)]

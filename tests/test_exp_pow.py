@@ -3,9 +3,11 @@
 ``numerics._raw_kernels(prec)`` holds a table-driven ``exp`` and ``log``
 (the ``mpf_log(s, prec + 10)`` inside ``pow``), each with a rounding
 test, and a ``pow`` that takes ``mpf_pow``'s steps on the round-to-nearest
-kernels; the float arithmetic's ``exp`` and ``pow`` run them at 53 bits,
-for the double loops and for the binary64 context's ``exp`` and ``power``.
-Every result, or the exception raised, must be mpmath's.
+kernels.  Every result, or the exception raised, must be mpmath's.  The
+float arithmetic's ``exp`` and ``pow``, those of the double loops and of
+the binary64 context's ``exp`` and ``power``, are the platform's libm on
+floats, within ``oracles.LIBM_ULPS`` of mpmath's at 53 bits, and
+mpmath's own functions at 53 bits on every other argument.
 """
 
 import math
@@ -42,6 +44,8 @@ from mpmath.libmp import (
 from fracsum import numerics, series_model
 from fracsum.numerics import DOUBLE, QUAD, _raw_kernels, make_context
 from fracsum.series_model import builtin_ids, builtin_problem, sums_and_terms
+
+from oracles import within_libm_bound
 
 PRECS = [53, 113, 200]
 _SPECIALS = [fzero, finf, fninf, fnan]
@@ -101,7 +105,8 @@ def test_exp_at_the_edge_of_its_reduction(prec):
         assert exp(x) == mpf_exp(x, prec, round_nearest), x
     for x in _reduction_edges(53):
         y = to_float(x)
-        assert FLOAT.exp(y) == FP.exp(y) == _float_exp_of_mpmath(y), y
+        assert FLOAT.exp(y) == FP.exp(y) and within_libm_bound("exp", FP.exp(y),
+                                                                _float_exp_of_mpmath(y)), y
 
 
 @settings(max_examples=400, deadline=None)
@@ -252,10 +257,8 @@ def test_the_builtin_terms_rarely_fall_back(monkeypatch):
     monkeypatch.setattr(numerics, "mpf_exp", counting_fallback("exp"))
     monkeypatch.setattr(numerics, "mpf_log", counting_fallback("log"))
     monkeypatch.setattr(series_model, "loop_arithmetic", counting_arithmetic)
-    for precision in (QUAD, DOUBLE):
-        ctx = make_context(precision)
-        for ident in builtin_ids():
-            sums_and_terms(builtin_problem(ident), range(1, 151), ctx)
+    for ident in builtin_ids():  # at quad: double's exp and pow are libm's
+        sums_and_terms(builtin_problem(ident), range(1, 301), make_context(QUAD))
     assert calls["exp"] > 2000 and calls["log"] > 200, calls
     for name in calls:
         assert fallbacks[name] <= 0.05 * calls[name], (name, fallbacks, calls)
@@ -267,6 +270,16 @@ def _float_exp_of_mpmath(x):
 
 def _mpmath_pow(a, b):
     return to_float(mpf_pow(numerics._raw(a), numerics._raw(b), 53, round_nearest))
+
+
+def _same_float(got, want, name):
+    """The float arithmetic's *got* against mpmath's 53-bit *want*: its bits on an argument
+    mpmath computes, within libm's bound on one libm computes (*name* given)."""
+    assert type(got) is float
+    if name:
+        assert within_libm_bound(name, got, want)
+    else:
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,11 +294,10 @@ def _mpmath_pow(a, b):
 @example(2.0 ** -62)
 @example(5e-324)
 def test_float_exp_is_mpmaths_at_53_bits(x):
+    # a float is libm's exp, within its bound of mpmath's; an int is mpmath's exp itself
     want = _float_exp_of_mpmath(x)
     for exp in (FLOAT.exp, FP.exp):
-        got = exp(x)
-        assert got == want or (math.isnan(got) and math.isnan(want)), (exp, x)
-        assert type(got) is float
+        _same_float(exp(x), want, "exp" if type(x) is float else None)
 
 
 def test_float_exp_edges():
@@ -298,61 +310,43 @@ def test_float_exp_edges():
         assert exp(3) == _float_exp_of_mpmath(3)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.integers(1, 6000).map(float), st.floats(1e-300, 1e300), st.integers(-9, 10**6)),
-       st.one_of(st.sampled_from([0.5, -0.5, 1.5, -1.5, 2.5, 1 / 3, 3 ** 0.5, 2.0]),
-                 st.floats(-12, 12)))
-def test_float_pow_is_mpmaths_at_53_bits(x, y):
-    want = _outcome(_mpmath_pow, x, y)
-    assert _outcome(FLOAT.pow, x, y) == want, (x, y)
-    if type(want) is float:  # else the context's power is mpmath's, a complex result or error
-        assert FP.power(x, y) == want, (x, y)
+def _takes_libm(x, y):
+    """Whether the float pow of x to y is libm's: a float x > 0 to a finite float or an int y."""
+    return type(x) is float and x > 0 and (type(y) is int or math.isfinite(y))
 
 
-# the exponents of the float pow's integral-base kernels: half-integers up to past the 1000-bit
-# fallback (a 63-bit root to the 17th power), +1/2 (sqrt), the general ones of the builtins and
-# 20.3, whose powers of bases near 2^53 overflow binary64 (and underflow to subnormals when negative)
+# exponents for integral bases: half-integers from 1/2 to 43/2, the general ones of the builtins,
+# and 20.3, whose powers of bases near 2^53 overflow binary64 (and underflow when negative)
 _HALVES = [sign * k / 2 for k in range(1, 44, 2) for sign in (1, -1)]
 _INTEGRAL_BASE_EXPONENTS = _HALVES + [1 / 3, 3 ** 0.5, -0.2, 20.3, -20.3]
 _POWERS_OF_TWO_AND_NEIGHBOURS = [2 ** k + d for k in (1, 2, 10, 26, 51, 52) for d in (-1, 0, 1)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.integers(2, 2 ** 53 - 1), st.sampled_from(_POWERS_OF_TWO_AND_NEIGHBOURS),
-                          st.integers(2, 6000)), min_size=1, max_size=4),
-       st.sampled_from(_INTEGRAL_BASE_EXPONENTS))
-@example([2 ** 52 + 1, 2 ** 53 - 1, 2 ** 52, 9, 2 ** 51 - 1], 20.3)  # inf, inf, inf, finite
-@example([2 ** 52 + 1, 2 ** 53 - 1, 3 ** 33], -20.3)  # subnormal results
-@example([2 ** 52 + 1, 2 ** 53 - 1, 12345], 41.5)  # past the 1000-bit fallback, inf
-@example([2 ** 52 + 1, 2 ** 53 - 1, 12345], -41.5)  # subnormal and zero
-# 63-bit roots to the 17th power, past the core's 1000 bits: mpf_pow raises the roots of 130, 165
-# and 2^40 + 1 exactly (58, 57 and 42 bits stripped) and 131's (62 bits) by repeated squaring
-@example([130, 131, 165, 2 ** 40 + 1, 9], 8.5)
-@example([130, 131, 165, 2 ** 40 + 1, 9], -8.5)
-def test_float_pow_of_integral_bases_is_mpmaths_at_53_bits(bases, y):
-    # the bases raised in turn to one exponent object, as a loop does: its kernel is picked once
-    for n in bases:
-        x = float(n)
-        want = _mpmath_pow(x, y)
-        assert FLOAT.pow(x, y) == want and FP.power(x, y) == want, (n, y)
-
-
-def test_float_pow_of_even_bases_in_the_log_band_is_mpmaths(monkeypatch):
-    # the general kernel hands log an integral base with its trailing zeros; where log falls back
-    # to mpf_log (within its band of a midpoint), mpf_log must read that tuple as its value
-    fallbacks = []
-
-    def counting(s, prec, rnd):
-        fallbacks.append(s)
-        return mpf_log(s, prec, rnd)
-
-    monkeypatch.setattr(numerics, "mpf_log", counting)
-    for y in (3 ** 0.5, 1 / 3, -0.2):
-        for n in range(3, 3001):
-            x = float(n)
-            assert FLOAT.pow(x, y) == to_float(mpf_pow(numerics._raw(x), numerics._raw(y), 53,
-                                                       round_nearest)), (n, y)
-    assert any(s[1] % 2 == 0 for s in fallbacks), len(fallbacks)
+@given(st.one_of(st.integers(1, 6000).map(float), st.floats(1e-300, 1e300), st.integers(-9, 10**6),
+                 st.integers(2, 2 ** 53 - 1).map(float),
+                 st.sampled_from(_POWERS_OF_TWO_AND_NEIGHBOURS).map(float)),
+       st.one_of(st.sampled_from([0.5, -0.5, 1.5, -1.5, 2.5, 1 / 3, 3 ** 0.5, 2.0, 2]),
+                 st.sampled_from(_INTEGRAL_BASE_EXPONENTS), st.floats(-12, 12)))
+@example(2.0 ** 52 + 1, 20.3)  # inf
+@example(9.0, 20.3)  # finite
+@example(3.0 ** 33, -20.3)  # subnormal
+@example(12345.0, -41.5)  # zero
+@example(-2.0, 0.5)  # a complex result: mpmath raises, and the context's power is complex
+@example(0.0, -1.5)
+@example(2.0, math.inf)
+@example(1.0, math.nan)
+def test_float_pow_is_mpmaths_at_53_bits(x, y):
+    # a float x > 0 to a finite float or an int is libm's x ** y, within its bound of mpmath's
+    # (an overflow is inf); every other pair is mpmath's pow itself, result or exception
+    want = _outcome(_mpmath_pow, x, y)
+    got = _outcome(FLOAT.pow, x, y)
+    if isinstance(want, type):
+        assert got is want, (x, y)
+        return
+    name = "pow" if _takes_libm(x, y) else None
+    _same_float(got, want, name)
+    _same_float(FP.power(x, y), want, name)
 
 
 @pytest.mark.parametrize("prec", [113, 200])
@@ -370,61 +364,30 @@ def test_half_integer_pow_is_mpmaths_bit_for_bit(prec, data):
     assert _outcome(pow, s, t) == _outcome(mpf_pow, s, t, prec, round_nearest), (s, t, prec)
 
 
-def test_double_power_loops_take_the_integral_base_kernels(monkeypatch):
-    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2 on the float arithmetic; a kernel that stopped
-    # taking the integral bases would still have mpmath's bits, through the raw pow it falls back to
-    entries, build = [0], numerics._build_raw_kernels
+def test_double_term_loops_take_libm(monkeypatch):
+    # the builtins' pow, exp and loggamma at double run on floats, so none calls mpmath's
+    calls = []
 
-    def counting_build(prec):
-        kernels = build(prec)
-        raw_pow = kernels["pow"]
+    def counting(name):
+        function = getattr(numerics, name)
 
-        def counted(s, t):
-            entries[0] += 1
-            return raw_pow(s, t)
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
 
-        return dict(kernels, pow=counted)
+        return counted
 
-    monkeypatch.setattr(numerics, "_kernel_cache", {})
-    monkeypatch.setattr(numerics, "_float_cache", {})
-    monkeypatch.setattr(numerics, "_build_raw_kernels", counting_build)
-    calls, loop_arithmetic = [0], series_model.loop_arithmetic
-
-    def counting_arithmetic(*args):
-        ar = loop_arithmetic(*args)
-        pow = ar.pow
-
-        def counted_pow(x, y):
-            calls[0] += 1
-            return pow(x, y)
-
-        return ar._replace(pow=counted_pow)
-
-    monkeypatch.setattr(series_model, "loop_arithmetic", counting_arithmetic)
-    for ident in ("ex5_14", "ex7_2"):
-        calls[0] = entries[0] = 0
-        sums_and_terms(builtin_problem(ident), range(1, 2001), FP)
-        assert calls[0] == 2000 and entries[0] <= 0.05 * calls[0], (ident, entries, calls)
-
-
-def test_float_pow_of_one_arithmetic_keeps_each_exponent_apart():
-    pow = FLOAT.pow
-    assert numerics.loop_arithmetic(FP) is FLOAT
-    a, b = 3 ** 0.5, -1.5
-    # a, then b, then a, with the same objects, equal copies and a value a loop never passes
-    for x, y in [(7.0, a), (7.0, b), (7.0, a), (7.0, float(a * 1.0)), (11.0, b), (11.0, b),
-                 (13.0, a), (13.0, 0.5), (13.0, a), (2.0, -b), (5.0, 3)]:
-        assert pow(x, y) == _mpmath_pow(x, y), (x, y)
-    # the context's power and the loop's pow share one memo: a, b, a through both in turn
-    for x, y, power in [(7.0, a, FP.power), (7.0, b, pow), (11.0, a, FP.power), (11.0, a, pow),
-                        (13.0, b, FP.power), (13.0, b, pow), (17.0, a, pow), (17.0, b, FP.power),
-                        (19.0, a, FP.power), (19, b, FP.power), (23.0, a, pow)]:
-        assert power(x, y) == _mpmath_pow(x, y), (x, y, power)
+    for name in ("mpf_pow", "mpf_exp", "mpf_loggamma"):
+        monkeypatch.setattr(numerics, name, counting(name))
+    for ident in builtin_ids():
+        sums_and_terms(builtin_problem(ident), range(1, 301), FP)
+    assert calls == []
+    assert FP.power(-8.0, 1 / 3) == FP._mp.power(-8, 1 / 3) and calls == ["mpf_pow"]
 
 
 def test_threads_on_one_double_context_keep_their_exponents_apart():
-    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2, both through the one memo of FP's arithmetic;
-    # a memo that stored its exponent and raw form apart failed here in about 7 of 10 runs
+    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2, both through FP's one float arithmetic; an
+    # exponent memo there that stored its exponent and raw form apart failed here in 7 of 10 runs
     problems = [builtin_problem("ex5_14"), builtin_problem("ex7_2")]
     indices = range(1, 5001)
     serial = [sums_and_terms(problem, indices, FP) for problem in problems]
@@ -506,7 +469,8 @@ print(builds, made, numerics.loop_arithmetic(ctx) is numerics.loop_arithmetic(ct
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["{} {}", "[53] ['double']", "[53] ['double'] True"]
+    # binary64 builds no kernel table: its float arithmetic calls libm and mpmath's functions
+    assert proc.stdout.splitlines() == ["{} {}", "[] ['double']", "[] ['double'] True"]
 
 
 def test_raw_arithmetic_runs_the_kernels_of_its_precision():

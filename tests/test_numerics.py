@@ -235,9 +235,10 @@ def test_loop_kernels_give_the_bits_of_the_context(preset, kind):
             for v in (x, y, ctx.zero, ctx.inf):
                 assert same(ar.mul(ar.from_int(-1), ar.lift(v)), -v)
         assert same(ar.exp(lx), ctx.exp(x))
-        assert same(ar.pow(lk, lx), ctx.power(k, x))
+        # the context's power and loggamma of the loop's own values: at double a float is libm's
+        assert same(ar.pow(lk, lx), ctx.power(ar.lower(lk), x))
         assert same(ar.sqrt(lk), ctx.sqrt(k))
-        assert same(ar.loggamma(ar.from_int(k + 1)), ctx.loggamma(k + 1))
+        assert same(ar.loggamma(ar.from_int(k + 1)), ctx.loggamma(ar.lower(ar.from_int(k + 1))))
     # one antidiagonal of five entries, scanned from 2: entries below start are not touched
     old = [ctx.convert(k) / 7 * unit for k in (3, 5, 11, 13, 17)]
     dens = [ctx.sqrt(k) - 1 for k in (2, 3, 5, 6, 7)]
