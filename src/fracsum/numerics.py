@@ -954,13 +954,12 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     ``pow`` is ``x ** y`` for a float x > 0 and a finite float or an int
     y, ``exp`` is ``math.exp`` of a float and ``loggamma`` ``math.lgamma``
     of a float x > 0, an overflow giving inf.  Every other argument (an
-    int base or argument, a zero, negative or NaN one, an infinite or NaN
-    exponent, an exponent too large for a float) is mpmath's
-    ``mpf_pow``, ``mpf_exp`` or ``mpf_loggamma`` at 53 bits, rounding to
-    nearest, whose result is the float nearest to it or an exception (a
-    complex result, a pole).
+    int, a base or a loggamma argument that is zero, negative or NaN, an
+    infinite or NaN exponent, an int exponent too large for a float) is
+    mpmath's ``mpf_pow``, ``mpf_exp`` or ``mpf_loggamma`` at 53 bits,
+    rounding to nearest, whose result is the float nearest to it or an
+    exception (a complex result, a pole).
     """
-    rnd = round_nearest
 
     def pow(x, y):
         if type(x) is float and x > 0.0 and (type(y) is float and y - y == 0.0 or type(y) is int):
@@ -968,7 +967,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
                 return x ** y
             except OverflowError:  # a result past 2^1024 or an int past the floats: mpmath's
                 pass
-        return to_float(mpf_pow(_raw(x), _raw(y), 53, rnd))
+        return to_float(mpf_pow(_raw(x), _raw(y), 53, round_nearest))
 
     def exp(x):
         if type(x) is float:
@@ -976,7 +975,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
                 return math.exp(x)
             except OverflowError:
                 return math.inf
-        return to_float(mpf_exp(_raw(x), 53, rnd))
+        return to_float(mpf_exp(_raw(x), 53, round_nearest))
 
     def loggamma(x):
         if type(x) is float and x > 0.0:
@@ -984,7 +983,7 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
                 return math.lgamma(x)
             except OverflowError:
                 return math.inf
-        return to_float(mpf_loggamma(_raw(x), 53, rnd))
+        return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
 
     def lift(x):
         return x if type(x) is float else None
