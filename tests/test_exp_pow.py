@@ -386,8 +386,8 @@ def test_double_term_loops_take_libm(monkeypatch):
 
 
 def test_threads_on_one_double_context_keep_their_exponents_apart():
-    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2, both through FP's one float arithmetic; an
-    # exponent memo there that stored its exponent and raw form apart failed here in 7 of 10 runs
+    # ex5_14 raises n to sqrt(3) and ex7_2 to -3/2, both through FP's one float arithmetic, which
+    # must keep no state that one thread's exponent could leave for the other's
     problems = [builtin_problem("ex5_14"), builtin_problem("ex7_2")]
     indices = range(1, 5001)
     serial = [sums_and_terms(problem, indices, FP) for problem in problems]
