@@ -315,23 +315,10 @@ def _takes_libm(x, y):
     return type(x) is float and x > 0 and (type(y) is int or math.isfinite(y))
 
 
-# exponents for integral bases: half-integers from 1/2 to 43/2, the general ones of the builtins,
-# and 20.3, whose powers of bases near 2^53 overflow binary64 (and underflow when negative)
-_HALVES = [sign * k / 2 for k in range(1, 44, 2) for sign in (1, -1)]
-_INTEGRAL_BASE_EXPONENTS = _HALVES + [1 / 3, 3 ** 0.5, -0.2, 20.3, -20.3]
-_POWERS_OF_TWO_AND_NEIGHBOURS = [2 ** k + d for k in (1, 2, 10, 26, 51, 52) for d in (-1, 0, 1)]
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.integers(1, 6000).map(float), st.floats(1e-300, 1e300), st.integers(-9, 10**6),
-                 st.integers(2, 2 ** 53 - 1).map(float),
-                 st.sampled_from(_POWERS_OF_TWO_AND_NEIGHBOURS).map(float)),
+@given(st.one_of(st.integers(1, 6000).map(float), st.floats(1e-300, 1e300), st.integers(-9, 10**6)),
        st.one_of(st.sampled_from([0.5, -0.5, 1.5, -1.5, 2.5, 1 / 3, 3 ** 0.5, 2.0, 2]),
-                 st.sampled_from(_INTEGRAL_BASE_EXPONENTS), st.floats(-12, 12)))
-@example(2.0 ** 52 + 1, 20.3)  # inf
-@example(9.0, 20.3)  # finite
-@example(3.0 ** 33, -20.3)  # subnormal
-@example(12345.0, -41.5)  # zero
+                 st.floats(-12, 12)))
 @example(-2.0, 0.5)  # a complex result: mpmath raises, and the context's power is complex
 @example(0.0, -1.5)
 @example(2.0, math.inf)
@@ -347,6 +334,33 @@ def test_float_pow_is_mpmaths_at_53_bits(x, y):
     name = "pow" if _takes_libm(x, y) else None
     _same_float(got, want, name)
     _same_float(FP.power(x, y), want, name)
+
+
+# exponents for integral bases: half-integers from 1/2 to 43/2, the general ones of the builtins,
+# and 20.3, whose powers of bases near 2^53 overflow binary64 (and underflow when negative)
+_HALVES = [sign * k / 2 for k in range(1, 44, 2) for sign in (1, -1)]
+_INTEGRAL_BASE_EXPONENTS = _HALVES + [1 / 3, 3 ** 0.5, -0.2, 20.3, -20.3]
+_POWERS_OF_TWO_AND_NEIGHBOURS = [2 ** k + d for k in (1, 2, 10, 26, 51, 52) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(2, 2 ** 53 - 1), st.sampled_from(_POWERS_OF_TWO_AND_NEIGHBOURS),
+                          st.integers(2, 6000)), min_size=1, max_size=4),
+       st.sampled_from(_INTEGRAL_BASE_EXPONENTS))
+@example([2 ** 52 + 1, 2 ** 53 - 1, 2 ** 52, 9, 2 ** 51 - 1], 20.3)  # inf, inf, inf, finite
+@example([2 ** 52 + 1, 2 ** 53 - 1, 3 ** 33], -20.3)  # subnormal results
+@example([2 ** 52 + 1, 2 ** 53 - 1, 12345], 41.5)  # inf
+@example([2 ** 52 + 1, 2 ** 53 - 1, 12345], -41.5)  # subnormal and zero
+@example([130, 131, 165, 2 ** 40 + 1, 9], 8.5)
+@example([130, 131, 165, 2 ** 40 + 1, 9], -8.5)
+def test_float_pow_of_integral_bases_is_mpmaths_at_53_bits(bases, y):
+    # the bases raised in turn to one exponent, as a term loop does: each is libm's power, within
+    # its bound of mpmath's, and an overflow is inf
+    for n in bases:
+        x = float(n)
+        want = _mpmath_pow(x, y)
+        _same_float(FLOAT.pow(x, y), want, "pow")
+        _same_float(FP.power(x, y), want, "pow")
 
 
 @pytest.mark.parametrize("prec", [113, 200])
