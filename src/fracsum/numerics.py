@@ -209,7 +209,8 @@ class Binary64Context:
     without mpmath.  ``power``, ``exp``, ``loggamma`` and ``sqrt`` run the
     kernels of :func:`loop_arithmetic`'s float arithmetic, built once at
     the first loop or kernel call, on floats and ints (floats only for
-    ``sqrt``): libm's ``**``, ``exp`` and ``lgamma`` on floats, whose last
+    ``sqrt``): libm's ``**``, ``exp`` and ``lgamma`` on floats and on the
+    ints that are floats exactly (at most 2^53 in magnitude), whose last
     bits may differ from mpmath's and between platforms, and mpmath's bits
     on every other argument and for ``sqrt``.  They serve a term
     expression, a user's term function, ``h`` of a trigonometric pair and
@@ -948,17 +949,21 @@ def _raw_arithmetic(ctx: MPContext, precision: Precision) -> LoopArithmetic:
                           **{name: kernels[name] for name in _KERNELS})
 
 
+_EXACT_INT = 2 ** 53  # every int of at most this magnitude is a float exactly
+
+
 def _float_arithmetic(precision: Precision) -> LoopArithmetic:
     """Binary64 floats on their native operators and the platform's libm, bound once.
 
     ``pow`` is ``x ** y`` for a float x > 0 and a finite float or an int
     y, ``exp`` is ``math.exp`` of a float and ``loggamma`` ``math.lgamma``
-    of a float x > 0, an overflow giving inf.  Every other argument (an
-    int, a base or a loggamma argument that is zero, negative or NaN, an
-    infinite or NaN exponent, an int exponent too large for a float) is
-    mpmath's ``mpf_pow``, ``mpf_exp`` or ``mpf_loggamma`` at 53 bits,
-    rounding to nearest, whose result is the float nearest to it or an
-    exception (a complex result, a pole).
+    of a float x > 0, an overflow giving inf.  An int x (the base of
+    ``pow``) of magnitude at most 2^53 is its float, which it equals.
+    Every other argument (a larger int, a base or a loggamma argument
+    that is zero, negative or NaN, an infinite or NaN exponent, an int
+    exponent too large for a float) is mpmath's ``mpf_pow``, ``mpf_exp``
+    or ``mpf_loggamma`` at 53 bits, rounding to nearest, whose result is
+    the float nearest to it or an exception (a complex result, a pole).
     """
 
     def pow(x, y):
@@ -967,6 +972,8 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
                 return x ** y
             except OverflowError:  # a result past 2^1024 or an int past the floats: mpmath's
                 pass
+        elif type(x) is int and -_EXACT_INT <= x <= _EXACT_INT:
+            return pow(float(x), y)
         return to_float(mpf_pow(_raw(x), _raw(y), 53, round_nearest))
 
     def exp(x):
@@ -975,6 +982,8 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
                 return math.exp(x)
             except OverflowError:
                 return math.inf
+        if type(x) is int and -_EXACT_INT <= x <= _EXACT_INT:
+            return exp(float(x))
         return to_float(mpf_exp(_raw(x), 53, round_nearest))
 
     def loggamma(x):
@@ -983,6 +992,8 @@ def _float_arithmetic(precision: Precision) -> LoopArithmetic:
                 return math.lgamma(x)
             except OverflowError:
                 return math.inf
+        if type(x) is int and -_EXACT_INT <= x <= _EXACT_INT:
+            return loggamma(float(x))
         return to_float(mpf_loggamma(_raw(x), 53, round_nearest))
 
     def lift(x):

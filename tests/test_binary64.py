@@ -324,11 +324,24 @@ def test_log_matches(x, base):
         _same_kernel("log", x, base)
 
 
-def test_loggamma_is_mpmaths_not_libms():
-    # an int argument takes mpmath's loggamma at 53 bits, and on these ints libm's differs
+def test_loggamma_of_an_int_is_libms_up_to_2_53():
+    # an int that is a float exactly takes libm's lgamma, on these ints not mpmath's at 53 bits;
+    # a larger int keeps mpmath's
     ours = [FP.loggamma(n) for n in range(2, 200)]
-    assert ours == [float(MP.loggamma(n)) for n in range(2, 200)]
-    assert ours != [math.lgamma(n) for n in range(2, 200)]
+    assert ours == [math.lgamma(n) for n in range(2, 200)]
+    assert ours != [float(MP.loggamma(n)) for n in range(2, 200)]
+    for n in (2**53 + 1, 2**60 + 3, -(2**53) - 1):
+        assert _outcome(FP.loggamma, n) == _outcome(lambda: float(MP.loggamma(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-2000, 2000), st.sampled_from([2**53, -(2**53), 2**53 - 1])),
+       st.one_of(st.floats(-12, 12), st.integers(-40, 40)))
+def test_an_exact_int_argument_is_its_float(k, y):
+    # power's base, exp's and loggamma's argument: the bits, or the error, of float(k)
+    for name, args in (("exp", (k,)), ("loggamma", (k,)), ("power", (k, y))):
+        ours = _outcome(getattr(FP, name), *args)
+        assert repr(ours) == repr(_outcome(getattr(FP, name), float(k), *args[1:])), (name, args)
 
 
 def test_fpcontext_defects_are_mended():
