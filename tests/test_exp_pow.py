@@ -35,6 +35,7 @@ from mpmath.libmp import (
     mpf_exp,
     mpf_log,
     mpf_mul,
+    mpf_pos,
     mpf_pow,
     mpf_sqrt,
     round_nearest,
@@ -109,13 +110,46 @@ def test_exp_at_the_edge_of_its_reduction(prec):
                                                                 _float_exp_of_mpmath(y)), y
 
 
+def _mpf_log_misreads(s, prec):
+    """Whether mpmath 1.3.0's ``mpf_log(s, prec)`` returns a tiny value for s near 1/4.
+
+    For s in [1/4, 1/2) (exponent + bitcount = -1) its "0.5 < x < 2"
+    branch measures s - 1/4 as if it were s - 1, and where that is below
+    about 2^-(prec + 20) returns a perturbation of it, not about -1.386.
+    """
+    sign, man, exp, bc = s
+    return not sign and exp + bc == -1 and bc - (man - (1 << (bc - 1))).bit_length() > prec + 20
+
+
+def _log_oracle(s, prec):
+    """``mpf_log(s, prec)``; where it misreads s, ``mpf_log`` at twice the bits or more, rounded to prec."""
+    if not _mpf_log_misreads(s, prec):
+        return _outcome(mpf_log, s, prec, round_nearest)
+    wide = max(2 * prec, s[3])  # its branch measures s - 1/4 below 2^-(wide + 20) only, which s is not
+    return mpf_pos(mpf_log(s, wide, round_nearest), prec, round_nearest)
+
+
+def _log_cases(prec):
+    return st.tuples(st.just(prec), st.one_of(st.builds(from_int, st.integers(1, 6000)),
+                                              st.sampled_from(_SPECIALS), _arguments(prec)))
+
+
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), prec=st.sampled_from(PRECS))
-def test_log_is_mpmaths_bit_for_bit(data, prec):
-    s = data.draw(st.one_of(st.builds(from_int, st.integers(1, 6000)), st.sampled_from(_SPECIALS),
-                            _arguments(prec)))
-    want = _outcome(mpf_log, s, prec + 10, round_nearest)
-    assert _outcome(_raw_kernels(prec)["log"], s) == want, (s, prec)
+@given(case=st.sampled_from(PRECS).flatmap(_log_cases))
+@example(case=(113, (0, 187072209578355573530071658587684226515959365500929, -169, 168)))
+def test_log_is_mpmaths_bit_for_bit(case):
+    prec, s = case
+    assert _outcome(_raw_kernels(prec)["log"], s) == _log_oracle(s, prec + 10), (s, prec)
+
+
+def test_the_log_oracle_reads_mpmath_where_it_is_right():
+    # just 1/4 + 2^-168 is misread at 123 bits and not at 400; its neighbours are not misread
+    s = (0, (1 << 166) + 1, -168, 167)
+    assert _mpf_log_misreads(s, 123) and not _mpf_log_misreads(s, 400)
+    assert to_float(mpf_log(s, 123, round_nearest)) > 0 > to_float(_log_oracle(s, 123))
+    assert _log_oracle(s, 123) == mpf_pos(mpf_log(s, 400, round_nearest), 123, round_nearest)
+    for t in ((0, (1 << 166) + 1, -169, 167), (0, (1 << 166) + 1, -167, 167), from_int(3)):
+        assert not _mpf_log_misreads(t, 123) and _log_oracle(t, 123) == mpf_log(t, 123, round_nearest)
 
 
 def _log_grid(prec):
