@@ -16,11 +16,16 @@ generator that binds its constants when it starts, yields a_start,
 a_start+1, ... and keeps what one term hands the next (a telescoping
 delta, a partial product) in its local variables.  One adapter,
 :func:`_term`, makes a stream the public ``term(n, ctx)``; it parks each
-context's last generator, so in-order evaluation, as in
-:func:`sums_and_terms`, does the per-``n`` work once, and any other index
-starts a fresh stream with the same operations.  A product's stream reads
-its factors from an iterator of its own, so a product has one adapter
-too.  The parked generators are the only per-context state.  The paper's
+context's last generator, so in-order calls do the per-``n`` work once,
+and any other index starts a fresh stream with the same operations.  A
+product's stream reads its factors from an iterator of its own, so a
+product has one adapter too.  The parked generators are the only
+per-context state.  :func:`sums_and_terms` does not go through the
+adapter: where ``problem.term`` is one that :func:`_term` made, it pulls
+a_1, a_2, ... from a ``stream(ctx, 1)`` of its own, which gives the
+term's bits.  ``_STREAMS`` finds the stream by the term's identity, so a
+wrapper around a library term is called once per n like any other
+``term``.  The paper's
 factor (n!)^(s/m) * exp(Q(n)) has one evaluator, in the log domain and
 exponentiated once: a :class:`_LogFactor`, whose ``loop(ctx)`` binds its
 constants; the log of (n!)^(s/m) is ``loggamma(n + 1)`` times s/m.  One
@@ -46,6 +51,7 @@ import ast
 import cmath
 import json
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -77,6 +83,10 @@ class ZeroPartialProductError(ValueError):
     """A partial product reached zero; the series model breaks down."""
 
 
+# each term that _term made: its stream, which sums_and_terms reads in order
+_STREAMS = weakref.WeakKeyDictionary()
+
+
 def _term(stream):
     """The term ``(n, ctx) -> a_n`` of ``stream(ctx, start)``, which yields a_start, a_start+1, ...
 
@@ -84,7 +94,7 @@ def _term(stream):
     next index advances that generator; any other index starts
     ``stream(ctx, n)``.  A caller pops the parked generator before
     advancing it, so no two threads share one, and a generator that
-    raised is not parked again.
+    raised is not parked again.  The term is recorded in ``_STREAMS``.
     """
     parked = {}
 
@@ -95,6 +105,7 @@ def _term(stream):
         parked[ctx] = (n, gen)
         return value
 
+    _STREAMS[term] = stream
     return term
 
 
@@ -143,8 +154,11 @@ def sums_and_terms(problem: SeriesProblem, indices, ctx):
 
     *indices* is a nonempty, strictly increasing sequence of ints >= 1,
     such as ``range(1, N + 1)`` for every A_n and a_n up to N; the two
-    returned lists are aligned with it.  The pass calls
-    ``problem.term(n, ctx)`` once for each n = 1..indices[-1] and adds
+    returned lists are aligned with it.  The pass reads a_1 ..
+    a_indices[-1] in order, and no term past them.  A term that
+    :func:`_term` made is read from one ``stream(ctx, 1)`` of its stream,
+    with the term's bits; any other ``problem.term(n, ctx)`` is called
+    once for each n.  It adds
     every term on ``numerics.loop_arithmetic``: raw ``libmp`` tuples for
     real quad terms, until a complex term, from which on it uses the
     context's own operators.  Every running sum is range- and NaN-checked
@@ -163,8 +177,13 @@ def sums_and_terms(problem: SeriesProblem, indices, ctx):
     total = ar.zero
     keep = iter(indices)
     stop = next(keep)
+    term = problem.term
+    try:  # a term that _term made is read from a stream of its own
+        stream = _STREAMS[term](ctx, 1)
+    except (KeyError, TypeError):  # any other term (TypeError: one with no weak reference or no hash)
+        stream = None
     for n in range(1, indices[-1] + 1):
-        a = problem.term(n, ctx)
+        a = term(n, ctx) if stream is None else next(stream)  # a call made here, not from C, is inlined
         x = lift(a)
         if x is None:  # not a loop value as it came: convert it
             a = ctx.convert(a)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import random
 import re
@@ -112,6 +114,116 @@ def test_terms_are_converted_only_where_the_loop_refuses_them(qctx, dctx):
         assert terms == want and [type(t) for t in terms] == [type(t) for t in want]
         assert terms[0] is returned[0]
         assert sums[-1] == sum(want[1:], want[0])
+
+
+# the term sources the library builds, each a fresh problem: sums_and_terms reads their streams
+IN_ORDER_SOURCES = {ident: (lambda ident=ident: builtin_problem(ident)) for ident in builtin_ids()} | {
+    "expression": lambda: load_problem({"expression": "(-1)**n*exp(loggamma(n+1)/2 - sqrt(n))",
+                                        "m": 2})[0],
+    "product": lambda: product_to_series(EX7_2),
+    "trig-pair": lambda: trig_series_pair(lambda n, ctx: ctx.one / n, (0, Fraction(-1, 3)),
+                                          (Fraction(1, 3), 1), 1, 2)[0],
+}
+
+
+def _counted_wrappers(term, calls):
+    """A plain closure around *term* and a ``functools.wraps`` one, each noting its n in *calls*."""
+
+    def plain(n, ctx):
+        calls.append(n)
+        return term(n, ctx)
+
+    @functools.wraps(term)
+    def wrapped(n, ctx):
+        calls.append(n)
+        return term(n, ctx)
+
+    return plain, wrapped
+
+
+def _count_resumes(monkeypatch, problem, resumes):
+    """Note in *resumes* each value that the stream of problem.term yields to ``sums_and_terms``."""
+    stream = series_model._STREAMS[problem.term]
+
+    def counted(ctx, start):
+        for value in stream(ctx, start):
+            resumes.append(value)
+            yield value
+
+    monkeypatch.setitem(series_model._STREAMS, problem.term, counted)
+
+
+def _bits(result):
+    return [[(type(v), repr(v)) for v in values] for values in result]
+
+
+@pytest.mark.parametrize("source", sorted(IN_ORDER_SOURCES))
+def test_in_order_source_is_the_terms_bits_with_no_call_past_the_last_index(
+        qctx, dctx, monkeypatch, source):
+    indices = [1, 2, 5, 17, 46]
+    for ctx in (qctx, dctx):
+        problem, resumes = IN_ORDER_SOURCES[source](), []
+        _count_resumes(monkeypatch, problem, resumes)
+        streamed = sums_and_terms(problem, indices, ctx)
+        assert len(resumes) == 46, (source, ctx)
+        for wrapper in _counted_wrappers(problem.term, calls := []):
+            called = sums_and_terms(dataclasses.replace(problem, term=wrapper), indices, ctx)
+            assert _bits(called) == _bits(streamed), (source, ctx, wrapper)
+            assert calls == list(range(1, 47)), (source, ctx, wrapper)
+            calls.clear()
+        assert len(resumes) == 46, (source, ctx)  # the wrappers went through problem.term only
+
+
+def _failure(run):
+    with pytest.raises(Exception) as failure:
+        run()
+    return type(failure.value), str(failure.value)
+
+
+def test_in_order_source_raises_as_the_term_does(qctx, dctx, monkeypatch):
+    # a stream's error, and the pass's own about a term it yields, read as through problem.term;
+    # the stream yields every term before the failure and is not resumed after it (a zero A_3
+    # raises when a_4 is asked for)
+    cases = [
+        (lambda: load_problem({"expression": "1/(n - 3)", "m": 1})[0], 5, 2, ValueError,
+         r"^expression '1/\(n - 3\)' fails at n = 3: division by zero$"),
+        (lambda: load_problem({"expression": "log(n-1)", "m": 1})[0], 4, 1, RangeOverflowError,
+         r"^partial sum A_1 exceeds the .*: its term a_1 is infinite$"),
+        (lambda: product_to_series(ProductProblem(
+            "dies", lambda n, ctx: ctx.mpf(-1) if n == 3 else ctx.zero, m=1, t=2)), 6, 3,
+         ZeroPartialProductError, r"^partial product A_3 of 'dies' is zero$"),
+    ]
+    for make, last, yielded, error, message in cases:
+        for ctx in (qctx, dctx):
+            problem, resumes = make(), []
+            _count_resumes(monkeypatch, problem, resumes)
+            streamed = _failure(lambda: sums_and_terms(problem, range(1, last + 1), ctx))
+            assert streamed[0] is error and re.match(message, streamed[1]), streamed
+            assert len(resumes) == yielded, (message, ctx)
+            plain = _counted_wrappers(problem.term, [])[0]
+            assert _failure(lambda: sums_and_terms(dataclasses.replace(problem, term=plain),
+                                                   range(1, last + 1), ctx)) == streamed
+
+
+def test_a_term_without_a_weak_reference_or_a_hash_is_called_for_each_n(qctx):
+    class Slotted:
+        __slots__ = ()
+
+        def __call__(self, n, ctx):
+            calls.append(n)
+            return ctx.one / n
+
+    @dataclasses.dataclass
+    class Unhashable:
+        def __call__(self, n, ctx):
+            calls.append(n)
+            return ctx.one / n
+
+    for term in (Slotted(), Unhashable()):
+        calls = []
+        sums, _ = sums_and_terms(SeriesProblem("user", term, m=1), [2, 4], qctx)
+        assert calls == [1, 2, 3, 4], term
+        assert sums[-1] == qctx.one + qctx.one / 2 + qctx.one / 3 + qctx.one / 4
 
 
 def test_telescoping_example_terms(qctx):
