@@ -183,7 +183,7 @@ def sums_and_terms(problem: SeriesProblem, indices, ctx):
     except (KeyError, TypeError):  # any other term (TypeError: one with no weak reference or no hash)
         stream = None
     for n in range(1, indices[-1] + 1):
-        a = term(n, ctx) if stream is None else next(stream)  # a call made here, not from C, is inlined
+        a = term(n, ctx) if stream is None else next(stream)  # CPython inlines this call, not one from map
         x = lift(a)
         if x is None:  # not a loop value as it came: convert it
             a = ctx.convert(a)

@@ -125,7 +125,7 @@ def _log_oracle(s, prec):
     """``mpf_log(s, prec)``; where it misreads s, ``mpf_log`` at twice the bits or more, rounded to prec."""
     if not _mpf_log_misreads(s, prec):
         return _outcome(mpf_log, s, prec, round_nearest)
-    wide = max(2 * prec, s[3])  # its branch measures s - 1/4 below 2^-(wide + 20) only, which s is not
+    wide = max(2 * prec, s[3])  # s - 1/4 cancels at most bitcount - 1 bits, fewer than wide + 20
     return mpf_pos(mpf_log(s, wide, round_nearest), prec, round_nearest)
 
 
