@@ -328,10 +328,10 @@ def _same_float(got, want, name):
 @example(2.0 ** -62)
 @example(5e-324)
 def test_float_exp_is_mpmaths_at_53_bits(x):
-    # a float is libm's exp, within its bound of mpmath's; an int is mpmath's exp itself
+    # a float, or an int that is a float exactly, is libm's exp, within its bound of mpmath's
     want = _float_exp_of_mpmath(x)
     for exp in (FLOAT.exp, FP.exp):
-        _same_float(exp(x), want, "exp" if type(x) is float else None)
+        _same_float(exp(x), want, "exp" if _is_float_exactly(x) else None)
 
 
 def test_float_exp_edges():
@@ -344,9 +344,15 @@ def test_float_exp_edges():
         assert exp(3) == _float_exp_of_mpmath(3)
 
 
+def _is_float_exactly(x):
+    """Whether *x* is a float, or an int that is a float exactly (at most 2^53 in magnitude)."""
+    return type(x) is float or (type(x) is int and abs(x) <= 2 ** 53)
+
+
 def _takes_libm(x, y):
-    """Whether the float pow of x to y is libm's: a float x > 0 to a finite float or an int y."""
-    return type(x) is float and x > 0 and (type(y) is int or math.isfinite(y))
+    """Whether the float pow of x to y is libm's: a float x > 0, or an int x > 0 that is a float
+    exactly, to a finite float or an int y."""
+    return _is_float_exactly(x) and x > 0 and (type(y) is int or math.isfinite(y))
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,9 +363,11 @@ def _takes_libm(x, y):
 @example(0.0, -1.5)
 @example(2.0, math.inf)
 @example(1.0, math.nan)
+@example(200445, -10.314453125)  # an int base: libm's last bit differs from mpmath's
 def test_float_pow_is_mpmaths_at_53_bits(x, y):
-    # a float x > 0 to a finite float or an int is libm's x ** y, within its bound of mpmath's
-    # (an overflow is inf); every other pair is mpmath's pow itself, result or exception
+    # a float x > 0, or an int x > 0 that is a float exactly, to a finite float or an int is
+    # libm's x ** y, within its bound of mpmath's (an overflow is inf); every other pair is
+    # mpmath's pow itself, result or exception
     want = _outcome(_mpmath_pow, x, y)
     got = _outcome(FLOAT.pow, x, y)
     if isinstance(want, type):
